@@ -17,12 +17,10 @@ Load-bearing checks:
 * the scenario-lifetime compilation tier is byte-identical to the cold
   per-epoch rebuild and makes the 4-policy fig11-scale epoch loop >= 1.5x
   faster than the PR 4 baseline recorded in the trajectory artifact;
-* the speculative kernel schedule (which superseded intra-epoch shard
-  dispatch for cold activation channels) beats the naive per-row schedule
-  >= 1.5x at fig17 scale, bit-identically — and the sharded kernel stays
-  bit-identical to the serial one;
+* the speculative kernel schedule beats the naive per-row schedule >= 1.5x
+  at fig17 scale, bit-identically;
 * the wave-vectorised reconciliation replay beats the per-application replay
-  >= 1.5x on a saturated fig17-scale epoch (4 shards, ~95% utilisation),
+  >= 1.5x on a saturated fig17-scale epoch (~95% utilisation),
   bit-identically and with a near-zero revalidation rate;
 * the exact backend is bit-deterministic: re-solving the same epoch problem
   after dropping its memoised compilation reproduces identical placements and
@@ -47,8 +45,11 @@ from repro.simulator.scenario import CDNScenario
 from repro.solver.compile import (
     SCENARIO_TIER_ENV,
     GreedyState,
+    _argmin_chunk,
     _greedy_fill_live,
     _pending_order,
+    _replay_per_app,
+    _replay_waves,
     clear_compilation,
     clear_scenario_compilations,
     compile_placement,
@@ -152,7 +153,7 @@ def _timed_epoch_loop(scenario: CDNScenario) -> tuple[float, float, list]:
     pipeline benchmark above.
     """
     simulator = CDNSimulator(scenario=scenario)
-    policies = default_policies(scenario.solver, scenario.epoch_shards)
+    policies = default_policies(scenario.solver)
     compile_s = solve_s = 0.0
     placements: list = []
     for epoch in range(scenario.n_epochs):
@@ -240,41 +241,30 @@ def test_bench_scenario_tier_speedup(bench_once):
             f"PR 4 baseline {pr4_s:.3f} s (floor: {TIER_SPEEDUP_FLOOR}x)")
 
 
-#: Shard count of the shard bit-identity check (the CLI's mid-size machine
-#: recommendation).
-EPOCH_SHARDS = 4
-
 #: Required speedup of the speculative kernel schedule over the naive per-row
-#: schedule at full scale. This is the claim that superseded speculative
-#: shard dispatch: the serial kernel now runs the batched
-#: speculate-and-revalidate schedule directly, so the bar the PR 4 shard
-#: benchmark held (1.5x over the then-naive serial loop) is carried by the
-#: schedule itself. Smoke scale only checks the determinism contracts.
+#: schedule at full scale: the kernel runs the batched
+#: speculate-and-revalidate schedule whenever the activation channel is cold.
+#: Smoke scale only checks the determinism contract.
 SCHEDULE_SPEEDUP_FLOOR = 1.5
 
 #: Fig17-scale epoch-loop instances: (n_servers, n_apps, repeats).
-SHARD_BENCH_SIZES = ((400, 140, 6), (400, 600, 3)) if not _SMOKE \
+KERNEL_BENCH_SIZES = ((400, 140, 6), (400, 600, 3)) if not _SMOKE \
     else ((100, 60, 2),)
 
 
 def test_bench_kernel_schedule_speedup(bench_once):
     """The speculative schedule claim: >= 1.5x over the naive per-row loop at
-    fig17 scale, bit-identical state — and shard dispatch stays bit-identical
-    to the serial kernel.
+    fig17 scale, bit-identical state.
 
     The timed region is the greedy construction of the four paper policies'
     dense cost tensors on fig17-scale instances (400-server fleet), kernels
-    called directly so the comparison isolates exactly the schedule. The
-    shard arm (``epoch_shards=4``) runs through the policies and must
-    reproduce the serial placements byte for byte (speculative plans collapse
-    onto the serial schedule; component plans dispatch).
+    called directly so the comparison isolates exactly the schedule.
     """
     naive_s = spec_s = 0.0
-    placements: dict = {}
 
     def run_all():
         nonlocal naive_s, spec_s
-        for n_servers, n_apps, repeats in SHARD_BENCH_SIZES:
+        for n_servers, n_apps, repeats in KERNEL_BENCH_SIZES:
             problem = _build_problem(n_servers, n_apps, seed=1)
             compilation = compile_placement(problem)
             from repro.core.objective import ObjectiveKind
@@ -296,24 +286,15 @@ def test_bench_kernel_schedule_speedup(bench_once):
                     assert np.array_equal(naive.assignment, spec.assignment)
                     assert np.array_equal(naive.capacity_left, spec.capacity_left)
                     assert np.array_equal(naive.served, spec.served)
-            # Shard dispatch contract at the policy level.
-            for shards in (1, EPOCH_SHARDS):
-                policies = default_policies("greedy", epoch_shards=shards)
-                placements[(n_servers, n_apps, shards)] = [
-                    p.timed_place(problem).placements for p in policies]
         return naive_s, spec_s
 
     bench_once(run_all)
-    for n_servers, n_apps, _ in SHARD_BENCH_SIZES:
-        assert placements[(n_servers, n_apps, 1)] == \
-            placements[(n_servers, n_apps, EPOCH_SHARDS)], \
-            f"sharded epoch loop diverged at ({n_servers}, {n_apps})"
     speedup = naive_s / max(spec_s, 1e-9)
     print(f"\ngreedy kernel (fig17-scale): naive {naive_s:.3f} s, "
           f"speculative {spec_s:.3f} s, schedule speedup {speedup:.2f}x")
     _append_trajectory("kernel_schedule", {
         "scale": "smoke" if _SMOKE else "full",
-        "sizes": [[s, a] for s, a, _ in SHARD_BENCH_SIZES],
+        "sizes": [[s, a] for s, a, _ in KERNEL_BENCH_SIZES],
         "naive_kernel_s": round(naive_s, 4),
         "speculative_kernel_s": round(spec_s, 4),
         "schedule_speedup": round(speedup, 2),
@@ -342,9 +323,8 @@ def _saturated_epoch(n_servers: int, n_apps: int):
     an untouched fig17 instance is *conflict-dense*: most replayed
     applications are invalidated and the wave replay correctly degrades to
     the per-application loop. The saturated regime the wave replay targets is
-    the opposite — and the regime the contention certificate cares about:
-    capacity rescaled to just about the speculative winner load (a few
-    servers 5% short, the rest 2% over), utilisation ~95%, few
+    the opposite: capacity rescaled to just about the speculative winner load
+    (a few servers 5% short, the rest 2% over), utilisation ~95%, few
     invalidations. Seeds pinned so the instance is identical across arms and
     runs.
     """
@@ -371,30 +351,30 @@ def _saturated_epoch(n_servers: int, n_apps: int):
 
 def test_bench_wave_reconcile_speedup(bench_once):
     """The wave-reconciliation claim: committing settled waves with dense
-    batched operations beats the PR 5 per-application replay >= 1.5x on a
+    batched operations beats the per-application replay >= 1.5x on a
     saturated fig17-scale epoch, bit-identically.
 
-    Both arms run the identical sharded entry point (``epoch_shards=4`` —
-    speculative plans route through the serial kernel's cold schedule, where
-    the replay lives); only the reconcile mode differs. The serial arm *is*
-    the PR 5 behaviour: one Python-level fit-check-and-place step per
-    application. The wave arm must reproduce its full mutable state byte for
-    byte while replacing almost every step with wave commits (telemetry
-    asserted: waves happened, revalidation rate near zero)."""
-    from repro.solver.compile import greedy_fill_sharded
-
+    Both arms replay the same speculative winners (one batched argmin,
+    computed outside the timed region) into a fresh state; only the replay
+    differs. The per-application arm runs one Python-level fit-check-and-place
+    step per application. The wave arm must reproduce its full mutable state
+    byte for byte while replacing almost every step with wave commits
+    (telemetry asserted: waves happened, revalidation rate near zero)."""
     n_servers, n_apps, repeats = WAVE_BENCH_SIZE
     dense, energy = _saturated_epoch(n_servers, n_apps)
+    order = _pending_order(GreedyState(dense), energy)
+    choices = _argmin_chunk(dense, order)
+    replays = {"serial": _replay_per_app, "wave": _replay_waves}
     times = {"serial": 0.0, "wave": 0.0}
     states: dict = {}
 
     def run_all():
-        for mode in ("serial", "wave"):
+        for mode, replay in replays.items():
             for _ in range(repeats):
                 state = GreedyState(dense)
+                state.stats.pending = len(order)
                 t0 = time.monotonic()
-                greedy_fill_sharded(state, energy, EPOCH_SHARDS,
-                                    reconcile_mode=mode)
+                replay(state, order, choices)
                 times[mode] += time.monotonic() - t0
                 states[mode] = state
         return times
@@ -411,14 +391,13 @@ def test_bench_wave_reconcile_speedup(bench_once):
     assert wave.stats.revalidation_rate < 0.2
 
     speedup = times["serial"] / max(times["wave"], 1e-9)
-    print(f"\nwave reconciliation (saturated {n_servers}x{n_apps}, "
-          f"{EPOCH_SHARDS} shards): per-app {times['serial']:.3f} s, "
+    print(f"\nwave reconciliation (saturated {n_servers}x{n_apps}): "
+          f"per-app {times['serial']:.3f} s, "
           f"wave {times['wave']:.3f} s, speedup {speedup:.2f}x, "
           f"revalidation rate {wave.stats.revalidation_rate:.3f}")
     _append_trajectory("wave_reconcile", {
         "scale": "smoke" if _SMOKE else "full",
         "size": [n_servers, n_apps],
-        "epoch_shards": EPOCH_SHARDS,
         "per_app_replay_s": round(times["serial"], 4),
         "wave_replay_s": round(times["wave"], 4),
         "wave_speedup": round(speedup, 2),

@@ -14,7 +14,7 @@ replay-parity check that byte-diffs the service's decisions against the
 batch simulator::
 
     carbon-edge serve --smoke --metrics-out artifacts/serving_metrics.json
-    carbon-edge serve --replay-parity --epoch-shards 2
+    carbon-edge serve --replay-parity
     carbon-edge serve --shape diurnal --rps 0.05 --duration-s 43200
 
 ``carbon-edge quickstart`` (and the original ``carbon-edge-quickstart``
@@ -155,20 +155,13 @@ def build_carbon_edge_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                          help="worker processes; results are identical for any "
                               "worker count (default: 1)")
-    run_cmd.add_argument("--epoch-shards", type=int, default=1, metavar="N",
-                         help="intra-unit shards for the dense placement kernel "
-                              "(experiments that take an epoch_shards parameter "
-                              "solve each epoch on N-way worker pools; artifacts "
-                              "are bit-identical for any value, epochs below the "
-                              "shard-size threshold fall back to serial; "
-                              "default: 1)")
     run_cmd.add_argument("--hierarchy-regions", type=int, default=None, metavar="N",
                          help="route placement through the cluster-then-refine "
                               "hierarchy with N geographic regions in every "
                               "experiment that takes a hierarchy_regions "
-                              "parameter; unlike --epoch-shards this is a "
-                              "recorded experiment parameter (it changes "
-                              "placements; the coarse/refine gap is recorded)")
+                              "parameter; a recorded experiment parameter (it "
+                              "changes placements; the coarse/refine gap is "
+                              "recorded)")
     run_cmd.add_argument("--backend", default=None, metavar="NAME",
                          help="pin the solver backend (canonical name or "
                               "alias, e.g. heuristic, bnb, cpsat, milp) in "
@@ -204,9 +197,6 @@ def build_carbon_edge_parser() -> argparse.ArgumentParser:
     serve.add_argument("--n-epochs", type=int, default=1, metavar="N",
                        help="scenario epochs; in parity mode these become the "
                             "replayed events (default: 1)")
-    serve.add_argument("--epoch-shards", type=int, default=1, metavar="N",
-                       help="intra-epoch shard count; decisions are "
-                            "bit-identical for any value (default: 1)")
     serve.add_argument("--seed", type=int, default=None,
                        help="scenario and load-stream seed (default: the "
                             "experiment seed)")
@@ -278,8 +268,6 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
                      f"registered: {', '.join(known)}")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.epoch_shards < 1:
-        parser.error(f"--epoch-shards must be >= 1, got {args.epoch_shards}")
     if args.hierarchy_regions is not None and args.hierarchy_regions < 1:
         parser.error(f"--hierarchy-regions must be >= 1, got {args.hierarchy_regions}")
     if args.num_search_workers is not None and args.num_search_workers < 1:
@@ -306,8 +294,7 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         overrides["num_search_workers"] = args.num_search_workers
     overrides = overrides or None
     runner = ScenarioRunner(workers=args.workers, smoke=args.smoke, seed=args.seed,
-                            overrides=overrides, epoch_shards=args.epoch_shards,
-                            merge=args.merge)
+                            overrides=overrides, merge=args.merge)
     start = time.perf_counter()
     results = runner.run(names)
     elapsed = time.perf_counter() - start
@@ -330,8 +317,6 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     from repro.serving.service import PlacementService, ServingConfig
     from repro.simulator.scenario import CDNScenario
 
-    if args.epoch_shards < 1:
-        parser.error(f"--epoch-shards must be >= 1, got {args.epoch_shards}")
     if args.max_sites < 2:
         parser.error(f"--max-sites must be >= 2, got {args.max_sites}")
     if args.duration_s <= 0:
@@ -347,14 +332,13 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         n_epochs=args.n_epochs,
         apps_per_site_per_epoch=args.apps_per_site_per_epoch,
         max_sites=max_sites,
-        epoch_shards=args.epoch_shards,
         seed=seed,
     )
 
     if args.replay_parity:
         report = check_replay_parity(scenario)
         print(f"replay parity over {scenario.n_epochs} epoch(s), "
-              f"{args.continent}, epoch_shards={args.epoch_shards}:")
+              f"{args.continent}:")
         print(report.summary())
         return 0 if report.ok else 1
 

@@ -30,20 +30,18 @@ class PlacementPolicy(ABC):
     name: str = "policy"
 
     def solver_config(self) -> SolverConfig:
-        """Execution configuration forwarded to the solver registry.
+        """Solver configuration forwarded to the solver registry.
 
-        Reads the policy's ``epoch_shards`` / ``hierarchy_regions`` /
-        ``refine_backend`` / ``num_search_workers`` fields when it declares
-        them (:class:`SolverConfig` validates them), so every solver-backed
-        policy shares one plumbing path for execution knobs. The hierarchy
-        knobs select the cluster-then-refine tier
-        (:mod:`repro.solver.hierarchy`) and ``num_search_workers`` widens the
-        anytime exact backends' parallel search — see the carve-outs on
-        :class:`SolverConfig`: unlike the other knobs those can change which
+        Reads the policy's ``hierarchy_regions`` / ``refine_backend`` /
+        ``num_search_workers`` fields when it declares them
+        (:class:`SolverConfig` validates them), so every solver-backed policy
+        shares one plumbing path for solver knobs. The hierarchy knobs select
+        the cluster-then-refine tier (:mod:`repro.solver.hierarchy`) and
+        ``num_search_workers`` widens the anytime exact backends' parallel
+        search — see :class:`SolverConfig` for how each can change which
         answer comes back.
         """
         return SolverConfig(
-            epoch_shards=getattr(self, "epoch_shards", 1),
             hierarchy_regions=getattr(self, "hierarchy_regions", 1),
             refine_backend=getattr(self, "refine_backend", "greedy"),
             num_search_workers=getattr(self, "num_search_workers", 1),

@@ -66,14 +66,10 @@ class CarbonEdgePolicy(PlacementPolicy):
     max_nodes / time_limit_s:
         Node and wall-clock budget forwarded to the solver backends (the node
         budget only applies to branch and bound).
-    epoch_shards:
-        Intra-epoch shards for the dense greedy kernel (bit-identical
-        solutions for every value; see :mod:`repro.solver.compile`).
     hierarchy_regions / refine_backend:
         Cluster-then-refine hierarchy knobs (:mod:`repro.solver.hierarchy`);
-        ``hierarchy_regions=1`` keeps the flat solve. Unlike ``epoch_shards``
-        these change which answer comes back (see the
-        :class:`~repro.solver.config.SolverConfig` carve-out).
+        ``hierarchy_regions=1`` keeps the flat solve. These change which
+        answer comes back (see :class:`~repro.solver.config.SolverConfig`).
     num_search_workers:
         Parallel search workers for the anytime exact backends
         (``cpsat``/``milp``); ignored by the heuristic family. Under a finite
@@ -86,7 +82,6 @@ class CarbonEdgePolicy(PlacementPolicy):
     manage_power: bool = True
     max_nodes: int = 200
     time_limit_s: float = 30.0
-    epoch_shards: int = 1
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     num_search_workers: int = 1

@@ -25,7 +25,6 @@ from repro.solver import registry
 class IntensityAwarePolicy(PlacementPolicy):
     """Assign each application to the feasible server with the lowest carbon intensity."""
 
-    epoch_shards: int = 1
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     num_search_workers: int = 1

@@ -26,7 +26,6 @@ from repro.solver import registry
 class LatencyAwarePolicy(PlacementPolicy):
     """Assign each application to the lowest-latency server with capacity."""
 
-    epoch_shards: int = 1
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     num_search_workers: int = 1

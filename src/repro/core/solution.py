@@ -52,23 +52,13 @@ class PlacementSolution:
     #: Canonical name of the solver backend that produced the solution
     #: (empty when the solution did not come through the backend registry).
     backend_name: str = ""
-    #: Provably order-independent share of the greedy construction when
-    #: intra-epoch sharding was requested
-    #: (:attr:`repro.solver.compile.ShardPlan.parallel_fraction` of the drawn
-    #: plan — executed by shard dispatch in component mode, or by the serial
-    #: kernel's equivalent speculative schedule; ``0.0`` when the planner
-    #: refused outright). ``None`` when sharding was not requested or the
-    #: backend does not shard — kept on the solution so saturated-epoch
-    #: degradation is observable in simulation artifacts instead of silent.
-    shard_parallel_fraction: float | None = None
     #: Number of batched wave commits the reconciliation replay executed
     #: (:class:`repro.solver.compile.FillStats`). Execution diagnostics only:
-    #: the value varies with the reconcile mode while placements stay
-    #: bit-identical. ``None`` when the backend does not run the greedy
-    #: kernel.
+    #: the value describes how the replay ran, not which placements it made.
+    #: ``None`` when the backend does not run the greedy kernel.
     wave_count: int | None = None
     #: Fraction of replayed applications that took the exact per-application
-    #: step instead of a batched wave commit (1.0 under the serial replay,
+    #: step instead of a batched wave commit (1.0 when the naive loop ran,
     #: near 0.0 when the wave replay settles almost everything). ``None``
     #: when the backend does not run the greedy kernel.
     revalidation_rate: float | None = None

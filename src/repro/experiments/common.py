@@ -113,10 +113,8 @@ _CACHES = (_region_traces, _zone_traces, _region_latency, _cdn_footprint,
 def clear_caches() -> None:
     """Drop every experiment-level cache (traces, latencies, footprints).
 
-    Also clears the CDN simulator's scenario-substrate cache and shuts down
-    the solver's persistent shard-dispatch pool (idle worker threads are not
-    worth keeping between experiments; the next sharded solve transparently
-    re-creates it). The sharded runner calls this in each worker process
+    Also clears the CDN simulator's scenario-substrate cache. The sharded
+    runner calls this in each worker process
     when it moves from one experiment's work units to another's, bounding
     resident memory across a ``run --all`` session without giving up
     within-experiment reuse.
@@ -124,9 +122,7 @@ def clear_caches() -> None:
     for cache in _CACHES:
         cache.cache_clear()
     from repro.simulator.cdn import clear_substrate_cache
-    from repro.solver.dispatch import shutdown_dispatch_pool
     clear_substrate_cache()
-    shutdown_dispatch_pool()
 
 
 def region(name: str) -> MesoscaleRegion:

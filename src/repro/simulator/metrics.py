@@ -31,20 +31,12 @@ class EpochRecord:
     #: ``n_unplaced``). The count is a property of the epoch's problem, so it
     #: is identical across the policies of one epoch.
     n_nearest_unreachable: int = 0
-    #: Provably order-independent share of this epoch's greedy construction
-    #: (``ShardPlan.parallel_fraction``) when intra-epoch sharding was
-    #: requested; ``0.0`` marks a saturated epoch whose planner degraded to
-    #: the serial kernel, ``None`` an unsharded run. Execution diagnostics,
-    #: not science — the placements are bit-identical either way.
-    shard_parallel_fraction: float | None = None
     #: Batched wave commits the reconciliation replay executed for this
     #: epoch's construction (``FillStats.waves``); ``None`` when the backend
-    #: does not run the greedy kernel. Execution diagnostics like
-    #: ``shard_parallel_fraction`` — varies with the reconcile mode, never
-    #: with the placements.
+    #: does not run the greedy kernel. Execution diagnostics, not science.
     wave_count: int | None = None
     #: Fraction of replayed applications that took the exact per-application
-    #: step instead of a batched wave commit (1.0 under the serial replay).
+    #: step instead of a batched wave commit (1.0 when the naive loop ran).
     revalidation_rate: float | None = None
     #: Full placement decision (app id -> hosting server id), populated only
     #: when the caller asks for it (``record_assignments``): the replay-parity
@@ -127,25 +119,13 @@ class SimulationResult:
         """Applications without any feasible server, summed over epochs."""
         return int(sum(r.n_nearest_unreachable for r in self._of(policy)))
 
-    def mean_shard_parallel_fraction(self, policy: str) -> float | None:
-        """Mean per-epoch shard parallel fraction of one policy.
-
-        ``None`` when the run never requested intra-epoch sharding; values
-        near ``0.0`` flag saturated epochs whose construction degraded to the
-        serial kernel (see ``EpochRecord.shard_parallel_fraction``).
-        """
-        values = [r.shard_parallel_fraction for r in self._of(policy)
-                  if r.shard_parallel_fraction is not None]
-        if not values:
-            return None
-        return float(np.mean(values))
-
     def mean_revalidation_rate(self, policy: str) -> float | None:
         """Mean per-epoch reconciliation revalidation rate of one policy.
 
         ``None`` when no epoch reported replay telemetry; values near 1.0
-        mean the epochs replayed per application (serial reconcile mode, or
-        conflict-dense instances past the wave budget), values near 0.0 mean
+        mean the epochs replayed per application (the naive loop under a
+        live activation channel, or conflict-dense instances past the wave
+        budget), values near 0.0 mean
         the wave replay settled almost everything in batched commits (see
         ``EpochRecord.revalidation_rate``).
         """

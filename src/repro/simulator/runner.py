@@ -212,38 +212,24 @@ class ScenarioRunner:
     overrides:
         Extra parameter overrides broadcast the same way (unknown keys are
         ignored per spec).
-    epoch_shards:
-        Intra-unit shard count broadcast to every selected spec that takes an
-        ``epoch_shards`` parameter: inside each work unit, every placement
-        epoch's compiled tensors are partitioned along the application axis
-        and solved on a worker pool (:mod:`repro.solver.compile`). Unlike
-        ``workers`` — which only scales *across* sweep-grid units — this
-        scales within one big unit. Left at ``1``, surplus workers are turned
-        into intra-unit shards automatically (``workers > number of units``).
-        Sharding is bit-identical by construction, so artifacts do not depend
-        on it; it is an execution knob, not an experiment parameter, and the
-        recorded artifact params always show the spec's own default.
     merge:
         ``"memory"`` keeps every unit fragment resident and merges at the
         end; ``"stream"`` spools each fragment to a part file in a temporary
         spill directory as it is produced and folds the parts in grid order,
         one at a time — byte-identical artifacts (the fold and the fragments
         are the same), peak memory bounded by one fragment plus the
-        accumulator. Another execution-only knob.
+        accumulator. An execution-only knob.
     """
 
     workers: int = 1
     smoke: bool = False
     seed: int | None = None
     overrides: Mapping[str, object] | None = None
-    epoch_shards: int = 1
     merge: str = "memory"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.epoch_shards < 1:
-            raise ValueError(f"epoch_shards must be >= 1, got {self.epoch_shards}")
         if self.merge not in MERGE_MODES:
             raise ValueError(
                 f"merge must be one of {MERGE_MODES}, got {self.merge!r}")
@@ -253,14 +239,6 @@ class ScenarioRunner:
         if self.seed is not None:
             overrides["seed"] = self.seed
         return overrides
-
-    def _effective_epoch_shards(self, n_units: int) -> int:
-        """Explicit ``epoch_shards``, or surplus workers folded into big units."""
-        if self.epoch_shards > 1:
-            return self.epoch_shards
-        if n_units and self.workers > n_units:
-            return self.workers // n_units
-        return 1
 
     def run(self, names: Iterable[str]) -> dict[str, ExperimentResult]:
         """Run the named experiments; returns results keyed by name, in order."""
@@ -275,19 +253,6 @@ class ScenarioRunner:
             expanded = expand_units(spec, smoke=self.smoke, overrides=overrides)
             spans.append((spec, len(units), len(units) + len(expanded)))
             units.extend(expanded)
-
-        # Intra-unit sharding is an execution-only override (the determinism
-        # contract of the sharded kernel keeps artifacts byte-identical), so
-        # it is applied to the executed units but never to the recorded
-        # params below. It does not change the unit grid, so re-expansion is
-        # shape-preserving.
-        epoch_shards = self._effective_epoch_shards(len(units))
-        if epoch_shards > 1:
-            exec_overrides = dict(overrides, epoch_shards=epoch_shards)
-            units = []
-            for spec, _, _ in spans:
-                units.extend(expand_units(spec, smoke=self.smoke,
-                                          overrides=exec_overrides))
 
         start = time.perf_counter()
         spill_dir: Path | None = None
@@ -347,9 +312,8 @@ class ScenarioRunner:
 
 
 def run_experiments(names: Iterable[str], workers: int = 1, smoke: bool = False,
-                    seed: int | None = None, epoch_shards: int = 1,
+                    seed: int | None = None,
                     merge: str = "memory") -> dict[str, ExperimentResult]:
     """Convenience wrapper: build a :class:`ScenarioRunner` and run it."""
-    runner = ScenarioRunner(workers=workers, smoke=smoke, seed=seed,
-                            epoch_shards=epoch_shards, merge=merge)
+    runner = ScenarioRunner(workers=workers, smoke=smoke, seed=seed, merge=merge)
     return runner.run(names)

@@ -65,11 +65,8 @@ __all__ = [
     "SolveRequest",
     "EpochCompilation",
     "DenseCosts",
-    "ShardPlan",
     "compile_placement",
     "clear_compilation",
-    "greedy_fill_sharded",
-    "plan_shards",
     "ScenarioCompilation",
     "EpochDelta",
     "compile_scenario",
@@ -82,8 +79,7 @@ _LAZY_REGISTRY_EXPORTS = {
 }
 _LAZY_BACKEND_EXPORTS = {"PlacementSolver", "SolveRequest"}
 _LAZY_COMPILE_EXPORTS = {
-    "EpochCompilation", "DenseCosts", "ShardPlan", "compile_placement",
-    "clear_compilation", "greedy_fill_sharded", "plan_shards",
+    "EpochCompilation", "DenseCosts", "compile_placement", "clear_compilation",
     "ScenarioCompilation", "EpochDelta", "compile_scenario",
     "clear_scenario_compilations", "scenario_tier_enabled",
 }

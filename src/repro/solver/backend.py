@@ -73,10 +73,10 @@ class SolveRequest:
     seed:
         Seed for the randomised backends (randomized rounding).
     config:
-        Execution configuration (:class:`~repro.solver.config.SolverConfig`):
-        intra-epoch shard count and serial-fallback threshold for the dense
-        greedy kernel. Carries a determinism contract — it changes how fast
-        the answer is produced, never which answer comes back.
+        Solver configuration (:class:`~repro.solver.config.SolverConfig`).
+        Backends read only ``num_search_workers``, the anytime exact
+        backends' search width; the hierarchy knobs are consumed above the
+        backend layer.
     """
 
     problem: PlacementProblem

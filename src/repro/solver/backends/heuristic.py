@@ -26,13 +26,7 @@ import numpy as np
 
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import SolveRequest, solution_from_assignment
-from repro.solver.compile import (
-    DenseCosts,
-    GreedyState,
-    bool_all,
-    greedy_fill,
-    greedy_fill_sharded,
-)
+from repro.solver.compile import DenseCosts, GreedyState, bool_all, greedy_fill
 from repro.solver.registry import register_backend
 
 #: Local-search wall-clock budget when the request carries none.
@@ -71,34 +65,12 @@ class GreedyLocalSearchBackend:
         # returns the valid partial fill, flagged construction_truncated.
         construction_deadline = None if request.time_budget_s is None \
             else request.started_at + request.time_budget_s
-        # The shard-aware construction path: with ``config.epoch_shards > 1``
-        # the compiled epoch tensors are partitioned along the application
-        # axis and filled on a worker pool — bit-identical to the serial
-        # kernel by the planner's independence certificates, so backends stay
-        # deterministic for every shard count.
-        shards = request.config.epoch_shards
-        parallel_fraction: float | None = None
-        if shards > 1:
-            plan = greedy_fill_sharded(state, request.problem.energy_j, shards,
-                                       request.config.min_shard_apps,
-                                       reconcile_mode=request.config.reconcile_mode,
-                                       dispatch=request.config.dispatch,
-                                       deadline=construction_deadline)
-            # Surface how much of the construction actually parallelised —
-            # 0.0 marks a saturated epoch that degraded to the serial kernel
-            # (planner refused, or one coupled component dominated).
-            parallel_fraction = plan.parallel_fraction \
-                if plan is not None and plan.is_parallel else 0.0
-        else:
-            greedy_fill(state, request.problem.energy_j,
-                        reconcile_mode=request.config.reconcile_mode,
-                        deadline=construction_deadline)
+        greedy_fill(state, request.problem.energy_j,
+                    deadline=construction_deadline)
         if self.local_search and not state.stats.truncated:
             self._improve(request, state)
         solution = solution_from_assignment(request, state.assignment)
-        solution.shard_parallel_fraction = parallel_fraction
-        # Replay-execution telemetry (diagnostics only — placements are
-        # bit-identical across reconcile modes; see FillStats).
+        # Replay-execution telemetry (diagnostics only — see FillStats).
         solution.wave_count = state.stats.waves
         solution.revalidation_rate = state.stats.revalidation_rate
         solution.construction_truncated = state.stats.truncated

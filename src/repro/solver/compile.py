@@ -52,17 +52,15 @@ lexicographic ``(cost, tie)`` rule it reproduces up to that epsilon (a frozen
 copy of the old engine served as a parity oracle for one release and has
 since been retired).
 
-**Wave-vectorised reconciliation.** Wherever speculative winners or shard
-placements are replayed into the shared state, the replay runs in *waves*:
-maximal serial-order prefixes whose capacity dependencies are provably
-settled commit as one dense batched operation
+**Wave-vectorised reconciliation.** When the activation channel is cold,
+the kernel picks every application's capacity-oblivious winner with one
+batched row argmin and replays the winners into the shared state in
+*waves*: maximal serial-order prefixes whose capacity dependencies are
+provably settled commit as one dense batched operation
 (:meth:`GreedyState.place_batch`), and only the residual conflicting tail
-drops to the exact per-application step. The wave path is bit-identical to
-the per-application replay (``CARBON_EDGE_DISABLE_WAVE_REPLAY=1`` forces the
-latter; the hypothesis suite and CI byte-diffs pin the contract) and is
-shared by the serial kernel's cold fast path and the sharded reconciliation
-pass. Shard tasks themselves execute through the persistent dispatch pool
-(:mod:`repro.solver.dispatch`) instead of a per-call executor.
+drops to the exact per-application step. The wave replay is bit-identical
+to the per-application replay and to the naive per-row loop; the hypothesis
+suite and the golden artifact digests pin the contract.
 """
 
 from __future__ import annotations
@@ -71,7 +69,6 @@ import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -93,8 +90,6 @@ from repro.core.problem import (
 )
 from repro.cluster.resources import ResourceVector
 from repro.core.solution import PlacementSolution
-from repro.solver.config import MIN_SHARD_APPS
-from repro.solver.dispatch import run_tasks
 from repro.workloads.generator import (
     ApplicationBatch,
     LazyApplications,
@@ -203,11 +198,6 @@ def bool_all(fits_per_key: np.ndarray) -> np.ndarray:
     return np.all(fits_per_key, axis=-1)
 
 
-#: Environment kill-switch for the wave-vectorised reconciliation replay
-#: (used by the CI byte-diff arms): set to ``1`` to force the per-application
-#: replay loop everywhere ``reconcile_mode="auto"`` applies.
-WAVE_REPLAY_ENV: str = "CARBON_EDGE_DISABLE_WAVE_REPLAY"
-
 #: The construction deadline is polled every this many applications inside
 #: the per-application loops (matching the local-search stride), so the
 #: budget check costs one clock read per stride instead of per placement.
@@ -219,29 +209,13 @@ def _expired(deadline: float | None) -> bool:
     return deadline is not None and time.monotonic() >= deadline
 
 
-def wave_replay_enabled() -> bool:
-    """Whether ``reconcile_mode="auto"`` resolves to the wave replay."""
-    return os.environ.get(WAVE_REPLAY_ENV, "").strip().lower() not in (
-        "1", "true", "yes", "on")
-
-
-def _use_wave_replay(reconcile_mode: str) -> bool:
-    """Resolve a reconcile knob: explicit modes win, ``auto`` follows the
-    :data:`WAVE_REPLAY_ENV` kill-switch (wave unless disabled)."""
-    if reconcile_mode == "wave":
-        return True
-    if reconcile_mode == "serial":
-        return False
-    return wave_replay_enabled()
-
-
 @dataclass
 class FillStats:
     """Execution telemetry of the greedy fills run against one state.
 
     Pure diagnostics, never inputs: the numbers describe *how* the replay
-    executed (and differ between reconcile modes and epochs) while the
-    placements stay bit-identical. Accumulated on :attr:`GreedyState.stats`
+    executed (how much of it committed in waves) while the placements stay
+    bit-identical to the naive loop. Accumulated on :attr:`GreedyState.stats`
     and surfaced as ``wave_count`` / ``revalidation_rate`` on
     :class:`~repro.core.solution.PlacementSolution` and ``EpochRecord``.
     """
@@ -278,22 +252,6 @@ class GreedyState:
         self.served = np.zeros(n_servers, dtype=int)
         self.stats = FillStats()
 
-    def clone(self) -> "GreedyState":
-        """Independent copy of the mutable state over the same shared tensors.
-
-        Shard workers solve against clones so concurrent shards never mutate
-        the shared state; the reconciliation pass replays their placements
-        into the original afterwards. Clones start with fresh telemetry —
-        their fills are scratch work, not part of the original's replay.
-        """
-        other = GreedyState.__new__(GreedyState)
-        other.dense = self.dense
-        other.assignment = self.assignment.copy()
-        other.capacity_left = self.capacity_left.copy()
-        other.served = self.served.copy()
-        other.stats = FillStats()
-        return other
-
     def would_activate(self) -> np.ndarray:
         """(S,) bool: servers an assignment would newly switch on right now."""
         return (self.served == 0) & ~self.dense.initially_on
@@ -312,10 +270,9 @@ class GreedyState:
         sequentially in order of appearance, so the per-server float
         subtraction sequence — and therefore ``capacity_left``, byte for
         byte — is identical to issuing the same :meth:`place` calls one at a
-        time (the hypothesis suite pins this). Shared by the serial kernel's
-        cold fast path and the sharded reconciliation pass; callers are
-        responsible for only batching placements whose validity cannot depend
-        on each other (see :func:`_replay_waves`).
+        time (the hypothesis suite pins this). Callers are responsible for
+        only batching placements whose validity cannot depend on each other
+        (see :func:`_replay_waves`).
         """
         if len(apps) == 0:
             return
@@ -333,25 +290,18 @@ class GreedyState:
         self.place(i, j1)
 
 
-def _pending_order(state: GreedyState, energy_j: np.ndarray,
-                   apps: Sequence[int] | None = None) -> np.ndarray:
+def _pending_order(state: GreedyState, energy_j: np.ndarray) -> np.ndarray:
     """Still-unassigned applications in the kernel's processing order.
 
     Most-constrained first: fewest candidate servers, then larger maximum
     energy among equals; the stable sort resolves remaining ties by
-    application index. Restricting to ``apps`` yields the same *relative*
-    order as the full sort (stability), which is what makes per-shard
-    processing order-compatible with the serial kernel. Implemented as a
-    stable ``np.lexsort`` over the same keys the original per-application
-    tuple sort compared, so the order is unchanged — and fully vectorised
-    (no per-application Python loop), which matters at 10^6 applications.
+    application index. Implemented as a stable ``np.lexsort`` over the same
+    keys the original per-application tuple sort compared, so the order is
+    unchanged — and fully vectorised (no per-application Python loop), which
+    matters at 10^6 applications.
     """
     dense = state.dense
-    if apps is None:
-        pending = np.flatnonzero(state.assignment < 0)
-    else:
-        idx = np.asarray(apps, dtype=int)
-        pending = idx[state.assignment[idx] < 0] if len(idx) else idx
+    pending = np.flatnonzero(state.assignment < 0)
     if len(pending) <= 1:
         return pending
     counts = dense.mask[pending].sum(axis=1)
@@ -360,8 +310,6 @@ def _pending_order(state: GreedyState, energy_j: np.ndarray,
 
 
 def greedy_fill(state: GreedyState, energy_j: np.ndarray,
-                apps: Sequence[int] | None = None,
-                reconcile_mode: str = "auto",
                 deadline: float | None = None) -> None:
     """THE greedy placement kernel (every policy and backend routes here).
 
@@ -370,10 +318,8 @@ def greedy_fill(state: GreedyState, energy_j: np.ndarray,
     larger maximum energy so heavy applications grab green capacity before it
     fills up), marginal cost = tie-broken assignment cost plus the activation
     cost when the assignment would switch the server on. ``np.argmin`` picks
-    the lowest server index among exact ties.
-
-    ``apps`` restricts the fill to a subset of applications (the intra-epoch
-    shard path); ``None`` processes every unassigned application.
+    the lowest server index among exact ties. Every still-unassigned
+    application is processed; warm-started ones keep their seat.
 
     An application is only ever placed at a *finite* marginal cost: when every
     feasible candidate costs ``+inf`` (possible only for hand-built cost
@@ -382,16 +328,14 @@ def greedy_fill(state: GreedyState, energy_j: np.ndarray,
     arbitrary index-0 tie, which could fall outside the candidate mask.
 
     When the activation channel is provably cold (every server is initially
-    on, already serving, or free to activate — the same condition the shard
-    planner's speculative mode tests), the kernel runs the
-    speculate-and-revalidate schedule serially: one batched row-argmin picks
-    every application's capacity-oblivious winner, and the replay commits
-    them — in waves of dense batched operations by default
-    (:func:`_replay_waves`), or through the per-application loop when
-    ``reconcile_mode`` (or the ``CARBON_EDGE_DISABLE_WAVE_REPLAY``
-    kill-switch) selects it. The placements — and the float arithmetic order
-    of the shared state — are bit-identical to the naive loop by the
-    certificate documented on :func:`plan_shards`, for every mode.
+    on, already serving, or free to activate), the kernel runs the
+    speculate-and-revalidate schedule (:func:`_greedy_fill_cold`): one
+    batched row-argmin picks every application's capacity-oblivious winner,
+    and the wave replay (:func:`_replay_waves`) commits them. Otherwise the
+    marginal-cost row genuinely changes as servers switch on, and the naive
+    per-row loop (:func:`_greedy_fill_live`) runs. The placements — and the
+    float arithmetic order of the shared state — are identical for both
+    schedules by the certificate documented on :func:`_greedy_fill_cold`.
 
     ``deadline`` (absolute monotonic seconds) makes the construction itself
     anytime: the fill polls it at coarse boundaries (every
@@ -403,7 +347,7 @@ def greedy_fill(state: GreedyState, energy_j: np.ndarray,
     consumer) leaves the schedule untouched.
     """
     dense = state.dense
-    order = _pending_order(state, energy_j, apps)
+    order = _pending_order(state, energy_j)
     if not len(order):
         return
     if _expired(deadline):
@@ -416,7 +360,7 @@ def greedy_fill(state: GreedyState, energy_j: np.ndarray,
     # never-activating server still poisons the naive loop's marginal row
     # (inf * 0.0 is NaN), which the static cost row would not reproduce.
     if not activation_coupled.any() and np.isfinite(dense.activation).all():
-        _greedy_fill_cold(state, order, reconcile_mode, deadline)
+        _greedy_fill_cold(state, order, deadline)
         return
     _greedy_fill_live(state, order, deadline)
 
@@ -446,30 +390,42 @@ def _greedy_fill_live(state: GreedyState, order: Sequence[int],
 
 
 def _greedy_fill_cold(state: GreedyState, order: Sequence[int],
-                      reconcile_mode: str = "auto",
                       deadline: float | None = None) -> None:
-    """Serial speculate-and-revalidate fill for a cold activation channel.
+    """Speculate-and-revalidate fill for a cold activation channel.
 
-    Identical to the reconciliation replay of :func:`greedy_fill_sharded`'s
-    speculative mode, minus the thread pool: the marginal-cost row is exactly
-    the static ``dense.cost`` row at every point of the fill (the activation
-    term is identically zero), so the capacity-oblivious row argmin is the
-    serial choice whenever it still fits — and capacity only ever shrinks, so
-    a winner that fits at its turn was never beaten earlier. The replay
-    commits the winners in waves (:func:`_replay_waves`) unless the reconcile
-    mode selects the per-application loop — bit-identical either way.
+    With every server initially on, already serving, or free to activate,
+    the marginal-cost row of each application is exactly its static
+    ``dense.cost`` row at every point of the fill. Its *speculative winner*
+    — the cheapest masked candidate, ignoring capacity — is therefore the
+    serial choice whenever it still fits at the application's turn: the
+    naive loop minimises the same row over a subset of the mask (the
+    candidates that fit then), so a fitting winner has the same minimum and
+    the same lowest-index tie. Capacity only ever shrinks during a fill, so
+    the replay only has to re-check each winner's own fit — an O(K) test —
+    and re-runs the exact serial step when it fails. Placements go through
+    the same ``place`` arithmetic in the same order as the naive loop, so
+    the shared state matches it byte for byte. NOTE for maintainers: the
+    revalidation is load-bearing — the speculation never looked at capacity.
     """
-    dense = state.dense
-    # One authoritative copy of the batched speculative argmin (lowest-index
-    # ties, -1 sentinel for rows with no finite candidate) — shared with the
-    # sharded path's free chunks.
     order = np.asarray(order, dtype=int)
-    _, choices = _argmin_chunk(dense, order)
+    choices = _argmin_chunk(state.dense, order)
     state.stats.pending += len(order)
-    if _use_wave_replay(reconcile_mode):
-        _replay_waves(state, order, choices, deadline)
-    else:
-        _replay_per_app(state, order, choices, deadline)
+    _replay_waves(state, order, choices, deadline)
+
+
+def _argmin_chunk(dense: DenseCosts, apps: np.ndarray) -> np.ndarray:
+    """Batched speculative winners: one static-cost row argmin per application.
+
+    Same values, same lowest-index ties and the same skip on an infinite
+    minimum as the naive loop's ``argmin(where(feasible, marginal, inf))``
+    whenever the activation term vanishes on the row. ``-1`` marks
+    applications with no finite-cost candidate, which the naive loop
+    provably leaves unplaced.
+    """
+    rows = dense.cost[apps]
+    choice = np.argmin(rows, axis=1).astype(int)
+    finite = np.isfinite(rows[np.arange(len(apps)), choice])
+    return np.where(finite, choice, -1)
 
 
 def _replay_step(state: GreedyState, i: int, j: int) -> None:
@@ -506,12 +462,11 @@ def _replay_step(state: GreedyState, i: int, j: int) -> None:
 def _replay_per_app(state: GreedyState, order: np.ndarray,
                     choices: np.ndarray,
                     deadline: float | None = None) -> None:
-    """The per-application reconciliation replay (the ``"serial"`` arm).
+    """The per-application reconciliation replay.
 
-    Runs :func:`_replay_step` for every application in processing order —
-    exactly the pre-wave replay loop. Kept as the kill-switch path the CI
-    byte-diff jobs pin, the baseline arm the wave-reconcile benchmark
-    measures against, and the tail fallback of :func:`_replay_waves`.
+    Runs :func:`_replay_step` for every application in processing order.
+    It is the conflict-tail fallback of :func:`_replay_waves`, and the
+    reference the wave replay is tested and benchmarked against.
     """
     for k, i in enumerate(order):
         if deadline is not None and k % _DEADLINE_STRIDE == 0 \
@@ -546,8 +501,8 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     prefix sum fits the server's current remaining capacity with slack to
     spare: every earlier winner on that server then also fits at its own
     turn (smaller prefix), so no interleaving within the wave can invalidate
-    it, and the speculative certificate (see :func:`plan_shards`) makes each
-    such winner the serial kernel's own choice. The wave is the maximal
+    it, and the speculative certificate (see :func:`_greedy_fill_cold`)
+    makes each such winner the serial kernel's own choice. The wave is the maximal
     prefix of the order consisting of settled placements (winnerless rows
     commit nothing and never bound a wave); the first unsettled placement is
     the boundary, re-derived by the exact per-application step — its
@@ -562,9 +517,9 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     certificate above; only the arithmetic order is preserved, for free, by
     committing in processing order.
 
-    The slack mirrors the shard planner's: the certificate compares
-    vectorised cumulative sums against what the serial kernel computes by
-    sequential subtraction, so the relative terms cover float reassociation
+    The slack covers the gap between the certificate's vectorised cumulative
+    sums and what the serial kernel computes by sequential subtraction: the
+    relative terms cover float reassociation
     drift (of both the capacity row and the cumulative sums the segmented
     prefix trick subtracts) and the absolute term covers the per-placement
     fit tolerance accumulated over a server's winners. Overshooting the
@@ -632,464 +587,6 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
             # to pay — finish the tail with the per-application replay.
             _replay_per_app(state, order[pos:], choices[pos:], deadline)
             return
-
-
-# -- intra-epoch sharding ------------------------------------------------------
-#
-# The sharded kernel partitions the compiled epoch tensors along the
-# application axis and solves independent shards on a worker pool, with a
-# determinism contract: for every shard count the merged solution — and the
-# full GreedyState (assignment, remaining capacity, served counts, down to
-# float arithmetic order) — is bit-identical to the serial kernel's. The
-# contract is proof-based rather than hopeful: shards only ever commit
-# decisions that are provably identical to the serial interleaving's, and
-# anything unprovable is re-derived by the exact serial step during
-# reconciliation (ultimately falling back to the serial kernel wholesale).
-#
-# Two state channels couple applications in ``greedy_fill``:
-#
-# * capacity  — a placement shrinks ``capacity_left`` on its server, which can
-#   flip a later application's ``fits`` there; capacity is *monotone*: it only
-#   ever shrinks during a fill.
-# * activation — the first placement on an initially-off server zeroes its
-#   ``would_activate`` term, changing later marginal costs on that server.
-#
-# **Speculative mode** (the production CDN path) applies whenever the
-# activation channel is provably cold — every server is initially on, already
-# serving, or carries a zero activation cost — which makes each application's
-# marginal-cost row exactly its static ``dense.cost`` row at every point of
-# the fill. The speculative winner of each row is the globally cheapest
-# masked candidate, ignoring capacity entirely. The certificate is that no
-# better candidate exists at all: the serial kernel minimises the same cost
-# row over a *subset* of the mask (the candidates that fit at the
-# application's turn), so whenever the speculative winner itself fits at that
-# turn it IS the serial argmin — same minimum, same lowest-index tie. The
-# serial-order reconciliation replay therefore only has to re-check the
-# winner against the evolving shared capacity — an O(K) scalar test —
-# committing it when it fits and re-running the exact serial step for that
-# application when it does not (or when the row had no finite candidate).
-# Replay applies placements through the same ``place()`` calls in the same
-# order as the serial kernel, so the shared state reproduces the serial
-# float arithmetic byte for byte. NOTE for maintainers: the per-application
-# revalidation is load-bearing — the speculation never looked at capacity,
-# so skipping it for any "known-fitting" winner breaks the contract.
-#
-# The speculate-and-revalidate schedule proved so much faster than the naive
-# per-row loop that the serial kernel now runs it directly whenever the
-# channel is cold (:func:`_greedy_fill_cold`): one batched row-argmin plus
-# the O(K)-per-application replay, no pool. Speculative *plans* therefore no
-# longer dispatch — ``greedy_fill_sharded`` routes them to the serial kernel,
-# which performs the identical arithmetic without planning or thread
-# overhead — and the dispatch machinery below serves component mode.
-#
-# **Component mode** handles live activation coupling. A server is **hot**
-# when a coupling can actually fire during this fill: *contended* (a
-# realisable placement set could overflow one of its capacity keys and flip a
-# pending application's fit — certified by the fit-filtered, winner-pinned
-# interest test in :func:`_contended_servers`, strictly sharper than the
-# historical sum-of-all-interested-demand rule) or *activation-coupled*
-# (initially off,
-# nonzero activation cost, not yet serving). On a non-hot server, ``fits``
-# holds for every interested application no matter which realisable subset
-# places there, and the activation term is identically zero — placements
-# there are invisible to every other application. An application touching no
-# hot server is **free** (a pure row argmin, order-independent); coupled
-# applications group into connected components over shared hot servers, which
-# touch disjoint hot-server sets by construction and therefore evolve their
-# hot state exactly as in the serial interleaving while running on different
-# shards. Component mode is first a correctness-preserving degradation path:
-# free chunks vectorise (and release the GIL), but coupled bins run the
-# per-application Python loop, which only genuinely overlaps on free-threaded
-# interpreters — the dispatch layer (:mod:`repro.solver.dispatch`) pools
-# exactly then and runs inline otherwise.
-
-
-@dataclass
-class ShardPlan:
-    """One epoch's provably-equivalent partition of the pending applications.
-
-    Attributes
-    ----------
-    mode:
-        ``"speculate"`` (cold activation channel: batched speculative choices
-        plus an O(K)-per-application validation replay) or ``"components"``
-        (live activation coupling: free chunks plus connected-component bins).
-    n_shards:
-        Requested shard count (worker-pool width).
-    order:
-        Every pending application in the serial kernel's processing order —
-        the replay order of the reconciliation pass.
-    free_chunks:
-        Per-shard slices of the application axis solved as one batched
-        operation each (all pending applications in speculative mode, the
-        provably order-independent ones in component mode).
-    bins:
-        Per-shard groups of coupled applications (whole connected components,
-        longest-processing-time balanced), each in serial processing order.
-        Empty in speculative mode.
-    hot:
-        (S,) bool — servers with provable capacity or activation coupling.
-    """
-
-    mode: str
-    n_shards: int
-    order: np.ndarray
-    free_chunks: list[np.ndarray]
-    bins: list[np.ndarray]
-    hot: np.ndarray
-
-    @property
-    def n_pending(self) -> int:
-        return len(self.order)
-
-    @property
-    def n_free(self) -> int:
-        return sum(len(c) for c in self.free_chunks)
-
-    @property
-    def n_coupled(self) -> int:
-        return sum(len(b) for b in self.bins)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.free_chunks) + len(self.bins)
-
-    @property
-    def parallel_fraction(self) -> float:
-        """Share of pending applications outside the largest single task."""
-        if not self.n_pending:
-            return 0.0
-        largest = max((len(b) for b in self.bins), default=0)
-        largest = max(largest, max((len(c) for c in self.free_chunks), default=0))
-        return 1.0 - largest / self.n_pending
-
-    @property
-    def is_parallel(self) -> bool:
-        """Whether dispatching this plan beats calling the serial kernel."""
-        return self.n_tasks >= 2
-
-
-def plan_shards(state: GreedyState, energy_j: np.ndarray, n_shards: int,
-                min_shard_apps: int = MIN_SHARD_APPS) -> ShardPlan | None:
-    """Partition the pending applications into provably-equivalent shards.
-
-    Returns ``None`` when sharding cannot help: fewer than ``min_shard_apps``
-    pending applications, or a single shard requested. A returned plan may
-    still be degenerate (``is_parallel`` False) when every application
-    collapses into one coupled component — callers fall back to the serial
-    kernel in both cases.
-    """
-    if n_shards <= 1:
-        return None
-    dense = state.dense
-    if not np.isfinite(dense.activation).all():
-        # Same guard as the serial kernel's cold fast path: non-finite
-        # activation costs poison the naive marginal row (inf * 0.0 is NaN)
-        # in ways neither fast mode reproduces — solve such instances with
-        # the naive serial loop.
-        return None
-    order = np.asarray(_pending_order(state, energy_j), dtype=int)
-    if len(order) < min_shard_apps:
-        return None
-
-    mask_p = dense.mask[order]                      # (P, S)
-    activation_coupled = (dense.activation != 0.0) & ~dense.initially_on \
-        & (state.served == 0)
-
-    if not activation_coupled.any():
-        # Cold activation channel: marginal costs are constants, so the
-        # speculate-and-validate replay is exact for every application —
-        # shard the whole pending axis evenly. No contention analysis is
-        # needed (capacity conflicts surface as replay revalidations).
-        chunks = [c for c in np.array_split(order, n_shards) if len(c)]
-        return ShardPlan(mode="speculate", n_shards=n_shards, order=order,
-                         free_chunks=chunks, bins=[], hot=activation_coupled)
-
-    # Capacity-contention certificate, sharpened beyond the worst case by
-    # ranking which demand is actually realisable per server (see
-    # :func:`_contended_servers`) so fewer servers are marked hot — and
-    # components stay small — at saturation.
-    contended = _contended_servers(dense, state.capacity_left, order, mask_p,
-                                   activation_coupled)
-    hot = contended | activation_coupled
-
-    hot_idx = np.nonzero(hot)[0]
-    if len(hot_idx):
-        touches_hot = mask_p[:, hot_idx].any(axis=1)
-    else:
-        touches_hot = np.zeros(len(order), dtype=bool)
-    free = order[~touches_hot]
-    coupled = order[touches_hot]
-
-    free_chunks = [c for c in np.array_split(free, n_shards) if len(c)]
-    bins = _bin_components(_coupled_components(mask_p[touches_hot], hot_idx, coupled),
-                           n_shards)
-    return ShardPlan(mode="components", n_shards=n_shards, order=order,
-                     free_chunks=free_chunks, bins=bins, hot=hot)
-
-
-def bool_any(exceeds_per_key: np.ndarray) -> np.ndarray:
-    """Any-dimension reduction that tolerates a zero-width resource axis."""
-    if exceeds_per_key.shape[-1] == 0:
-        return np.zeros(exceeds_per_key.shape[:-1], dtype=bool)
-    return np.any(exceeds_per_key, axis=-1)
-
-
-def _contended_servers(dense: DenseCosts, capacity_left: np.ndarray,
-                       order: np.ndarray, mask_p: np.ndarray,
-                       activation_coupled: np.ndarray) -> np.ndarray:
-    """(S,) bool — servers where this fill could flip a pending ``fits``.
-
-    The historical certificate marked a server hot whenever the *summed*
-    demand of every pending application whose candidate set includes it
-    exceeded remaining capacity — sound but maximally pessimistic: at
-    saturated epochs it marks nearly everything hot and sharding degrades
-    toward serial. Three refinements keep more servers provably safe, each
-    strictly conservative with respect to the coarse rule (at matched
-    slack):
-
-    * **Only currently-fitting demand is realisable.** ``fits`` is monotone
-      during a fill — capacity only shrinks — so an application whose fit
-      already fails on a server can *never* place there and contributes
-      nothing to the load the server can actually attract. The coarse rule
-      counted that phantom demand on every key.
-    * **Unfit interest only matters at static winners.** A free application
-      commits its static row argmin *without revalidation*, so the one case
-      a currently-failing fit can corrupt is an application whose static
-      winner is the very server it no longer fits (the serial kernel would
-      place it elsewhere). Those winners are forced hot — which routes the
-      application through a coupled bin's exact serial loop — instead of
-      hot-flagging every server any unfit application merely glances at.
-    * **Winner pinning (demand-ranked interest).** When every activation
-      cost is non-negative, an application whose static winner is provably
-      safe (non-hot under the first pass) is *pinned*: the winner fits and
-      stays fitting (non-hot), no other candidate's marginal cost — static
-      cost plus a non-negative activation term — can undercut the static
-      argmin's, and exact ties resolve to the argmin's lower index. A
-      pinned application therefore places exactly at its winner in every
-      execution, so the second pass counts its demand only there rather
-      than on every candidate it was merely interested in. One pass is
-      sound (pinning is justified against the *larger* first-pass hot set,
-      and hot sets only shrink); iterating further would be sound too but
-      rarely pays.
-
-    A note for maintainers tempted by top-``(m+1)`` ranked-prefix bounds
-    (sum of the ``m + 1`` largest fitting demands, with ``m`` the longest
-    fitting ascending prefix): the bound provably collapses onto the plain
-    fitting-sum test — if the ``m + 1`` *largest* demands fit within
-    capacity, so do the ``m + 1`` smallest, contradicting ``m``'s
-    maximality — so it can never unmark a server the sum test marks.
-    Realisable-load certificates sharper than the fitting sum require
-    subset-sum reasoning, which is not worth its planning cost here.
-
-    The slack mirrors the original certificate's reasoning: the certificate
-    compares vectorised sums against what the serial kernel computes by
-    sequential subtraction, so the relative term covers float reassociation
-    drift and the count-scaled absolute term covers the per-placement
-    ``fits`` tolerance compounding once per fitting member. Overshooting
-    slack only marks more servers hot — never unsound.
-    """
-    n_pending, n_servers = mask_p.shape
-    if capacity_left.shape[-1] == 0:
-        # No capacity dimensions: fits holds vacuously everywhere, nothing
-        # can ever be invalidated by capacity.
-        return np.zeros(n_servers, dtype=bool)
-    demand_p = dense.demand[order]                           # (P, S, K)
-    fit_now = mask_p & bool_all(demand_p <= capacity_left[None] + 1e-9)
-
-    # Static winners — the row argmin a free application would commit.
-    rows = dense.cost[order]
-    choice = np.argmin(rows, axis=1)
-    has_winner = np.isfinite(rows[np.arange(n_pending), choice])
-    unfit_winner = np.zeros(n_servers, dtype=bool)
-    bad = has_winner & ~fit_now[np.arange(n_pending), choice]
-    unfit_winner[choice[bad]] = True
-
-    fitting = np.where(fit_now[:, :, None], demand_p, 0.0)   # (P, S, K)
-    counts = fit_now.sum(axis=0)                             # (S,)
-    slack = 1e-9 * (counts[:, None] + 1) + 1e-7 * np.abs(capacity_left)
-    interest = fitting.sum(axis=0)                           # (S, K)
-    contended = bool_any(interest > capacity_left - slack)
-
-    capacity_hot = contended | unfit_winner
-    if not contended.any() or bool((dense.activation < 0.0).any()):
-        # Nothing to pin away, or adversarial negative activation costs (a
-        # cheaper-than-static marginal can then beat the static argmin, so
-        # winners are not pinnable).
-        return capacity_hot
-    hot0 = capacity_hot | activation_coupled
-    pinned = has_winner & ~hot0[choice]
-    if not pinned.any():
-        return capacity_hot
-    spread = fitting.copy()
-    spread[pinned] = 0.0
-    pinned_idx = np.flatnonzero(pinned)
-    winner_targets = choice[pinned_idx]
-    winner_demand = np.zeros_like(interest)
-    np.add.at(winner_demand, winner_targets,
-              demand_p[pinned_idx, winner_targets])
-    interest = spread.sum(axis=0) + winner_demand
-    return bool_any(interest > capacity_left - slack) | unfit_winner
-
-
-def _coupled_components(coupled_mask: np.ndarray, hot_idx: np.ndarray,
-                        coupled: np.ndarray) -> list[np.ndarray]:
-    """Connected components of coupled applications over shared hot servers.
-
-    Two applications belong to the same component when a chain of shared hot
-    candidate servers links them. Min-label propagation over the bipartite
-    app/hot-server incidence converges in a handful of vectorised passes
-    (labels only decrease and are bounded below); each component comes back
-    in serial processing order, components ordered by their first application.
-    """
-    n = len(coupled)
-    if n == 0:
-        return []
-    rows, cols = np.nonzero(coupled_mask[:, hot_idx])
-    labels = np.arange(n)
-    for _ in range(n + 1):
-        server_min = np.full(len(hot_idx), n, dtype=int)
-        np.minimum.at(server_min, cols, labels[rows])
-        new = labels.copy()
-        np.minimum.at(new, rows, server_min[cols])
-        new = np.minimum(new, new[new])             # pointer jumping
-        if np.array_equal(new, labels):
-            break
-        labels = new
-    _, inverse = np.unique(labels, return_inverse=True)
-    return [coupled[inverse == k] for k in range(inverse.max() + 1)]
-
-
-def _bin_components(components: list[np.ndarray], n_shards: int) -> list[np.ndarray]:
-    """Balance whole components across at most ``n_shards`` bins (LPT rule).
-
-    Components never split — splitting one would break the independence
-    proof — so a single dominant component caps the achievable parallelism
-    (``ShardPlan.parallel_fraction`` reports exactly that).
-    """
-    if not components:
-        return []
-    n_bins = min(n_shards, len(components))
-    loads = [0] * n_bins
-    bins: list[list[int]] = [[] for _ in range(n_bins)]
-    by_size = sorted(range(len(components)), key=lambda c: (-len(components[c]), c))
-    for c in by_size:
-        b = min(range(n_bins), key=lambda k: (loads[k], k))
-        bins[b].append(c)
-        loads[b] += len(components[c])
-    return [np.concatenate([components[c] for c in sorted(chosen)])
-            for chosen in bins if chosen]
-
-
-def _argmin_chunk(dense: DenseCosts, apps: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched static-cost choices for one shard of the application axis.
-
-    One row argmin over ``dense.cost`` (``+inf`` outside the mask) per
-    application — same values, same lowest-index ties, same skip on an
-    infinite minimum as the serial kernel's
-    ``argmin(where(feasible, marginal, inf))`` whenever the activation term
-    vanishes on the row.
-
-    * For a *free* application (component mode) this IS the final placement:
-      fits always holds on its candidates, so feasible equals the mask at any
-      point of the fill.
-    * In speculative mode it is the *speculative winner*: capacity only
-      shrinks during a fill, so every candidate preferred over the winner at
-      the application's actual turn would also be preferred now — the
-      reconciliation replay therefore only re-checks the winner's own fit.
-
-    ``-1`` marks applications with no finite-cost candidate, which the
-    serial kernel provably leaves unplaced.
-    """
-    rows = dense.cost[apps]
-    choice = np.argmin(rows, axis=1).astype(int)
-    finite = np.isfinite(rows[np.arange(len(apps)), choice])
-    return apps, np.where(finite, choice, -1)
-
-
-def _solve_coupled_bin(state: GreedyState, energy_j: np.ndarray,
-                       apps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Serial greedy fill of one bin of coupled components on a state clone.
-
-    The clone's hot-server state evolves exactly as the serial kernel's: only
-    this bin's applications can place on this bin's hot servers (components
-    are closed over hot candidates, free applications have none), and
-    placements elsewhere — by this bin on shared non-hot servers, or by other
-    shards anywhere — can never flip a fits() or marginal-cost comparison.
-    """
-    clone = state.clone()
-    greedy_fill(clone, energy_j, apps=apps)
-    return apps, clone.assignment[apps]
-
-
-def greedy_fill_sharded(state: GreedyState, energy_j: np.ndarray, n_shards: int,
-                        min_shard_apps: int = MIN_SHARD_APPS,
-                        reconcile_mode: str = "auto",
-                        dispatch: str = "auto",
-                        deadline: float | None = None) -> ShardPlan | None:
-    """Sharded greedy placement, bit-identical to :func:`greedy_fill`.
-
-    Plans shards (:func:`plan_shards`), solves them on the persistent
-    dispatch pool (:mod:`repro.solver.dispatch`) — free-chunk argmins as one
-    vectorised operation each, coupled component bins as serial fills on
-    state clones — and runs the shared-capacity reconciliation pass: every
-    shard placement is replayed into the shared state in the serial kernel's
-    processing order, so assignment, ``capacity_left`` and ``served``
-    reproduce the serial kernel byte for byte. In component mode every
-    dispatched placement is individually certified equal to the serial
-    kernel's choice (free argmins and closed coupled bins — see the module
-    notes above), so the whole replay order is one settled wave, committed
-    with dense batched operations in processing order unless
-    ``reconcile_mode`` selects the per-application loop.
-
-    Falls back to the serial kernel whenever the plan is missing or
-    degenerate — and for *speculative* plans, whose batched-argmin-plus-
-    replay schedule the serial kernel's cold fast path now executes
-    identically (:func:`_greedy_fill_cold`, wave replay included) without
-    paying for the pool, so dispatching them would only add planning and
-    thread overhead for the same arithmetic. Component plans (live
-    activation coupling) still dispatch, through the mode resolved by
-    :func:`repro.solver.dispatch.resolve_dispatch_mode`.
-
-    Returns the plan (``None`` when none was drawn) so callers can report
-    shard diagnostics — :attr:`ShardPlan.parallel_fraction` describes the
-    provably order-independent share of the construction whether it was
-    dispatched or executed by the equivalent serial schedule.
-    """
-    if _expired(deadline):
-        # Construction-budget early exit before any planning work: the empty
-        # fill is a valid (flagged-incomplete) answer.
-        state.stats.truncated = True
-        return None
-    plan = plan_shards(state, energy_j, n_shards, min_shard_apps)
-    if plan is None or not plan.is_parallel or plan.mode == "speculate":
-        greedy_fill(state, energy_j, reconcile_mode=reconcile_mode,
-                    deadline=deadline)
-        return plan
-    dense = state.dense
-    tasks = [partial(_argmin_chunk, dense, chunk) for chunk in plan.free_chunks]
-    tasks += [partial(_solve_coupled_bin, state, energy_j, apps)
-              for apps in plan.bins]
-    proposed = np.full(len(state.assignment), -1, dtype=int)
-    for apps, choices in run_tasks(tasks, mode=dispatch):
-        proposed[apps] = choices
-    # The reconciliation pass. Every certified placement commits verbatim
-    # (no revalidation is needed — the component/free certificates proved
-    # them equal to the serial kernel's choices), so the full replay order
-    # is one settled wave; committing it in processing order reproduces the
-    # serial kernel's per-server float subtraction sequence byte for byte.
-    order = plan.order
-    choices = proposed[order]
-    placed = choices >= 0
-    state.stats.pending += len(order)
-    if _use_wave_replay(reconcile_mode):
-        state.place_batch(order[placed], choices[placed])
-    else:
-        state.stats.serial_steps += int(placed.sum())
-        for i, j in zip(order[placed], choices[placed]):
-            state.place(int(i), int(j))
-    return plan
 
 
 def assignment_to_solution(problem: PlacementProblem, assignment: np.ndarray,

@@ -17,117 +17,56 @@ AUTO_EXACT_PAIR_LIMIT: int = 4000
 #: "auto" never picks the exact backend with less than this much budget (s).
 AUTO_MIN_EXACT_BUDGET_S: float = 1.0
 
-#: Epochs with fewer pending applications than this solve serially even when
-#: sharding is requested — below it the shard planner and pool dispatch cost
-#: more than the per-application loop they replace.
-MIN_SHARD_APPS: int = 32
-
-#: Recognised reconciliation-replay modes: ``auto`` follows the wave-replay
-#: kill-switch (wave unless disabled), ``wave`` forces the wave-vectorised
-#: replay, ``serial`` forces the per-application replay loop. All three are
-#: bit-identical; the knob only selects execution.
-RECONCILE_MODES: tuple[str, ...] = ("auto", "wave", "serial")
-
-#: Recognised shard-dispatch modes: ``auto`` uses the persistent pool only on
-#: free-threaded interpreters (see :mod:`repro.solver.dispatch`), ``pool``
-#: forces the process-lifetime executor, ``serial`` runs shard tasks inline.
-DISPATCH_MODES: tuple[str, ...] = ("auto", "pool", "serial")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Execution configuration of one solve, orthogonal to *what* is solved.
+    """Which solver tier answers a solve, and how wide its exact search runs.
 
-    Everything here carries a determinism contract: changing it may change how
-    fast an answer is produced, never which answer. The objective, budgets,
-    and warm starts — the knobs that select *which* solution comes back —
-    live on :class:`~repro.solver.backend.SolveRequest` instead.
+    The objective, budgets and warm starts — the knobs that state *what* is
+    solved — live on :class:`~repro.solver.backend.SolveRequest`. Every field
+    here can change the answer, each in a documented way:
 
-    Two documented carve-outs. First, ``num_search_workers``: for the anytime
-    exact backends (``cpsat``/``milp``) a wider portfolio search explores the
-    tree in a different order, so under a *finite* time budget the incumbent
-    held at the deadline may differ between worker counts (a run to proven
-    optimality returns the same objective regardless). The recorded
-    ``solver_params`` on the solution always state the worker count used, so
-    artifacts remain attributable. The heuristic-family backends ignore the
-    knob entirely.
-
-    Second, the *hierarchy* knobs (``hierarchy_regions``,
-    ``refine_backend``) select a different solver tier — the cluster-then-
-    refine hierarchy of :mod:`repro.solver.hierarchy` — which deliberately
-    trades optimality for memory/scale and therefore *does* change the answer
-    versus the flat solve. Within a fixed hierarchy configuration the usual
-    contract holds: worker counts, dispatch modes, and region dispatch order
-    never change the answer, and the coarse/refine objective gap versus flat
-    is recorded, never hidden. Backends themselves never see these knobs: the
-    hierarchy tier consumes them above the backend layer and hands each
-    region's restricted sub-problem to the registry with
-    ``hierarchy_regions=1``.
+    * The *hierarchy* knobs (``hierarchy_regions``, ``refine_backend``)
+      select the cluster-then-refine tier of :mod:`repro.solver.hierarchy`,
+      which deliberately trades optimality for memory and scale. Within a
+      fixed hierarchy configuration the answer is a pure function of the
+      inputs (worker counts never change it), and the coarse/refine
+      objective gap versus flat is recorded, never hidden.
+      Backends never see these knobs: the hierarchy consumes them above the
+      backend layer and hands each region's restricted sub-problem to the
+      registry with ``hierarchy_regions=1``.
+    * ``num_search_workers`` widens the anytime exact backends'
+      (``cpsat``/``milp``) search. Under a *finite* time budget the incumbent
+      held at the deadline may differ between worker counts (a run to proven
+      optimality returns the same objective regardless). The recorded
+      ``solver_params`` on the solution always state the worker count used,
+      so artifacts remain attributable. The heuristic-family backends ignore
+      the knob entirely.
 
     Parameters
     ----------
-    epoch_shards:
-        Number of intra-epoch shards for the dense greedy kernel
-        (:func:`repro.solver.compile.greedy_fill_sharded`). ``1`` keeps the
-        serial kernel; higher values partition the compiled epoch tensors
-        along the application axis and solve independent shards on a worker
-        pool. Solutions are bit-identical for every value.
-    min_shard_apps:
-        Serial-fallback threshold: epochs with fewer pending applications are
-        solved serially regardless of ``epoch_shards``.
-    reconcile_mode:
-        How speculative winners and shard placements are replayed into the
-        shared state: ``"wave"`` commits provably-settled waves with dense
-        batched ops and drops to the exact per-application step only for the
-        conflicting tail, ``"serial"`` keeps the per-application replay loop,
-        ``"auto"`` follows the ``CARBON_EDGE_DISABLE_WAVE_REPLAY``
-        kill-switch (wave unless disabled). Bit-identical for every mode.
-    dispatch:
-        Shard-task execution: ``"pool"`` uses the persistent process-lifetime
-        executor (:mod:`repro.solver.dispatch`), ``"serial"`` runs tasks
-        inline, ``"auto"`` pools only on free-threaded interpreters where
-        coupled component bins genuinely overlap. Bit-identical for every
-        mode.
     hierarchy_regions:
-        Number of geographic regions for the cluster-then-refine hierarchy
-        (:mod:`repro.solver.hierarchy`). ``1`` keeps the flat solve; higher
-        values cluster the fleet into that many regions, run a coarse
-        apps×regions pass, and refine each region independently. See the
-        carve-out above: this knob changes *which* answer comes back.
+        Number of geographic regions for the cluster-then-refine hierarchy.
+        ``1`` keeps the flat solve; higher values cluster the fleet into that
+        many regions, run a coarse apps×regions pass, and refine each region
+        independently.
     refine_backend:
         Registry backend name used for each region's refinement sub-solve
         when ``hierarchy_regions > 1`` (e.g. ``"greedy"``, ``"auto"``).
     num_search_workers:
         Parallel search workers for the anytime exact backends (CP-SAT's
         portfolio search; the MILP wrapper's thread count where supported).
-        ``1`` keeps the single-worker search. See the carve-out above:
-        under a finite time budget this knob may change which incumbent is
-        returned.
+        ``1`` keeps the single-worker search.
     """
 
-    epoch_shards: int = 1
-    min_shard_apps: int = MIN_SHARD_APPS
-    reconcile_mode: str = "auto"
-    dispatch: str = "auto"
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
     num_search_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.epoch_shards < 1:
-            raise ValueError(f"epoch_shards must be >= 1, got {self.epoch_shards}")
         if self.num_search_workers < 1:
             raise ValueError(
                 f"num_search_workers must be >= 1, got {self.num_search_workers}")
-        if self.min_shard_apps < 1:
-            raise ValueError(f"min_shard_apps must be >= 1, got {self.min_shard_apps}")
-        if self.reconcile_mode not in RECONCILE_MODES:
-            raise ValueError(
-                f"reconcile_mode must be one of {RECONCILE_MODES}, "
-                f"got {self.reconcile_mode!r}")
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {self.dispatch!r}")
         if self.hierarchy_regions < 1:
             raise ValueError(
                 f"hierarchy_regions must be >= 1, got {self.hierarchy_regions}")
@@ -137,5 +76,5 @@ class SolverConfig:
                 f"got {self.refine_backend!r}")
 
 
-#: Shared default configuration (serial kernel).
+#: Shared default configuration (flat solve).
 DEFAULT_SOLVER_CONFIG = SolverConfig()

@@ -172,9 +172,8 @@ def solve(
     seed:
         Seed for the randomised backends.
     config:
-        Execution configuration (intra-epoch shard count for the dense greedy
-        kernel); defaults to the serial kernel. Bit-identical solutions for
-        every setting.
+        Solver configuration (:class:`~repro.solver.config.SolverConfig`);
+        defaults to a single exact-search worker.
 
     Returns
     -------

@@ -43,8 +43,6 @@ def test_experiments_run_no_write_leaves_no_artifacts(tmp_path, capsys):
     ["experiments", "run", "fig99", "--smoke"],          # unknown name
     ["experiments", "run", "fig07", "--all", "--smoke"],  # names and --all
     ["experiments", "run", "fig07", "--workers", "0"],   # bad worker count
-    ["experiments", "run", "fig07", "--epoch-shards", "0"],   # bad shard count
-    ["experiments", "run", "fig11", "--epoch-shards", "-2"],  # negative shards
 ])
 def test_experiments_run_rejects_bad_invocations(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -71,25 +69,6 @@ def test_experiments_list_output_is_stable(capsys):
     assert first == second
     header = first.splitlines()[0].split()
     assert header == ["name", "kind", "units", "sweep", "title"]
-
-
-def test_oversized_epoch_shards_write_byte_identical_artifacts(tmp_path, capsys):
-    """An --epoch-shards value far beyond the epoch's app count is safe: the
-    sharded run's fig11 artifact is byte-identical to the serial run's.
-    (fig11 smoke epochs sit *above* the shard-size threshold, so this drives
-    the sharded kernel; the sub-threshold serial fallback is covered by
-    tests/test_shard_properties.py and tests/test_scenario_runner.py.)"""
-    rc = carbon_edge_main(["experiments", "run", "fig11", "--smoke",
-                           "--output-dir", str(tmp_path / "serial")])
-    assert rc == 0
-    rc = carbon_edge_main(["experiments", "run", "fig11", "--smoke",
-                           "--epoch-shards", "16",
-                           "--output-dir", str(tmp_path / "sharded")])
-    assert rc == 0
-    capsys.readouterr()
-    serial = (tmp_path / "serial" / "fig11.json").read_bytes()
-    sharded = (tmp_path / "sharded" / "fig11.json").read_bytes()
-    assert serial == sharded
 
 
 def test_quickstart_subcommand_places_applications(capsys):

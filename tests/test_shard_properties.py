@@ -1,16 +1,19 @@
-"""Property-based invariants of the sharded placement kernel (hypothesis).
+"""Property-based invariants of the greedy placement kernel (hypothesis).
 
-The intra-epoch sharding layer (:mod:`repro.solver.compile`) carries a hard
-determinism contract: for every shard count, ``greedy_fill_sharded`` must be
-*bit-identical* to the serial ``greedy_fill`` — same assignment, same remaining
-capacity down to float arithmetic order, same served counts — across both
-execution modes (cold-channel speculation and hot-component bins). These tests
-hammer that contract plus the physical invariants every fill must uphold
-(capacity never exceeded, demand conservation) on randomized dense instances
-and on randomized :class:`~repro.core.problem.PlacementProblem`\\ s.
+The kernel (:func:`repro.solver.compile.greedy_fill`) runs one of two
+schedules: the speculate-and-revalidate schedule with its wave replay when the
+activation channel is cold, and the naive per-row loop otherwise. Both carry a
+hard determinism contract: the batched schedule must be *bit-identical* to the
+naive loop — same assignment, same remaining capacity down to float arithmetic
+order, same served counts. These tests hammer that contract plus the physical
+invariants every fill must uphold (capacity never exceeded, demand
+conservation) on randomized dense instances and on randomized
+:class:`~repro.core.problem.PlacementProblem`\\ s.
 """
 
 from __future__ import annotations
+
+from copy import deepcopy
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,15 +31,15 @@ from repro.solver.backend import SolveRequest
 from repro.solver.compile import (
     DenseCosts,
     GreedyState,
+    _argmin_chunk,
+    _greedy_fill_live,
+    _pending_order,
+    _replay_per_app,
+    _replay_waves,
     greedy_fill,
-    greedy_fill_sharded,
-    plan_shards,
 )
-from repro.solver.config import MIN_SHARD_APPS, SolverConfig
 from repro.solver.registry import get_backend
 from repro.workloads.application import Application
-
-SHARD_COUNTS = (1, 2, 4)
 
 # -- randomized dense instances ------------------------------------------------
 
@@ -45,7 +48,7 @@ SHARD_COUNTS = (1, 2, 4)
 def dense_instances(draw):
     """A random DenseCosts + warm-started GreedyState + energy matrix.
 
-    Deliberately adversarial for the shard planner: contended capacity,
+    Deliberately adversarial for the kernel: contended capacity,
     initially-off servers with nonzero (even negative) activation costs,
     occasional ``inf`` costs inside the mask, and zero-width resource axes.
     """
@@ -96,23 +99,6 @@ COMMON = dict(deadline=None,
 
 @settings(max_examples=120, **COMMON)
 @given(dense_instances())
-def test_sharded_fill_is_bit_identical_to_serial(instance):
-    """The contract: shard counts 1/2/4 reproduce the serial kernel exactly."""
-    state, energy = instance
-    serial = state.clone()
-    greedy_fill(serial, energy)
-    for n_shards in SHARD_COUNTS:
-        sharded = state.clone()
-        greedy_fill_sharded(sharded, energy, n_shards, min_shard_apps=1)
-        assert np.array_equal(serial.assignment, sharded.assignment)
-        # Bit-equal, not allclose: the reconciliation pass must replay the
-        # serial kernel's float subtraction sequence exactly.
-        assert np.array_equal(serial.capacity_left, sharded.capacity_left)
-        assert np.array_equal(serial.served, sharded.served)
-
-
-@settings(max_examples=120, **COMMON)
-@given(dense_instances())
 def test_fill_never_exceeds_capacity(instance):
     state, energy = instance
     greedy_fill(state, energy)
@@ -146,58 +132,6 @@ def test_fill_conserves_demand_and_state(instance):
     np.testing.assert_allclose(state.capacity_left, expected_capacity,
                                rtol=1e-9, atol=1e-9)
     assert np.array_equal(state.served, expected_served)
-
-
-@settings(max_examples=120, **COMMON)
-@given(dense_instances(), st.sampled_from(SHARD_COUNTS[1:]))
-def test_shard_plan_partitions_pending_apps(instance, n_shards):
-    """A plan covers each pending application exactly once, free + coupled."""
-    state, energy = instance
-    plan = plan_shards(state.clone(), energy, n_shards, min_shard_apps=1)
-    if plan is None:
-        return
-    pending = {i for i in range(len(state.assignment)) if state.assignment[i] < 0}
-    chunks = [c for c in plan.free_chunks] + [b for b in plan.bins]
-    covered = [int(i) for chunk in chunks for i in chunk]
-    assert sorted(covered) == sorted(pending)
-    assert sorted(int(i) for i in plan.order) == sorted(pending)
-    assert plan.n_free + plan.n_coupled == len(pending)
-    assert 0.0 <= plan.parallel_fraction <= 1.0
-
-
-def test_plan_falls_back_to_serial_below_shard_size_threshold():
-    """Sub-shard-size epochs must take the serial path under the *default*
-    threshold: ``plan_shards`` declines, and ``greedy_fill_sharded`` reports
-    the fallback (``None``) while still producing the serial result."""
-    rng = np.random.default_rng(9)
-    n_apps, n_servers = MIN_SHARD_APPS - 1, 4
-    mask = np.ones((n_apps, n_servers), dtype=bool)
-    dense = DenseCosts(
-        keys=["r"], demand=rng.uniform(0, 1, (n_apps, n_servers, 1)),
-        capacity=np.full((n_servers, 1), 100.0), mask=mask,
-        cost=rng.uniform(0, 1, (n_apps, n_servers)),
-        raw_assign=np.zeros((n_apps, n_servers)),
-        activation=np.zeros(n_servers), initially_on=np.ones(n_servers, dtype=bool))
-    energy = rng.uniform(0, 1, (n_apps, n_servers))
-    state = GreedyState(dense)
-    assert plan_shards(state.clone(), energy, 4) is None
-
-    serial = state.clone()
-    greedy_fill(serial, energy)
-    sharded = state.clone()
-    assert greedy_fill_sharded(sharded, energy, 4) is None  # serial fallback ran
-    assert np.array_equal(serial.assignment, sharded.assignment)
-
-    # One more application crosses the threshold and a real plan appears.
-    bigger = DenseCosts(
-        keys=["r"], demand=rng.uniform(0, 1, (MIN_SHARD_APPS, n_servers, 1)),
-        capacity=np.full((n_servers, 1), 100.0),
-        mask=np.ones((MIN_SHARD_APPS, n_servers), dtype=bool),
-        cost=rng.uniform(0, 1, (MIN_SHARD_APPS, n_servers)),
-        raw_assign=np.zeros((MIN_SHARD_APPS, n_servers)),
-        activation=np.zeros(n_servers), initially_on=np.ones(n_servers, dtype=bool))
-    assert plan_shards(GreedyState(bigger),
-                       rng.uniform(0, 1, (MIN_SHARD_APPS, n_servers)), 4) is not None
 
 
 # -- randomized placement problems --------------------------------------------
@@ -235,46 +169,24 @@ def _build_problem(app_specs, intensities):
                                   horizon_hours=1.0)
 
 
-@settings(max_examples=25, **COMMON)
-@given(st.lists(app_strategy, min_size=1, max_size=10), intensity_strategy)
-def test_sharded_backend_solutions_identical_on_problems(app_specs, intensities):
-    """End-to-end: the heuristic backend is shard-count invariant on real
-    placement problems (placements, unplaced, power state — the lot)."""
-    problem = _build_problem(app_specs, intensities)
-    solutions = []
-    for n_shards in SHARD_COUNTS:
-        config = SolverConfig(epoch_shards=n_shards, min_shard_apps=1)
-        request = SolveRequest(problem=problem, config=config)
-        solution = get_backend("heuristic").solve(request)
-        assert validate_solution(solution) == []
-        solutions.append(solution)
-    reference = solutions[0]
-    for other in solutions[1:]:
-        assert other.placements == reference.placements
-        assert other.unplaced == reference.unplaced
-        assert np.array_equal(other.power_on, reference.power_on)
-
-
 @settings(max_examples=20, **COMMON)
 @given(st.lists(app_strategy, min_size=1, max_size=10), intensity_strategy)
 def test_local_search_objective_monotone(app_specs, intensities):
     """Objective monotonicity: local search only ever improves on the greedy
     construction it starts from (same placements count, lower-or-equal raw
-    objective) — sharded or not."""
+    objective), and both answers pass the solution validator."""
     from repro.solver.backend import raw_objective_value
 
     problem = _build_problem(app_specs, intensities)
-    for n_shards in (1, 2):
-        config = SolverConfig(epoch_shards=n_shards, min_shard_apps=1)
-        greedy = get_backend("greedy").solve(
-            SolveRequest(problem=problem, config=config))
-        improved = get_backend("heuristic").solve(
-            SolveRequest(problem=problem, config=config))
-        assert improved.n_placed >= greedy.n_placed
-        if improved.n_placed == greedy.n_placed:
-            request = SolveRequest(problem=problem, config=config)
-            assert raw_objective_value(request, improved) <= \
-                raw_objective_value(request, greedy) + 1e-9
+    greedy = get_backend("greedy").solve(SolveRequest(problem=problem))
+    improved = get_backend("heuristic").solve(SolveRequest(problem=problem))
+    assert validate_solution(greedy) == []
+    assert validate_solution(improved) == []
+    assert improved.n_placed >= greedy.n_placed
+    if improved.n_placed == greedy.n_placed:
+        request = SolveRequest(problem=problem)
+        assert raw_objective_value(request, improved) <= \
+            raw_objective_value(request, greedy) + 1e-9
 
 
 @settings(max_examples=150, **COMMON)
@@ -284,17 +196,14 @@ def test_cold_speculative_schedule_is_bit_identical_to_naive_loop(instance):
     the naive per-row schedule exactly on every instance it dispatches for.
 
     ``greedy_fill`` auto-routes cold activation channels onto the batched
-    schedule, so the shard bit-identity tests above would compare the cold
-    path against itself; this test pins the naive loop as the reference arm
-    explicitly (adversarial inf-costs-inside-the-mask, warm starts, and
-    zero-width resource axes included).
+    schedule; this test pins the naive loop as the reference arm explicitly
+    (adversarial inf-costs-inside-the-mask, warm starts, and zero-width
+    resource axes included).
     """
-    from repro.solver.compile import _greedy_fill_live, _pending_order
-
     state, energy = instance
-    naive = state.clone()
+    naive = deepcopy(state)
     _greedy_fill_live(naive, _pending_order(naive, energy))
-    auto = state.clone()
+    auto = deepcopy(state)
     greedy_fill(auto, energy)
     assert np.array_equal(naive.assignment, auto.assignment)
     # Bit-equal, not allclose: the replay must reproduce the naive loop's
@@ -308,37 +217,35 @@ def test_cold_speculative_schedule_is_bit_identical_to_naive_loop(instance):
 
 @settings(max_examples=100, **COMMON)
 @given(dense_instances())
-def test_wave_replay_bit_identical_across_modes_shards_and_dispatch(instance):
-    """The reconcile mode (wave commits vs per-application replay) and the
-    dispatch mode (persistent pool vs inline) are pure execution knobs: every
-    combination, at every shard count, must reproduce the serial
-    per-application kernel bit-for-bit — assignment, remaining capacity down
-    to float arithmetic order, and served counts."""
+def test_wave_replay_matches_per_app_replay_and_live_loop(instance):
+    """Wave commits and the per-application replay are the same program: for
+    the same speculative winners both reproduce each other bit-for-bit —
+    assignment, remaining capacity down to float arithmetic order, and served
+    counts. On a cold activation channel both also equal the naive loop."""
     state, energy = instance
-    reference = state.clone()
-    greedy_fill(reference, energy, reconcile_mode="serial")
+    dense = state.dense
+    order = _pending_order(state, energy)
+    choices = _argmin_chunk(dense, order)
+    per_app = deepcopy(state)
+    _replay_per_app(per_app, order, choices)
+    wave = deepcopy(state)
+    _replay_waves(wave, order, choices)
 
-    def check(arm):
+    def check(reference, arm):
         assert np.array_equal(reference.assignment, arm.assignment)
         assert np.array_equal(reference.capacity_left, arm.capacity_left)
         assert np.array_equal(reference.served, arm.served)
 
-    wave = state.clone()
-    greedy_fill(wave, energy, reconcile_mode="wave")
-    check(wave)
-    assert 0.0 <= wave.stats.revalidation_rate <= 1.0
-
-    for n_shards in SHARD_COUNTS:
-        for reconcile_mode in ("wave", "serial"):
-            sharded = state.clone()
-            greedy_fill_sharded(sharded, energy, n_shards, min_shard_apps=1,
-                                reconcile_mode=reconcile_mode,
-                                dispatch="serial")
-            check(sharded)
-    pooled = state.clone()
-    greedy_fill_sharded(pooled, energy, 2, min_shard_apps=1,
-                        reconcile_mode="wave", dispatch="pool")
-    check(pooled)
+    check(per_app, wave)
+    cold = not ((dense.activation != 0.0) & ~dense.initially_on
+                & (state.served == 0)).any() and np.isfinite(dense.activation).all()
+    if cold:
+        live = deepcopy(state)
+        _greedy_fill_live(live, order)
+        check(live, wave)
+    filled = deepcopy(state)
+    greedy_fill(filled, energy)
+    assert 0.0 <= filled.stats.revalidation_rate <= 1.0
 
 
 @settings(max_examples=100, **COMMON)
@@ -355,111 +262,12 @@ def test_place_batch_replays_sequential_place_exactly(instance, rnd):
     apps = pending[:rnd.randint(0, len(pending))]
     servers = [rnd.randrange(n_servers) for _ in apps]
 
-    loop = state.clone()
+    loop = deepcopy(state)
     for i, j in zip(apps, servers):
         loop.place(int(i), int(j))
-    batch = state.clone()
+    batch = deepcopy(state)
     batch.place_batch(np.asarray(apps, dtype=int),
                       np.asarray(servers, dtype=int))
     assert np.array_equal(loop.assignment, batch.assignment)
     assert np.array_equal(loop.capacity_left, batch.capacity_left)
     assert np.array_equal(loop.served, batch.served)
-
-
-def test_wave_replay_kill_switch_forces_per_app_replay(monkeypatch):
-    """The env kill-switch flips auto reconciliation back to the per-app
-    replay (zero wave commits) without changing any placement."""
-    from repro.solver.compile import WAVE_REPLAY_ENV
-
-    rng = np.random.default_rng(3)
-    n_apps, n_servers = 12, 4
-    dense = DenseCosts(
-        keys=["r"], demand=rng.uniform(0, 1, (n_apps, n_servers, 1)),
-        capacity=np.full((n_servers, 1), 100.0),
-        mask=np.ones((n_apps, n_servers), dtype=bool),
-        cost=rng.uniform(0, 1, (n_apps, n_servers)),
-        raw_assign=np.zeros((n_apps, n_servers)),
-        activation=np.zeros(n_servers),
-        initially_on=np.ones(n_servers, dtype=bool))
-    energy = rng.uniform(0, 1, (n_apps, n_servers))
-
-    monkeypatch.delenv(WAVE_REPLAY_ENV, raising=False)
-    waved = GreedyState(dense)
-    greedy_fill(waved, energy)
-    assert waved.stats.waves > 0
-
-    monkeypatch.setenv(WAVE_REPLAY_ENV, "1")
-    killed = GreedyState(dense)
-    greedy_fill(killed, energy)
-    assert killed.stats.waves == 0
-    assert killed.stats.serial_steps == killed.stats.pending == n_apps
-    assert np.array_equal(waved.assignment, killed.assignment)
-    assert np.array_equal(waved.capacity_left, killed.capacity_left)
-
-
-# -- contention-certificate soundness ------------------------------------------
-
-
-@settings(max_examples=150, **COMMON)
-@given(dense_instances(), st.sampled_from(SHARD_COUNTS[1:]))
-def test_no_app_marked_free_ever_fails_a_fit(instance, n_shards):
-    """Certificate soundness, checked against the naive serial walk: every
-    application the planner marks free must (a) still fit its static winner
-    at its own serial turn and (b) be placed exactly there — free chunks
-    commit the static row argmin *without revalidation*, so any violation
-    here is a silent wrong placement in component mode."""
-    from repro.solver.compile import _argmin_chunk
-
-    state, energy = instance
-    plan = plan_shards(state.clone(), energy, n_shards, min_shard_apps=1)
-    if plan is None or plan.mode != "components":
-        return
-    free = {int(i) for chunk in plan.free_chunks for i in chunk}
-    dense = state.dense
-    _, static_choice = _argmin_chunk(dense, plan.order)
-    static_of = {int(i): int(c) for i, c in zip(plan.order, static_choice)}
-
-    live = state.clone()
-    for i in (int(x) for x in plan.order):
-        feasible = dense.mask[i] & dense.fits(i, live.capacity_left)
-        if i in free and static_of[i] >= 0:
-            assert feasible[static_of[i]], \
-                "free application's static winner no longer fits at its turn"
-        if not feasible.any():
-            assert i not in free or static_of[i] < 0
-            continue
-        marginal = dense.cost[i] + dense.activation * live.would_activate()
-        marginal = np.where(feasible, marginal, np.inf)
-        j = int(np.argmin(marginal))
-        if np.isfinite(marginal[j]):
-            live.place(i, j)
-            if i in free:
-                assert j == static_of[i], \
-                    "free application placed away from its static winner"
-        elif i in free:
-            assert static_of[i] < 0
-
-
-@settings(max_examples=150, **COMMON)
-@given(dense_instances())
-def test_refined_certificate_is_conservative_vs_coarse_interest_rule(instance):
-    """Every server the refined certificate marks hot, the historical
-    sum-of-all-interested-demand rule (at matched slack) marked too — the
-    refinement only ever *unmarks* servers, never invents contention."""
-    from repro.solver.compile import _contended_servers, _pending_order, bool_any
-
-    state, energy = instance
-    dense = state.dense
-    order = np.asarray(_pending_order(state, energy), dtype=int)
-    if len(order) == 0:
-        return
-    mask_p = dense.mask[order]
-    activation_coupled = (dense.activation != 0.0) & ~dense.initially_on \
-        & (state.served == 0)
-    refined = _contended_servers(dense, state.capacity_left, order, mask_p,
-                                 activation_coupled)
-    interested = np.einsum("ps,psk->sk", mask_p.astype(float),
-                           dense.demand[order])
-    slack = 1e-9 * (len(order) + 2) + 1e-7 * np.abs(state.capacity_left)
-    coarse = bool_any(interested > state.capacity_left - slack)
-    assert not np.any(refined & ~coarse)

@@ -1,7 +1,7 @@
 """Tests of the cluster-then-refine hierarchical solver tier.
 
-Covers the determinism contract (plans are pure functions of their inputs;
-dispatch modes never change the answer), the degenerate single-region case
+Covers the determinism contract (plans are pure functions of their inputs),
+the degenerate single-region case
 collapsing to the flat solve, spill accounting under overload, and the
 dense-cell budget guard that points planetary users at this tier.
 """
@@ -122,26 +122,6 @@ def test_single_region_hierarchy_matches_flat_solve():
             flat_assignment[i] = flat.placements[app.app_id]
     assert np.array_equal(outcome.assignment, flat_assignment)
     assert outcome.n_spilled == 0
-
-
-def test_hierarchy_is_identical_across_dispatch_modes():
-    fleet, _, apps = _substrate(40, 120)
-    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 4, seed=0)
-    outcomes = []
-    for dispatch in ("serial", "pool"):
-        compilation = ScenarioCompilation(
-            fleet.servers(),
-            *_fresh_latency_carbon(fleet))
-        outcomes.append(solve_hierarchical(
-            compilation, apps, plan, hour=HOUR,
-            objective=ObjectiveKind.CARBON,
-            config=SolverConfig(hierarchy_regions=4, dispatch=dispatch),
-            seed=0))
-    a, b = outcomes
-    assert np.array_equal(a.assignment, b.assignment)
-    assert a.coarse_objective == b.coarse_objective
-    assert a.refined_objective == b.refined_objective
-    assert a.n_spilled == b.n_spilled
 
 
 def _fresh_latency_carbon(fleet):

@@ -251,24 +251,20 @@ def _assert_problems_identical(cold, fast):
             assert all(cv.get(k) == fv.get(k) for k in cv.keys())
 
 
-@pytest.mark.parametrize("epoch_shards", [1, 2])
-def test_epoch_tensors_bit_identical_across_killswitch(epoch_shards):
-    columnar = _epoch_problems(epoch_shards=epoch_shards)
+def test_epoch_tensors_bit_identical_across_killswitch():
+    columnar = _epoch_problems()
     clear_substrate_cache()
     with columnar_disabled():
-        legacy = _epoch_problems(epoch_shards=epoch_shards)
+        legacy = _epoch_problems()
     for fast, cold in zip(columnar, legacy):
         assert isinstance(fast.applications, LazyApplications)
         assert not isinstance(cold.applications, LazyApplications)
         _assert_problems_identical(cold, fast)
 
 
-@pytest.mark.parametrize("epoch_shards", [1, 2])
-def test_simulation_records_identical_across_killswitch(epoch_shards):
+def test_simulation_records_identical_across_killswitch():
     def run():
-        scenario = CDNScenario(**{**SCENARIO_KWARGS,
-                                  "epoch_shards": epoch_shards})
-        return CDNSimulator(scenario=scenario).run()
+        return CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS)).run()
 
     columnar = run()
     clear_substrate_cache()
