@@ -23,6 +23,7 @@ from repro.cluster.server import EdgeServer
 from repro.network.latency import LatencyMatrix
 from repro.utils.units import joules_to_kwh
 from repro.workloads.application import Application
+from repro.workloads.generator import ApplicationBatch, LazyApplications
 from repro.workloads.profiles import get_profile
 
 #: Large latency assigned to (application, server) pairs with no usable profile.
@@ -144,6 +145,8 @@ class PlacementProblem:
     #: (A, S) support mask: True where the workload has a profile on the server.
     supported: np.ndarray | None = None
     # -- lazily built caches (the problem is immutable once constructed) --------
+    _app_ids: tuple[str, ...] | None = field(default=None, init=False,
+                                             repr=False, compare=False)
     _app_index_map: dict[str, int] | None = field(default=None, init=False,
                                                   repr=False, compare=False)
     _server_index_map: dict[str, int] | None = field(default=None, init=False,
@@ -158,6 +161,11 @@ class PlacementProblem:
     #: Per-problem :class:`repro.solver.compile.EpochCompilation` memo.
     _compilation: object | None = field(default=None, init=False,
                                         repr=False, compare=False)
+    #: (A,) application class of each row, recorded by the scenario tier's
+    #: assembly: rows sharing a class have identical latency, energy, support,
+    #: demand and SLO rows. ``None`` when unknown (cold builds).
+    _row_class: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, s = len(self.applications), len(self.servers)
@@ -245,20 +253,36 @@ class PlacementProblem:
         """(S,) energy of keeping each server on for the horizon, joules."""
         return self.base_power_w * self.horizon_hours * 3600.0
 
+    def app_ids(self) -> tuple[str, ...]:
+        """Application ids in row order, computed once.
+
+        A problem assembled from a columnar batch reads the batch's id tuple,
+        so no per-app ``Application`` object is built for it.
+        """
+        if self._app_ids is None:
+            apps = self.applications
+            if isinstance(apps, LazyApplications):
+                self._app_ids = apps.batch.app_ids()
+            else:
+                self._app_ids = tuple(app.app_id for app in apps)
+        return self._app_ids
+
+    def _index_map(self) -> dict[str, int]:
+        """Application id -> row index (lazily built, cached)."""
+        if self._app_index_map is None:
+            self._app_index_map = {app_id: i for i, app_id in enumerate(self.app_ids())}
+        return self._app_index_map
+
     def app_index(self, app_id: str) -> int:
         """Index of an application by id (O(1) via a lazily built map)."""
-        if self._app_index_map is None:
-            self._app_index_map = {app.app_id: i for i, app in enumerate(self.applications)}
         try:
-            return self._app_index_map[app_id]
+            return self._index_map()[app_id]
         except KeyError:
             raise KeyError(f"unknown application {app_id!r}") from None
 
     def app_indices(self, app_ids: Sequence[str]) -> np.ndarray:
         """(len(app_ids),) int array of application indices (vectorised lookup)."""
-        if self._app_index_map is None:
-            self._app_index_map = {app.app_id: i for i, app in enumerate(self.applications)}
-        index = self._app_index_map
+        index = self._index_map()
         try:
             return np.fromiter((index[a] for a in app_ids), dtype=np.intp,
                                count=len(app_ids))
@@ -375,8 +399,6 @@ class PlacementProblem:
             with its epoch compilation pre-seeded. A non-matching substrate
             falls back to the cold build below.
         """
-        from repro.workloads.generator import ApplicationBatch
-
         # Columnar batches pass through to the substrate untouched (class
         # table intact, object view unmaterialised); only the cold fallback
         # below needs the per-object list.

@@ -41,7 +41,7 @@ def validate_solution(solution: PlacementSolution, strict: bool = True) -> list[
     # either placed or listed as unplaced.
     placed_ids = set(solution.placements)
     unplaced_ids = set(solution.unplaced)
-    all_ids = {app.app_id for app in problem.applications}
+    all_ids = set(problem.app_ids())
     if placed_ids & unplaced_ids:
         violations.append(f"applications both placed and unplaced: {placed_ids & unplaced_ids}")
     missing = all_ids - placed_ids - unplaced_ids

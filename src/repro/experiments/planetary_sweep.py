@@ -106,8 +106,9 @@ def run(seed: int = EXPERIMENT_SEED, n_sites: int = 10_000,
         mean_arrivals_per_batch=float(n_apps), duration_hours=1.0, seed=seed)
     batch = generator.generate_batch(0, hour, n_arrivals=n_apps)
     # The columnar batch flows to the hierarchy whole — per-app objects are
-    # never materialised at 10^6 apps. The kill-switch arm materialises them
-    # so the CI byte-diff exercises the true object path.
+    # only built for the apps the spill pass re-routes. The kill-switch arm
+    # materialises them all so the CI byte-diff exercises the true object
+    # path.
     applications = batch if columnar_enabled() else list(batch.applications)
 
     coords = fleet.site_coordinates()
@@ -189,7 +190,7 @@ SPEC = register(ExperimentSpec(
 #: The 10^6-application point the columnar substrate unlocks: one epoch at
 #: 10k sites x 10^6 apps (10^10 flat dense cells — far past the budget guard),
 #: solved through the hierarchy from a columnar batch whose per-app objects
-#: are never materialised.
+#: are only built for apps the spill pass re-routes.
 SPEC_XL = register(ExperimentSpec(
     name="planetary_sweep_xl",
     title="Planetary-scale placement at one million applications",

@@ -57,10 +57,13 @@ the kernel picks every application's capacity-oblivious winner with one
 batched row argmin and replays the winners into the shared state in
 *waves*: maximal serial-order prefixes whose capacity dependencies are
 provably settled commit as one dense batched operation
-(:meth:`GreedyState.place_batch`), and only the residual conflicting tail
-drops to the exact per-application step. The wave replay is bit-identical
-to the per-application replay and to the naive per-row loop; the hypothesis
-suite and the golden artifact digests pin the contract.
+(:meth:`GreedyState.place_batch`). A conflict-dense remainder is finished
+per application class when the rows' classes are known (one forward-only
+cursor over each class's ranked candidates, :func:`_replay_classes`) and
+by the exact per-application step otherwise (:func:`_replay_per_app`, also
+the reference both other arms are tested against). Every arm is
+bit-identical to the naive per-row loop; the hypothesis suite, the golden
+artifact digests and the pinned conflict-tail placements hold the contract.
 """
 
 from __future__ import annotations
@@ -126,6 +129,11 @@ class DenseCosts:
         unmanaged).
     initially_on:
         (S,) bool, servers already on (all True when power is unmanaged).
+    row_class:
+        (A,) int class of each row, or ``None`` when unknown. Rows sharing a
+        class have identical ``cost``, ``mask`` and ``demand`` rows, which
+        lets the replay's conflict tail run one cursor per class
+        (:func:`_replay_classes`).
     """
 
     keys: list[str]
@@ -136,6 +144,7 @@ class DenseCosts:
     raw_assign: np.ndarray
     activation: np.ndarray
     initially_on: np.ndarray
+    row_class: np.ndarray | None = None
 
     @classmethod
     def from_matrices(
@@ -146,6 +155,7 @@ class DenseCosts:
         activation: np.ndarray | None = None,
         manage_power: bool = True,
         tie_breaker: np.ndarray | None = None,
+        row_class: np.ndarray | None = None,
     ) -> "DenseCosts":
         """Assemble dense tensors for arbitrary assignment/activation costs.
 
@@ -155,7 +165,9 @@ class DenseCosts:
         candidates order by it through an epsilon perturbation scaled so the
         perturbation never exceeds ``1e-5`` of the largest feasible
         assignment cost. ``None`` disables the perturbation (exact ties then
-        resolve to the lowest server index).
+        resolve to the lowest server index). ``row_class`` may only be given
+        when ``assign``, ``tie_breaker``, the report's mask and the problem's
+        demand are equal on rows of one class (see :attr:`row_class`).
         """
         mask = report.mask
         s = problem.n_servers
@@ -169,7 +181,7 @@ class DenseCosts:
                    capacity=problem.capacity_dense(),
                    mask=mask, cost=cost,
                    raw_assign=assign, activation=np.asarray(activation, dtype=float),
-                   initially_on=initially_on)
+                   initially_on=initially_on, row_class=row_class)
 
     @staticmethod
     def _tie_broken(assign: np.ndarray, mask: np.ndarray,
@@ -465,8 +477,9 @@ def _replay_per_app(state: GreedyState, order: np.ndarray,
     """The per-application reconciliation replay.
 
     Runs :func:`_replay_step` for every application in processing order.
-    It is the conflict-tail fallback of :func:`_replay_waves`, and the
-    reference the wave replay is tested and benchmarked against.
+    It finishes :func:`_replay_waves`'s conflict tail when the rows' classes
+    are unknown, and is the reference the wave replay and the class tail
+    (:func:`_replay_classes`) are tested and benchmarked against.
     """
     for k, i in enumerate(order):
         if deadline is not None and k % _DEADLINE_STRIDE == 0 \
@@ -476,8 +489,101 @@ def _replay_per_app(state: GreedyState, order: np.ndarray,
         _replay_step(state, int(i), int(choices[k]))
 
 
-#: The wave replay falls back to the per-application tail once it has scanned
-#: this many multiples of the pending-application count across its rounds, so
+def _replay_classes(state: GreedyState, order: np.ndarray,
+                    choices: np.ndarray,
+                    deadline: float | None = None) -> None:
+    """The conflict tail replayed with one forward-only cursor per class.
+
+    Requires ``state.dense.row_class``. Each class gets one list of its
+    candidate servers — masked, finite cost — ranked by (cost, server
+    index), and a cursor into it. At an application's turn the cursor skips
+    the servers that no longer fit the class's demand and the application
+    goes to the first one that does.
+
+    Exactness: on a cold channel capacity only shrinks and a class's demand
+    row is fixed, so a server skipped for a class never fits that class
+    again. The first fitting server is therefore the argmin the naive loop
+    (and :func:`_replay_step`) takes over the fitting candidates, lowest
+    index among ties included; a class whose speculative winner is ``-1``
+    stays unplaced exactly as :func:`_replay_step` leaves it. Placements
+    subtract in processing order, so the state matches
+    :func:`_replay_per_app` bit for bit.
+
+    A class's list is ranked at its first turn, from its representative
+    row alone (:func:`_ranked_candidates`), and read in place together with
+    the representative's demand row: cursors touch a small prefix of most
+    lists, so neither a classes x servers tensor nor a Python object per
+    (class, candidate) pair is ever built. Capacity lives in one flat Python
+    float list, written back once.
+    """
+    n = len(order)
+    if n == 0:
+        return
+    dense = state.dense
+    n_keys = dense.capacity.shape[1]
+    _, first, tail_class = np.unique(dense.row_class[order], return_index=True,
+                                     return_inverse=True)
+    reps = order[first].tolist()
+    live = (choices[first] >= 0).tolist()
+    n_classes = len(reps)
+    ranked_servers: list = [None] * n_classes   # (n_c,) int arrays, lazily
+    cursor = [0] * n_classes
+    capacity = state.capacity_left.ravel().tolist()  # (S * K,) flat
+    keys = range(n_keys)
+    apps: list[int] = []
+    servers: list[int] = []
+    stats = state.stats
+    for k, (i, c) in enumerate(zip(order.tolist(), tail_class.tolist())):
+        if deadline is not None and k % _DEADLINE_STRIDE == 0 \
+                and time.monotonic() >= deadline:
+            stats.truncated = True
+            break
+        stats.serial_steps += 1
+        if not live[c]:
+            continue
+        ranked = ranked_servers[c]
+        if ranked is None:
+            ranked = ranked_servers[c] = _ranked_candidates(dense, reps[c])
+        need = dense.demand[reps[c]]  # (S, K) view
+        p, stop = cursor[c], len(ranked)
+        while p < stop:
+            j = ranked.item(p)
+            at = j * n_keys
+            for t in keys:  # the fit test of DenseCosts.fits, per key
+                if not need.item(j, t) <= capacity[at + t] + 1e-9:
+                    break
+            else:
+                break
+            p += 1
+        cursor[c] = p
+        if p:
+            stats.invalidations += 1  # the speculative winner no longer fits
+        if p == stop:
+            continue
+        for t in keys:
+            capacity[at + t] -= need.item(j, t)
+        apps.append(i)
+        servers.append(j)
+    state.capacity_left[...] = np.reshape(capacity, state.capacity_left.shape)
+    state.assignment[apps] = servers
+    np.add.at(state.served, np.asarray(servers, dtype=int), 1)
+
+
+def _ranked_candidates(dense: DenseCosts, row: int) -> np.ndarray:
+    """One row's masked finite-cost candidate servers, ranked.
+
+    Ordered by (cost, server index): ``np.flatnonzero`` yields ascending
+    indices and the stable sort keeps them among equal costs, so the head is
+    the row's lowest-index argmin.
+    """
+    cost = dense.cost[row]
+    candidates = np.flatnonzero(dense.mask[row] & np.isfinite(cost))
+    return candidates[np.argsort(cost[candidates], kind="stable")]
+
+
+#: The wave replay hands the rest to its conflict tail (per class or per
+#: application) once it has scanned this many multiples of the
+#: pending-application count across its rounds, so
 #: adversarially conflicting instances pay at most a few dense passes of
 #: planning overhead on top of the serial work they genuinely need.
 _WAVE_SCAN_BUDGET_FACTOR: int = 8
@@ -492,8 +598,10 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     of placements whose capacity dependencies are already settled — commits
     each wave with one dense batched operation
     (:meth:`GreedyState.place_batch`), and drops to the exact
-    per-application step (:func:`_replay_step`) only at wave boundaries: the
-    residual conflicting tail.
+    per-application step (:func:`_replay_step`) only at wave boundaries. Past
+    the scan budget the rest of the order is the conflict tail, finished by
+    :func:`_replay_classes` when ``dense.row_class`` is known and by
+    :func:`_replay_per_app` otherwise.
 
     **Wave construction rule.** Within the remaining replay order, group the
     winners by target server and take per-server *prefix sums* of their
@@ -584,8 +692,10 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
         pos += 1
         if budget <= 0:
             # Productivity guard: conflicts are too dense for wave planning
-            # to pay — finish the tail with the per-application replay.
-            _replay_per_app(state, order[pos:], choices[pos:], deadline)
+            # to pay — finish the tail per class when the classes are known,
+            # per application otherwise.
+            tail = _replay_per_app if dense.row_class is None else _replay_classes
+            tail(state, order[pos:], choices[pos:], deadline)
             return
 
 
@@ -594,12 +704,11 @@ def assignment_to_solution(problem: PlacementProblem, assignment: np.ndarray,
     """Decode an (A,) assignment vector (server index or -1) into a solution."""
     placements: dict[str, int] = {}
     unplaced: list[str] = []
-    for i, app in enumerate(problem.applications):
-        j = int(assignment[i])
+    for app_id, j in zip(problem.app_ids(), np.asarray(assignment).tolist()):
         if j >= 0:
-            placements[app.app_id] = j
+            placements[app_id] = int(j)
         else:
-            unplaced.append(app.app_id)
+            unplaced.append(app_id)
     if manage_power:
         power_on = problem.current_power.copy()
         for j in set(placements.values()):
@@ -696,9 +805,12 @@ class EpochCompilation:
             assign, activation = self.coefficients(objective, alpha)
             if not manage_power:
                 activation = np.zeros_like(activation)
+            # Every objective's coefficients and tie-break rows are functions
+            # of an application's class, so the assembly's classes carry over.
             self._dense[key] = DenseCosts.from_matrices(
                 self.problem, self.report, assign, activation,
-                manage_power=manage_power, tie_breaker=self.tie_break_for(objective))
+                manage_power=manage_power, tie_breaker=self.tie_break_for(objective),
+                row_class=self.problem._row_class)
         return self._dense[key]
 
 
@@ -733,14 +845,17 @@ def clear_compilation(problem: PlacementProblem) -> None:
     Call after mutating a problem in place (so nothing solves against stale
     tensors), or to time an uncompiled solve fairly. Clears the memoised
     :class:`EpochCompilation` *and* the problem-level caches it builds on
-    (feasibility mask, dense resource tensors, id index maps).
+    (feasibility mask, dense resource tensors, id index maps) and the row
+    classes recorded at assembly, which a mutated row may no longer honour.
     """
     problem._compilation = None
     problem._feasible_mask = None
     problem._nearest_feasible = None
     problem._dense_resources = None
+    problem._app_ids = None
     problem._app_index_map = None
     problem._server_index_map = None
+    problem._row_class = None
 
 
 def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
@@ -1331,10 +1446,10 @@ class ScenarioCompilation:
         ensure_dense_cell_budget(len(delta.applications), len(self.servers),
                                  context="ScenarioCompilation epoch assembly")
         idx = delta.class_indices
+        uniq, inverse = np.unique(idx, return_inverse=True)
         batch = delta.applications \
             if isinstance(delta.applications, ApplicationBatch) else None
         if batch is not None:
-            uniq, inverse = np.unique(idx, return_inverse=True)
             uniq_keys = [self._class_keys[k] for k in uniq]
             latency_ms = np.stack([self._lat_rows[k] for k in uniq])[inverse]
             supported = np.stack(
@@ -1372,7 +1487,9 @@ class ScenarioCompilation:
         )
         # Seed every lazy problem cache the cold path would derive from the
         # same rows: the SLO+support mask, the nearest-feasible latencies, and
-        # the dense resource tensors.
+        # the dense resource tensors. Both branches gather every per-app row
+        # from its class's cached rows, so the classes are recorded too.
+        problem._row_class = inverse.reshape(len(idx))
         keys = self._epoch_keys(epoch_key_source)
         if batch is not None:
             problem._feasible_mask = np.stack(

@@ -20,8 +20,10 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
 3. **Refine pass**: each region's restricted sub-problem (the apps the coarse
    pass routed there × the region's servers) is compiled through
    :meth:`ScenarioCompilation.region_slice` and solved through the backend
-   registry (``refine_backend``), reusing warm starts; regions are refined
-   one after another in region-index order.
+   registry (``refine_backend``); regions are refined one after another in
+   region-index order. A columnar batch is refined as columnar sub-batches
+   (:meth:`ApplicationBatch.take`) and decoded by id, so no per-app
+   ``Application`` object is built unless the app spills.
 4. **Spill**: apps a region's refinement could not fit (coarse aggregate
    capacity is optimistic) are re-routed in deterministic global order to
    neighbouring regions (centroid-distance order; coarse-unrouted apps try
@@ -50,6 +52,7 @@ from repro.utils.units import joules_to_kwh
 from repro.workloads.generator import ApplicationBatch
 
 if TYPE_CHECKING:  # typing only
+    from repro.core.solution import PlacementSolution
     from repro.workloads.application import Application
 
 #: Fixed k-means iteration count: enough to settle CDN-scale footprints, and a
@@ -237,38 +240,36 @@ def _region_reduce(row: np.ndarray, feas: np.ndarray, perm: np.ndarray,
 
 
 def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
-                   apps: list, *, hour: int,
+                   apps: "list | ApplicationBatch", *, hour: int,
                    horizon_hours: float, use_forecast: bool,
                    objective: ObjectiveKind, alpha: float, manage_power: bool,
-                   refine_backend: str, seed: int, config: SolverConfig,
-                   warm_start: dict | None):
+                   refine_backend: str, seed: int, config: SolverConfig):
     """Solve one region's restricted sub-problem through the backend registry.
 
-    Returns ``(local_assignment, remaining_capacities)`` — the remaining
-    per-server capacities feed the spill pass.
+    Returns ``(local_assignment, solution)``; the solution is what
+    :func:`_remaining_capacities` reads should the spill pass need it.
     """
     sub = compilation.region_slice(cols)
     problem = sub.build_problem(apps, hour=hour, horizon_hours=horizon_hours,
                                 use_forecast=use_forecast)
-    local_warm = None
-    if warm_start:
-        global_to_local = {int(c): l for l, c in enumerate(cols)}
-        local_warm = {app.app_id: global_to_local[warm_start[app.app_id]]
-                      for app in apps
-                      if app.app_id in warm_start
-                      and int(warm_start[app.app_id]) in global_to_local}
-        local_warm = local_warm or None
     solution = registry_solve(problem, backend=refine_backend,
                               objective=objective, alpha=alpha,
                               manage_power=manage_power, seed=seed,
-                              warm_start=local_warm, config=config)
+                              config=config)
     local = np.full(len(apps), -1, dtype=int)
+    local[problem.app_indices(list(solution.placements))] = \
+        list(solution.placements.values())
+    return local, solution
+
+
+def _remaining_capacities(solution: "PlacementSolution") -> list:
+    """Per-server capacities a region's refinement left, seeding the spill pass."""
+    problem = solution.problem
     remaining = [cap for cap in problem.capacities]
     for app_id, j in solution.placements.items():
         i = problem.app_index(app_id)
-        local[i] = int(j)
         remaining[j] = remaining[j] - problem.demands[i][j]
-    return local, remaining
+    return remaining
 
 
 def solve_hierarchical(
@@ -284,7 +285,6 @@ def solve_hierarchical(
     manage_power: bool = True,
     config: SolverConfig = DEFAULT_SOLVER_CONFIG,
     seed: int = 0,
-    warm_start: dict | None = None,
 ) -> HierarchicalResult:
     """Cluster-then-refine placement of one batch over a compiled scenario.
 
@@ -295,9 +295,9 @@ def solve_hierarchical(
     and the determinism contract.
     """
     # Columnar batches stay columnar: the coarse pass below works entirely on
-    # class rows and index arrays, so per-app Application objects are only
-    # materialised (per region / per spilled app) where the refinement and
-    # spill passes genuinely consume them.
+    # class rows and index arrays, each region refines a columnar sub-batch
+    # decoded by id, and only the spill pass materialises Application
+    # objects, one per spilled app.
     batch = applications if isinstance(applications, ApplicationBatch) else None
     if batch is None:
         applications = list(applications)
@@ -417,7 +417,7 @@ def solve_hierarchical(
     dense = DenseCosts(keys=list(keys), demand=class_demand[inverse],
                        capacity=cap_region, mask=mask, cost=cost,
                        raw_assign=raw_cost, activation=np.zeros(n_eff),
-                       initially_on=np.ones(n_eff, dtype=bool))
+                       initially_on=np.ones(n_eff, dtype=bool), row_class=inverse)
     state = GreedyState(dense)
     greedy_fill(state, class_energy[inverse])
     routed = state.assignment
@@ -430,26 +430,31 @@ def solve_hierarchical(
     region_config = replace(config, hierarchy_regions=1)
     region_app_counts = [0] * n_eff
     assignment = np.full(n_apps, -1, dtype=int)
-    remaining: dict[int, list] = {}
+    refined: dict[int, "PlacementSolution"] = {}
     for r in range(n_eff):
         idx_r = np.flatnonzero(routed == r)
         region_app_counts[r] = len(idx_r)
         if not len(idx_r):
             continue
-        apps_r = batch.subset(idx_r) if batch is not None \
+        apps_r = batch.take(idx_r) if batch is not None \
             else [applications[i] for i in idx_r]
-        local, remaining[r] = _refine_region(
+        local, refined[r] = _refine_region(
             compilation, cols[r], apps_r,
             hour=hour, horizon_hours=horizon_hours, use_forecast=use_forecast,
             objective=objective, alpha=alpha, manage_power=manage_power,
             refine_backend=config.refine_backend, seed=seed,
-            config=region_config, warm_start=warm_start)
+            config=region_config)
         placed = local >= 0
         assignment[idx_r[placed]] = cols[r][local[placed]]
 
     # -- spill: deterministic re-routing of everything still unplaced -----------
     n_spilled = 0
-    for i in np.flatnonzero(assignment < 0):
+    unplaced = np.flatnonzero(assignment < 0)
+    remaining: dict[int, list] = {}
+    if len(unplaced):
+        remaining = {r: _remaining_capacities(solution)
+                     for r, solution in refined.items()}
+    for i in unplaced:
         app = batch.application(int(i)) if batch is not None else applications[i]
         home = int(routed[i]) if routed[i] >= 0 else None
         if home is not None:

@@ -8,38 +8,55 @@ naive loop — same assignment, same remaining capacity down to float arithmetic
 order, same served counts. These tests hammer that contract plus the physical
 invariants every fill must uphold (capacity never exceeded, demand
 conservation) on randomized dense instances and on randomized
-:class:`~repro.core.problem.PlacementProblem`\\ s.
+:class:`~repro.core.problem.PlacementProblem`\\ s. The replay's conflict tail
+has two arms — per class when the rows' classes are known, per application
+otherwise — and the class arm is held to the per-application arm on
+instances whose rows repeat a few class rows, and its premise (rows of one
+class are identical) is checked on every producer of row classes.
 """
 
 from __future__ import annotations
 
 from copy import deepcopy
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.traces import TraceSet
 from repro.cluster.fleet import build_regional_fleet
+from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.validation import validate_solution
 from repro.datasets.cities import default_city_catalog
 from repro.datasets.regions import CENTRAL_EU
+from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.network.latency import build_latency_matrix
+from repro.simulator.cdn import CDNSimulator
+from repro.simulator.scenario import CDNScenario
+from repro.solver import compile as compile_module
+from repro.solver import hierarchy
 from repro.solver.backend import SolveRequest
 from repro.solver.compile import (
     DenseCosts,
     GreedyState,
+    ScenarioCompilation,
     _argmin_chunk,
     _greedy_fill_live,
     _pending_order,
+    _replay_classes,
     _replay_per_app,
     _replay_waves,
+    compile_placement,
     greedy_fill,
 )
+from repro.solver.config import SolverConfig
 from repro.solver.registry import get_backend
 from repro.workloads.application import Application
+from repro.workloads.generator import ApplicationGenerator
 
 # -- randomized dense instances ------------------------------------------------
 
@@ -95,6 +112,13 @@ def dense_instances(draw):
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.filter_too_much])
+
+
+def _assert_same_state(reference: GreedyState, arm: GreedyState) -> None:
+    assert np.array_equal(reference.assignment, arm.assignment)
+    # Bit-equal, not allclose: same float subtractions in the same order.
+    assert np.array_equal(reference.capacity_left, arm.capacity_left)
+    assert np.array_equal(reference.served, arm.served)
 
 
 @settings(max_examples=120, **COMMON)
@@ -230,19 +254,13 @@ def test_wave_replay_matches_per_app_replay_and_live_loop(instance):
     _replay_per_app(per_app, order, choices)
     wave = deepcopy(state)
     _replay_waves(wave, order, choices)
-
-    def check(reference, arm):
-        assert np.array_equal(reference.assignment, arm.assignment)
-        assert np.array_equal(reference.capacity_left, arm.capacity_left)
-        assert np.array_equal(reference.served, arm.served)
-
-    check(per_app, wave)
+    _assert_same_state(per_app, wave)
     cold = not ((dense.activation != 0.0) & ~dense.initially_on
                 & (state.served == 0)).any() and np.isfinite(dense.activation).all()
     if cold:
         live = deepcopy(state)
         _greedy_fill_live(live, order)
-        check(live, wave)
+        _assert_same_state(live, wave)
     filled = deepcopy(state)
     greedy_fill(filled, energy)
     assert 0.0 <= filled.stats.revalidation_rate <= 1.0
@@ -271,3 +289,194 @@ def test_place_batch_replays_sequential_place_exactly(instance, rnd):
     assert np.array_equal(loop.assignment, batch.assignment)
     assert np.array_equal(loop.capacity_left, batch.capacity_left)
     assert np.array_equal(loop.served, batch.served)
+
+
+# -- the per-class conflict tail ------------------------------------------------
+
+
+@st.composite
+def class_instances(draw):
+    """A random cold-channel DenseCosts whose rows repeat a few class rows.
+
+    Each application draws one of a few class rows (cost, mask, demand,
+    energy), so applications of one class share every row the kernel reads —
+    the premise of :func:`_replay_classes` — and ``row_class`` records the
+    draw. Otherwise as adversarial as :func:`dense_instances`: contended
+    capacity, ``inf`` costs inside the mask, zero-width resource axes and
+    warm starts.
+    """
+    n_classes = draw(st.integers(1, 4))
+    n_apps = draw(st.integers(1, 14))
+    n_servers = draw(st.integers(1, 6))
+    n_keys = draw(st.integers(0, 2))
+    class_mask = draw(hnp.arrays(bool, (n_classes, n_servers)))
+    # Decimal fractions leave float residue after subtraction (0.3 - 0.1 -
+    # 0.2 > 0), which is what the fit test's 1e-9 tolerance absorbs.
+    decimals = st.sampled_from([0.1, 0.2, 0.3, 0.7])
+    class_demand = draw(hnp.arrays(
+        float, (n_classes, n_servers, n_keys),
+        elements=st.floats(0.0, 5.0, allow_nan=False, width=32) | decimals))
+    finite_cost = draw(hnp.arrays(
+        float, (n_classes, n_servers),
+        elements=st.floats(-5.0, 5.0, allow_nan=False, width=32)))
+    class_cost = np.where(class_mask, finite_cost, np.inf)
+    if draw(st.booleans()):
+        inf_spots = draw(hnp.arrays(bool, (n_classes, n_servers)))
+        class_cost = np.where(inf_spots, np.inf, class_cost)
+    class_energy = draw(hnp.arrays(
+        float, (n_classes, n_servers),
+        elements=st.floats(0.0, 9.0, allow_nan=False, width=32)))
+    capacity = draw(hnp.arrays(
+        float, (n_servers, n_keys),
+        elements=st.floats(0.0, 8.0, allow_nan=False, width=32) | decimals))
+    row_class = draw(hnp.arrays(np.int64, (n_apps,),
+                                elements=st.integers(0, n_classes - 1)))
+    dense = DenseCosts(keys=[f"r{k}" for k in range(n_keys)],
+                       demand=class_demand[row_class], capacity=capacity,
+                       mask=class_mask[row_class], cost=class_cost[row_class],
+                       raw_assign=class_cost[row_class],
+                       activation=np.zeros(n_servers),
+                       initially_on=np.ones(n_servers, dtype=bool),
+                       row_class=row_class)
+    state = GreedyState(dense)
+    warm = draw(st.lists(
+        st.tuples(st.integers(0, n_apps - 1), st.integers(0, n_servers - 1)),
+        max_size=n_apps))
+    for i, j in warm:
+        if dense.mask[i, j] and state.assignment[i] < 0 and \
+                bool(np.all(dense.demand[i, j] <= state.capacity_left[j] + 1e-9)):
+            state.place(i, j)
+    return state, class_energy[row_class]
+
+
+@settings(max_examples=200, **COMMON)
+@given(class_instances())
+def test_class_tail_matches_per_app_replay(instance):
+    """The per-class cursor tail and the per-application tail are the same
+    program on the same order: assignment, remaining capacity bit for bit,
+    served counts and the replay telemetry. Both equal the naive loop."""
+    state, energy = instance
+    order = _pending_order(state, energy)
+    choices = _argmin_chunk(state.dense, order)
+    per_app = deepcopy(state)
+    _replay_per_app(per_app, order, choices)
+    classes = deepcopy(state)
+    _replay_classes(classes, order, choices)
+    _assert_same_state(per_app, classes)
+    assert classes.stats.serial_steps == per_app.stats.serial_steps
+    assert classes.stats.invalidations == per_app.stats.invalidations
+    live = deepcopy(state)
+    _greedy_fill_live(live, order)
+    _assert_same_state(live, classes)
+    # An expired deadline stops both arms before their first step.
+    expired = deepcopy(state)
+    _replay_classes(expired, order, choices, deadline=0.0)
+    assert expired.stats.truncated == (len(order) > 0)
+    _assert_same_state(state, expired)
+
+
+@settings(max_examples=150, **COMMON)
+@given(class_instances())
+def test_greedy_fill_with_exhausted_scan_budget_takes_class_tail(instance):
+    """With no scan budget the wave replay hands its tail on after the first
+    boundary; with row classes known that tail is the class arm, never the
+    per-application one, and the fill still equals the naive loop."""
+    state, energy = instance
+    naive = deepcopy(state)
+    _greedy_fill_live(naive, _pending_order(naive, energy))
+    filled = deepcopy(state)
+    with mock.patch.object(compile_module, "_WAVE_SCAN_BUDGET_FACTOR", 0), \
+            mock.patch.object(compile_module, "_replay_per_app",
+                              side_effect=AssertionError("per-app tail")):
+        greedy_fill(filled, energy)
+    _assert_same_state(naive, filled)
+
+
+def test_class_tail_is_reached_through_greedy_fill():
+    """Six applications of one class rank server 0 first; it holds two. The
+    first wave commits those two, the third application is the boundary, and
+    the class tail places the rest on server 1 once server 0 is full."""
+    n_apps = 6
+    row_class = np.zeros(n_apps, dtype=np.int64)
+    dense = DenseCosts(keys=["cpu"], demand=np.ones((n_apps, 2, 1)),
+                       capacity=np.array([[2.0], [10.0]]),
+                       mask=np.ones((n_apps, 2), dtype=bool),
+                       cost=np.tile([1.0, 2.0], (n_apps, 1)),
+                       raw_assign=np.tile([1.0, 2.0], (n_apps, 1)),
+                       activation=np.zeros(2),
+                       initially_on=np.ones(2, dtype=bool), row_class=row_class)
+    state = GreedyState(dense)
+    with mock.patch.object(compile_module, "_WAVE_SCAN_BUDGET_FACTOR", 0), \
+            mock.patch.object(compile_module, "_replay_classes",
+                              wraps=_replay_classes) as tail:
+        greedy_fill(state, np.zeros((n_apps, 2)))
+    assert tail.call_count == 1
+    assert state.assignment.tolist() == [0, 0, 1, 1, 1, 1]
+    assert state.capacity_left.tolist() == [[0.0], [6.0]]
+    assert state.served.tolist() == [2, 4]
+    assert state.stats.invalidations == 4
+
+
+def _assert_rows_share_class(dense: DenseCosts) -> None:
+    """Rows of one ``row_class`` have identical cost, mask and demand rows."""
+    row_class = dense.row_class
+    assert row_class is not None and row_class.shape == dense.mask.shape[:1]
+    _, first, inverse = np.unique(row_class, return_index=True,
+                                  return_inverse=True)
+    assert len(first) < len(row_class), "no class repeats: the check is vacuous"
+    representative = first[inverse]
+    assert np.array_equal(dense.cost, dense.cost[representative])
+    assert np.array_equal(dense.mask, dense.mask[representative])
+    assert np.array_equal(dense.demand, dense.demand[representative])
+
+
+@pytest.fixture(scope="module")
+def cdn_epoch_problem():
+    """A scenario-tier CDN epoch (columnar batch, class-gather assembly)."""
+    simulator = CDNSimulator(scenario=CDNScenario(
+        continent="EU", n_epochs=1, max_sites=8, seed=0))
+    return simulator.epoch_problem(0)
+
+
+@pytest.mark.parametrize("manage_power", [True, False])
+@pytest.mark.parametrize("objective", list(ObjectiveKind))
+def test_cdn_epoch_rows_share_their_class(cdn_epoch_problem, objective,
+                                          manage_power):
+    dense = compile_placement(cdn_epoch_problem).dense(
+        objective, alpha=0.5 if objective is ObjectiveKind.MULTI else 0.0,
+        manage_power=manage_power)
+    _assert_rows_share_class(dense)
+
+
+def test_cold_build_leaves_row_class_unknown(monkeypatch):
+    """Without the scenario tier nothing records classes: the tail runs per
+    application."""
+    monkeypatch.setenv("CARBON_EDGE_DISABLE_SCENARIO_TIER", "1")
+    problem = CDNSimulator(scenario=CDNScenario(
+        continent="EU", n_epochs=1, max_sites=8, seed=0)).epoch_problem(0)
+    assert compile_placement(problem).dense().row_class is None
+
+
+@pytest.mark.parametrize("columnar", [True, False])
+def test_hierarchy_rows_share_their_class(columnar):
+    """The coarse pass's DenseCosts and every region problem's, built from a
+    columnar batch (class-gather branch) or an application list (per-object
+    branch)."""
+    fleet, latency, carbon = build_planetary_substrate(32, seed=0)
+    plan = hierarchy.build_region_plan(fleet.sites(), fleet.site_coordinates(),
+                                       2, seed=0)
+    batch = ApplicationGenerator(
+        sites=fleet.sites(), latency_slo_ms=40.0, mean_arrivals_per_batch=320.0,
+        seed=0).generate_batch(0, 4700, n_arrivals=320)
+    apps = batch if columnar else list(batch.applications)
+    with mock.patch.object(hierarchy, "greedy_fill",
+                           wraps=hierarchy.greedy_fill) as coarse, \
+            mock.patch.object(hierarchy, "registry_solve",
+                              wraps=hierarchy.registry_solve) as refine:
+        hierarchy.solve_hierarchical(
+            ScenarioCompilation(fleet.servers(), latency, carbon), apps, plan,
+            hour=4700, config=SolverConfig(hierarchy_regions=2), seed=0)
+    _assert_rows_share_class(coarse.call_args.args[0].dense)
+    assert refine.call_count == 2
+    for call in refine.call_args_list:
+        _assert_rows_share_class(compile_placement(call.args[0]).dense())

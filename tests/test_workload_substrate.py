@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.incremental import IncrementalPlacer
 from repro.core.objective import ObjectiveKind
 from repro.core.policies.carbon_edge import CarbonEdgePolicy
+from repro.core.validation import validate_solution
 from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.serving.loadgen import LoadGenerator
 from repro.simulator.cdn import CDNSimulator, clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
+from repro.solver import hierarchy
 from repro.solver.compile import (
     CLASS_CACHE_ENV,
     ScenarioCompilation,
     class_cache_limit,
+    compile_placement,
 )
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import build_region_plan, solve_hierarchical
@@ -299,10 +303,73 @@ def test_hierarchy_solves_batch_and_list_identically():
 
     from_batch = solve(batch)
     from_list = solve(list(batch.applications))
+    assert np.array_equal(from_batch.assignment, from_list.assignment)
     assert from_batch.n_placed == from_list.n_placed
     assert from_batch.n_spilled == from_list.n_spilled
     assert from_batch.coarse_objective == from_list.coarse_objective
     assert from_batch.refined_objective == from_list.refined_objective
+
+
+def test_take_is_the_columnar_subset_with_parent_ids():
+    generator = ApplicationGenerator(
+        sites=[f"s{k}" for k in range(6)],
+        workload_mix={"ResNet50": 0.5, "YOLOv4": 0.5},
+        mean_arrivals_per_batch=40.0, seed=2)
+    batch = generator.generate_batch(3, 100, n_arrivals=40)
+    picks = np.array([31, 2, 2, 17, 5, 39])
+    sub = batch.take(picks)
+    assert sub.app_ids() == tuple(batch.app_id(int(i)) for i in picks)
+    # The compacted class table is the one a fresh build of the subset makes.
+    fresh = ApplicationBatch.from_columns(
+        interval_index=3, hour_of_year=100, site_names=batch.site_names,
+        workload_names=batch.workload_names, site_idx=batch.site_idx[picks],
+        workload_idx=batch.workload_idx[picks],
+        latency_slo_ms=batch.latency_slo_ms[picks],
+        request_rate_rps=batch.request_rate_rps[picks],
+        duration_hours=batch.duration_hours[picks])
+    for name in ("class_idx", "class_site_idx", "class_workload_idx",
+                 "class_slo_ms", "class_rate_rps", "class_duration_h",
+                 "class_counts"):
+        assert np.array_equal(getattr(sub, name), getattr(fresh, name)), name
+    assert sub._apps is None and batch._apps is None
+    assert [a.app_id for a in sub.applications] == list(sub.app_ids())
+    # Objects the parent already built are shared, not rebuilt.
+    parent_apps = batch.applications
+    assert all(a is parent_apps[int(i)]
+               for a, i in zip(batch.take(picks).applications, picks))
+
+
+def test_decision_path_builds_no_application_objects():
+    """A cdn epoch (assemble, compile, CarbonEdge, validate) and a spill-free
+    hierarchical solve decide and decode by id: no batch builds its
+    per-app ``Application`` objects."""
+    clear_substrate_cache()
+    simulator = CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS))
+    problem = simulator.epoch_problem(0)
+    compile_placement(problem)
+    solution = CarbonEdgePolicy(solver="greedy").timed_place(problem)
+    validate_solution(solution, strict=True)
+    assert solution.n_placed > 0
+    assert isinstance(problem.applications, LazyApplications)
+    assert problem.applications.batch._apps is None
+
+    fleet, latency, carbon = build_planetary_substrate(32, seed=0)
+    batch = ApplicationGenerator(
+        sites=fleet.sites(), latency_slo_ms=40.0, mean_arrivals_per_batch=320.0,
+        seed=0).generate_batch(0, 4700, n_arrivals=320)
+    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 2, seed=0)
+    with mock.patch.object(hierarchy, "registry_solve",
+                           wraps=hierarchy.registry_solve) as refine:
+        outcome = solve_hierarchical(
+            ScenarioCompilation(fleet.servers(), latency, carbon), batch, plan,
+            hour=4700, config=SolverConfig(hierarchy_regions=2), seed=0)
+    assert outcome.n_spilled == 0 and outcome.n_unplaced == 0
+    assert batch._apps is None
+    assert refine.call_count == 2
+    for call in refine.call_args_list:
+        region_apps = call.args[0].applications
+        assert isinstance(region_apps, LazyApplications)
+        assert region_apps.batch._apps is None
 
 
 def test_place_batch_accepts_columnar_batch():
