@@ -29,10 +29,12 @@ Load-bearing checks:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from repro.experiments.fig17_scalability import _build_problem
 from repro.simulator.cdn import CDNSimulator, default_policies
 from repro.simulator.scenario import CDNScenario
 from repro.solver.compile import (
-    SCENARIO_TIER_ENV,
     GreedyState,
     _argmin_chunk,
     _greedy_fill_live,
@@ -175,8 +176,8 @@ def test_bench_scenario_tier_speedup(bench_once):
     PR 4 baseline on the 4-policy fig11-scale epoch loop.
 
     Two arms run the same epoch loop: *delta* (scenario tier enabled, built
-    fresh inside the timed region) and *cold* (tier force-disabled via the
-    environment kill-switch — the per-epoch rebuild the tier contractually
+    fresh inside the timed region) and *cold* (the simulator hands the
+    builder no substrate — the per-epoch rebuild the tier contractually
     reproduces bit for bit). The delta arm runs first so it pays any
     first-touch trace-integration cost; the recorded compile fraction shows
     how much of each arm's epoch loop is problem assembly + compilation
@@ -186,12 +187,11 @@ def test_bench_scenario_tier_speedup(bench_once):
 
     def run_all():
         for arm in ("delta", "cold"):
-            if arm == "cold":
-                os.environ[SCENARIO_TIER_ENV] = "1"
-            else:
-                os.environ.pop(SCENARIO_TIER_ENV, None)
             clear_scenario_compilations()
-            try:
+            cold = mock.patch.object(CDNSimulator, "scenario_compilation",
+                                     return_value=None) \
+                if arm == "cold" else contextlib.nullcontext()
+            with cold:
                 compile_s = solve_s = 0.0
                 placements = []
                 for continent in CONTINENTS:
@@ -201,8 +201,6 @@ def test_bench_scenario_tier_speedup(bench_once):
                     solve_s += s
                     placements.append(p)
                 measured[arm] = (compile_s, solve_s, placements)
-            finally:
-                os.environ.pop(SCENARIO_TIER_ENV, None)
         return measured
 
     bench_once(run_all)

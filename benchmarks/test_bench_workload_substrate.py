@@ -1,19 +1,19 @@
-"""Benchmark: columnar workload substrate vs the per-object legacy path.
+"""Benchmark: columnar workload substrate vs the per-object cold build.
 
 The columnar substrate (PR 10) generates application batches as
 struct-of-arrays with a compact class table and assembles epoch tensors by
 computing one row per unique class and gathering with ``class_idx`` — the
-per-object path materialises every :class:`Application` and stacks per-app
-rows in Python list comprehensions. This benchmark races the two on the same
-seed and substrate at 10^5 applications: each arm runs batch generation plus
-epoch-problem assembly through a *fresh* :class:`ScenarioCompilation` (the
-epoch memo would otherwise hand the second run the finished tensors), the
-object arm running under the ``CARBON_EDGE_DISABLE_COLUMNAR`` kill-switch so
-it exercises the true legacy branch end to end.
+cold :meth:`PlacementProblem.build` materialises every :class:`Application`
+and fills its tensors from per-app Python loops. This benchmark races the two
+on the same seed and substrate at 10^5 applications: the columnar arm runs
+batch generation plus epoch-problem assembly through a *fresh*
+:class:`ScenarioCompilation` (the epoch memo would otherwise hand a second
+run the finished tensors), the cold arm runs batch generation, materialises
+the per-app objects and builds the problem with no substrate.
 
 The determinism contract makes the race honest: both arms must produce the
-same application ids and bit-identical compiled tensors (asserted here), so
-the speedup is pure mechanics, not a different computation. The trajectory
+same application ids and bit-identical tensors (asserted here), so the
+speedup is pure mechanics, not a different computation. The trajectory
 record carries both times, the class-table compression ratio, the compilation
 cache statistics, and the process peak RSS.
 """
@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from bench_util import append_bench_record, peak_rss_mb
+from repro.core.problem import PlacementProblem
 from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.solver.compile import ScenarioCompilation
-from repro.workloads.generator import COLUMNAR_ENV, ApplicationGenerator
+from repro.workloads.generator import ApplicationGenerator
 
 #: Where the timing trajectory is appended (repo root), shared with the
 #: pipeline benchmarks.
@@ -45,22 +45,9 @@ N_SITES = 24 if _SMOKE else 48
 N_APPS = 5_000 if _SMOKE else 100_000
 HOUR = 4700
 
-#: Required speedup of the columnar substrate over the per-object path at
-#: full scale.
+#: Required speedup of the columnar substrate over the per-object cold build
+#: at full scale.
 COLUMNAR_SPEEDUP_FLOOR = 5.0
-
-
-@contextmanager
-def _columnar_disabled():
-    previous = os.environ.get(COLUMNAR_ENV)
-    os.environ[COLUMNAR_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(COLUMNAR_ENV, None)
-        else:
-            os.environ[COLUMNAR_ENV] = previous
 
 
 def test_bench_columnar_vs_object(bench_once):
@@ -72,13 +59,13 @@ def test_bench_columnar_vs_object(bench_once):
             sites=fleet.sites(), latency_slo_ms=40.0,
             mean_arrivals_per_batch=float(N_APPS), duration_hours=1.0, seed=0)
 
-    columnar_s = object_s = 0.0
-    columnar_problem = object_problem = None
+    columnar_s = cold_build_s = 0.0
+    columnar_problem = cold_problem = None
     columnar_comp = None
     n_classes = 0
 
     def run_both():
-        nonlocal columnar_s, object_s, columnar_problem, object_problem
+        nonlocal columnar_s, cold_build_s, columnar_problem, cold_problem
         nonlocal columnar_comp, n_classes
         # Columnar arm: the batch flows to the class-table fast path whole;
         # per-app objects are never materialised.
@@ -89,32 +76,31 @@ def test_bench_columnar_vs_object(bench_once):
         columnar_s = time.perf_counter() - t0
         n_classes = batch.n_classes
 
-        # Object arm: same seed under the kill-switch — materialise every
-        # Application and assemble through the per-app legacy branch.
-        object_comp = ScenarioCompilation(servers, latency, carbon)
-        with _columnar_disabled():
-            t0 = time.perf_counter()
-            apps = list(
-                make_generator().generate_batch(0, HOUR, n_arrivals=N_APPS)
-                .applications)
-            object_problem = object_comp.build_problem(apps, HOUR)
-            object_s = time.perf_counter() - t0
+        # Cold arm: same seed, no substrate — materialise every Application
+        # and build the problem from per-app loops.
+        t0 = time.perf_counter()
+        apps = list(
+            make_generator().generate_batch(0, HOUR, n_arrivals=N_APPS)
+            .applications)
+        cold_problem = PlacementProblem.build(apps, servers, latency, carbon,
+                                              hour=HOUR)
+        cold_build_s = time.perf_counter() - t0
 
     bench_once(run_both)
 
     # The determinism contract: identical ids, bit-identical tensors.
     assert [a.app_id for a in columnar_problem.applications] == \
-        [a.app_id for a in object_problem.applications]
+        [a.app_id for a in cold_problem.applications]
     np.testing.assert_array_equal(columnar_problem.latency_ms,
-                                  object_problem.latency_ms)
+                                  cold_problem.latency_ms)
     np.testing.assert_array_equal(columnar_problem.energy_j,
-                                  object_problem.energy_j)
+                                  cold_problem.energy_j)
 
-    speedup = object_s / max(columnar_s, 1e-9)
+    speedup = cold_build_s / max(columnar_s, 1e-9)
     stats = columnar_comp.cache_stats()
     rss_mb = peak_rss_mb()
     print(f"\nworkload substrate ({N_SITES} servers x {N_APPS} apps, "
-          f"{n_classes} classes): object {object_s:.3f} s, "
+          f"{n_classes} classes): cold build {cold_build_s:.3f} s, "
           f"columnar {columnar_s:.3f} s, speedup {speedup:.2f}x")
     print(f"class compression {N_APPS / max(n_classes, 1):.0f}x, "
           f"cache {stats['row_bytes'] / 1e6:.1f} MB "
@@ -123,7 +109,7 @@ def test_bench_columnar_vs_object(bench_once):
         "scale": "smoke" if _SMOKE else "full",
         "size": [N_SITES, N_APPS],
         "n_classes": n_classes,
-        "object_s": round(object_s, 4),
+        "cold_build_s": round(cold_build_s, 4),
         "columnar_s": round(columnar_s, 4),
         "speedup": round(speedup, 2),
         "cache_row_bytes": stats["row_bytes"],

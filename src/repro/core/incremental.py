@@ -97,7 +97,7 @@ class IncrementalPlacer:
     #: when the application/server geometry is unchanged between epochs).
     last_compilation: "EpochCompilation | None" = field(default=None, repr=False)
 
-    def scenario_compilation(self) -> "ScenarioCompilation | None":
+    def scenario_compilation(self) -> "ScenarioCompilation":
         """The scenario-lifetime compilation tier over this placer's substrate.
 
         The fleet/latency/carbon substrate is fixed for the placer's lifetime,
@@ -105,13 +105,10 @@ class IncrementalPlacer:
         blocks, SLO-feasibility rows) are compiled once and every batch and
         epoch re-solve assembles only its delta — including the warm-start
         allocation state, which the delta reads live from the fleet because
-        committed batches leave the fleet anything but pristine. ``None``
-        (cold rebuilds) when the tier is force-disabled.
+        committed batches leave the fleet anything but pristine.
         """
-        from repro.solver.compile import compile_scenario, scenario_tier_enabled
+        from repro.solver.compile import compile_scenario
 
-        if not scenario_tier_enabled():
-            return None
         return compile_scenario(self.fleet.servers(), self.latency, self.carbon)
 
     def build_problem(self, applications: "list[Application] | ApplicationBatch",
@@ -119,8 +116,9 @@ class IncrementalPlacer:
         """Assemble the placement problem for one batch from current fleet state.
 
         Accepts either a list of applications or a columnar
-        :class:`~repro.workloads.generator.ApplicationBatch`; a batch flows
-        through to the substrate's class-table fast path untouched.
+        :class:`~repro.workloads.generator.ApplicationBatch`. Both take the
+        substrate's class-table path: a list is wrapped in a batch once, and
+        the problem's ``applications`` are the caller's objects by identity.
         """
         return PlacementProblem.build(
             applications=applications,

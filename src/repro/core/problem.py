@@ -38,9 +38,18 @@ DEFAULT_MAX_DENSE_CELLS: int = 150_000_000
 
 
 def max_dense_cells() -> int:
-    """Configured budget on flat dense cells (``CARBON_EDGE_MAX_DENSE_CELLS``)."""
-    raw = os.environ.get("CARBON_EDGE_MAX_DENSE_CELLS", "")
-    return int(raw) if raw else DEFAULT_MAX_DENSE_CELLS
+    """Configured budget on flat dense cells (``CARBON_EDGE_MAX_DENSE_CELLS``).
+
+    Raises ``ValueError`` naming the variable when it is set to anything but
+    a positive integer.
+    """
+    raw = os.environ.get("CARBON_EDGE_MAX_DENSE_CELLS", "").strip()
+    if not raw:
+        return DEFAULT_MAX_DENSE_CELLS
+    if not raw.isdecimal() or int(raw) <= 0:
+        raise ValueError(
+            f"CARBON_EDGE_MAX_DENSE_CELLS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def ensure_dense_cell_budget(n_applications: int, n_servers: int,

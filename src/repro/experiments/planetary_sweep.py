@@ -42,7 +42,7 @@ from repro.network.latency import build_latency_matrix_fast
 from repro.solver.compile import ScenarioCompilation
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import build_region_plan, solve_hierarchical
-from repro.workloads.generator import ApplicationGenerator, columnar_enabled
+from repro.workloads.generator import ApplicationGenerator
 
 
 def build_planetary_substrate(n_sites: int, seed: int, accelerator: str = "NVIDIA A2"
@@ -104,19 +104,16 @@ def run(seed: int = EXPERIMENT_SEED, n_sites: int = 10_000,
     generator = ApplicationGenerator(
         sites=fleet.sites(), latency_slo_ms=latency_slo_ms,
         mean_arrivals_per_batch=float(n_apps), duration_hours=1.0, seed=seed)
-    batch = generator.generate_batch(0, hour, n_arrivals=n_apps)
     # The columnar batch flows to the hierarchy whole — per-app objects are
-    # only built for the apps the spill pass re-routes. The kill-switch arm
-    # materialises them all so the CI byte-diff exercises the true object
-    # path.
-    applications = batch if columnar_enabled() else list(batch.applications)
+    # only built for the apps the spill pass re-routes.
+    batch = generator.generate_batch(0, hour, n_arrivals=n_apps)
 
     coords = fleet.site_coordinates()
     sweep: dict[str, dict[str, object]] = {}
     for n_regions in hierarchy_regions:
         plan = build_region_plan(fleet.sites(), coords, n_regions, seed=seed)
         outcome = solve_hierarchical(
-            compilation, applications, plan,
+            compilation, batch, plan,
             hour=hour, horizon_hours=1.0,
             objective=ObjectiveKind.CARBON,
             config=SolverConfig(hierarchy_regions=n_regions,

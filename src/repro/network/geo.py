@@ -13,27 +13,17 @@ dimension.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 #: Mean Earth radius in kilometres.
 EARTH_RADIUS_KM: float = 6371.0088
 
-#: Default row-block height for chunked pairwise evaluation. At 4096 rows the
-#: largest transient is ~4096×N float64 — ~330 MB at N=10k instead of ~4 GB
-#: per temporary for the full broadcast. Override per call via ``chunk_rows``
-#: or process-wide via ``CARBON_EDGE_GEO_CHUNK_ROWS``.
-DEFAULT_CHUNK_ROWS: int = 4096
-
-
-def _resolved_chunk_rows(chunk_rows: int | None) -> int:
-    if chunk_rows is None:
-        raw = os.environ.get("CARBON_EDGE_GEO_CHUNK_ROWS", "")
-        chunk_rows = int(raw) if raw else DEFAULT_CHUNK_ROWS
-    if chunk_rows <= 0:
-        raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
-    return chunk_rows
+#: Row-block height for chunked pairwise evaluation. At 4096 rows the largest
+#: transient is ~4096×N float64 — ~330 MB at N=10k instead of ~4 GB per
+#: temporary for the full broadcast. Results are byte-identical for every
+#: block height: each block evaluates the same elementwise expressions over
+#: its row slice.
+CHUNK_ROWS: int = 4096
 
 
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -57,9 +47,12 @@ def _haversine_block(a_block: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(s, 0.0, 1.0)))
 
 
-def pairwise_distances_km(coords: np.ndarray, coords_b: np.ndarray | None = None,
-                          chunk_rows: int | None = None) -> np.ndarray:
+def pairwise_distances_km(coords: np.ndarray,
+                          coords_b: np.ndarray | None = None) -> np.ndarray:
     """Pairwise haversine distances between coordinate sets.
+
+    Inputs taller than :data:`CHUNK_ROWS` are evaluated in row blocks of that
+    height, byte-identically to the single-block broadcast.
 
     Parameters
     ----------
@@ -68,11 +61,6 @@ def pairwise_distances_km(coords: np.ndarray, coords_b: np.ndarray | None = None
     coords_b:
         Optional (M, 2) array; when omitted the function returns the symmetric
         N×N matrix of ``coords`` against itself.
-    chunk_rows:
-        Row-block height for the chunked evaluation. Defaults to
-        ``CARBON_EDGE_GEO_CHUNK_ROWS`` or :data:`DEFAULT_CHUNK_ROWS`. Results
-        are byte-identical for every block height: each block evaluates the
-        same elementwise expressions over its row slice.
 
     Returns
     -------
@@ -83,13 +71,12 @@ def pairwise_distances_km(coords: np.ndarray, coords_b: np.ndarray | None = None
     b = a if coords_b is None else np.radians(np.atleast_2d(np.asarray(coords_b, dtype=float)))
     if a.shape[1] != 2 or b.shape[1] != 2:
         raise ValueError("coordinate arrays must have shape (N, 2) of [lat, lon]")
-    chunk = _resolved_chunk_rows(chunk_rows)
     n = a.shape[0]
-    if n <= chunk:
+    if n <= CHUNK_ROWS:
         return _haversine_block(a, b)
     out = np.empty((n, b.shape[0]), dtype=float)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
         out[start:stop] = _haversine_block(a[start:stop], b)
     return out
 

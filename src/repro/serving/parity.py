@@ -7,8 +7,7 @@ batch :meth:`repro.simulator.cdn.CDNSimulator.run` loop over the same
 scenario. This module canonicalises both sides' epoch records into compact
 sorted-keys JSON (wall-clock fields excluded) and byte-diffs them —
 :func:`check_replay_parity` is shared by the regression tests, the property
-suite, and ``carbon-edge serve --replay-parity`` in CI, which runs it with
-and without the scenario-tier kill-switch.
+suite, and ``carbon-edge serve --replay-parity`` in CI.
 """
 
 from __future__ import annotations

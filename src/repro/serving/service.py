@@ -23,7 +23,7 @@ events derived from a :class:`~repro.simulator.scenario.CDNScenario` (one
 placement decisions to :meth:`repro.simulator.cdn.CDNSimulator.run` — the
 extension of the determinism contract that already governs the
 scenario-compilation tier. :mod:`repro.serving.parity` packages the
-byte-diff; CI runs it with and without the scenario-tier kill-switch.
+byte-diff; CI runs it on every change.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.simulator.metrics import SimulationResult
 from repro.simulator.scenario import CDNScenario
 from repro.solver.compile import compile_placement
 from repro.workloads.application import Application
-from repro.workloads.generator import ApplicationBatch, columnar_enabled
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,10 @@ class PlacementService:
         def on_batch(event: Event) -> None:
             if not pending:
                 return
+            # The substrate wraps the list in a columnar batch that keeps
+            # these objects, so the metrics lookups below see the same
+            # instances.
             batch, pending[:] = list(pending), []
-            if columnar_enabled():
-                # Columnar ingestion: the batch flows to the substrate's
-                # class-table fast path; from_applications keeps the original
-                # objects so the metrics lookups below see identical instances.
-                batch = ApplicationBatch.from_applications(tuple(batch))
             hour = self._hour_at(event.time_s)
             started = time.perf_counter()
             solution = placer.place_batch(batch, hour)

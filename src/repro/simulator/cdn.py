@@ -33,12 +33,7 @@ from repro.datasets.electricity_maps import default_zone_catalog
 from repro.network.latency import LatencyMatrix, build_latency_matrix
 from repro.simulator.metrics import EpochRecord, SimulationResult
 from repro.simulator.scenario import CDNScenario
-from repro.solver.compile import (
-    ScenarioCompilation,
-    compile_placement,
-    compile_scenario,
-    scenario_tier_enabled,
-)
+from repro.solver.compile import ScenarioCompilation, compile_placement, compile_scenario
 from repro.workloads.demand import capacity_weights_from_population, population_weights
 from repro.workloads.generator import ApplicationGenerator
 
@@ -238,20 +233,16 @@ class CDNSimulator:
 
     # -- simulation -------------------------------------------------------------
 
-    def scenario_compilation(self) -> ScenarioCompilation | None:
+    def scenario_compilation(self) -> ScenarioCompilation:
         """The scenario-lifetime compilation tier backing every epoch's build.
 
         Built once per substrate (and shared — through
         :func:`repro.solver.compile.compile_scenario`'s substrate-keyed cache
         — with every other simulator over the same fleet/latency/carbon
-        objects, e.g. the variants of a latency-limit sweep). Returns ``None``
-        when the tier is force-disabled
-        (:func:`repro.solver.compile.scenario_tier_enabled`), which sends
-        :meth:`epoch_problem` down the cold per-epoch rebuild path the tier
-        is contractually bit-identical to.
+        objects, e.g. the variants of a latency-limit sweep). Its epoch
+        problems are bit-identical to a cold :meth:`PlacementProblem.build`
+        of the same epoch.
         """
-        if not scenario_tier_enabled():
-            return None
         return compile_scenario(self.fleet.servers(), self.latency, self.carbon)
 
     def epoch_problem(self, epoch: int) -> PlacementProblem:
@@ -265,8 +256,7 @@ class CDNSimulator:
         for server in self.fleet.servers():
             server.power_on()
         # The batch goes through columnar: the substrate consumes its class
-        # table directly (per-object view stays unmaterialised unless the
-        # CARBON_EDGE_DISABLE_COLUMNAR kill-switch or a cold rebuild needs it).
+        # table directly, so the per-object view stays unmaterialised.
         return PlacementProblem.build(
             applications=batch,
             servers=self.fleet.servers(),

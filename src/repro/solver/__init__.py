@@ -71,7 +71,6 @@ __all__ = [
     "EpochDelta",
     "compile_scenario",
     "clear_scenario_compilations",
-    "scenario_tier_enabled",
 ]
 
 _LAZY_REGISTRY_EXPORTS = {
@@ -81,7 +80,7 @@ _LAZY_BACKEND_EXPORTS = {"PlacementSolver", "SolveRequest"}
 _LAZY_COMPILE_EXPORTS = {
     "EpochCompilation", "DenseCosts", "compile_placement", "clear_compilation",
     "ScenarioCompilation", "EpochDelta", "compile_scenario",
-    "clear_scenario_compilations", "scenario_tier_enabled",
+    "clear_scenario_compilations",
 }
 
 

@@ -68,7 +68,6 @@ artifact digests and the pinned conflict-tail placements hold the contract.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -93,11 +92,7 @@ from repro.core.problem import (
 )
 from repro.cluster.resources import ResourceVector
 from repro.core.solution import PlacementSolution
-from repro.workloads.generator import (
-    ApplicationBatch,
-    LazyApplications,
-    columnar_enabled,
-)
+from repro.workloads.generator import ApplicationBatch, LazyApplications
 
 if TYPE_CHECKING:  # typing only — no runtime dependency on these layers
     from repro.carbon.service import CarbonIntensityService
@@ -887,9 +882,13 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # demand row, and baseline capacity-fit row are computed exactly once per
 # scenario and every epoch's tensors are assembled by row *gather* instead of
 # rebuild. The per-epoch remainder is the :class:`EpochDelta`: the epoch-mean
-# intensity vector (one memoised forecast integral per zone), the arrival list
-# with its class indices, and the warm-start allocation state (live capacities
-# and power when the fleet is not pristine).
+# intensity vector (one memoised forecast integral per zone), the arrival
+# batch with its class indices, and the warm-start allocation state (live
+# capacities and power when the fleet is not pristine). Every delta carries a
+# columnar :class:`~repro.workloads.generator.ApplicationBatch`; a plain
+# application sequence is wrapped once on the way in
+# (:meth:`ApplicationBatch.from_applications`, which keeps the caller's objects
+# by identity), so there is one assembly path.
 #
 # **Bit-identity contract.** For every delta, the assembled
 # :class:`PlacementProblem` tensors, the :class:`EpochCompilation` report and
@@ -897,10 +896,9 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # byte-identical to a cold :meth:`PlacementProblem.build` of the same epoch:
 # each cached row is produced by the same float expressions, in the same
 # association order, as the cold builder's block fills (see the row builders
-# below, each annotated with the cold expression it mirrors). A CI job byte-
-# diffs fig11 artifacts with the tier force-disabled versus enabled
-# (:func:`scenario_tier_enabled`), and the benchmark suite asserts the same
-# identity per epoch.
+# below, each annotated with the cold expression it mirrors). The golden
+# artifact digests pin the assembled output, and the test suite compares the
+# tier against the cold builder epoch by epoch.
 #
 # **Cache keys and invalidation.** Scenario compilations are memoised on the
 # substrate identity — the (latency matrix, carbon service) object pair plus
@@ -915,41 +913,12 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # report per epoch.
 
 
-#: Environment kill-switch for the scenario tier (used by the delta-vs-cold
-#: determinism CI job): set to ``1`` to force every consumer onto the cold
-#: per-epoch rebuild path.
-SCENARIO_TIER_ENV: str = "CARBON_EDGE_DISABLE_SCENARIO_TIER"
-
-
-def scenario_tier_enabled() -> bool:
-    """Whether consumers should use the scenario-lifetime compilation tier."""
-    return os.environ.get(SCENARIO_TIER_ENV, "").strip().lower() not in (
-        "1", "true", "yes", "on")
-
-
 #: Per-scenario class caches are dropped wholesale beyond this many distinct
 #: application classes (unbounded only for adversarial streams of distinct
 #: request rates; catalogue workloads stay tiny). The same limit caps each of
 #: the keyed row caches (blocks / energy / dense / fit rows) individually, as
-#: an LRU instead of a wholesale drop. Overridable per process through
-#: :data:`CLASS_CACHE_ENV` — a 10k-site planetary run wants it raised (so one
-#: epoch's classes stay resident), a memory-tight soak wants it lowered.
-_CLASS_CACHE_LIMIT: int = 4096
-
-#: Environment override for :data:`_CLASS_CACHE_LIMIT` (positive integer).
-CLASS_CACHE_ENV: str = "CARBON_EDGE_CLASS_CACHE_LIMIT"
-
-
-def class_cache_limit() -> int:
-    """The effective per-scenario class-cache bound (env override or default)."""
-    raw = os.environ.get(CLASS_CACHE_ENV, "").strip()
-    if not raw:
-        return _CLASS_CACHE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        return _CLASS_CACHE_LIMIT
-    return limit if limit > 0 else _CLASS_CACHE_LIMIT
+#: an LRU instead of a wholesale drop.
+CLASS_CACHE_LIMIT: int = 4096
 
 
 #: Pristine epoch compilations memoised per scenario (LRU).
@@ -965,7 +934,7 @@ class EpochDelta:
     hour / horizon_hours / use_forecast:
         The epoch's position and horizon (inputs of the intensity integral).
     applications:
-        The epoch's arrival batch.
+        The epoch's arrivals as a columnar batch.
     class_indices:
         (A,) index of each application's class in the scenario's class table
         (valid for the table generation stamped in ``class_generation``).
@@ -987,9 +956,7 @@ class EpochDelta:
     hour: int
     horizon_hours: float
     use_forecast: bool
-    #: The epoch's arrivals: a tuple of ``Application`` objects (object path)
-    #: or a columnar :class:`~repro.workloads.generator.ApplicationBatch`.
-    applications: "tuple | ApplicationBatch"
+    applications: ApplicationBatch
     class_indices: np.ndarray
     intensity: np.ndarray
     capacities: tuple
@@ -1006,16 +973,12 @@ class EpochDelta:
         if not self.pristine:
             return None
         apps = self.applications
-        if isinstance(apps, ApplicationBatch):
-            # Formulaic batch ids are fully determined by (interval, count) —
-            # no per-app tuple needed; the class indices capture the content.
-            ids: tuple = (apps.interval_index, len(apps)) \
-                if apps.explicit_ids is None else apps.explicit_ids
-            return ("columnar", self.hour, float(self.horizon_hours),
-                    self.use_forecast, ids, self.class_indices.tobytes())
-        return (self.hour, float(self.horizon_hours), self.use_forecast,
-                tuple(app.app_id for app in apps),
-                tuple(int(k) for k in self.class_indices))
+        # Formulaic batch ids are fully determined by (interval, count) — no
+        # per-app tuple needed; the class indices capture the content.
+        ids: tuple = (apps.interval_index, len(apps)) \
+            if apps.explicit_ids is None else apps.explicit_ids
+        return (self.hour, float(self.horizon_hours), self.use_forecast, ids,
+                self.class_indices.tobytes())
 
 
 @dataclass
@@ -1064,8 +1027,8 @@ class ScenarioCompilation:
         # Lazily captured pristine-fleet baselines.
         self._baseline_capacities: list | None = None
         self._baseline_capacity_dense: dict[tuple, np.ndarray] = {}
-        # Class tables (see _class_of) and derived row caches. The keyed row
-        # caches are individually LRU-bounded at class_cache_limit(); the
+        # Class tables (see _register_class) and derived row caches. The keyed
+        # row caches are individually LRU-bounded at CLASS_CACHE_LIMIT; the
         # positional class tables are append-only (indices reference
         # positions) and dropped wholesale by _trim_class_caches instead.
         self._class_index: dict[tuple, int] = {}
@@ -1137,8 +1100,7 @@ class ScenarioCompilation:
         """Insert into a keyed row cache, evicting the oldest rows past the
         class-cache limit (a memo, not state — recomputation is bit-identical)."""
         cache[key] = value
-        limit = class_cache_limit()
-        while len(cache) > limit:
+        while len(cache) > CLASS_CACHE_LIMIT:
             cache.popitem(last=False)
             self._row_evictions += 1
 
@@ -1253,7 +1215,8 @@ class ScenarioCompilation:
         return self._baseline_capacities
 
     def _class_of(self, app: "Application") -> int:
-        """Index of an application's class, registering it on first sight."""
+        """Index of one application's class, registering it on first sight
+        (the hierarchy's spill pass looks up single applications)."""
         return self._register_class(app.source_site, app.workload,
                                     app.request_rate_rps, app.latency_slo_ms,
                                     app.duration_hours)
@@ -1286,9 +1249,9 @@ class ScenarioCompilation:
 
         Registers the batch's unique classes in **first-arrival order** — the
         order a per-application loop over the batch would first encounter
-        them — so the resulting indices (and every downstream float
-        accumulation keyed on them) are bit-identical to the object path's.
-        One loop over C unique classes replaces A per-app lookups.
+        them — so the class table (and every downstream float accumulation
+        keyed on it) does not depend on the batch's class-table sort. One
+        loop over C unique classes replaces A per-app lookups.
         """
         order = np.argsort(batch.class_first_occurrence(), kind="stable")
         scen = np.empty(batch.n_classes, dtype=np.intp)
@@ -1306,7 +1269,7 @@ class ScenarioCompilation:
     def _trim_class_caches(self) -> None:
         """Wholesale drop of the class tables past the cache limit (a memo,
         not state — recomputation is cheap and bit-identical)."""
-        if len(self._class_index) < class_cache_limit():
+        if len(self._class_index) < CLASS_CACHE_LIMIT:
             return
         self._class_generation += 1
         self._class_index.clear()
@@ -1341,7 +1304,7 @@ class ScenarioCompilation:
             "row_bytes": int(row_bytes),
             "row_evictions": int(self._row_evictions),
             "class_generation": int(self._class_generation),
-            "cache_limit": class_cache_limit(),
+            "cache_limit": CLASS_CACHE_LIMIT,
         }
 
     # -- the per-epoch delta -----------------------------------------------------
@@ -1351,25 +1314,20 @@ class ScenarioCompilation:
                     use_forecast: bool = True) -> EpochDelta:
         """Capture one epoch's moving parts against this scenario's substrate.
 
-        Columnar batches take the class-table fast path: classes register per
-        unique class (in first-arrival order, so the indices are bit-identical
-        to the per-object walk) and the per-app index vector is one gather.
-        ``CARBON_EDGE_DISABLE_COLUMNAR`` forces the per-object path.
+        Classes register once per unique class of the batch (in first-arrival
+        order) and the per-app index vector is one gather. A sequence of
+        ``Application`` objects is wrapped in a batch first
+        (:meth:`ApplicationBatch.from_applications`), which keeps the objects
+        by identity: the assembled problem hands back the caller's instances.
         """
-        batch = applications if isinstance(applications, ApplicationBatch) else None
-        if batch is not None and not columnar_enabled():
-            applications, batch = tuple(batch.applications), None
-        if batch is None and not isinstance(applications, tuple):
-            applications = tuple(applications)
-        if len(applications) == 0:
+        if isinstance(applications, ApplicationBatch):
+            batch = applications
+        else:
+            batch = ApplicationBatch.from_applications(applications)
+        if len(batch) == 0:
             raise ValueError("cannot build a placement problem with no applications")
         self._trim_class_caches()
-        if batch is not None:
-            class_indices = self._batch_class_indices(batch)
-        else:
-            class_indices = np.fromiter(
-                (self._class_of(app) for app in applications),
-                dtype=np.intp, count=len(applications))
+        class_indices = self._batch_class_indices(batch)
         unallocated = all(not srv.allocations for srv in self.servers)
         all_on = all(srv.is_on for srv in self.servers)
         if unallocated:
@@ -1386,7 +1344,7 @@ class ScenarioCompilation:
                        for zone in dict.fromkeys(self._zones)}
         intensity = np.array([by_zone[zone] for zone in self._zones])
         return EpochDelta(hour=int(hour), horizon_hours=float(horizon_hours),
-                          use_forecast=use_forecast, applications=applications,
+                          use_forecast=use_forecast, applications=batch,
                           class_indices=class_indices, intensity=intensity,
                           capacities=capacities, current_power=current_power,
                           baseline_capacity=unallocated,
@@ -1427,8 +1385,8 @@ class ScenarioCompilation:
                 self._epoch_memo.popitem(last=False)
         return compilation
 
-    def build_problem(self, applications: Sequence["Application"], hour: int,
-                      horizon_hours: float = 1.0,
+    def build_problem(self, applications: "Sequence[Application] | ApplicationBatch",
+                      hour: int, horizon_hours: float = 1.0,
                       use_forecast: bool = True) -> PlacementProblem:
         """The substrate-backed fast path behind :meth:`PlacementProblem.build`."""
         delta = self.epoch_delta(applications, hour, horizon_hours, use_forecast)
@@ -1437,47 +1395,28 @@ class ScenarioCompilation:
     def _assemble_problem(self, delta: EpochDelta) -> PlacementProblem:
         """Gather one epoch's problem tensors from the class rows.
 
-        Columnar deltas build each tensor once per *unique class* and expand
-        to per-application rows with a single fancy-index gather — elementwise
-        the same rows the per-app stacks below copy, so both paths are
-        bit-identical (the gather and the stack both materialise fresh copies
-        of the same cached class rows).
+        Each tensor is built once per *unique class* and expanded to
+        per-application rows with a single fancy-index gather, which
+        materialises fresh copies of the cached class rows.
         """
         ensure_dense_cell_budget(len(delta.applications), len(self.servers),
                                  context="ScenarioCompilation epoch assembly")
         idx = delta.class_indices
         uniq, inverse = np.unique(idx, return_inverse=True)
-        batch = delta.applications \
-            if isinstance(delta.applications, ApplicationBatch) else None
-        if batch is not None:
-            uniq_keys = [self._class_keys[k] for k in uniq]
-            latency_ms = np.stack([self._lat_rows[k] for k in uniq])[inverse]
-            supported = np.stack(
-                [self._block(w, r).supported for _, w, r, _ in uniq_keys])[inverse]
-            energy_j = np.stack(
-                [self._energy_row(w, r, delta.horizon_hours)
-                 for _, w, r, _ in uniq_keys])[inverse]
-            uniq_demand_rows = [self._block(w, r).demand_row
-                                for _, w, r, _ in uniq_keys]
-            demands = [uniq_demand_rows[c] for c in inverse]
-            applications: "Sequence[Application]" = LazyApplications(batch)
-            epoch_key_source = uniq_keys
-        else:
-            class_keys = [self._class_keys[k] for k in idx]
-            latency_ms = np.stack([self._lat_rows[k] for k in idx])
-            supported = np.stack(
-                [self._block(w, r).supported for _, w, r, _ in class_keys])
-            energy_j = np.stack([self._energy_row(w, r, delta.horizon_hours)
-                                 for _, w, r, _ in class_keys])
-            demands = [self._block(w, r).demand_row for _, w, r, _ in class_keys]
-            applications = list(delta.applications)
-            epoch_key_source = class_keys
+        uniq_keys = [self._class_keys[k] for k in uniq]
+        latency_ms = np.stack([self._lat_rows[k] for k in uniq])[inverse]
+        supported = np.stack(
+            [self._block(w, r).supported for _, w, r, _ in uniq_keys])[inverse]
+        energy_j = np.stack(
+            [self._energy_row(w, r, delta.horizon_hours)
+             for _, w, r, _ in uniq_keys])[inverse]
+        uniq_demand_rows = [self._block(w, r).demand_row for _, w, r, _ in uniq_keys]
         problem = PlacementProblem(
-            applications=applications,
+            applications=LazyApplications(delta.applications),
             servers=list(self.servers),
             latency_ms=latency_ms,
             energy_j=energy_j,
-            demands=demands,
+            demands=[uniq_demand_rows[c] for c in inverse],
             intensity=delta.intensity,
             capacities=list(delta.capacities),
             base_power_w=self.base_power_w.copy(),
@@ -1487,22 +1426,14 @@ class ScenarioCompilation:
         )
         # Seed every lazy problem cache the cold path would derive from the
         # same rows: the SLO+support mask, the nearest-feasible latencies, and
-        # the dense resource tensors. Both branches gather every per-app row
-        # from its class's cached rows, so the classes are recorded too.
+        # the dense resource tensors. Every per-app row is gathered from its
+        # class's cached rows, so the classes are recorded too.
         problem._row_class = inverse.reshape(len(idx))
-        keys = self._epoch_keys(epoch_key_source)
-        if batch is not None:
-            problem._feasible_mask = np.stack(
-                [self._feas_rows[k] for k in uniq])[inverse]
-            problem._nearest_feasible = np.array(
-                [self._near[k] for k in uniq])[inverse]
-            demand_dense = np.stack(
-                [self._dense_row(w, r, keys) for _, w, r, _ in uniq_keys])[inverse]
-        else:
-            problem._feasible_mask = np.stack([self._feas_rows[k] for k in idx])
-            problem._nearest_feasible = np.array([self._near[k] for k in idx])
-            demand_dense = np.stack(
-                [self._dense_row(w, r, keys) for _, w, r, _ in class_keys])
+        keys = self._epoch_keys(uniq_keys)
+        problem._feasible_mask = np.stack([self._feas_rows[k] for k in uniq])[inverse]
+        problem._nearest_feasible = np.array([self._near[k] for k in uniq])[inverse]
+        demand_dense = np.stack(
+            [self._dense_row(w, r, keys) for _, w, r, _ in uniq_keys])[inverse]
         if delta.baseline_capacity:
             capacity_dense = self._capacity_dense(keys)
         else:
@@ -1531,15 +1462,10 @@ class ScenarioCompilation:
         keys, _, _ = problem._dense_resources
         feasible = problem._feasible_mask
         if len(keys):
-            if isinstance(delta.applications, ApplicationBatch):
-                uniq, inverse = np.unique(delta.class_indices, return_inverse=True)
-                fits = np.stack(
-                    [self._fits_row(w, r, keys)
-                     for _, w, r, _ in (self._class_keys[k] for k in uniq)])[inverse]
-            else:
-                class_keys = [self._class_keys[k] for k in delta.class_indices]
-                fits = np.stack(
-                    [self._fits_row(w, r, keys) for _, w, r, _ in class_keys])
+            uniq, inverse = np.unique(delta.class_indices, return_inverse=True)
+            fits = np.stack(
+                [self._fits_row(w, r, keys)
+                 for _, w, r, _ in (self._class_keys[k] for k in uniq)])[inverse]
             mask = feasible & fits
         else:
             mask = feasible.copy()

@@ -21,9 +21,10 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
    pass routed there × the region's servers) is compiled through
    :meth:`ScenarioCompilation.region_slice` and solved through the backend
    registry (``refine_backend``); regions are refined one after another in
-   region-index order. A columnar batch is refined as columnar sub-batches
+   region-index order. The arrivals are refined as columnar sub-batches
    (:meth:`ApplicationBatch.take`) and decoded by id, so no per-app
-   ``Application`` object is built unless the app spills.
+   ``Application`` object is built unless the app spills (a list input is
+   wrapped in a batch once and keeps its objects).
 4. **Spill**: apps a region's refinement could not fit (coarse aggregate
    capacity is optimistic) are re-routed in deterministic global order to
    neighbouring regions (centroid-distance order; coarse-unrouted apps try
@@ -240,7 +241,7 @@ def _region_reduce(row: np.ndarray, feas: np.ndarray, perm: np.ndarray,
 
 
 def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
-                   apps: "list | ApplicationBatch", *, hour: int,
+                   apps: ApplicationBatch, *, hour: int,
                    horizon_hours: float, use_forecast: bool,
                    objective: ObjectiveKind, alpha: float, manage_power: bool,
                    refine_backend: str, seed: int, config: SolverConfig):
@@ -294,21 +295,19 @@ def solve_hierarchical(
     view bounded by its region. See the module docstring for the four stages
     and the determinism contract.
     """
-    # Columnar batches stay columnar: the coarse pass below works entirely on
-    # class rows and index arrays, each region refines a columnar sub-batch
-    # decoded by id, and only the spill pass materialises Application
-    # objects, one per spilled app.
-    batch = applications if isinstance(applications, ApplicationBatch) else None
-    if batch is None:
-        applications = list(applications)
-    n_apps = len(batch) if batch is not None else len(applications)
-    if n_apps == 0:
+    if len(applications) == 0:
         raise ValueError("cannot solve an empty application batch")
     servers = compilation.servers
 
     # -- epoch delta: class rows, epoch-mean intensities, capacities ------------
-    delta = compilation.epoch_delta(batch if batch is not None else applications,
-                                    hour, horizon_hours, use_forecast)
+    # The delta carries the arrivals as a columnar batch (a list is wrapped
+    # once, keeping its objects): the coarse pass below works entirely on
+    # class rows and index arrays, each region refines a columnar sub-batch
+    # decoded by id, and only the spill pass touches Application objects, one
+    # per spilled app.
+    delta = compilation.epoch_delta(applications, hour, horizon_hours, use_forecast)
+    batch = delta.applications
+    n_apps = len(batch)
     intensity = delta.intensity
     class_idx = delta.class_indices
     uniq, inverse = np.unique(class_idx, return_inverse=True)
@@ -436,10 +435,8 @@ def solve_hierarchical(
         region_app_counts[r] = len(idx_r)
         if not len(idx_r):
             continue
-        apps_r = batch.take(idx_r) if batch is not None \
-            else [applications[i] for i in idx_r]
         local, refined[r] = _refine_region(
-            compilation, cols[r], apps_r,
+            compilation, cols[r], batch.take(idx_r),
             hour=hour, horizon_hours=horizon_hours, use_forecast=use_forecast,
             objective=objective, alpha=alpha, manage_power=manage_power,
             refine_backend=config.refine_backend, seed=seed,
@@ -455,7 +452,7 @@ def solve_hierarchical(
         remaining = {r: _remaining_capacities(solution)
                      for r, solution in refined.items()}
     for i in unplaced:
-        app = batch.application(int(i)) if batch is not None else applications[i]
+        app = batch.application(int(i))
         home = int(routed[i]) if routed[i] >= 0 else None
         if home is not None:
             order = [coarse_of_plan[int(p)]

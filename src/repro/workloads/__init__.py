@@ -24,7 +24,6 @@ from repro.workloads.generator import (
     ApplicationGenerator,
     ArrivalBatch,
     LazyApplications,
-    columnar_enabled,
 )
 from repro.workloads.requests import RequestLoad, generate_request_load
 from repro.workloads.demand import (
@@ -48,7 +47,6 @@ __all__ = [
     "ApplicationGenerator",
     "ArrivalBatch",
     "LazyApplications",
-    "columnar_enabled",
     "RequestLoad",
     "generate_request_load",
     "population_weights",

@@ -13,14 +13,15 @@ row per unique ``(site, workload, slo, rate, duration)`` combination — so the
 compilation tier can build tensors per unique class and expand them with one
 fancy-index gather instead of iterating applications. Per-app
 :class:`~repro.workloads.application.Application` objects remain available as
-a lazy compatibility view (``batch.applications``) that is never materialised
-on the fast path. ``CARBON_EDGE_DISABLE_COLUMNAR=1`` forces every consumer
-back onto the per-object path; both paths are bit-identical by contract.
+a lazy compatibility view (``batch.applications``) that the decision path
+never materialises. The batch is the compilation tier's only input type: a
+caller holding a list of objects is wrapped once
+(:meth:`ApplicationBatch.from_applications`), and the wrapped batch hands
+back the caller's objects by identity.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -28,19 +29,6 @@ import numpy as np
 
 from repro.utils.rng import substream
 from repro.workloads.application import Application
-
-#: Kill-switch: set to ``1``/``true``/``yes``/``on`` to force consumers of
-#: :class:`ApplicationBatch` back onto the per-``Application``-object path.
-#: The columnar path is bit-identical by contract (same app ids, same compiled
-#: tensors, byte-identical artifacts), so this exists for A/B verification and
-#: as an escape hatch, not as a semantic switch.
-COLUMNAR_ENV = "CARBON_EDGE_DISABLE_COLUMNAR"
-
-
-def columnar_enabled() -> bool:
-    """Whether the columnar fast path is active (it is unless force-disabled)."""
-    return os.environ.get(COLUMNAR_ENV, "").strip().lower() not in (
-        "1", "true", "yes", "on")
 
 
 def app_id_pad_width(count: int) -> int:
@@ -185,8 +173,9 @@ class ApplicationBatch:
 
         The original objects are kept as the materialised view, so
         ``batch.applications`` returns them *by identity* — consumers that
-        round-trip through the batch (e.g. the serving service) see the exact
-        objects they put in.
+        round-trip through the batch (every list handed to the compilation
+        tier, e.g. the serving service's arrivals) see the exact objects they
+        put in.
         """
         apps = tuple(applications)
         site_table: dict[str, int] = {}
@@ -244,8 +233,7 @@ class ApplicationBatch:
 
         ``argsort`` of this array yields the classes in first-arrival order —
         the order a per-app loop over the batch would first encounter them,
-        which the compilation tier uses to register classes identically to the
-        object path.
+        which the compilation tier registers classes in.
         """
         order = np.argsort(self.class_idx, kind="stable")
         starts = np.searchsorted(self.class_idx[order], np.arange(self.n_classes))

@@ -7,6 +7,8 @@ still exercising the real code paths.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.carbon.service import CarbonIntensityService
@@ -17,6 +19,7 @@ from repro.datasets.cities import default_city_catalog
 from repro.datasets.electricity_maps import default_zone_catalog
 from repro.datasets.regions import CENTRAL_EU, FLORIDA
 from repro.network.latency import build_latency_matrix
+from repro.simulator.cdn import CDNSimulator
 from repro.workloads.application import Application
 
 #: Trace length used by most tests (one week keeps generation fast).
@@ -102,6 +105,13 @@ def make_apps(sites, workload="ResNet50", n_per_site=1, slo_ms=25.0, rate_rps=10
                 source_site=site, latency_slo_ms=slo_ms, request_rate_rps=rate_rps,
                 duration_hours=duration_hours))
     return apps
+
+
+def cold_builds():
+    """Hand the builder no substrate: every simulator epoch builds cold
+    (:meth:`PlacementProblem.build`'s reference body, not the scenario tier)."""
+    return mock.patch.object(CDNSimulator, "scenario_compilation",
+                             return_value=None)
 
 
 @pytest.fixture

@@ -204,23 +204,24 @@ def test_reoptimize_tears_down_evicted_apps(placer, central_eu_fleet):
 
 
 def _run_batch_and_resolve(fleet, latency, carbon, disable_tier: bool):
-    """One arrival batch + one warm-started epoch re-solve, delta or cold."""
-    import os
+    """One arrival batch + one warm-started epoch re-solve, delta or cold
+    (cold: no substrate reaches the builder)."""
+    import contextlib
+    from unittest import mock
 
-    from repro.solver.compile import SCENARIO_TIER_ENV, clear_scenario_compilations
+    from repro.solver.compile import clear_scenario_compilations
 
     clear_scenario_compilations()
-    if disable_tier:
-        os.environ[SCENARIO_TIER_ENV] = "1"
-    try:
-        placer = IncrementalPlacer(fleet=fleet, latency=latency, carbon=carbon,
-                                   policy=CarbonEdgePolicy(), horizon_hours=24.0)
+    placer = IncrementalPlacer(fleet=fleet, latency=latency, carbon=carbon,
+                               policy=CarbonEdgePolicy(), horizon_hours=24.0)
+    cold = mock.patch.object(placer, "scenario_compilation", return_value=None) \
+        if disable_tier else contextlib.nullcontext()
+    with cold:
         apps = make_apps(fleet.sites(), n_per_site=2)
         batch = placer.place_batch(apps, hour=0)
         resolved = placer.resolve_epoch(hour=12)
-        return batch, resolved, _allocation_map(fleet)
-    finally:
-        os.environ.pop(SCENARIO_TIER_ENV, None)
+    assert (batch.problem._row_class is None) == disable_tier
+    return batch, resolved, _allocation_map(fleet)
 
 
 def test_resolve_epoch_delta_path_bit_identical_to_cold_rebuild(

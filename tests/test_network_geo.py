@@ -1,9 +1,12 @@
 """Geodesic helper tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.network import geo
 from repro.network.geo import bounding_box, haversine_km, pairwise_distances_km
 
 
@@ -43,6 +46,29 @@ def test_pairwise_rectangular():
 def test_pairwise_rejects_bad_shape():
     with pytest.raises(ValueError):
         pairwise_distances_km(np.zeros((3, 3)))
+
+
+def _random_coords(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.uniform(-70.0, 70.0, n),
+                            rng.uniform(-180.0, 180.0, n)])
+
+
+@pytest.mark.parametrize("square", [True, False], ids=["square", "rectangular"])
+@pytest.mark.parametrize("chunk_rows", [1, 7, 333, 999])
+def test_pairwise_row_blocks_are_byte_identical_to_one_block(chunk_rows, square):
+    """Inputs taller than CHUNK_ROWS are evaluated in row blocks; every block
+    height reproduces the single-block matrix byte for byte."""
+    coords = _random_coords(1000, seed=0)
+    other = None if square else _random_coords(37, seed=1)
+    single = pairwise_distances_km(coords, other)  # 1000 rows: one block
+    with mock.patch.object(geo, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(geo, "_haversine_block",
+                              wraps=geo._haversine_block) as block:
+        chunked = pairwise_distances_km(coords, other)
+    assert block.call_count == -(-1000 // chunk_rows)
+    assert chunked.shape == single.shape
+    assert chunked.tobytes() == single.tobytes()
 
 
 @given(st.floats(-60, 60), st.floats(-170, 170), st.floats(-60, 60), st.floats(-170, 170))

@@ -4,13 +4,12 @@ The contract under test (see the scenario-lifetime section of
 :mod:`repro.solver.compile`): for every epoch, the problem tensors, the epoch
 compilation's report and dense cost tensors, and every simulation artifact
 must be byte-identical whether assembled through the scenario tier's delta
-path or rebuilt cold per epoch — the tier is a pure performance layer.
+path or rebuilt cold per epoch — the tier is a pure performance layer. The
+cold arm is the simulator with no substrate, which sends every epoch through
+:meth:`PlacementProblem.build`'s cold body.
 """
 
 from __future__ import annotations
-
-import contextlib
-import os
 
 import numpy as np
 import pytest
@@ -20,23 +19,14 @@ from repro.core.problem import PlacementProblem
 from repro.simulator.cdn import CDNSimulator, clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
 from repro.solver.compile import (
-    SCENARIO_TIER_ENV,
     clear_scenario_compilations,
     compile_placement,
     compile_scenario,
-    scenario_tier_enabled,
 )
 
+from tests.conftest import cold_builds
+
 SCENARIO_KWARGS = dict(continent="EU", n_epochs=2, max_sites=8, seed=0)
-
-
-@contextlib.contextmanager
-def tier_disabled():
-    os.environ[SCENARIO_TIER_ENV] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop(SCENARIO_TIER_ENV, None)
 
 
 @pytest.fixture(autouse=True)
@@ -76,19 +66,13 @@ def _assert_problems_identical(cold: PlacementProblem, fast: PlacementProblem):
             assert all(cv.get(k) == fv.get(k) for k in cv.keys())
 
 
-def test_scenario_tier_env_gate():
-    assert scenario_tier_enabled()
-    with tier_disabled():
-        assert not scenario_tier_enabled()
-    assert scenario_tier_enabled()
-
-
 def test_epoch_tensors_bit_identical_to_cold_rebuild():
-    with tier_disabled():
+    with cold_builds():
         cold = _compiled_epochs()
     clear_substrate_cache()
     fast = _compiled_epochs()
     for (pc, cc), (pf, cf) in zip(cold, fast):
+        assert pc._row_class is None and pf._row_class is not None
         _assert_problems_identical(pc, pf)
         # The pre-seeded feasibility report vs the cold vectorised filter.
         assert np.array_equal(cc.report.mask, cf.report.mask)
@@ -109,7 +93,7 @@ def test_epoch_tensors_bit_identical_to_cold_rebuild():
 
 def test_simulation_artifacts_identical_to_cold_rebuild():
     scenario = CDNScenario(**SCENARIO_KWARGS)
-    with tier_disabled():
+    with cold_builds():
         cold = CDNSimulator(scenario=scenario).run()
     clear_substrate_cache()
     fast = CDNSimulator(scenario=scenario).run()
@@ -184,10 +168,9 @@ def test_non_pristine_delta_reads_live_fleet_state():
         applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
         carbon=sim.carbon, hour=7, horizon_hours=2.0,
         substrate=sim.scenario_compilation())
-    with tier_disabled():
-        cold = PlacementProblem.build(
-            applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
-            carbon=sim.carbon, hour=7, horizon_hours=2.0)
+    cold = PlacementProblem.build(
+        applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
+        carbon=sim.carbon, hour=7, horizon_hours=2.0)
     _assert_problems_identical(cold, fast)
     assert fast.current_power[off] == 0.0
     # The capacity-dependent report is not served from the pristine rows.

@@ -4,13 +4,13 @@ The correctness anchor of the serving mode: a :class:`PlacementService` run
 driven by events derived from a fig11-style scenario must produce
 *bit-identical* placement decisions to the batch
 :meth:`~repro.simulator.cdn.CDNSimulator.run` loop — across every default
-policy, and with the scenario-compilation
-tier force-disabled (the kill-switch sends both loops down the cold rebuild
-path, and parity must still hold).
+policy, and with no scenario-compilation substrate (both loops then build
+every problem cold, and parity must still hold).
 """
 
 from __future__ import annotations
 
+from repro.core.incremental import IncrementalPlacer
 from repro.experiments.common import EXPERIMENT_SEED
 from repro.serving.parity import canonical_records, check_replay_parity
 from repro.serving.service import PlacementService
@@ -38,8 +38,9 @@ def test_replay_parity_across_default_policies():
 
 
 def test_replay_parity_with_scenario_tier_disabled(monkeypatch):
-    """The kill-switch sends both loops down cold rebuilds; parity holds."""
-    monkeypatch.setenv("CARBON_EDGE_DISABLE_SCENARIO_TIER", "1")
+    """Without a substrate both loops build every problem cold; parity holds."""
+    for owner in (CDNSimulator, IncrementalPlacer):
+        monkeypatch.setattr(owner, "scenario_compilation", lambda self: None)
     report = check_replay_parity(_smoke_scenario())
     assert report.ok, report.summary()
 

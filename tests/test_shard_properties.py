@@ -58,6 +58,8 @@ from repro.solver.registry import get_backend
 from repro.workloads.application import Application
 from repro.workloads.generator import ApplicationGenerator
 
+from tests.conftest import cold_builds
+
 # -- randomized dense instances ------------------------------------------------
 
 
@@ -448,20 +450,20 @@ def test_cdn_epoch_rows_share_their_class(cdn_epoch_problem, objective,
     _assert_rows_share_class(dense)
 
 
-def test_cold_build_leaves_row_class_unknown(monkeypatch):
+def test_cold_build_leaves_row_class_unknown():
     """Without the scenario tier nothing records classes: the tail runs per
     application."""
-    monkeypatch.setenv("CARBON_EDGE_DISABLE_SCENARIO_TIER", "1")
-    problem = CDNSimulator(scenario=CDNScenario(
-        continent="EU", n_epochs=1, max_sites=8, seed=0)).epoch_problem(0)
+    with cold_builds():
+        problem = CDNSimulator(scenario=CDNScenario(
+            continent="EU", n_epochs=1, max_sites=8, seed=0)).epoch_problem(0)
     assert compile_placement(problem).dense().row_class is None
 
 
 @pytest.mark.parametrize("columnar", [True, False])
 def test_hierarchy_rows_share_their_class(columnar):
     """The coarse pass's DenseCosts and every region problem's, built from a
-    columnar batch (class-gather branch) or an application list (per-object
-    branch)."""
+    columnar batch or from an application list (which the delta wraps in a
+    batch)."""
     fleet, latency, carbon = build_planetary_substrate(32, seed=0)
     plan = hierarchy.build_region_plan(fleet.sites(), fleet.site_coordinates(),
                                        2, seed=0)

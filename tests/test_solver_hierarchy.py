@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.objective import ObjectiveKind
+from repro.core.problem import ensure_dense_cell_budget
 from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.solver.compile import ScenarioCompilation
 from repro.solver.config import SolverConfig
@@ -228,6 +229,18 @@ def test_dense_cell_guard_spares_the_hierarchical_path(monkeypatch):
         compilation, apps, plan, hour=HOUR, objective=ObjectiveKind.CARBON,
         config=SolverConfig(hierarchy_regions=8), seed=0)
     assert outcome.n_placed > 0
+
+
+@pytest.mark.parametrize("raw", ["1e8", "abc", "2.5", "0", "-5"])
+def test_dense_cell_budget_rejects_a_non_positive_integer(monkeypatch, raw):
+    """A malformed or non-positive budget fails up front, naming the variable
+    and the value, instead of refusing every flat build."""
+    monkeypatch.setenv("CARBON_EDGE_MAX_DENSE_CELLS", raw)
+    with pytest.raises(ValueError) as excinfo:
+        ensure_dense_cell_budget(1, 1)
+    message = str(excinfo.value)
+    assert "CARBON_EDGE_MAX_DENSE_CELLS" in message
+    assert repr(raw) in message
 
 
 def test_region_slice_is_memoised_per_column_set():

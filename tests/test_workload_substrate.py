@@ -4,15 +4,13 @@ The contract under test (see the columnar section of
 :mod:`repro.workloads.generator`): the struct-of-arrays batch is a pure
 representation change — application ids, per-app fields, the class partition,
 every compiled epoch tensor, and every simulation artifact must be identical
-whether the batch flows through the class-table fast path or the per-object
-legacy path under the ``CARBON_EDGE_DISABLE_COLUMNAR`` kill-switch.
+whether the batch flows through the class-table path or the per-object cold
+builder (:meth:`PlacementProblem.build` with no substrate).
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import os
 from unittest import mock
 
 import numpy as np
@@ -27,45 +25,21 @@ from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.serving.loadgen import LoadGenerator
 from repro.simulator.cdn import CDNSimulator, clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
+from repro.solver import compile as compile_module
 from repro.solver import hierarchy
-from repro.solver.compile import (
-    CLASS_CACHE_ENV,
-    ScenarioCompilation,
-    class_cache_limit,
-    compile_placement,
-)
+from repro.solver.compile import ScenarioCompilation, compile_placement
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import build_region_plan, solve_hierarchical
 from repro.workloads.generator import (
-    COLUMNAR_ENV,
     ApplicationBatch,
     ApplicationGenerator,
     LazyApplications,
     app_id_pad_width,
-    columnar_enabled,
 )
 
+from tests.conftest import cold_builds
+
 SCENARIO_KWARGS = dict(continent="EU", n_epochs=2, max_sites=8, seed=0)
-
-
-@contextlib.contextmanager
-def _env(name: str, value: str | None):
-    previous = os.environ.get(name)
-    if value is None:
-        os.environ.pop(name, None)
-    else:
-        os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
-
-
-def columnar_disabled():
-    return _env(COLUMNAR_ENV, "1")
 
 
 @pytest.fixture(autouse=True)
@@ -224,15 +198,6 @@ def test_generate_schedule_is_deterministic_at_scale():
 # -- compiled-tensor and artifact bit-identity -------------------------------
 
 
-def test_columnar_env_gate():
-    assert columnar_enabled()
-    for value in ("1", "true", "YES", " on "):
-        with _env(COLUMNAR_ENV, value):
-            assert not columnar_enabled()
-    with _env(COLUMNAR_ENV, "0"):
-        assert columnar_enabled()
-
-
 def _epoch_problems(**scenario_kwargs):
     scenario = CDNScenario(**{**SCENARIO_KWARGS, **scenario_kwargs})
     simulator = CDNSimulator(scenario=scenario)
@@ -255,28 +220,28 @@ def _assert_problems_identical(cold, fast):
             assert all(cv.get(k) == fv.get(k) for k in cv.keys())
 
 
-def test_epoch_tensors_bit_identical_across_killswitch():
+def test_columnar_epoch_tensors_match_cold_build():
     columnar = _epoch_problems()
     clear_substrate_cache()
-    with columnar_disabled():
-        legacy = _epoch_problems()
-    for fast, cold in zip(columnar, legacy):
+    with cold_builds():
+        cold_problems = _epoch_problems()
+    for fast, cold in zip(columnar, cold_problems):
         assert isinstance(fast.applications, LazyApplications)
         assert not isinstance(cold.applications, LazyApplications)
         _assert_problems_identical(cold, fast)
 
 
-def test_simulation_records_identical_across_killswitch():
+def test_columnar_simulation_records_match_cold_build():
     def run():
         return CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS)).run()
 
     columnar = run()
     clear_substrate_cache()
-    with columnar_disabled():
-        legacy = run()
-    assert columnar.records.keys() == legacy.records.keys()
+    with cold_builds():
+        cold = run()
+    assert columnar.records.keys() == cold.records.keys()
     for policy in columnar.records:
-        for a, b in zip(columnar.records[policy], legacy.records[policy],
+        for a, b in zip(columnar.records[policy], cold.records[policy],
                         strict=True):
             # solve_time_s is wall-clock telemetry, never artifact bytes.
             assert dataclasses.replace(a, solve_time_s=0.0) == \
@@ -388,8 +353,15 @@ def test_place_batch_accepts_columnar_batch():
     fleet.reset_allocations()
     from_batch = place(batch)
     fleet.reset_allocations()
-    from_list = place(list(batch.applications))
+    apps = list(batch.applications)
+    from_list = place(apps)
     assert from_batch.placements == from_list.placements
+    # The substrate wraps a list in a batch that keeps the caller's objects:
+    # the serving loop looks its arrivals up through problem.applications.
+    problem = from_list.problem
+    assert isinstance(problem.applications, LazyApplications)
+    assert all(got is app for got, app in
+               zip(problem.applications, apps, strict=True))
 
 
 def test_loadgen_arrival_batch_matches_event_stream():
@@ -409,16 +381,6 @@ def test_loadgen_arrival_batch_matches_event_stream():
 # -- class-row cache caps ------------------------------------------------------
 
 
-def test_class_cache_limit_env_override():
-    assert class_cache_limit() == 4096
-    with _env(CLASS_CACHE_ENV, "7"):
-        assert class_cache_limit() == 7
-    with _env(CLASS_CACHE_ENV, "not-a-number"):
-        assert class_cache_limit() == 4096
-    with _env(CLASS_CACHE_ENV, "-3"):
-        assert class_cache_limit() == 4096
-
-
 def test_row_caches_evict_past_the_limit():
     fleet, latency, carbon = build_planetary_substrate(10, seed=0)
     sites = fleet.sites()
@@ -435,7 +397,7 @@ def test_row_caches_evict_past_the_limit():
         duration_hours=1.0)
     assert batch.n_classes == count
 
-    with _env(CLASS_CACHE_ENV, "2"):
+    with mock.patch.object(compile_module, "CLASS_CACHE_LIMIT", 2):
         compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
         compilation.build_problem(batch, hour=4700)
         stats = compilation.cache_stats()
