@@ -1,7 +1,9 @@
 """Shared helpers for the benchmark harness artifacts.
 
-Every benchmark appends its measurements to a repo-root JSON trajectory file
-(``BENCH_*.json``) so timing history survives across sessions. The appenders
+A benchmark run with ``BENCH_RECORD=1`` appends its measurements to a
+repo-root JSON trajectory file (``BENCH_*.json``) so timing history survives
+across runs; without it (every plain test run) the tracked files are left
+alone and the worktree stays clean. The appenders
 used to be copy-pasted per file with drifting conventions (some records
 carried a ``benchmark`` name, some not; none carried an ordering key);
 :func:`append_bench_record` is the single shared implementation. Every entry
@@ -15,8 +17,13 @@ left exactly as they are — the PR 4 era baseline detection in
 from __future__ import annotations
 
 import json
+import os
 import resource
 from pathlib import Path
+
+#: Environment variable that opts a run into appending to the trajectory
+#: files (value ``1``); the benchmark CI job sets it and uploads the file.
+RECORD_ENV = "BENCH_RECORD"
 
 
 def peak_rss_mb() -> float:
@@ -37,7 +44,8 @@ def load_bench_history(artifact: Path) -> list:
 
 def append_bench_record(artifact: Path, benchmark: str, record: dict,
                         sort_keys: bool = False) -> dict:
-    """Append one named, sequence-numbered record to a trajectory artifact.
+    """Append one named, sequence-numbered record to a trajectory artifact
+    when :data:`RECORD_ENV` is ``1``; otherwise only build the entry.
 
     Parameters
     ----------
@@ -51,7 +59,7 @@ def append_bench_record(artifact: Path, benchmark: str, record: dict,
     sort_keys:
         Serialise with sorted keys (``BENCH_serving.json``'s convention).
 
-    Returns the appended entry (with its assigned ``seq``).
+    Returns the entry (with its assigned ``seq``), appended or not.
     """
     if "benchmark" in record or "seq" in record:
         raise ValueError(
@@ -61,6 +69,7 @@ def append_bench_record(artifact: Path, benchmark: str, record: dict,
     seq = 1 + max((int(r.get("seq", 0)) for r in history if isinstance(r, dict)),
                   default=0)
     entry = {"benchmark": benchmark, "seq": seq, **record}
-    history.append(entry)
-    artifact.write_text(json.dumps(history, indent=2, sort_keys=sort_keys) + "\n")
+    if os.environ.get(RECORD_ENV) == "1":
+        history.append(entry)
+        artifact.write_text(json.dumps(history, indent=2, sort_keys=sort_keys) + "\n")
     return entry

@@ -30,29 +30,49 @@ class ObjectiveKind(Enum):
     INTENSITY = "intensity"
 
 
-def carbon_objective_coefficients(problem: PlacementProblem) -> tuple[np.ndarray, np.ndarray]:
+def _at_rows(matrix: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """``matrix`` restricted to ``rows`` (the whole matrix for ``None``)."""
+    return matrix if rows is None else matrix[rows]
+
+
+# Every builder takes optional ``rows``: the assignment coefficients of those
+# rows of the problem only (one representative per application class, say).
+# Each coefficient is an elementwise function of its row, so the values are
+# the full matrix's rows, bit for bit.
+
+
+def carbon_objective_coefficients(problem: PlacementProblem,
+                                  rows: np.ndarray | None = None
+                                  ) -> tuple[np.ndarray, np.ndarray]:
     """(A,S) assignment coefficients and (S,) activation coefficients, in grams CO2eq."""
-    return problem.operational_carbon_g(), problem.activation_carbon_g()
+    return problem.operational_carbon_g(rows), problem.activation_carbon_g()
 
 
-def energy_objective_coefficients(problem: PlacementProblem) -> tuple[np.ndarray, np.ndarray]:
+def energy_objective_coefficients(problem: PlacementProblem,
+                                  rows: np.ndarray | None = None
+                                  ) -> tuple[np.ndarray, np.ndarray]:
     """(A,S) assignment coefficients and (S,) activation coefficients, in joules."""
-    return problem.energy_j.copy(), problem.activation_energy_j()
+    return _at_rows(problem.energy_j, rows).copy(), problem.activation_energy_j()
 
 
-def latency_objective_coefficients(problem: PlacementProblem) -> tuple[np.ndarray, np.ndarray]:
+def latency_objective_coefficients(problem: PlacementProblem,
+                                   rows: np.ndarray | None = None
+                                   ) -> tuple[np.ndarray, np.ndarray]:
     """(A,S) assignment coefficients (one-way ms) and zero activation coefficients."""
-    return problem.latency_ms.copy(), np.zeros(problem.n_servers)
+    return _at_rows(problem.latency_ms, rows).copy(), np.zeros(problem.n_servers)
 
 
-def intensity_objective_coefficients(problem: PlacementProblem) -> tuple[np.ndarray, np.ndarray]:
+def intensity_objective_coefficients(problem: PlacementProblem,
+                                     rows: np.ndarray | None = None
+                                     ) -> tuple[np.ndarray, np.ndarray]:
     """(A,S) coefficients equal to the hosting zone's intensity Ī_j (Section 6.1.3).
 
     The Intensity-aware baseline's objective: chase the greenest zone,
     ignoring how much energy the application actually consumes there.
     """
+    n_rows = problem.n_applications if rows is None else len(rows)
     assignment = np.broadcast_to(problem.intensity[None, :],
-                                 (problem.n_applications, problem.n_servers)).copy()
+                                 (n_rows, problem.n_servers)).copy()
     return assignment, np.zeros(problem.n_servers)
 
 
@@ -68,18 +88,21 @@ def _minmax_normalize(assignment: np.ndarray, activation: np.ndarray,
     return (assignment - lo) / span, (activation - lo) / span
 
 
-def multi_objective_coefficients(problem: PlacementProblem, alpha: float
+def multi_objective_coefficients(problem: PlacementProblem, alpha: float,
+                                 rows: np.ndarray | None = None
                                  ) -> tuple[np.ndarray, np.ndarray]:
     """Equation 8 coefficients: ``α·p̂ + (1-α)·f̂`` with min-max normalised p and f.
 
     ``alpha = 0`` is the vanilla CarbonEdge (carbon-only) objective; ``alpha = 1``
-    is the Energy-aware objective.
+    is the Energy-aware objective. The normalisation pools the given
+    ``rows``, so they must hold every distinct row of the problem (one per
+    application class) for the minimum and maximum to be the full matrix's.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    feasible = problem.feasible_mask()
-    carbon_a, carbon_s = carbon_objective_coefficients(problem)
-    energy_a, energy_s = energy_objective_coefficients(problem)
+    feasible = _at_rows(problem.feasible_mask(), rows)
+    carbon_a, carbon_s = carbon_objective_coefficients(problem, rows)
+    energy_a, energy_s = energy_objective_coefficients(problem, rows)
     carbon_a, carbon_s = _minmax_normalize(carbon_a, carbon_s, feasible)
     energy_a, energy_s = _minmax_normalize(energy_a, energy_s, feasible)
     assignment = alpha * energy_a + (1.0 - alpha) * carbon_a
@@ -87,8 +110,10 @@ def multi_objective_coefficients(problem: PlacementProblem, alpha: float
     return assignment, activation
 
 
-def tie_break_matrix(problem: PlacementProblem, kind: ObjectiveKind) -> np.ndarray:
-    """(A,S) documented default tie-break matrix for an objective.
+def tie_break_matrix(problem: PlacementProblem, kind: ObjectiveKind,
+                     rows: np.ndarray | None = None) -> np.ndarray:
+    """(A,S) documented default tie-break matrix for an objective (``rows``
+    as for the coefficient builders).
 
     One-way latency for every objective except the latency objective itself
     (greener-but-equidistant choices prefer proximity); the latency objective
@@ -98,8 +123,8 @@ def tie_break_matrix(problem: PlacementProblem, kind: ObjectiveKind) -> np.ndarr
     minimises the same augmented objective.
     """
     if kind is ObjectiveKind.LATENCY:
-        return problem.operational_carbon_g()
-    return problem.latency_ms
+        return problem.operational_carbon_g(rows)
+    return _at_rows(problem.latency_ms, rows)
 
 
 def apply_tie_break(assign: np.ndarray, mask: np.ndarray,
@@ -120,16 +145,17 @@ def apply_tie_break(assign: np.ndarray, mask: np.ndarray,
 
 
 def objective_coefficients(problem: PlacementProblem, kind: ObjectiveKind,
-                           alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                           alpha: float = 0.0, rows: np.ndarray | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch to the requested objective's coefficient builder."""
     if kind is ObjectiveKind.CARBON:
-        return carbon_objective_coefficients(problem)
+        return carbon_objective_coefficients(problem, rows)
     if kind is ObjectiveKind.ENERGY:
-        return energy_objective_coefficients(problem)
+        return energy_objective_coefficients(problem, rows)
     if kind is ObjectiveKind.LATENCY:
-        return latency_objective_coefficients(problem)
+        return latency_objective_coefficients(problem, rows)
     if kind is ObjectiveKind.INTENSITY:
-        return intensity_objective_coefficients(problem)
+        return intensity_objective_coefficients(problem, rows)
     if kind is ObjectiveKind.MULTI:
-        return multi_objective_coefficients(problem, alpha)
+        return multi_objective_coefficients(problem, alpha, rows)
     raise ValueError(f"unknown objective kind {kind!r}")

@@ -249,9 +249,11 @@ class PlacementProblem:
                                               self.latency_ms, np.inf).min(axis=1)
         return self._nearest_feasible
 
-    def operational_carbon_g(self) -> np.ndarray:
-        """(A, S) operational emissions x_ij would incur: E_ij (kWh) × Ī_j, grams."""
-        return joules_to_kwh(self.energy_j) * self.intensity[None, :]
+    def operational_carbon_g(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """(A, S) operational emissions x_ij would incur: E_ij (kWh) × Ī_j, grams
+        (only the given ``rows`` of it, when some are given)."""
+        energy = self.energy_j if rows is None else self.energy_j[rows]
+        return joules_to_kwh(energy) * self.intensity[None, :]
 
     def activation_carbon_g(self) -> np.ndarray:
         """(S,) emissions of newly activating each server: B_j × horizon × Ī_j, grams."""

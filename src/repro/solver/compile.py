@@ -57,13 +57,15 @@ the kernel picks every application's capacity-oblivious winner with one
 batched row argmin and replays the winners into the shared state in
 *waves*: maximal serial-order prefixes whose capacity dependencies are
 provably settled commit as one dense batched operation
-(:meth:`GreedyState.place_batch`). A conflict-dense remainder is finished
-per application class when the rows' classes are known (one forward-only
-cursor over each class's ranked candidates, :func:`_replay_classes`) and
-by the exact per-application step otherwise (:func:`_replay_per_app`, also
-the reference both other arms are tested against). Every arm is
-bit-identical to the naive per-row loop; the hypothesis suite, the golden
-artifact digests and the pinned conflict-tail placements hold the contract.
+(:meth:`GreedyState.place_batch`). When the rows' classes are known, the
+first round that settles under half of what it scanned hands the rest to
+one forward-only cursor per class over the class's ranked candidates
+(:func:`_replay_classes`); otherwise a conflict-dense remainder is finished
+by the exact per-application step (:func:`_replay_per_app`, also the
+reference both other arms are tested against) once the scan budget runs
+out. Every arm is bit-identical to the naive per-row loop; the hypothesis
+suite, the golden artifact digests and the pinned conflict-tail placements
+hold the contract.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ import numpy as np
 from repro.core.filters import FeasibilityReport, filter_feasible_servers
 from repro.core.objective import (
     ObjectiveKind,
+    _at_rows,
     apply_tie_break,
     objective_coefficients,
     tie_break_matrix,
@@ -126,9 +129,12 @@ class DenseCosts:
         (S,) bool, servers already on (all True when power is unmanaged).
     row_class:
         (A,) int class of each row, or ``None`` when unknown. Rows sharing a
-        class have identical ``cost``, ``mask`` and ``demand`` rows, which
-        lets the replay's conflict tail run one cursor per class
-        (:func:`_replay_classes`).
+        class have identical ``cost``, ``mask`` and ``demand`` rows, and
+        identical rows of the energy matrix :func:`greedy_fill` is handed
+        with them. That lets the fill order, rank and take its speculative
+        winners once per class (:func:`_pending_order`,
+        :func:`_argmin_chunk`) and the replay's conflict tail run one cursor
+        per class (:func:`_replay_classes`).
     """
 
     keys: list[str]
@@ -140,6 +146,18 @@ class DenseCosts:
     activation: np.ndarray
     initially_on: np.ndarray
     row_class: np.ndarray | None = None
+    _classes: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
+
+    def classes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(rows, inverse)`` from :attr:`row_class`: the first row of each
+        class and (A,) each row's class number, computed once; ``None`` when
+        the classes are unknown. Any row of a class stands for all of them."""
+        if self.row_class is None:
+            return None
+        if self._classes is None:
+            self._classes = _group_rows(self.row_class)
+        return self._classes
 
     @classmethod
     def from_matrices(
@@ -164,18 +182,26 @@ class DenseCosts:
         when ``assign``, ``tie_breaker``, the report's mask and the problem's
         demand are equal on rows of one class (see :attr:`row_class`).
         """
-        mask = report.mask
+        return cls._assemble(problem, report.mask,
+                             cls._tie_broken(assign, report.mask, tie_breaker),
+                             assign, activation, manage_power, row_class)
+
+    @classmethod
+    def _assemble(cls, problem: PlacementProblem, mask: np.ndarray,
+                  cost: np.ndarray, raw_assign: np.ndarray,
+                  activation: np.ndarray | None, manage_power: bool,
+                  row_class: np.ndarray | None) -> "DenseCosts":
+        """The tensors around an already tie-broken, masked cost matrix."""
         s = problem.n_servers
         if activation is None:
             activation = np.zeros(s)
-        cost = cls._tie_broken(assign, mask, tie_breaker)
         initially_on = (problem.current_power > 0.5) if manage_power \
             else np.ones(s, dtype=bool)
         return cls(keys=list(problem.resource_keys()),
                    demand=problem.demand_dense(),
                    capacity=problem.capacity_dense(),
                    mask=mask, cost=cost,
-                   raw_assign=assign, activation=np.asarray(activation, dtype=float),
+                   raw_assign=raw_assign, activation=np.asarray(activation, dtype=float),
                    initially_on=initially_on, row_class=row_class)
 
     @staticmethod
@@ -196,6 +222,13 @@ class DenseCosts:
     def fits(self, i: int, capacity_left: np.ndarray) -> np.ndarray:
         """(S,) bool: servers with room for application ``i`` given remaining capacity."""
         return bool_all(self.demand[i] <= capacity_left + 1e-9)
+
+
+def _group_rows(row_class: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, inverse)``: the first row of each class (classes in ascending
+    order) and each row's class number."""
+    _, rows, inverse = np.unique(row_class, return_index=True, return_inverse=True)
+    return rows, inverse.reshape(len(row_class))
 
 
 def bool_all(fits_per_key: np.ndarray) -> np.ndarray:
@@ -305,14 +338,20 @@ def _pending_order(state: GreedyState, energy_j: np.ndarray) -> np.ndarray:
     application index. Implemented as a stable ``np.lexsort`` over the same
     keys the original per-application tuple sort compared, so the order is
     unchanged — and fully vectorised (no per-application Python loop), which
-    matters at 10^6 applications.
+    matters at 10^6 applications. With the row classes known the keys are
+    computed once per class and gathered (see :attr:`DenseCosts.row_class`).
     """
     dense = state.dense
     pending = np.flatnonzero(state.assignment < 0)
     if len(pending) <= 1:
         return pending
-    counts = dense.mask[pending].sum(axis=1)
-    max_energy = energy_j[pending].max(axis=1, initial=0.0)
+    classes = dense.classes()
+    rows = pending if classes is None else classes[0]
+    counts = dense.mask[rows].sum(axis=1)
+    max_energy = energy_j[rows].max(axis=1, initial=0.0)
+    if classes is not None:
+        of_pending = classes[1][pending]
+        counts, max_energy = counts[of_pending], max_energy[of_pending]
     return pending[np.lexsort((-max_energy, counts))]
 
 
@@ -427,12 +466,16 @@ def _argmin_chunk(dense: DenseCosts, apps: np.ndarray) -> np.ndarray:
     minimum as the naive loop's ``argmin(where(feasible, marginal, inf))``
     whenever the activation term vanishes on the row. ``-1`` marks
     applications with no finite-cost candidate, which the naive loop
-    provably leaves unplaced.
+    provably leaves unplaced. With the row classes known the argmin runs
+    once per class, on its first row (rows of one class are equal), and is
+    gathered back per application.
     """
-    rows = dense.cost[apps]
+    classes = dense.classes()
+    rows = dense.cost[apps if classes is None else classes[0]]
     choice = np.argmin(rows, axis=1).astype(int)
-    finite = np.isfinite(rows[np.arange(len(apps)), choice])
-    return np.where(finite, choice, -1)
+    finite = np.isfinite(rows[np.arange(len(rows)), choice])
+    choice = np.where(finite, choice, -1)
+    return choice if classes is None else choice[classes[1][apps]]
 
 
 def _replay_step(state: GreedyState, i: int, j: int) -> None:
@@ -504,23 +547,24 @@ def _replay_classes(state: GreedyState, order: np.ndarray,
     subtract in processing order, so the state matches
     :func:`_replay_per_app` bit for bit.
 
-    A class's list is ranked at its first turn, from its representative
-    row alone (:func:`_ranked_candidates`), and read in place together with
-    the representative's demand row: cursors touch a small prefix of most
-    lists, so neither a classes x servers tensor nor a Python object per
-    (class, candidate) pair is ever built. Capacity lives in one flat Python
-    float list, written back once.
+    A class's list is ranked at its first turn, from the class's first row
+    alone (:meth:`DenseCosts.classes`, :func:`_ranked_candidates`), and read
+    in place together with that row's demand: cursors touch a small prefix
+    of most lists, so neither a classes x servers tensor nor a Python object
+    per (class, candidate) pair is ever built. Capacity lives in one flat
+    Python float list, written back once.
     """
     n = len(order)
     if n == 0:
         return
     dense = state.dense
     n_keys = dense.capacity.shape[1]
-    _, first, tail_class = np.unique(dense.row_class[order], return_index=True,
-                                     return_inverse=True)
-    reps = order[first].tolist()
-    live = (choices[first] >= 0).tolist()
+    reps, row_class = dense.classes()
+    tail_class = row_class[order]
     n_classes = len(reps)
+    live = np.zeros(n_classes, dtype=bool)
+    live[tail_class] = choices >= 0  # one winner per class
+    reps, live = reps.tolist(), live.tolist()
     ranked_servers: list = [None] * n_classes   # (n_c,) int arrays, lazily
     cursor = [0] * n_classes
     capacity = state.capacity_left.ravel().tolist()  # (S * K,) flat
@@ -576,11 +620,12 @@ def _ranked_candidates(dense: DenseCosts, row: int) -> np.ndarray:
     return candidates[np.argsort(cost[candidates], kind="stable")]
 
 
-#: The wave replay hands the rest to its conflict tail (per class or per
-#: application) once it has scanned this many multiples of the
-#: pending-application count across its rounds, so
-#: adversarially conflicting instances pay at most a few dense passes of
-#: planning overhead on top of the serial work they genuinely need.
+#: Without row classes, the wave replay hands the rest to the per-application
+#: tail once it has scanned this many multiples of the pending-application
+#: count across its rounds, so adversarially conflicting instances pay at
+#: most a few dense passes of planning overhead on top of the serial work
+#: they genuinely need. (With row classes the half-settled rule of
+#: :func:`_replay_waves` hands off first: its rounds scan under 2x.)
 _WAVE_SCAN_BUDGET_FACTOR: int = 8
 
 
@@ -593,10 +638,15 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     of placements whose capacity dependencies are already settled — commits
     each wave with one dense batched operation
     (:meth:`GreedyState.place_batch`), and drops to the exact
-    per-application step (:func:`_replay_step`) only at wave boundaries. Past
-    the scan budget the rest of the order is the conflict tail, finished by
-    :func:`_replay_classes` when ``dense.row_class`` is known and by
-    :func:`_replay_per_app` otherwise.
+    per-application step (:func:`_replay_step`) only at wave boundaries.
+    The rest of the order becomes the conflict tail in one of two ways. When
+    ``dense.row_class`` is known, a round that commits fewer than half of
+    the rows it scanned hands the rest, its boundary included, to
+    :func:`_replay_classes`: on a hierarchy region fill the first round
+    commits 10-15% of the rows and further rounds add little, while a CDN
+    epoch commits everything in its first wave. Without row
+    classes the rounds go on until the scan budget runs out, and
+    :func:`_replay_per_app` finishes the order.
 
     **Wave construction rule.** Within the remaining replay order, group the
     winners by target server and take per-server *prefix sums* of their
@@ -682,15 +732,20 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
             pos += cut
         if pos >= n:
             return
+        if dense.row_class is not None and 2 * cut < r:
+            # Early hand-off: a round that settles under half of what it
+            # scanned is in the conflict-dense part of the fill, where one
+            # cursor per class beats another dense planning pass. The
+            # boundary goes with the rest; the class tail re-derives it.
+            _replay_classes(state, order[pos:], choices[pos:], deadline)
+            return
         # Boundary: the first placement the certificate could not settle.
         _replay_step(state, int(order[pos]), int(choices[pos]))
         pos += 1
         if budget <= 0:
             # Productivity guard: conflicts are too dense for wave planning
-            # to pay — finish the tail per class when the classes are known,
-            # per application otherwise.
-            tail = _replay_per_app if dense.row_class is None else _replay_classes
-            tail(state, order[pos:], choices[pos:], deadline)
+            # to pay — finish the tail per application.
+            _replay_per_app(state, order[pos:], choices[pos:], deadline)
             return
 
 
@@ -745,6 +800,7 @@ class EpochCompilation:
 
     problem: PlacementProblem
     _report: FeasibilityReport | None = field(default=None, repr=False)
+    _classes: tuple | None = field(default=None, repr=False)
     _coefficients: dict = field(default_factory=dict, repr=False)
     _dense: dict = field(default_factory=dict, repr=False)
 
@@ -776,36 +832,66 @@ class EpochCompilation:
         """Applications with no feasible server at all (``nearest`` is +inf)."""
         return int(np.isinf(self.nearest_feasible_ms).sum())
 
-    def coefficients(self, objective: ObjectiveKind,
-                     alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(assign, activation) objective coefficients, cached per (kind, alpha)."""
+    def _row_classes(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(rows, inverse)``: one representative row per application class
+        and (A,) each row's class, from the problem's recorded row classes.
+        ``(None, None)`` when they are unknown: each row is its own class
+        and nothing is gathered."""
+        if self._classes is None:
+            row_class = self.problem._row_class
+            self._classes = (None, None) if row_class is None \
+                else _group_rows(row_class)
+        return self._classes
+
+    def _coefficient_rows(self, objective: ObjectiveKind, alpha: float
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(class-row assign, per-app assign, activation), cached per
+        (kind, alpha): the coefficients are computed on one representative
+        row per class and gathered per application."""
         key = (objective, float(alpha))
         if key not in self._coefficients:
-            self._coefficients[key] = objective_coefficients(self.problem, objective, alpha)
+            rows, inverse = self._row_classes()
+            assign, activation = objective_coefficients(self.problem, objective,
+                                                        alpha, rows)
+            self._coefficients[key] = (assign, _at_rows(assign, inverse), activation)
         return self._coefficients[key]
 
-    def tie_break_for(self, objective: ObjectiveKind) -> np.ndarray:
-        """Documented default tie-break matrix for an objective.
+    def coefficients(self, objective: ObjectiveKind,
+                     alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(assign, activation) objective coefficients, cached per (kind, alpha).
 
-        Delegates to :func:`repro.core.objective.tie_break_matrix`, the
-        single source of the rule shared with the MILP builder.
+        Each coefficient is an elementwise function of its row, and every
+        scale (the multi objective's min-max pool) is taken over the same
+        multiset of values, so computing them per class and gathering gives
+        the per-application build's matrix bit for bit.
         """
-        return tie_break_matrix(self.problem, objective)
+        _, assign, activation = self._coefficient_rows(objective, alpha)
+        return assign, activation
 
     def dense(self, objective: ObjectiveKind = ObjectiveKind.CARBON,
               alpha: float = 0.0, manage_power: bool = True) -> DenseCosts:
         """Dense cost tensors for an objective, cached per (kind, alpha, power)."""
         key = (objective, float(alpha), bool(manage_power))
         if key not in self._dense:
-            assign, activation = self.coefficients(objective, alpha)
+            # Every objective's coefficients and tie-break rows are functions
+            # of an application's class, so the assembly's classes carry
+            # over: the tie-break and the infinite masking run on one row per
+            # class (the epsilon's scales are maxima over the same multiset
+            # of values) and the cost is gathered per application.
+            rows, inverse = self._row_classes()
+            class_assign, assign, activation = self._coefficient_rows(objective, alpha)
             if not manage_power:
                 activation = np.zeros_like(activation)
-            # Every objective's coefficients and tie-break rows are functions
-            # of an application's class, so the assembly's classes carry over.
-            self._dense[key] = DenseCosts.from_matrices(
-                self.problem, self.report, assign, activation,
-                manage_power=manage_power, tie_breaker=self.tie_break_for(objective),
-                row_class=self.problem._row_class)
+            mask = self.report.mask
+            cost = DenseCosts._tie_broken(
+                class_assign, _at_rows(mask, rows),
+                tie_break_matrix(self.problem, objective, rows))
+            dense = DenseCosts._assemble(
+                self.problem, mask, _at_rows(cost, inverse), assign, activation,
+                manage_power, self.problem._row_class)
+            if rows is not None:
+                dense._classes = (rows, inverse)
+            self._dense[key] = dense
         return self._dense[key]
 
 
@@ -881,7 +967,13 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # energy row, demand row, SLO-feasibility row, nearest-feasible latency, dense
 # demand row, and baseline capacity-fit row are computed exactly once per
 # scenario and every epoch's tensors are assembled by row *gather* instead of
-# rebuild. The per-epoch remainder is the :class:`EpochDelta`: the epoch-mean
+# rebuild. The class-specific rows sit in contiguous class tables indexed by
+# scenario class id, filled in bulk for a batch's unseen classes; the rows a
+# class shares with its (workload, rate) block sit in keyed LRU caches, read
+# once per block per epoch. Each epoch tensor is then one fancy-index gather,
+# and the problem records the scenario class ids as its row classes, which
+# the epoch tier costs one row per class on (:meth:`EpochCompilation.dense`).
+# The per-epoch remainder is the :class:`EpochDelta`: the epoch-mean
 # intensity vector (one memoised forecast integral per zone), the arrival
 # batch with its class indices, and the warm-start allocation state (live
 # capacities and power when the fleet is not pristine). Every delta carries a
@@ -923,6 +1015,17 @@ CLASS_CACHE_LIMIT: int = 4096
 
 #: Pristine epoch compilations memoised per scenario (LRU).
 _EPOCH_MEMO_LIMIT: int = 64
+
+#: Cells (classes x servers) of class-table rows filled at once, bounding the
+#: temporaries of a batch that brings many new classes.
+CLASS_FILL_CELLS: int = 1 << 20
+
+
+def _grown(table: np.ndarray, used: int, rows: int) -> np.ndarray:
+    """``table`` reallocated to ``rows`` rows, keeping its first ``used``."""
+    grown = np.empty((rows,) + table.shape[1:], dtype=table.dtype)
+    grown[:used] = table[:used]
+    return grown
 
 
 @dataclass(frozen=True)
@@ -1027,15 +1130,17 @@ class ScenarioCompilation:
         # Lazily captured pristine-fleet baselines.
         self._baseline_capacities: list | None = None
         self._baseline_capacity_dense: dict[tuple, np.ndarray] = {}
-        # Class tables (see _register_class) and derived row caches. The keyed
-        # row caches are individually LRU-bounded at CLASS_CACHE_LIMIT; the
-        # positional class tables are append-only (indices reference
-        # positions) and dropped wholesale by _trim_class_caches instead.
+        # Class tables (see _register_classes) and derived row caches. The
+        # keyed row caches are individually LRU-bounded at CLASS_CACHE_LIMIT;
+        # the class tables are append-only (row k belongs to scenario class k,
+        # the first _n_classes rows are live, the rest is growth room) and
+        # dropped wholesale by _trim_class_caches instead.
         self._class_index: dict[tuple, int] = {}
-        self._class_keys: list[tuple] = []
-        self._lat_rows: list[np.ndarray] = []
-        self._feas_rows: list[np.ndarray] = []
-        self._near: list[float] = []
+        self._block_index: dict[tuple, int] = {}
+        #: (workload, rate) of each block id in ``_class_block``.
+        self._block_keys: list[tuple] = []
+        self._n_classes: int = 0
+        self._reset_class_tables()
         self._blocks: OrderedDict[tuple, _WorkloadBlock] = OrderedDict()
         self._energy_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._dense_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -1214,35 +1319,100 @@ class ScenarioCompilation:
             self._baseline_capacities = baseline
         return self._baseline_capacities
 
+    # -- class tables ------------------------------------------------------------
+    #
+    # Row k of ``_lat`` / ``_feas`` / ``_near`` / ``_class_block`` holds the
+    # static rows of scenario class k: its (S,) one-way latencies (with the
+    # INFEASIBLE fill on unsupported servers), its SLO + support feasibility,
+    # its nearest-feasible latency, and the id of its (workload, rate) block,
+    # whose rows (support, demand, energy, dense demand, capacity fit) live in
+    # the keyed LRU caches. An epoch's tensors are one fancy-index gather from
+    # these tables plus one row per block.
+
+    def _reset_class_tables(self) -> None:
+        s = len(self.servers)
+        self._lat = np.empty((0, s))
+        self._feas = np.empty((0, s), dtype=bool)
+        self._near = np.empty(0)
+        self._class_block = np.empty(0, dtype=np.intp)
+
+    def _block_id(self, workload: str, rate: float) -> int:
+        """Id of a (workload, rate) block, numbered on first sight."""
+        key = (workload, rate)
+        b = self._block_index.get(key)
+        if b is None:
+            b = self._block_index[key] = len(self._block_keys)
+            self._block_keys.append(key)
+        return b
+
     def _class_of(self, app: "Application") -> int:
         """Index of one application's class, registering it on first sight
         (the hierarchy's spill pass looks up single applications)."""
-        return self._register_class(app.source_site, app.workload,
-                                    app.request_rate_rps, app.latency_slo_ms,
-                                    app.duration_hours)
+        return int(self._register_classes([(
+            app.source_site, app.workload, app.request_rate_rps,
+            app.latency_slo_ms, app.duration_hours)])[0])
 
-    def _register_class(self, source_site: str, workload: str, rate: float,
-                        slo_ms: float, duration_hours: float) -> int:
-        """Index of one (site, workload, rate, slo, duration) class,
-        registering its static rows on first sight."""
-        key = (source_site, workload, rate, slo_ms, duration_hours)
-        k = self._class_index.get(key)
-        if k is None:
-            block = self._block(workload, rate)
-            # Mirrors the cold builder's latency gather + INFEASIBLE fill and
-            # the feasible_mask / nearest_feasible_ms expressions row-wise.
-            lat = self.latency.matrix_ms[
-                self.latency.index_of(source_site), self.server_cols].astype(float)
-            lat[~block.supported] = INFEASIBLE_LATENCY_MS
-            feas = (2.0 * lat <= slo_ms + 1e-9) & block.supported
-            near = float(np.where(feas, lat, np.inf).min())
-            k = len(self._class_keys)
-            self._class_index[key] = k
-            self._class_keys.append((source_site, workload, rate, slo_ms))
-            self._lat_rows.append(lat)
-            self._feas_rows.append(feas)
-            self._near.append(near)
-        return k
+    def _register_classes(self, keys: Sequence[tuple]) -> np.ndarray:
+        """Scenario class ids of (site, workload, rate, slo, duration) keys.
+
+        Unseen classes are numbered in the order given and their rows are
+        filled in bulk (:meth:`_fill_class_rows`), so a batch pays one
+        dictionary lookup per class and one gather for all of its new ones.
+        They enter the index only once their rows are filled, so a key that
+        cannot be built (an unknown site) registers nothing.
+        """
+        ids = np.empty(len(keys), dtype=np.intp)
+        fresh: dict[tuple, int] = {}
+        index = self._class_index
+        for n, key in enumerate(keys):
+            k = index.get(key)
+            ids[n] = fresh.setdefault(key, self._n_classes + len(fresh)) \
+                if k is None else k
+        if fresh:
+            self._fill_class_rows(list(fresh))
+            index.update(fresh)
+        return ids
+
+    def _fill_class_rows(self, fresh: list[tuple]) -> None:
+        """Append the static rows of newly numbered classes to the tables.
+
+        Mirrors the cold builder's latency gather + INFEASIBLE fill and the
+        feasible_mask / nearest_feasible_ms expressions, row-wise: every
+        element goes through the same float operations as a one-row build.
+        Rows are filled :data:`CLASS_FILL_CELLS` cells at a time, so the
+        temporaries stay small however many classes a batch brings.
+        """
+        n = len(fresh)
+        blocks = np.fromiter((self._block_id(w, r) for _, w, r, _, _ in fresh),
+                             dtype=np.intp, count=n)
+        sites = np.fromiter((self.latency.index_of(site) for site, *_ in fresh),
+                            dtype=np.intp, count=n)
+        slo = np.fromiter((key[3] for key in fresh), dtype=float, count=n)
+        used, local = np.unique(blocks, return_inverse=True)
+        block_supported = np.stack([self._block(*self._block_keys[b]).supported
+                                    for b in used.tolist()])
+        lo, hi = self._n_classes, self._n_classes + n
+        if hi > len(self._near):
+            # Geometric growth: a stream of small batches reallocates
+            # O(log n) times, a first big batch exactly once.
+            size = max(hi, 2 * len(self._near))
+            self._lat = _grown(self._lat, lo, size)
+            self._feas = _grown(self._feas, lo, size)
+            self._near = _grown(self._near, lo, size)
+            self._class_block = _grown(self._class_block, lo, size)
+        self._class_block[lo:hi] = blocks
+        step = max(1, CLASS_FILL_CELLS // len(self.servers))
+        for a in range(0, n, step):
+            rows = slice(a, a + step)
+            supported = block_supported[local[rows]]
+            lat = self.latency.matrix_ms[sites[rows, None], self.server_cols]
+            lat[~supported] = INFEASIBLE_LATENCY_MS
+            feas = (2.0 * lat <= slo[rows, None] + 1e-9) & supported
+            table = slice(lo + a, lo + min(a + step, n))
+            self._lat[table] = lat
+            self._feas[table] = feas
+            self._near[table] = np.where(feas, lat, np.inf).min(axis=1)
+        self._n_classes = hi
 
     def _batch_class_indices(self, batch: ApplicationBatch) -> np.ndarray:
         """(A,) scenario class indices of a columnar batch's applications.
@@ -1250,33 +1420,32 @@ class ScenarioCompilation:
         Registers the batch's unique classes in **first-arrival order** — the
         order a per-application loop over the batch would first encounter
         them — so the class table (and every downstream float accumulation
-        keyed on it) does not depend on the batch's class-table sort. One
-        loop over C unique classes replaces A per-app lookups.
+        keyed on it) does not depend on the batch's class-table sort.
         """
         order = np.argsort(batch.class_first_occurrence(), kind="stable")
-        scen = np.empty(batch.n_classes, dtype=np.intp)
         sites, workloads = batch.site_names, batch.workload_names
-        for c in order:
-            c = int(c)
-            scen[c] = self._register_class(
-                sites[int(batch.class_site_idx[c])],
-                workloads[int(batch.class_workload_idx[c])],
-                float(batch.class_rate_rps[c]),
-                float(batch.class_slo_ms[c]),
-                float(batch.class_duration_h[c]))
+        keys = [(sites[s], workloads[w], rate, slo, duration)
+                for s, w, rate, slo, duration in zip(
+                    batch.class_site_idx[order].tolist(),
+                    batch.class_workload_idx[order].tolist(),
+                    batch.class_rate_rps[order].tolist(),
+                    batch.class_slo_ms[order].tolist(),
+                    batch.class_duration_h[order].tolist())]
+        scen = np.empty(batch.n_classes, dtype=np.intp)
+        scen[order] = self._register_classes(keys)
         return scen[batch.class_idx]
 
     def _trim_class_caches(self) -> None:
         """Wholesale drop of the class tables past the cache limit (a memo,
         not state — recomputation is cheap and bit-identical)."""
-        if len(self._class_index) < CLASS_CACHE_LIMIT:
+        if self._n_classes < CLASS_CACHE_LIMIT:
             return
         self._class_generation += 1
         self._class_index.clear()
-        self._class_keys.clear()
-        self._lat_rows.clear()
-        self._feas_rows.clear()
-        self._near.clear()
+        self._block_index.clear()
+        self._block_keys.clear()
+        self._n_classes = 0
+        self._reset_class_tables()
         self._dense_rows.clear()
         self._fits_rows.clear()
         self._energy_rows.clear()
@@ -1290,13 +1459,13 @@ class ScenarioCompilation:
         per-process (it differs across ``--workers`` splits), so recording it
         there would break the byte-identity contract.
         """
-        row_bytes = sum(r.nbytes for r in self._lat_rows)
-        row_bytes += sum(r.nbytes for r in self._feas_rows)
+        n = self._n_classes
+        row_bytes = self._lat[:n].nbytes + self._feas[:n].nbytes
         row_bytes += sum(r.nbytes for r in self._energy_rows.values())
         row_bytes += sum(r.nbytes for r in self._dense_rows.values())
         row_bytes += sum(r.nbytes for r in self._fits_rows.values())
         return {
-            "n_classes": len(self._class_keys),
+            "n_classes": n,
             "n_blocks": len(self._blocks),
             "n_energy_rows": len(self._energy_rows),
             "n_dense_rows": len(self._dense_rows),
@@ -1374,10 +1543,14 @@ class ScenarioCompilation:
             if memoised is not None:
                 self._epoch_memo.move_to_end(key)
                 return memoised
-        problem = self._assemble_problem(delta)
+        block_ids, app_block = np.unique(self._class_block[delta.class_indices],
+                                         return_inverse=True)
+        blocks = [self._block_keys[b] for b in block_ids.tolist()]
+        app_block = app_block.reshape(len(delta.class_indices))
+        problem = self._assemble_problem(delta, blocks, app_block)
         compilation = EpochCompilation(problem=problem)
         if delta.baseline_capacity:
-            compilation._report = self._assemble_report(problem, delta)
+            compilation._report = self._assemble_report(problem, blocks, app_block)
         problem._compilation = compilation
         if key is not None:
             self._epoch_memo[key] = compilation
@@ -1392,68 +1565,65 @@ class ScenarioCompilation:
         delta = self.epoch_delta(applications, hour, horizon_hours, use_forecast)
         return self.compile_epoch(delta).problem
 
-    def _assemble_problem(self, delta: EpochDelta) -> PlacementProblem:
-        """Gather one epoch's problem tensors from the class rows.
+    def _assemble_problem(self, delta: EpochDelta, blocks: list,
+                          app_block: np.ndarray) -> PlacementProblem:
+        """Gather one epoch's problem tensors from the class tables.
 
-        Each tensor is built once per *unique class* and expanded to
-        per-application rows with a single fancy-index gather, which
-        materialises fresh copies of the cached class rows.
+        ``blocks`` are the epoch's (workload, rate) blocks and ``app_block``
+        (A,) each application's position in them. Class rows come from the
+        class tables and block rows from the row caches (one lookup per
+        block); each tensor is then expanded to per-application rows with a
+        single fancy-index gather, which materialises fresh copies.
         """
         ensure_dense_cell_budget(len(delta.applications), len(self.servers),
                                  context="ScenarioCompilation epoch assembly")
         idx = delta.class_indices
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        uniq_keys = [self._class_keys[k] for k in uniq]
-        latency_ms = np.stack([self._lat_rows[k] for k in uniq])[inverse]
-        supported = np.stack(
-            [self._block(w, r).supported for _, w, r, _ in uniq_keys])[inverse]
-        energy_j = np.stack(
-            [self._energy_row(w, r, delta.horizon_hours)
-             for _, w, r, _ in uniq_keys])[inverse]
-        uniq_demand_rows = [self._block(w, r).demand_row for _, w, r, _ in uniq_keys]
+        workload_blocks = [self._block(w, r) for w, r in blocks]
+        keys = self._epoch_keys(workload_blocks)
+        energy = np.stack([self._energy_row(w, r, delta.horizon_hours)
+                           for w, r in blocks])
+        dense = np.stack([self._dense_row(w, r, keys) for w, r in blocks])
+        demand_rows = [block.demand_row for block in workload_blocks]
         problem = PlacementProblem(
             applications=LazyApplications(delta.applications),
             servers=list(self.servers),
-            latency_ms=latency_ms,
-            energy_j=energy_j,
-            demands=[uniq_demand_rows[c] for c in inverse],
+            latency_ms=self._lat[idx],
+            energy_j=energy[app_block],
+            demands=[demand_rows[b] for b in app_block.tolist()],
             intensity=delta.intensity,
             capacities=list(delta.capacities),
             base_power_w=self.base_power_w.copy(),
             current_power=delta.current_power,
             horizon_hours=delta.horizon_hours,
-            supported=supported,
+            supported=np.stack([block.supported for block in workload_blocks])[app_block],
         )
         # Seed every lazy problem cache the cold path would derive from the
         # same rows: the SLO+support mask, the nearest-feasible latencies, and
         # the dense resource tensors. Every per-app row is gathered from its
-        # class's cached rows, so the classes are recorded too.
-        problem._row_class = inverse.reshape(len(idx))
-        keys = self._epoch_keys(uniq_keys)
-        problem._feasible_mask = np.stack([self._feas_rows[k] for k in uniq])[inverse]
-        problem._nearest_feasible = np.array([self._near[k] for k in uniq])[inverse]
-        demand_dense = np.stack(
-            [self._dense_row(w, r, keys) for _, w, r, _ in uniq_keys])[inverse]
+        # class's rows, so the scenario classes are recorded too.
+        problem._row_class = idx
+        problem._feasible_mask = self._feas[idx]
+        problem._nearest_feasible = self._near[idx]
         if delta.baseline_capacity:
             capacity_dense = self._capacity_dense(keys)
         else:
             capacity_dense = self._capacity_dense(keys, list(delta.capacities))
-        problem._dense_resources = (keys, capacity_dense, demand_dense)
+        problem._dense_resources = (keys, capacity_dense, dense[app_block])
         return problem
 
-    def _epoch_keys(self, class_keys: list) -> tuple:
+    def _epoch_keys(self, blocks: Sequence[_WorkloadBlock]) -> tuple:
         """Sorted resource keys spanning the baseline capacities and the
         epoch's demand blocks (mirrors ``PlacementProblem._dense_frame``)."""
         key_set: set[str] = set()
         for cap in self._baseline():
             key_set.update(cap.keys())
-        for _, workload, rate, _ in class_keys:
-            key_set.update(self._block(workload, rate).demand_keys)
+        for block in blocks:
+            key_set.update(block.demand_keys)
         return tuple(sorted(key_set))
 
-    def _assemble_report(self, problem: PlacementProblem,
-                         delta: EpochDelta) -> FeasibilityReport:
-        """Gather the feasibility report from the cached class + fit rows.
+    def _assemble_report(self, problem: PlacementProblem, blocks: list,
+                         app_block: np.ndarray) -> FeasibilityReport:
+        """Gather the feasibility report from the class tables + fit rows.
 
         Only valid at baseline capacity (the fit rows are); non-pristine
         deltas leave the report to the lazy vectorised filter, which reads
@@ -1462,11 +1632,8 @@ class ScenarioCompilation:
         keys, _, _ = problem._dense_resources
         feasible = problem._feasible_mask
         if len(keys):
-            uniq, inverse = np.unique(delta.class_indices, return_inverse=True)
-            fits = np.stack(
-                [self._fits_row(w, r, keys)
-                 for _, w, r, _ in (self._class_keys[k] for k in uniq)])[inverse]
-            mask = feasible & fits
+            fits = np.stack([self._fits_row(w, r, keys) for w, r in blocks])
+            mask = feasible & fits[app_block]
         else:
             mask = feasible.copy()
         unplaceable = np.flatnonzero(~mask.any(axis=1)).tolist()

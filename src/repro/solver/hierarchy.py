@@ -16,7 +16,8 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
    optimistic demands (per-key minimum) and aggregate capacity (sum) — solved
    by the existing dense greedy kernel (:func:`repro.solver.compile.
    greedy_fill`) with a zero activation channel, so the cold batched schedule
-   applies.
+   applies. The aggregates are class quantities: they are reduced for a
+   block of application classes at a time and gathered per app.
 3. **Refine pass**: each region's restricted sub-problem (the apps the coarse
    pass routed there × the region's servers) is compiled through
    :meth:`ScenarioCompilation.region_slice` and solved through the backend
@@ -234,10 +235,48 @@ class HierarchicalResult:
         return self.refined_objective - self.coarse_objective
 
 
-def _region_reduce(row: np.ndarray, feas: np.ndarray, perm: np.ndarray,
-                   starts: np.ndarray) -> np.ndarray:
-    """Per-region minimum of ``row`` over feasible servers (+inf when none)."""
-    return np.minimum.reduceat(np.where(feas, row, np.inf)[perm], starts)
+#: Cells (classes x servers) the coarse pass gathers and reduces at once, the
+#: way :data:`repro.network.geo.CHUNK_ROWS` bounds a distance block: a block
+#: holds ``COARSE_BLOCK_CELLS // n_servers`` classes (at least one).
+COARSE_BLOCK_CELLS: int = 1 << 18
+
+
+def _region_min(values: np.ndarray, feas: np.ndarray,
+                starts: np.ndarray) -> np.ndarray:
+    """Per-region minimum of region-ordered ``values`` over feasible servers
+    along axis 1 (+inf where a region has none)."""
+    return np.minimum.reduceat(np.where(feas, values, np.inf), starts, axis=1)
+
+
+def _minmax_pools(compilation: ScenarioCompilation, uniq: np.ndarray,
+                  energy: np.ndarray, class_block: np.ndarray, spans: list,
+                  intensity: np.ndarray, act_carbon: np.ndarray,
+                  act_energy: np.ndarray) -> dict:
+    """(lo, span) of the carbon and energy min-max normalisation.
+
+    Mirrors the flat ``_minmax_normalize`` pool: every feasible assignment
+    entry when any entry is feasible, else every entry, plus every
+    activation coefficient. Class rows replicate per app, which leaves the
+    minimum and maximum unchanged, so the pool is read class block by class
+    block: ``energy`` holds one row per (workload, rate) block and
+    ``class_block`` each class's row in it.
+    """
+    feasible: dict[str, list] = {"carbon": [], "energy": []}
+    everything: dict[str, list] = {"carbon": [], "energy": []}
+    for rows in spans:
+        feas = compilation._feas[uniq[rows]]
+        e = energy[class_block[rows]]
+        for name, values in (("carbon", joules_to_kwh(e) * intensity), ("energy", e)):
+            everything[name] += [values.min(), values.max()]
+            if feas.any():
+                feasible[name] += [values[feas].min(), values[feas].max()]
+    pools = feasible if feasible["carbon"] else everything
+    norm = {}
+    for name, activation in (("carbon", act_carbon), ("energy", act_energy)):
+        lo = float(min(activation.min(), *pools[name]))
+        hi = float(max(activation.max(), *pools[name]))
+        norm[name] = (lo, hi - lo)
+    return norm
 
 
 def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
@@ -290,9 +329,10 @@ def solve_hierarchical(
     """Cluster-then-refine placement of one batch over a compiled scenario.
 
     The fleet never materialises an ``n_apps × n_servers`` tensor: the coarse
-    pass works on per-class ``(S,)`` rows reduced to ``(R,)`` aggregates, and
-    each refinement solves against a :meth:`ScenarioCompilation.region_slice`
-    view bounded by its region. See the module docstring for the four stages
+    pass reduces blocks of class rows (at most :data:`COARSE_BLOCK_CELLS`
+    cells each) to ``(R,)`` aggregates per class, and each refinement solves
+    against a :meth:`ScenarioCompilation.region_slice` view bounded by its
+    region. See the module docstring for the four stages
     and the determinism contract.
     """
     if len(applications) == 0:
@@ -323,84 +363,76 @@ def solve_hierarchical(
     perm = np.concatenate(cols)
     starts = np.cumsum([0] + [len(c) for c in cols])[:-1]
 
-    # -- per-class raw assignment rows (objective coefficients over servers) ----
-    keys = compilation._epoch_keys([compilation._class_keys[k] for k in uniq])
+    # -- class rows: one table row per class, one cached row per block ----------
+    # ``uniq`` are the batch's scenario classes and ``inverse`` each app's
+    # position among them; a class's energy and demand rows are its
+    # (workload, rate) block's, fetched once per block.
+    block_ids, class_block = np.unique(compilation._class_block[uniq],
+                                       return_inverse=True)
+    blocks = [compilation._block_keys[b] for b in block_ids.tolist()]
+    keys = compilation._epoch_keys([compilation._block(w, r) for w, r in blocks])
     horizon = float(horizon_hours)
+    energy = np.stack([compilation._energy_row(w, r, horizon) for w, r in blocks])
+    demand = np.stack([compilation._dense_row(w, r, keys) for w, r in blocks])
     act_carbon = compilation.base_power_w * horizon / 1000.0 * intensity
     act_energy = compilation.base_power_w * horizon * 3600.0
-
-    def energy_row(k: int) -> np.ndarray:
-        _, workload, rate, _ = compilation._class_keys[k]
-        return compilation._energy_row(workload, rate, horizon)
+    n_classes = len(uniq)
+    step = max(1, COARSE_BLOCK_CELLS // len(servers))
+    spans = [slice(lo, lo + step) for lo in range(0, n_classes, step)]
 
     norm: dict[str, tuple[float, float]] = {}
     if objective is ObjectiveKind.MULTI:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        # Mirror the flat _minmax_normalize pools: feasible assignment entries
-        # (class rows replicate per app, which leaves min/max unchanged) plus
-        # every activation coefficient.
-        pools = {"carbon": [act_carbon], "energy": [act_energy]}
-        any_feas = False
-        for k in uniq:
-            feas = compilation._feas_rows[k]
-            e_row = energy_row(k)
-            c_row = joules_to_kwh(e_row) * intensity
-            if feas.any():
-                any_feas = True
-                pools["carbon"].append(c_row[feas])
-                pools["energy"].append(e_row[feas])
-            else:
-                pools["carbon"].append(c_row)
-                pools["energy"].append(e_row)
-        del any_feas
-        for name, parts in pools.items():
-            pool = np.concatenate([np.ravel(p) for p in parts])
-            lo, hi = float(pool.min()), float(pool.max())
-            norm[name] = (lo, hi - lo)
+        norm = _minmax_pools(compilation, uniq, energy, class_block, spans,
+                             intensity, act_carbon, act_energy)
 
-    def assign_row(k: int) -> np.ndarray:
-        """Raw (S,) assignment coefficient row of one class for the objective."""
+    def raw_values(e: np.ndarray, lat: np.ndarray, inten: np.ndarray) -> np.ndarray:
+        """Raw assignment coefficients of (class, server) pairs, given their
+        energy, one-way latency and server intensity, elementwise."""
         if objective is ObjectiveKind.LATENCY:
-            return compilation._lat_rows[k]
+            return lat
         if objective is ObjectiveKind.INTENSITY:
-            return intensity
-        e_row = energy_row(k)
+            return inten
         if objective is ObjectiveKind.ENERGY:
-            return e_row
-        c_row = joules_to_kwh(e_row) * intensity
+            return e
+        c = joules_to_kwh(e) * inten
         if objective is ObjectiveKind.CARBON:
-            return c_row
+            return c
         (c_lo, c_span), (e_lo, e_span) = norm["carbon"], norm["energy"]
-        c_hat = (c_row - c_lo) / c_span if c_span > 0 else np.zeros_like(c_row)
-        e_hat = (e_row - e_lo) / e_span if e_span > 0 else np.zeros_like(e_row)
+        c_hat = (c - c_lo) / c_span if c_span > 0 else np.zeros_like(c)
+        e_hat = (e - e_lo) / e_span if e_span > 0 else np.zeros_like(e)
         return alpha * e_hat + (1.0 - alpha) * c_hat
 
-    def tie_row(k: int) -> np.ndarray:
+    def tie_values(e: np.ndarray, lat: np.ndarray, inten: np.ndarray) -> np.ndarray:
         if objective is ObjectiveKind.LATENCY:
-            return joules_to_kwh(energy_row(k)) * intensity
-        return compilation._lat_rows[k]
+            return joules_to_kwh(e) * inten
+        return lat
 
-    # -- coarse aggregate tensors, one class at a time (never (C, S) at once) ---
-    n_classes = len(uniq)
+    # -- coarse aggregate tensors, a block of classes at a time -----------------
+    # Each block gathers its classes' rows with the server axis in region
+    # order and reduces every region segment along that axis; the block
+    # size bounds the cells, so the classes x servers tensor never exists.
     class_cost = np.empty((n_classes, n_eff))
     class_tie = np.empty((n_classes, n_eff))
     class_energy = np.empty((n_classes, n_eff))
     class_mask = np.empty((n_classes, n_eff), dtype=bool)
     class_demand = np.empty((n_classes, n_eff, len(keys)))
-    for c, k in enumerate(uniq):
-        feas = compilation._feas_rows[k]
-        feas_any = np.bitwise_or.reduceat(feas[perm], starts)
-        class_mask[c] = feas_any
-        class_cost[c] = _region_reduce(assign_row(k), feas, perm, starts)
-        class_tie[c] = np.where(feas_any, _region_reduce(tie_row(k), feas, perm, starts), 0.0)
-        class_energy[c] = np.where(
-            feas_any, _region_reduce(energy_row(k), feas, perm, starts), 0.0)
-        _, workload, rate, _ = compilation._class_keys[k]
-        dem = compilation._dense_row(workload, rate, keys)
-        region_dem = np.minimum.reduceat(
-            np.where(feas[:, None], dem, np.inf)[perm], starts, axis=0)
-        class_demand[c] = np.where(feas_any[:, None], region_dem, 0.0)
+    energy_r, demand_r, intensity_r = energy[:, perm], demand[:, perm], intensity[perm]
+    for rows in spans:
+        ks = uniq[rows, None]
+        feas = compilation._feas[ks, perm]
+        lat = compilation._lat[ks, perm]
+        e = energy_r[class_block[rows]]
+        feas_any = np.logical_or.reduceat(feas, starts, axis=1)
+        class_mask[rows] = feas_any
+        class_cost[rows] = _region_min(raw_values(e, lat, intensity_r), feas, starts)
+        class_tie[rows] = np.where(
+            feas_any, _region_min(tie_values(e, lat, intensity_r), feas, starts), 0.0)
+        class_energy[rows] = np.where(feas_any, _region_min(e, feas, starts), 0.0)
+        class_demand[rows] = np.where(
+            feas_any[..., None],
+            _region_min(demand_r[class_block[rows]], feas[..., None], starts), 0.0)
     class_cost[~class_mask] = 0.0  # masked out below; keep the tensor finite
 
     if delta.baseline_capacity:
@@ -410,11 +442,15 @@ def solve_hierarchical(
     cap_region = np.add.reduceat(cap_dense[perm], starts, axis=0)
 
     # -- the coarse apps×regions greedy pass ------------------------------------
+    # Costs are tie-broken on the class rows (every class has an app, so the
+    # epsilon's scales see the same values) and gathered per app.
+    class_tie_broken = np.where(
+        class_mask, apply_tie_break(class_cost, class_mask, class_tie), np.inf)
     raw_cost = class_cost[inverse]
     mask = class_mask[inverse]
-    cost = np.where(mask, apply_tie_break(raw_cost, mask, class_tie[inverse]), np.inf)
     dense = DenseCosts(keys=list(keys), demand=class_demand[inverse],
-                       capacity=cap_region, mask=mask, cost=cost,
+                       capacity=cap_region, mask=mask,
+                       cost=class_tie_broken[inverse],
                        raw_assign=raw_cost, activation=np.zeros(n_eff),
                        initially_on=np.ones(n_eff, dtype=bool), row_class=inverse)
     state = GreedyState(dense)
@@ -471,12 +507,19 @@ def solve_hierarchical(
                 break
 
     # -- raw objective of the final placements ----------------------------------
-    refined_objective = 0.0
+    # Per-app coefficients, summed per class (classes in order, apps in
+    # ascending index within a class) and accumulated across classes: the
+    # order, and so the float, of a class-by-class row sum.
     placed_final = assignment >= 0
-    for c, k in enumerate(uniq):
-        members = np.flatnonzero((inverse == c) & placed_final)
-        if len(members):
-            refined_objective += float(assign_row(k)[assignment[members]].sum())
+    placed = np.flatnonzero(placed_final)
+    placed = placed[np.argsort(inverse[placed], kind="stable")]
+    j = assignment[placed]
+    values = raw_values(energy[class_block[inverse[placed]], j],
+                        compilation._lat[class_idx[placed], j], intensity[j])
+    cuts = np.flatnonzero(np.diff(inverse[placed])) + 1
+    refined_objective = 0.0
+    for part in np.split(values, cuts):
+        refined_objective += float(part.sum())
 
     return HierarchicalResult(
         assignment=assignment,
@@ -504,7 +547,7 @@ def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
     """
     sub = compilation.region_slice(region_cols)
     k = sub._class_of(app)
-    feas = sub._feas_rows[k]
+    feas = sub._feas[k]
     if not feas.any():
         return False
     rem = remaining.get(r)
@@ -537,7 +580,7 @@ def _spill_cost_row(sub: ScenarioCompilation, app, intensity_r: np.ndarray,
     """
     k = sub._class_of(app)
     if objective is ObjectiveKind.LATENCY:
-        return sub._lat_rows[k]
+        return sub._lat[k]
     if objective is ObjectiveKind.INTENSITY:
         return intensity_r
     e_row = sub._energy_row(app.workload, app.request_rate_rps, horizon)

@@ -11,6 +11,9 @@ cold arm is the simulator with no substrate, which sends every epoch through
 
 from __future__ import annotations
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,9 @@ from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.simulator.cdn import CDNSimulator, clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
+from repro.solver import compile as compile_module
 from repro.solver.compile import (
+    ScenarioCompilation,
     clear_scenario_compilations,
     compile_placement,
     compile_scenario,
@@ -109,6 +114,49 @@ def test_simulation_artifacts_identical_to_cold_rebuild():
             assert rc.apps_per_site == rf.apps_per_site
             assert rc.hosting_intensities == rf.hosting_intensities
             assert rc.n_nearest_unreachable == rf.n_nearest_unreachable
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_class_tables_fill_in_bounded_blocks(rows_per_block):
+    """Class-table rows filled a block at a time (one row, or blocks that
+    split a batch's classes unevenly), across two batches whose second grows
+    the tables, give the cold build's tensors."""
+    sim = CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS))
+    servers = sim.fleet.servers()
+    compilation = ScenarioCompilation(servers, sim.latency, sim.carbon)
+    with mock.patch.object(compile_module, "CLASS_FILL_CELLS",
+                           rows_per_block * len(servers)):
+        for epoch in range(2):
+            apps = list(sim.generator.generate_batch(epoch, epoch).applications)
+            before = compilation.cache_stats()["n_classes"]
+            fast = compilation.build_problem(apps, hour=epoch)
+            added = compilation.cache_stats()["n_classes"] - before
+            assert added > 0
+            if epoch == 0:
+                assert added > rows_per_block
+                assert rows_per_block == 1 or added % rows_per_block
+            cold = PlacementProblem.build(
+                applications=apps, servers=servers, latency=sim.latency,
+                carbon=sim.carbon, hour=epoch, horizon_hours=1.0)
+            _assert_problems_identical(cold, fast)
+
+
+def test_unknown_site_registers_no_class():
+    """A batch with a site the latency matrix does not know fails without
+    registering any of its classes, and the tables stay usable."""
+    sim = CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS))
+    servers = sim.fleet.servers()
+    compilation = ScenarioCompilation(servers, sim.latency, sim.carbon)
+    apps = list(sim.generator.generate_batch(0, 0).applications)
+    stray = replace(apps[0], app_id="stray", source_site="Atlantis")
+    with pytest.raises(KeyError, match="Atlantis"):
+        compilation.build_problem(apps + [stray], hour=0)
+    assert compilation.cache_stats()["n_classes"] == 0
+    fast = compilation.build_problem(apps, hour=0)
+    cold = PlacementProblem.build(
+        applications=apps, servers=servers, latency=sim.latency,
+        carbon=sim.carbon, hour=0, horizon_hours=1.0)
+    _assert_problems_identical(cold, fast)
 
 
 def test_pristine_epochs_are_memoised_per_delta():

@@ -18,6 +18,7 @@ class are identical) is checked on every producer of row classes.
 from __future__ import annotations
 
 from copy import deepcopy
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from hypothesis.extra import numpy as hnp
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.traces import TraceSet
 from repro.cluster.fleet import build_regional_fleet
-from repro.core.objective import ObjectiveKind
+from repro.core.objective import ObjectiveKind, objective_coefficients, tie_break_matrix
 from repro.core.problem import PlacementProblem
 from repro.core.validation import validate_solution
 from repro.datasets.cities import default_city_catalog
@@ -356,10 +357,16 @@ def class_instances(draw):
 def test_class_tail_matches_per_app_replay(instance):
     """The per-class cursor tail and the per-application tail are the same
     program on the same order: assignment, remaining capacity bit for bit,
-    served counts and the replay telemetry. Both equal the naive loop."""
+    served counts and the replay telemetry. Both equal the naive loop, and
+    the class-row processing order and winners equal the per-row ones."""
     state, energy = instance
     order = _pending_order(state, energy)
     choices = _argmin_chunk(state.dense, order)
+    # The order and the winners, computed once per class, are the per-row ones.
+    per_row = deepcopy(state)
+    per_row.dense = replace(state.dense, row_class=None)
+    assert np.array_equal(order, _pending_order(per_row, energy))
+    assert np.array_equal(choices, _argmin_chunk(per_row.dense, order))
     per_app = deepcopy(state)
     _replay_per_app(per_app, order, choices)
     classes = deepcopy(state)
@@ -379,25 +386,27 @@ def test_class_tail_matches_per_app_replay(instance):
 
 @settings(max_examples=150, **COMMON)
 @given(class_instances())
-def test_greedy_fill_with_exhausted_scan_budget_takes_class_tail(instance):
-    """With no scan budget the wave replay hands its tail on after the first
-    boundary; with row classes known that tail is the class arm, never the
-    per-application one, and the fill still equals the naive loop."""
+def test_greedy_fill_hands_conflicting_rounds_to_class_tail(instance):
+    """With row classes known, a wave round that settles under half of what
+    it scanned hands the rest to the class arm, so the scan budget never
+    runs out and the per-application tail never runs; the fill still equals
+    the naive loop."""
     state, energy = instance
     naive = deepcopy(state)
     _greedy_fill_live(naive, _pending_order(naive, energy))
     filled = deepcopy(state)
-    with mock.patch.object(compile_module, "_WAVE_SCAN_BUDGET_FACTOR", 0), \
-            mock.patch.object(compile_module, "_replay_per_app",
-                              side_effect=AssertionError("per-app tail")):
+    with mock.patch.object(compile_module, "_replay_per_app",
+                           side_effect=AssertionError("per-app tail")):
         greedy_fill(filled, energy)
     _assert_same_state(naive, filled)
 
 
 def test_class_tail_is_reached_through_greedy_fill():
     """Six applications of one class rank server 0 first; it holds two. The
-    first wave commits those two, the third application is the boundary, and
-    the class tail places the rest on server 1 once server 0 is full."""
+    first wave settles only the first application (the second's prefix sum
+    meets the capacity exactly, inside the slack), so the round commits one
+    of six and hands the rest, boundary included, to the class tail, which
+    fills server 0 and places the others on server 1."""
     n_apps = 6
     row_class = np.zeros(n_apps, dtype=np.int64)
     dense = DenseCosts(keys=["cpu"], demand=np.ones((n_apps, 2, 1)),
@@ -408,19 +417,24 @@ def test_class_tail_is_reached_through_greedy_fill():
                        activation=np.zeros(2),
                        initially_on=np.ones(2, dtype=bool), row_class=row_class)
     state = GreedyState(dense)
-    with mock.patch.object(compile_module, "_WAVE_SCAN_BUDGET_FACTOR", 0), \
-            mock.patch.object(compile_module, "_replay_classes",
-                              wraps=_replay_classes) as tail:
+    naive = deepcopy(state)
+    _greedy_fill_live(naive, _pending_order(naive, np.zeros((n_apps, 2))))
+    with mock.patch.object(compile_module, "_replay_classes",
+                           wraps=_replay_classes) as tail:
         greedy_fill(state, np.zeros((n_apps, 2)))
     assert tail.call_count == 1
+    assert len(tail.call_args.args[1]) == n_apps - 1
+    assert state.stats.waves == 1 and state.stats.wave_placements == 1
     assert state.assignment.tolist() == [0, 0, 1, 1, 1, 1]
     assert state.capacity_left.tolist() == [[0.0], [6.0]]
     assert state.served.tolist() == [2, 4]
     assert state.stats.invalidations == 4
+    _assert_same_state(naive, state)
 
 
-def _assert_rows_share_class(dense: DenseCosts) -> None:
-    """Rows of one ``row_class`` have identical cost, mask and demand rows."""
+def _assert_rows_share_class(dense: DenseCosts, energy: np.ndarray) -> None:
+    """Rows of one ``row_class`` have identical cost, mask and demand rows,
+    and identical rows of the energy matrix the fill is handed."""
     row_class = dense.row_class
     assert row_class is not None and row_class.shape == dense.mask.shape[:1]
     _, first, inverse = np.unique(row_class, return_index=True,
@@ -430,6 +444,7 @@ def _assert_rows_share_class(dense: DenseCosts) -> None:
     assert np.array_equal(dense.cost, dense.cost[representative])
     assert np.array_equal(dense.mask, dense.mask[representative])
     assert np.array_equal(dense.demand, dense.demand[representative])
+    assert np.array_equal(energy, energy[representative])
 
 
 @pytest.fixture(scope="module")
@@ -440,14 +455,78 @@ def cdn_epoch_problem():
     return simulator.epoch_problem(0)
 
 
+@pytest.fixture(scope="module")
+def cdn_live_epoch_problem():
+    """The same epoch's applications over an allocated fleet with one server
+    off: the report reads live capacities, not the pristine fit rows."""
+    simulator = CDNSimulator(scenario=CDNScenario(
+        continent="EU", n_epochs=1, max_sites=8, seed=0))
+    problem = simulator.epoch_problem(0)
+    servers = simulator.fleet.servers()
+    demand = problem.demands[0][int(np.flatnonzero(problem.supported[0])[0])]
+    for srv in servers[:3]:
+        while srv.can_host(demand):
+            srv.allocate(f"filler-{srv.server_id}-{len(srv.allocations)}", demand)
+    servers[3].power_off()
+    live = simulator.scenario_compilation().build_problem(
+        list(problem.applications), hour=7)
+    assert live._row_class is not None
+    assert not np.array_equal(compile_placement(live).report.mask,
+                              compile_placement(problem).report.mask)
+    return live
+
+
+def _assert_class_rows_cost_like_apps(problem, objective, manage_power) -> None:
+    """Costing one row per class then gathering builds exactly the
+    per-application tensors, and the speculative winners match."""
+    alpha = 0.5 if objective is ObjectiveKind.MULTI else 0.0
+    compilation = compile_placement(problem)
+    dense = compilation.dense(objective, alpha=alpha, manage_power=manage_power)
+    _assert_rows_share_class(dense, problem.energy_j)
+
+    assign, activation = objective_coefficients(problem, objective, alpha)
+    reference = DenseCosts.from_matrices(
+        problem, compilation.report, assign,
+        activation if manage_power else np.zeros_like(activation),
+        manage_power=manage_power,
+        tie_breaker=tie_break_matrix(problem, objective))
+    for name in ("cost", "raw_assign", "mask", "activation", "initially_on"):
+        assert np.array_equal(getattr(dense, name), getattr(reference, name)), name
+    got_assign, got_activation = compilation.coefficients(objective, alpha)
+    assert np.array_equal(got_assign, assign)
+    assert np.array_equal(got_activation, activation)
+
+    apps = _pending_order(GreedyState(dense), problem.energy_j)
+    per_app = replace(dense, row_class=None)
+    assert np.array_equal(apps, _pending_order(GreedyState(per_app), problem.energy_j))
+    assert np.array_equal(_argmin_chunk(dense, apps), _argmin_chunk(per_app, apps))
+
+
 @pytest.mark.parametrize("manage_power", [True, False])
 @pytest.mark.parametrize("objective", list(ObjectiveKind))
 def test_cdn_epoch_rows_share_their_class(cdn_epoch_problem, objective,
                                           manage_power):
-    dense = compile_placement(cdn_epoch_problem).dense(
-        objective, alpha=0.5 if objective is ObjectiveKind.MULTI else 0.0,
-        manage_power=manage_power)
-    _assert_rows_share_class(dense)
+    _assert_class_rows_cost_like_apps(cdn_epoch_problem, objective, manage_power)
+
+
+@pytest.mark.parametrize("manage_power", [True, False])
+@pytest.mark.parametrize("objective", list(ObjectiveKind))
+def test_cdn_live_epoch_rows_share_their_class(cdn_live_epoch_problem, objective,
+                                               manage_power):
+    _assert_class_rows_cost_like_apps(cdn_live_epoch_problem, objective,
+                                      manage_power)
+
+
+def test_cdn_epoch_fills_in_one_wave(cdn_epoch_problem):
+    """A CDN epoch's speculative winners all fit: the first wave commits
+    every placement and the class tail never runs."""
+    state = GreedyState(compile_placement(cdn_epoch_problem).dense())
+    with mock.patch.object(compile_module, "_replay_classes",
+                           side_effect=AssertionError("class tail")):
+        greedy_fill(state, cdn_epoch_problem.energy_j)
+    assert state.stats.waves == 1
+    assert state.stats.wave_placements == state.stats.pending
+    assert state.stats.serial_steps == 0
 
 
 def test_cold_build_leaves_row_class_unknown():
@@ -478,7 +557,9 @@ def test_hierarchy_rows_share_their_class(columnar):
         hierarchy.solve_hierarchical(
             ScenarioCompilation(fleet.servers(), latency, carbon), apps, plan,
             hour=4700, config=SolverConfig(hierarchy_regions=2), seed=0)
-    _assert_rows_share_class(coarse.call_args.args[0].dense)
+    _assert_rows_share_class(coarse.call_args.args[0].dense,
+                             coarse.call_args.args[1])
     assert refine.call_count == 2
     for call in refine.call_args_list:
-        _assert_rows_share_class(compile_placement(call.args[0]).dense())
+        _assert_rows_share_class(compile_placement(call.args[0]).dense(),
+                                 call.args[0].energy_j)

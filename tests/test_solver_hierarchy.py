@@ -2,18 +2,24 @@
 
 Covers the determinism contract (plans are pure functions of their inputs),
 the degenerate single-region case
-collapsing to the flat solve, spill accounting under overload, and the
+collapsing to the flat solve, spill accounting under overload, every
+objective's pinned outcome (also with the coarse pass cut into small class
+blocks), the multi objective's normalisation pool, and the
 dense-cell budget guard that points planetary users at this tier.
 """
 
 from __future__ import annotations
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.core.objective import ObjectiveKind
+from repro.core.objective import ObjectiveKind, objective_coefficients
 from repro.core.problem import ensure_dense_cell_budget
 from repro.experiments.planetary_sweep import build_planetary_substrate
+from repro.solver import hierarchy
 from repro.solver.compile import ScenarioCompilation
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import (
@@ -190,6 +196,91 @@ def test_hierarchy_supports_every_objective(objective):
         config=SolverConfig(hierarchy_regions=3), seed=0)
     assert outcome.n_placed > 0
     assert np.isfinite(outcome.refined_objective)
+
+
+#: Three-region outcomes for every objective (alpha 0.5 for multi) and power
+#: mode, on a slack instance and on the spill instance: SHA-256 of the int64
+#: assignment followed by ``repr`` of the coarse and the refined objective.
+#: Recorded before the coarse pass ran in class blocks, so every objective's
+#: placements and both floats are pinned, not only carbon's.
+OUTCOME_DIGESTS = {
+    ((20, 40), "carbon"): "202b373b4d44dfcf01cfddeaf249421980e37c54c3dcaed03717fcbc649024bd",
+    ((20, 40), "energy"): "d6d1ec52dfca38c07794fbc1af0cc1bea22a7bec7fd6c6b6e2b384e96638d0e0",
+    ((20, 40), "multi"): "3031dc69a9565d12ad27ee28d66944ce133dac0c11ae95bbca8021871c0636c5",
+    ((20, 40), "latency"): "6126d2641e844e7346aa0ae6c37d442292ed9e9e4a7743d0fb54f58ec8a033a0",
+    ((20, 40), "intensity"): "fc0d32400ad98fbaf8ac37891828cb617ba5dd9ce26caca6dae834139a809ca8",
+    ((12, 600), "carbon"): "2e0f34922531238c9817f7135b0f77ce01a660c2e1dc3b7a4ba622871f60430d",
+    ((12, 600), "energy"): "b4f2d58a9e6337d1d51aaf9db9cff5b9f9dbb438258b96ecd7d9247cf70eedbb",
+    ((12, 600), "multi"): "f209771116038e28325225aea6aa2c647820dd20b0a2b6558cbe95dc1985bafe",
+    ((12, 600), "latency"): "2f66daab30adc296c845d3c7fd411217246f4b0f12540b22d22cbdcf2afbc6f5",
+    ((12, 600), "intensity"): "1f8cc2733c9ed623dbc35f1c03bb7379b4211790f118bc134e408466751d6ba0",
+}
+
+
+def _outcome_digest(size, objective, manage_power=True):
+    fleet, compilation, apps = _substrate(*size)
+    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
+    outcome = solve_hierarchical(
+        compilation, apps, plan, hour=HOUR, objective=objective, alpha=0.5,
+        manage_power=manage_power, config=SolverConfig(hierarchy_regions=3),
+        seed=0)
+    digest = hashlib.sha256(np.asarray(outcome.assignment, dtype=np.int64).tobytes())
+    digest.update(repr(outcome.coarse_objective).encode("ascii"))
+    digest.update(repr(outcome.refined_objective).encode("ascii"))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("manage_power", [True, False])
+@pytest.mark.parametrize("objective", list(ObjectiveKind))
+@pytest.mark.parametrize("size", [(20, 40), (12, 600)])
+def test_every_objective_outcome_is_pinned(size, objective, manage_power):
+    assert _outcome_digest(size, objective, manage_power) \
+        == OUTCOME_DIGESTS[size, objective.value]
+
+
+@pytest.mark.parametrize("objective", list(ObjectiveKind))
+@pytest.mark.parametrize("size", [(20, 40), (12, 600)])
+def test_coarse_class_blocks_do_not_move_the_outcome(size, objective):
+    """One class per block, and blocks that split the classes unevenly, give
+    the pinned outcome byte for byte."""
+    fleet, compilation, apps = _substrate(*size)
+    n_servers = len(fleet.servers())
+    n_classes = len(np.unique(
+        compilation.epoch_delta(apps, HOUR).class_indices))
+    per_block = 7
+    assert n_classes > per_block and n_classes % per_block, \
+        "the blocks must split the classes unevenly"
+    for cells in (1, per_block * n_servers):
+        with mock.patch.object(hierarchy, "COARSE_BLOCK_CELLS", cells):
+            digest = _outcome_digest(size, objective)
+        assert digest == OUTCOME_DIGESTS[size, objective.value], cells
+
+
+def test_multi_normalisation_pools_only_feasible_entries():
+    """A class with no feasible server must not widen the multi objective's
+    min-max pool. Server 0 is CPU-only, so it has no ResNet50 profile, and a
+    1 ms SLO leaves its site's ResNet50 applications nowhere to go; their
+    zero coefficients on unsupported servers stay out of the pool, as in
+    the flat ``_minmax_normalize``, so the refined objective is the flat
+    normalised coefficients of the same placements."""
+    fleet, latency, carbon = build_planetary_substrate(20, seed=0)
+    fleet.servers()[0].accelerator = None
+    compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
+    apps = list(ApplicationGenerator(
+        sites=fleet.sites(), latency_slo_ms=1.0, mean_arrivals_per_batch=40.0,
+        duration_hours=1.0, seed=0).generate_batch(0, HOUR, n_arrivals=40).applications)
+    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 1, seed=0)
+    outcome = solve_hierarchical(
+        compilation, apps, plan, hour=HOUR, objective=ObjectiveKind.MULTI,
+        alpha=0.5, config=SolverConfig(hierarchy_regions=1), seed=0)
+
+    problem = compilation.build_problem(apps, HOUR)
+    assert (~problem.feasible_mask().any(axis=1)).sum() == 1
+    assign, _ = objective_coefficients(problem, ObjectiveKind.MULTI, 0.5)
+    placed = np.flatnonzero(outcome.assignment >= 0)
+    assert len(placed) == 39
+    flat = float(assign[placed, outcome.assignment[placed]].sum())
+    assert outcome.refined_objective == pytest.approx(flat, rel=1e-12)
 
 
 def test_recorded_gap_is_refined_minus_coarse():
