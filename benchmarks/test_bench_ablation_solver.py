@@ -1,4 +1,4 @@
-"""Ablation: exact branch-and-bound vs LP-rounding vs greedy solver backends.
+"""Ablation: exact (HiGHS) vs LP-rounding vs greedy solver backends.
 
 DESIGN.md §5 calls out the solver choice as a design decision: the exact solver
 should never be worse than the heuristics on the carbon objective, and the

@@ -1,8 +1,8 @@
 """Packaging metadata for the CarbonEdge reproduction.
 
 The project is a pure-python package under ``src/`` with numpy/scipy as its
-only runtime dependencies (the MILP layer uses scipy's HiGHS ``linprog``
-backend instead of OR-Tools so everything works offline). ``pip install -e .``
+only runtime dependencies (the placement MILP is solved by scipy's HiGHS
+``milp``, so everything works offline). ``pip install -e .``
 installs the ``repro`` package plus the ``carbon-edge-quickstart`` console
 command demonstrated in the README.
 """
@@ -34,10 +34,6 @@ setup(
     ],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        # The anytime exact solver tier (cpsat / milp backends). Optional:
-        # without it those backends degrade to the heuristic with a
-        # structured OrToolsUnavailableWarning.
-        "exact": ["ortools>=9.5"],
     },
     entry_points={
         "console_scripts": [

@@ -164,17 +164,10 @@ def build_carbon_edge_parser() -> argparse.ArgumentParser:
                               "recorded)")
     run_cmd.add_argument("--backend", default=None, metavar="NAME",
                          help="pin the solver backend (canonical name or "
-                              "alias, e.g. heuristic, bnb, cpsat, milp) in "
+                              "alias, e.g. heuristic, highs, lp-round) in "
                               "every experiment that takes a backend/backends "
                               "parameter; a recorded experiment parameter "
                               "(default: each spec's own choice)")
-    run_cmd.add_argument("--num-search-workers", type=int, default=None,
-                         metavar="N",
-                         help="parallel search workers for the OR-Tools exact "
-                              "backends in every experiment that takes a "
-                              "num_search_workers parameter; a recorded, "
-                              "documented determinism carve-out under finite "
-                              "budgets (default: 1)")
     run_cmd.add_argument("--merge", default="memory", choices=("memory", "stream"),
                          help="artifact merge strategy: 'memory' holds every "
                               "unit fragment, 'stream' spools fragments to a "
@@ -270,8 +263,6 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.hierarchy_regions is not None and args.hierarchy_regions < 1:
         parser.error(f"--hierarchy-regions must be >= 1, got {args.hierarchy_regions}")
-    if args.num_search_workers is not None and args.num_search_workers < 1:
-        parser.error(f"--num-search-workers must be >= 1, got {args.num_search_workers}")
     if args.backend is not None:
         from repro.solver import registry as solver_registry
 
@@ -279,8 +270,8 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
             parser.error(f"unknown solver backend {args.backend!r}; known: "
                          f"{', '.join(solver_registry.backend_names())}")
 
-    # Recorded overrides, not execution knobs: they change placements (or the
-    # search that produces them), so they must appear in the artifact params.
+    # Recorded overrides, not execution knobs: they change placements, so
+    # they must appear in the artifact params.
     # Specs that do not take the parameter ignore it.
     overrides = {}
     if args.hierarchy_regions is not None:
@@ -290,8 +281,6 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         # tournament) take a `backends` tuple — pin both spellings.
         overrides["backend"] = args.backend
         overrides["backends"] = (args.backend,)
-    if args.num_search_workers is not None:
-        overrides["num_search_workers"] = args.num_search_workers
     overrides = overrides or None
     runner = ScenarioRunner(workers=args.workers, smoke=args.smoke, seed=args.seed,
                             overrides=overrides, merge=args.merge)

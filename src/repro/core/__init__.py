@@ -8,8 +8,6 @@ This package is the paper's primary contribution (Section 4):
   energy, and latency accounting (Equation 6).
 * :mod:`repro.core.objective` — carbon, energy, and multi-objective (Equation 8)
   objective builders.
-* :mod:`repro.core.model_builder` — translation of a problem into the MILP of
-  Equations 1–7.
 * :mod:`repro.core.filters` — feasible-server filtering (Algorithm 1, line 7).
 * :mod:`repro.core.policies` — CarbonEdge and the paper's baselines
   (Latency-aware, Energy-aware, Intensity-aware).
@@ -25,7 +23,6 @@ from repro.core.objective import (
     energy_objective_coefficients,
     multi_objective_coefficients,
 )
-from repro.core.model_builder import build_placement_model
 from repro.core.filters import filter_feasible_servers, FeasibilityReport
 from repro.core.validation import validate_solution, ValidationError
 from repro.core.incremental import IncrementalPlacer, PlacementRound
@@ -47,7 +44,6 @@ __all__ = [
     "carbon_objective_coefficients",
     "energy_objective_coefficients",
     "multi_objective_coefficients",
-    "build_placement_model",
     "filter_feasible_servers",
     "FeasibilityReport",
     "validate_solution",

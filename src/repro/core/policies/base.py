@@ -32,19 +32,16 @@ class PlacementPolicy(ABC):
     def solver_config(self) -> SolverConfig:
         """Solver configuration forwarded to the solver registry.
 
-        Reads the policy's ``hierarchy_regions`` / ``refine_backend`` /
-        ``num_search_workers`` fields when it declares them
-        (:class:`SolverConfig` validates them), so every solver-backed policy
-        shares one plumbing path for solver knobs. The hierarchy knobs select
-        the cluster-then-refine tier (:mod:`repro.solver.hierarchy`) and
-        ``num_search_workers`` widens the anytime exact backends' parallel
-        search — see :class:`SolverConfig` for how each can change which
-        answer comes back.
+        Reads the policy's ``hierarchy_regions`` / ``refine_backend`` fields
+        when it declares them (:class:`SolverConfig` validates them), so every
+        solver-backed policy shares one plumbing path for solver knobs. The
+        knobs select the cluster-then-refine tier
+        (:mod:`repro.solver.hierarchy`) — see :class:`SolverConfig` for how
+        they can change which answer comes back.
         """
         return SolverConfig(
             hierarchy_regions=getattr(self, "hierarchy_regions", 1),
             refine_backend=getattr(self, "refine_backend", "greedy"),
-            num_search_workers=getattr(self, "num_search_workers", 1),
         )
 
     @property

@@ -6,16 +6,17 @@ servers — subject to the capacity, latency, assignment, and power-state
 constraints (Equations 1–5). The actual optimisation is delegated to the
 pluggable solver-backend registry (:mod:`repro.solver.registry`):
 
-* ``"exact"`` / ``"bnb"`` — branch & bound over the MILP (HiGHS LP
-  relaxations), the OR-Tools analogue used for the testbed-scale experiments;
-* ``"lp-round"`` — one LP relaxation followed by randomized rounding;
+* ``"exact"`` / ``"highs"`` — the MILP solved by scipy's HiGHS, standing in
+  for the paper's OR-Tools solve in the testbed-scale experiments;
+* ``"lp-round"`` — the same MILP's LP relaxation followed by randomized
+  rounding;
 * ``"greedy"`` / ``"heuristic"`` — the vectorised greedy + local-search
   backend, used at CDN scale and under tight time budgets;
 * ``"auto"`` (default) — exact for small models with enough budget, the
   heuristic beyond the size cutoff.
 
 Any other backend registered with the registry is accepted by name, so new
-backends (e.g. a real OR-Tools binding) plug in without touching this policy.
+backends plug in without touching this policy.
 
 The multi-objective extension (Equation 8) is exposed through ``alpha``:
 ``alpha = 0`` is vanilla CarbonEdge, ``alpha = 1`` reduces to the Energy-aware
@@ -31,15 +32,6 @@ from repro.core.policies.base import PlacementPolicy
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
 from repro.solver import registry
-from repro.solver.config import AUTO_EXACT_PAIR_LIMIT
-
-#: Historical solver strategy names (all remain valid; the registry accepts
-#: any registered backend name or alias on top of these).
-SOLVER_STRATEGIES: tuple[str, ...] = ("auto", "exact", "lp-round", "greedy")
-
-#: Back-compat re-export: "auto" switches from exact to the heuristic backend
-#: above this number of candidate (application, server) pairs.
-AUTO_EXACT_VARIABLE_LIMIT: int = AUTO_EXACT_PAIR_LIMIT
 
 
 def validate_solver_name(solver: str) -> None:
@@ -65,16 +57,11 @@ class CarbonEdgePolicy(PlacementPolicy):
         reproduces the "no power management" ablation.
     max_nodes / time_limit_s:
         Node and wall-clock budget forwarded to the solver backends (the node
-        budget only applies to branch and bound).
+        limit only applies to the ``highs`` backend's branch and bound).
     hierarchy_regions / refine_backend:
         Cluster-then-refine hierarchy knobs (:mod:`repro.solver.hierarchy`);
         ``hierarchy_regions=1`` keeps the flat solve. These change which
         answer comes back (see :class:`~repro.solver.config.SolverConfig`).
-    num_search_workers:
-        Parallel search workers for the anytime exact backends
-        (``cpsat``/``milp``); ignored by the heuristic family. Under a finite
-        time budget this can change which incumbent is returned (see the
-        :class:`~repro.solver.config.SolverConfig` carve-out).
     """
 
     alpha: float = 0.0
@@ -84,7 +71,6 @@ class CarbonEdgePolicy(PlacementPolicy):
     time_limit_s: float = 30.0
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
-    num_search_workers: int = 1
     name: str = "CarbonEdge"
 
     def __post_init__(self) -> None:

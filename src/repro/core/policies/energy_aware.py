@@ -28,7 +28,6 @@ class EnergyAwarePolicy(PlacementPolicy):
     time_limit_s: float = 15.0
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
-    num_search_workers: int = 1
     name: str = "Energy-aware"
 
     def __post_init__(self) -> None:

@@ -27,7 +27,6 @@ class IntensityAwarePolicy(PlacementPolicy):
 
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
-    num_search_workers: int = 1
     name: str = "Intensity-aware"
 
     @property

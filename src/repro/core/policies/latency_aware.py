@@ -28,7 +28,6 @@ class LatencyAwarePolicy(PlacementPolicy):
 
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
-    num_search_workers: int = 1
     name: str = "Latency-aware"
 
     @property

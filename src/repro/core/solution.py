@@ -62,13 +62,16 @@ class PlacementSolution:
     #: near 0.0 when the wave replay settles almost everything). ``None``
     #: when the backend does not run the greedy kernel.
     revalidation_rate: float | None = None
-    #: Best proven objective bound reported by the solver (the anytime exact
-    #: tier's certificate; NaN when the backend proves none).
+    #: Best proven lower bound reported by the solver (the exact tier's
+    #: certificate; NaN when the backend proves none). It bounds the
+    #: tie-broken objective every backend minimises — ``DenseCosts.cost`` of
+    #: the placements plus the activation of newly powered servers — not the
+    #: raw objective, which can sit slightly below it.
     solver_bound: float = float("nan")
     #: Exact solver parameters of the run that produced this solution (time
-    #: limit, worker count, seed, scaling, status) — recorded so every exact-
-    #: tier artifact states how its incumbent was obtained. Empty for
-    #: backends without tunable solver parameters.
+    #: and node limits, status, node count) — recorded so every exact-tier
+    #: artifact states how its incumbent was obtained. Empty for backends
+    #: without tunable solver parameters.
     solver_params: dict = field(default_factory=dict)
     #: Number of malformed warm-start hints (departed applications, unknown
     #: server indices) the request sanitization dropped before solving.

@@ -1,15 +1,10 @@
-"""Backend tournament: heuristic vs. anytime-exact solver comparison.
+"""Backend tournament: heuristic vs. exact solver comparison.
 
-Sweeps every solver backend of the anytime tier — the deterministic
-``heuristic``, branch-and-bound ``bnb``, and the optional OR-Tools backends
-``cpsat`` / ``milp`` — over identical fig17-style instances at several sizes,
-recording per arm the placement objective, wall-clock solve time, the best
-bound the backend proved, and the resulting optimality gap. The rows quantify
-the heuristic-vs-exact gap the registry's ``auto`` rule trades against speed,
-and double as the acceptance check for the OR-Tools tier: in an environment
-without ``ortools`` the cpsat/milp arms fall back to the heuristic (recorded
-via ``resolved_backend`` and the ``fell_back`` flag) instead of failing, so
-the tournament runs end-to-end everywhere.
+Runs the deterministic ``heuristic`` and the exact ``highs`` backend over
+identical fig17-style instances at several sizes, recording per arm the
+placement objective, wall-clock solve time, the bound the backend proved, and
+its optimality gap. The rows quantify the heuristic-vs-exact gap the
+registry's ``auto`` rule trades against speed.
 
 Every arm goes through the registry front door (:func:`repro.solver.solve`)
 on purpose: the recorded time includes the baseline/fallback machinery a real
@@ -20,7 +15,6 @@ receive.
 from __future__ import annotations
 
 import time
-import warnings
 
 from repro.analysis.reporting import format_table
 from repro.core.validation import validate_solution
@@ -28,42 +22,33 @@ from repro.experiments.common import EXPERIMENT_SEED
 from repro.experiments.fig17_scalability import _build_problem
 from repro.experiments.registry import ExperimentSpec, RunContext, register
 from repro.solver import solve
-from repro.solver.backends.ortools_exact import OrToolsUnavailableWarning
 
 #: (n_servers, n_apps) instance sizes swept. Small enough that the exact
 #: backends close the gap within the default budget, large enough that the
 #: heuristic's speed advantage is visible.
 TOURNAMENT_SIZES: tuple[tuple[int, int], ...] = ((40, 20), (100, 50), (200, 80))
 
-#: Backends entered in the tournament. The OR-Tools arms degrade to the
-#: heuristic with a structured warning when the optional dependency is absent.
-TOURNAMENT_BACKENDS: tuple[str, ...] = ("heuristic", "bnb", "cpsat", "milp")
+#: Backends entered in the tournament.
+TOURNAMENT_BACKENDS: tuple[str, ...] = ("heuristic", "highs")
 
 #: Backends whose answers count as "exact" when computing the heuristic gap.
-EXACT_BACKENDS: frozenset = frozenset({"bnb", "cpsat", "milp"})
+EXACT_BACKENDS: frozenset = frozenset({"highs"})
 
 
 def _run_arm(problem, backend: str, time_budget_s: float | None,
-             num_search_workers: int, seed: int) -> dict[str, object]:
+             seed: int) -> dict[str, object]:
     """One (instance, backend) tournament arm through the registry front door."""
     from repro.solver.compile import clear_compilation
-    from repro.solver.config import SolverConfig
 
     # Each arm pays for its own compilation so timings are self-contained.
     clear_compilation(problem)
-    config = SolverConfig(num_search_workers=num_search_workers)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        start = time.monotonic()
-        solution = solve(problem, backend=backend, time_budget_s=time_budget_s,
-                         seed=seed, config=config)
-        elapsed = time.monotonic() - start
+    start = time.monotonic()
+    solution = solve(problem, backend=backend, time_budget_s=time_budget_s, seed=seed)
+    elapsed = time.monotonic() - start
     validate_solution(solution)
-    fell_back = any(isinstance(w.message, OrToolsUnavailableWarning) for w in caught)
     return {
         "backend": backend,
         "resolved_backend": solution.backend_name,
-        "fell_back": fell_back,
         "carbon_g": solution.total_carbon_g(),
         "time_s": elapsed,
         "placed": solution.n_placed,
@@ -76,8 +61,7 @@ def _run_arm(problem, backend: str, time_budget_s: float | None,
 def run(seed: int = EXPERIMENT_SEED,
         sizes: tuple[tuple[int, int], ...] = TOURNAMENT_SIZES,
         backends: tuple[str, ...] = TOURNAMENT_BACKENDS,
-        time_budget_s: float | None = 10.0,
-        num_search_workers: int = 1) -> dict[str, object]:
+        time_budget_s: float | None = 10.0) -> dict[str, object]:
     """Run the tournament: one row per (size, backend), plus per-size gaps."""
     rows: list[dict[str, object]] = []
     gaps: list[dict[str, object]] = []
@@ -85,15 +69,12 @@ def run(seed: int = EXPERIMENT_SEED,
         problem = _build_problem(n_servers, n_apps, seed)
         size_rows = []
         for backend in backends:
-            row = _run_arm(problem, backend, time_budget_s,
-                           num_search_workers, seed)
+            row = _run_arm(problem, backend, time_budget_s, seed)
             row.update({"n_servers": n_servers, "n_apps": n_apps})
             size_rows.append(row)
         rows.extend(size_rows)
-        # Heuristic-vs-exact gap: the genuinely-exact arms only (an OR-Tools
-        # arm that fell back to the heuristic proves nothing about the gap).
-        exact = [r for r in size_rows
-                 if r["backend"] in EXACT_BACKENDS and not r["fell_back"]]
+        # Heuristic-vs-exact gap.
+        exact = [r for r in size_rows if r["backend"] in EXACT_BACKENDS]
         heuristic = [r for r in size_rows if r["resolved_backend"] == "heuristic"]
         if exact and heuristic:
             best_exact = min(float(r["carbon_g"]) for r in exact)
@@ -128,17 +109,16 @@ def compute(spec: ExperimentSpec, ctx: RunContext) -> dict[str, object]:
 
 SPEC = register(ExperimentSpec(
     name="backend_tournament",
-    title="Solver backend tournament (heuristic vs. anytime exact tier)",
+    title="Solver backend tournament (heuristic vs. exact tier)",
     kind="table",
     compute=compute,
     report=report,
     params=dict(seed=EXPERIMENT_SEED, sizes=TOURNAMENT_SIZES,
-                backends=TOURNAMENT_BACKENDS, time_budget_s=10.0,
-                num_search_workers=1),
+                backends=TOURNAMENT_BACKENDS, time_budget_s=10.0),
     smoke_params=dict(sizes=((20, 8),), time_budget_s=2.0),
     schema=("arms", "gaps"),
-    # Wall-clock rows (and, with OR-Tools installed, parallel-search
-    # incumbents): inherently machine-dependent, excluded from byte-identity.
+    # Wall-clock rows (and incumbents held at a finite budget): inherently
+    # machine-dependent, excluded from byte-identity.
     deterministic=False,
 ))
 

@@ -103,7 +103,7 @@ def run(seed: int = EXPERIMENT_SEED, backend: str = "auto",
 
 def compare_backends(seed: int = EXPERIMENT_SEED,
                      sizes: tuple[tuple[int, int], ...] = ((100, 50), (200, 100)),
-                     backends: tuple[str, ...] = ("bnb", "heuristic")) -> list[dict[str, object]]:
+                     backends: tuple[str, ...] = ("highs", "heuristic")) -> list[dict[str, object]]:
     """Exact-vs-heuristic comparison on identical fig17-size instances.
 
     Each backend is invoked *directly* (``get_backend(name).solve(request)``)
@@ -116,8 +116,10 @@ def compare_backends(seed: int = EXPERIMENT_SEED,
     """
     from repro.solver.backend import SolveRequest
     from repro.solver.compile import clear_compilation
-    from repro.solver.registry import get_backend
+    from repro.solver.registry import available_backends, get_backend
 
+    # Load the registry (and with it scipy) before the first timer starts.
+    available_backends()
     rows: list[dict[str, object]] = []
     for n_servers, n_apps in sizes:
         problem = _build_problem(n_servers, n_apps, seed)

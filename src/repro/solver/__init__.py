@@ -1,21 +1,8 @@
-"""Solver layer: the MILP substrate and the pluggable backend registry.
+"""Solver layer: the placement-backend registry and its compiled substrate.
 
 The paper solves its placement optimisation (Equation 7) with Google OR-Tools.
-OR-Tools is not available offline, so this package provides an in-house solver
-layer in two tiers:
-
-**The MILP substrate** (generic — knows nothing about carbon or placement):
-
-* :mod:`repro.solver.milp` — a small MILP model builder (variables, linear
-  constraints, linear objective) with validation helpers.
-* :mod:`repro.solver.lp_relaxation` — LP relaxation solving via
-  ``scipy.optimize.linprog`` (HiGHS backend).
-* :mod:`repro.solver.branch_and_bound` — best-first branch & bound over the
-  binary variables, warm-started by rounding.
-* :mod:`repro.solver.rounding` — LP-rounding and repair heuristics.
-* :mod:`repro.solver.result` — solution/status containers.
-
-**The placement-backend layer** (the production front door):
+This package solves the same Equations 1–7 model with scipy's HiGHS
+(:func:`scipy.optimize.milp`), behind a pluggable backend registry:
 
 * :mod:`repro.solver.compile` — the two-tier scenario compilation layer:
   :class:`ScenarioCompilation` hoists everything epoch-invariant (latency
@@ -28,33 +15,20 @@ layer in two tiers:
   :class:`SolveRequest` (a thin view over the compilation).
 * :mod:`repro.solver.registry` — backend registration and
   :func:`solve(problem, backend="auto", time_budget_s=...) <repro.solver.registry.solve>`.
-* :mod:`repro.solver.backends` — the built-in backends: ``bnb`` (exact branch
-  and bound), ``heuristic`` (vectorised greedy + local search), and
-  ``lp-round`` (LP relaxation + randomized rounding).
+* :mod:`repro.solver.backends` — the built-in backends: ``highs`` (the exact
+  MILP solved by HiGHS), ``heuristic`` (vectorised greedy + local search),
+  ``greedy`` (the construction alone), and ``lp-round`` (the same MILP's LP
+  relaxation + randomized rounding).
 
-The registry symbols are exported lazily so that importing
-``repro.solver.milp`` from :mod:`repro.core` never triggers the backends'
-(circular) import of the placement problem types.
+The registry, backend and compilation symbols are exported lazily so that
+importing :mod:`repro.solver.config` from :mod:`repro.core` never triggers the
+backends' (circular) import of the placement problem types.
 """
 
 from repro.solver.config import SolverConfig
-from repro.solver.milp import MILPModel, Variable, LinearConstraint, VariableKind
-from repro.solver.result import SolveResult, SolveStatus
-from repro.solver.lp_relaxation import solve_lp_relaxation
-from repro.solver.branch_and_bound import BranchAndBoundSolver
-from repro.solver.rounding import round_and_repair
 
 __all__ = [
-    "MILPModel",
-    "Variable",
-    "LinearConstraint",
-    "VariableKind",
-    "SolveResult",
-    "SolveStatus",
     "SolverConfig",
-    "solve_lp_relaxation",
-    "BranchAndBoundSolver",
-    "round_and_repair",
     # lazily exported backend-registry API
     "solve",
     "get_backend",

@@ -69,14 +69,20 @@ class SolveRequest:
         well-formed but infeasible under the current epoch (mask/capacity)
         are left in: backends skip those individually.
     max_nodes:
-        Node budget for the branch-and-bound backend (ignored by the others).
+        Branch-and-bound node limit for the ``highs`` backend (ignored by the
+        others).
     seed:
         Seed for the randomised backends (randomized rounding).
     config:
         Solver configuration (:class:`~repro.solver.config.SolverConfig`).
-        Backends read only ``num_search_workers``, the anytime exact
-        backends' search width; the hierarchy knobs are consumed above the
+        Backends never read it: its hierarchy knobs are consumed above the
         backend layer.
+
+    Every backend minimises the same *tie-broken* objective: the cost of
+    :meth:`dense` (the raw coefficients plus a deterministic epsilon
+    tie-break) over the placements, plus the activation cost of the servers
+    they newly switch on. A backend's ``solver_bound`` bounds that objective,
+    not the raw one of :func:`raw_objective_value`.
     """
 
     problem: PlacementProblem

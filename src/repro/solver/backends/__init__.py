@@ -5,6 +5,6 @@ Importing this package registers every built-in backend with the registry;
 needs to import these modules directly.
 """
 
-from repro.solver.backends import exact, heuristic, lp_rounding, ortools_exact
+from repro.solver.backends import heuristic, highs, lp_rounding
 
-__all__ = ["exact", "heuristic", "lp_rounding", "ortools_exact"]
+__all__ = ["heuristic", "highs", "lp_rounding"]

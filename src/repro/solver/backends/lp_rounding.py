@@ -1,15 +1,15 @@
 """LP-relaxation + randomized-rounding backend.
 
-Promoted from the internals of the legacy ``lp-round`` solver strategy: solve
-the LP relaxation of the placement MILP once, and when it comes back
-fractional, round it. On top of the original deterministic round-and-repair
-pass this backend adds *randomized rounding*: each trial samples every
-application's server from its fractional assignment distribution, repairs
-capacity conflicts by falling back to the largest-fraction server that still
-fits, and the best feasible trial (by placed count, then augmented cost) wins.
-For assignment-like LPs the relaxation is integral most of the time, so the
-rounding machinery only runs on the genuinely fractional instances where a
-single deterministic rounding is weakest.
+Solve the LP relaxation of the placement MILP once — the ``highs`` backend's
+model (:class:`~repro.solver.backends.highs.PlacementModel`) with
+integrality off — and when it comes back fractional, round it. Each
+*randomized rounding* trial samples every application's server from its
+fractional assignment distribution, repairs capacity conflicts by falling back
+to the largest-fraction server that still fits, and the best feasible trial
+(by placed count, then augmented cost) wins. For assignment-like LPs the
+relaxation is integral most of the time, so the rounding machinery only runs
+on the genuinely fractional instances where a single deterministic rounding
+is weakest.
 """
 
 from __future__ import annotations
@@ -19,15 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.model_builder import (
-    build_placement_model,
-    solution_from_values,
-    x_name,
-)
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import DenseCosts, SolveRequest, solution_from_assignment
 from repro.solver.backend import bool_all
-from repro.solver.lp_relaxation import solve_lp_relaxation
+from repro.solver.backends.highs import PlacementModel
 from repro.solver.registry import register_backend
 
 #: Rounding trials when the time budget does not cut them short.
@@ -46,27 +41,21 @@ class LPRandomizedRoundingBackend:
     name: str = "lp-round"
 
     def solve(self, request: SolveRequest) -> PlacementSolution | None:
-        problem = request.problem
-        model, report = build_placement_model(
-            problem, objective=request.objective, alpha=request.alpha,
-            report=request.report, manage_power=request.manage_power)
-        relaxed = solve_lp_relaxation(model)
-        if not relaxed.has_solution:
+        model = PlacementModel.build(request.dense())
+        relaxed, _ = model.solve(integral=False)
+        if relaxed.x is None:
             return None
-        if relaxed.is_integral(model.binary_names()):
-            placements, power_on = solution_from_values(problem, report, relaxed.values)
-            unplaced = [problem.applications[i].app_id for i in report.unplaceable]
-            return PlacementSolution(problem=problem, placements=placements,
-                                     power_on=power_on, unplaced=unplaced, solver_gap=0.0)
-        return self._round(request, relaxed.values)
+        if np.all(np.abs(relaxed.x - np.round(relaxed.x)) <= 1e-6):
+            solution = solution_from_assignment(request, model.assignment(relaxed.x))
+            solution.solver_gap = 0.0
+            return solution
+        return self._round(request, model.fractions(relaxed.x))
 
     # -- randomized rounding ----------------------------------------------------
 
     def _round(self, request: SolveRequest,
-               values: dict[str, float]) -> PlacementSolution | None:
-        problem = request.problem
+               fractions: np.ndarray) -> PlacementSolution | None:
         dense = request.dense()
-        fractions = self._fraction_matrix(request, values)
         rng = np.random.default_rng(request.seed)
         deadline = request.deadline(DEFAULT_ROUNDING_BUDGET_S)
 
@@ -87,16 +76,6 @@ class LPRandomizedRoundingBackend:
         solution = solution_from_assignment(request, best)
         solution.solver_gap = float("nan")  # rounded, bound unknown
         return solution
-
-    def _fraction_matrix(self, request: SolveRequest,
-                         values: dict[str, float]) -> np.ndarray:
-        """(A, S) fractional assignment weights from the LP solution."""
-        problem = request.problem
-        fractions = np.zeros((problem.n_applications, problem.n_servers))
-        for i in range(problem.n_applications):
-            for j in request.report.candidates_for(i):
-                fractions[i, int(j)] = max(0.0, values.get(x_name(i, int(j)), 0.0))
-        return fractions
 
     @staticmethod
     def _one_trial(dense: DenseCosts, fractions: np.ndarray, rng: np.random.Generator,

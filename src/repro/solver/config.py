@@ -20,7 +20,7 @@ AUTO_MIN_EXACT_BUDGET_S: float = 1.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Which solver tier answers a solve, and how wide its exact search runs.
+    """Which solver tier answers a solve: flat, or cluster-then-refine.
 
     The objective, budgets and warm starts — the knobs that state *what* is
     solved — live on :class:`~repro.solver.backend.SolveRequest`. Every field
@@ -35,13 +35,6 @@ class SolverConfig:
       Backends never see these knobs: the hierarchy consumes them above the
       backend layer and hands each region's restricted sub-problem to the
       registry with ``hierarchy_regions=1``.
-    * ``num_search_workers`` widens the anytime exact backends'
-      (``cpsat``/``milp``) search. Under a *finite* time budget the incumbent
-      held at the deadline may differ between worker counts (a run to proven
-      optimality returns the same objective regardless). The recorded
-      ``solver_params`` on the solution always state the worker count used,
-      so artifacts remain attributable. The heuristic-family backends ignore
-      the knob entirely.
 
     Parameters
     ----------
@@ -53,20 +46,12 @@ class SolverConfig:
     refine_backend:
         Registry backend name used for each region's refinement sub-solve
         when ``hierarchy_regions > 1`` (e.g. ``"greedy"``, ``"auto"``).
-    num_search_workers:
-        Parallel search workers for the anytime exact backends (CP-SAT's
-        portfolio search; the MILP wrapper's thread count where supported).
-        ``1`` keeps the single-worker search.
     """
 
     hierarchy_regions: int = 1
     refine_backend: str = "greedy"
-    num_search_workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_search_workers < 1:
-            raise ValueError(
-                f"num_search_workers must be >= 1, got {self.num_search_workers}")
         if self.hierarchy_regions < 1:
             raise ValueError(
                 f"hierarchy_regions must be >= 1, got {self.hierarchy_regions}")

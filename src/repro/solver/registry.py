@@ -13,13 +13,10 @@ One problem description, interchangeable backends::
 Backends register themselves with :func:`register_backend` (the built-ins do
 so when :mod:`repro.solver.backends` is imported, which happens lazily on
 first use); external packages can call it at import time and become
-addressable by name with no further wiring. The anytime exact tier —
-``cpsat`` (OR-Tools CP-SAT) and ``milp`` (pywraplp) — registers
-unconditionally but degrades gracefully: when the optional ``ortools``
-dependency is absent the backend emits a structured
-:class:`~repro.solver.backends.ortools_exact.OrToolsUnavailableWarning` and
-``solve`` falls back to the deterministic heuristic, never raising an
-``ImportError``.
+addressable by name with no further wiring. The built-ins are ``highs`` (alias
+``exact``; the Equations 1–7 MILP solved by scipy's HiGHS), ``heuristic``,
+``greedy`` and ``lp-round``. Loading them imports :mod:`scipy.optimize`, so a
+process's first registry call pays for that import.
 
 For backends that cannot guarantee a complete answer (the exact and
 LP-rounding backends), ``solve`` also computes the deterministic heuristic
@@ -134,7 +131,7 @@ def resolve_backend_name(backend: str, request: SolveRequest) -> str:
     if request.time_budget_s is not None and request.time_budget_s < AUTO_MIN_EXACT_BUDGET_S:
         return "heuristic"
     if request.report.n_candidate_pairs <= AUTO_EXACT_PAIR_LIMIT:
-        return "bnb"
+        return "highs"
     return "heuristic"
 
 
@@ -168,12 +165,12 @@ def solve(
         Previous placement (app id -> server index) seeding the heuristic —
         the incremental epoch re-solve path.
     max_nodes:
-        Node budget for the branch-and-bound backend.
+        Branch-and-bound node limit for the ``highs`` backend.
     seed:
         Seed for the randomised backends.
     config:
         Solver configuration (:class:`~repro.solver.config.SolverConfig`);
-        defaults to a single exact-search worker.
+        defaults to the flat solve.
 
     Returns
     -------

@@ -78,7 +78,7 @@ def _random_problem(seed: int, n_apps: int,
 def test_exact_vs_heuristic_objective_ordering(seed, n_apps):
     problem = _random_problem(seed, n_apps)
     request = SolveRequest(problem=problem)
-    exact = get_backend("bnb").solve(request)
+    exact = get_backend("highs").solve(request)
     heuristic = get_backend("heuristic").solve(SolveRequest(problem=problem))
     assert exact is not None and heuristic is not None
     validate_solution(exact, strict=True)
@@ -104,8 +104,8 @@ def test_exact_backend_is_permutation_invariant(seed, n_apps):
 
     base_request = SolveRequest(problem=problem)
     shuf_request = SolveRequest(problem=shuffled)
-    base = get_backend("bnb").solve(base_request)
-    shuf = get_backend("bnb").solve(shuf_request)
+    base = get_backend("highs").solve(base_request)
+    shuf = get_backend("highs").solve(shuf_request)
     assert base is not None and shuf is not None
     validate_solution(base, strict=True)
     validate_solution(shuf, strict=True)

@@ -1,16 +1,8 @@
-"""Objective-builder and MILP model-builder tests."""
+"""Objective-builder tests, and the placement MILP's LP relaxation."""
 
 import numpy as np
 import pytest
 
-from repro.core.filters import filter_feasible_servers
-from repro.core.model_builder import (
-    assignment_groups,
-    build_placement_model,
-    solution_from_values,
-    x_name,
-    y_name,
-)
 from repro.core.objective import (
     ObjectiveKind,
     carbon_objective_coefficients,
@@ -19,8 +11,8 @@ from repro.core.objective import (
     multi_objective_coefficients,
     objective_coefficients,
 )
-from repro.solver.branch_and_bound import BranchAndBoundSolver
-from repro.solver.lp_relaxation import solve_lp_relaxation
+from repro.solver.backend import SolveRequest, solution_from_assignment
+from repro.solver.backends.highs import PlacementModel
 
 
 def test_carbon_coefficients_match_problem(central_eu_problem):
@@ -66,54 +58,46 @@ def test_objective_dispatch(central_eu_problem):
         assert activation.shape == (central_eu_problem.n_servers,)
 
 
+def _model(problem, manage_power=True):
+    return PlacementModel.build(SolveRequest(problem=problem,
+                                             manage_power=manage_power).dense())
+
+
 def test_model_structure(central_eu_problem):
-    model, report = build_placement_model(central_eu_problem)
+    model = _model(central_eu_problem)
+    report = SolveRequest(problem=central_eu_problem).report
     # One y per server plus one x per feasible pair.
-    assert model.n_variables == central_eu_problem.n_servers + report.n_candidate_pairs
-    assign_rows = [c for c in model.constraints if c.name.startswith("assign")]
-    assert len(assign_rows) == central_eu_problem.n_applications
-    assert all(c.equality for c in assign_rows)
+    assert len(model.cost) == central_eu_problem.n_servers + report.n_candidate_pairs
+    assign_rows = model.constraints.lb == model.constraints.ub
+    assert assign_rows.sum() == central_eu_problem.n_applications
+    assert np.all(model.constraints.lb[assign_rows] == 1.0)
     # Servers already on have their y lower bound pinned to 1 (Equation 4).
-    for j in range(central_eu_problem.n_servers):
-        assert model.variables[y_name(j)].lower == 1.0
+    assert np.all(model.bounds.lb[report.n_candidate_pairs:] == 1.0)
 
 
 def test_model_solution_decoding(central_eu_problem):
-    model, report = build_placement_model(central_eu_problem)
-    result = BranchAndBoundSolver(rounding_groups=assignment_groups(central_eu_problem, report)
-                                  ).solve(model)
-    assert result.has_solution
-    placements, power_on = solution_from_values(central_eu_problem, report, result.values)
-    assert len(placements) == central_eu_problem.n_applications
-    assert power_on.shape == (central_eu_problem.n_servers,)
+    request = SolveRequest(problem=central_eu_problem)
+    model = PlacementModel.build(request.dense())
+    result, _ = model.solve()
+    assert result.x is not None
+    solution = solution_from_assignment(request, model.assignment(result.x))
+    assert len(solution.placements) == central_eu_problem.n_applications
+    assert solution.power_on.shape == (central_eu_problem.n_servers,)
     # Every used server is powered on in the decoded solution.
-    for j in placements.values():
-        assert power_on[j] == 1.0
-
-
-def test_model_lp_relaxation_is_integral_for_assignment_structure(central_eu_problem):
-    model, _ = build_placement_model(central_eu_problem)
-    relaxed = solve_lp_relaxation(model)
-    assert relaxed.status.has_solution
-    assert relaxed.is_integral(model.binary_names(), tol=1e-6)
+    for j in solution.placements.values():
+        assert solution.power_on[j] == 1.0
 
 
 def test_model_without_power_management(central_eu_problem):
-    model, _ = build_placement_model(central_eu_problem, manage_power=False)
-    # No activation terms on y variables: their objective coefficients are absent.
-    for j in range(central_eu_problem.n_servers):
-        assert y_name(j) not in model.objective
-    assert model.objective_constant == 0.0
+    model = _model(central_eu_problem, manage_power=False)
+    # No activation terms on the y variables, and every server is on.
+    n_pairs = len(model.apps)
+    assert np.all(model.cost[n_pairs:] == 0.0)
+    assert np.all(model.bounds.lb[n_pairs:] == 1.0)
 
 
-def test_assignment_groups_cover_feasible_apps(central_eu_problem):
-    report = filter_feasible_servers(central_eu_problem)
-    groups = assignment_groups(central_eu_problem, report)
-    assert len(groups) == central_eu_problem.n_applications - len(report.unplaceable)
-    for i, group in enumerate(groups):
-        assert all(name.startswith("x[") for name in group)
-
-
-def test_x_y_names_are_stable():
-    assert x_name(3, 7) == "x[3,7]"
-    assert y_name(2) == "y[2]"
+def test_model_lp_relaxation_is_integral_for_assignment_structure(central_eu_problem):
+    model = _model(central_eu_problem)
+    relaxed, _ = model.solve(integral=False)
+    assert relaxed.x is not None
+    assert np.allclose(relaxed.x, np.round(relaxed.x), atol=1e-6)

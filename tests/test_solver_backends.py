@@ -1,5 +1,7 @@
 """Tests for the pluggable solver-backend registry (repro.solver.registry)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,9 @@ from repro.core.validation import validate_solution
 from repro.solver import registry
 from repro.solver.backend import SolveRequest, raw_objective_value
 from repro.solver.backends.heuristic import GreedyLocalSearchBackend
+from repro.solver.compile import GreedyState, greedy_fill
+
+from tests.test_backend_metamorphic import _random_problem
 
 
 # -- registry mechanics ---------------------------------------------------------
@@ -25,19 +30,19 @@ def test_registry_module_importable_first():
          "import repro.solver.registry as r; print(len(r.available_backends()))"],
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "6"
+    assert result.stdout.strip() == "4"
 
 
 def test_builtin_backends_are_registered():
     names = registry.available_backends()
-    assert names == ("bnb", "cpsat", "greedy", "heuristic", "lp-round", "milp")
+    assert names == ("greedy", "heuristic", "highs", "lp-round")
     for name in names:
         backend = registry.get_backend(name)
         assert backend.name == name
 
 
 def test_aliases_resolve_to_canonical_backends():
-    assert registry.get_backend("exact").name == "bnb"
+    assert registry.get_backend("exact").name == "highs"
     assert registry.get_backend("local-search").name == "heuristic"
     assert registry.get_backend("lp-rounding").name == "lp-round"
     assert "auto" in registry.backend_names()
@@ -53,7 +58,7 @@ def test_greedy_backend_is_construction_only():
 
 def test_unknown_backend_raises_with_available_names():
     with pytest.raises(ValueError,
-                       match="bnb, cpsat, greedy, heuristic, lp-round, milp"):
+                       match="greedy, heuristic, highs, lp-round"):
         registry.get_backend("quantum")
     with pytest.raises(ValueError):
         registry.get_backend("auto")  # a selection rule, not a backend
@@ -94,7 +99,7 @@ def test_all_backends_feasible_and_within_tolerance(central_eu_problem):
         validate_solution(solution)
         assert solution.all_placed
         solutions[backend] = solution
-    exact_carbon = solutions["bnb"].total_carbon_g()
+    exact_carbon = solutions["highs"].total_carbon_g()
     for backend, solution in solutions.items():
         # Heuristics stay within 5% of the exact objective on small instances
         # and never beat it by more than numerical noise.
@@ -109,13 +114,13 @@ def test_backends_agree_on_energy_objective(central_eu_problem):
                                   objective=ObjectiveKind.ENERGY)
         validate_solution(solution)
         values[backend] = solution.total_energy_j()
-    assert values["heuristic"] <= values["bnb"] * 1.05 + 1e-9
-    assert values["lp-round"] <= values["bnb"] * 1.05 + 1e-9
+    assert values["heuristic"] <= values["highs"] * 1.05 + 1e-9
+    assert values["lp-round"] <= values["highs"] * 1.05 + 1e-9
 
 
 def test_auto_picks_exact_for_small_and_heuristic_under_tight_budget(central_eu_problem):
     small = registry.solve(central_eu_problem, backend="auto")
-    assert small.backend_name == "bnb"
+    assert small.backend_name == "highs"
     tight = registry.solve(central_eu_problem, backend="auto", time_budget_s=0.01)
     assert tight.backend_name == "heuristic"
     validate_solution(tight)
@@ -223,10 +228,74 @@ def test_warm_start_ignores_stale_entries(central_eu_problem):
     assert solution.all_placed
 
 
+# -- warm-start sanitization ------------------------------------------------------
+
+def test_solve_request_drops_and_counts_malformed_hints():
+    problem = _random_problem(seed=2, n_apps=4)
+    good_app = problem.applications[0].app_id
+    request = SolveRequest(problem=problem, warm_start={
+        good_app: 0,                 # kept
+        "departed-app": 1,           # unknown id -> dropped
+        problem.applications[1].app_id: 10**6,   # out-of-range server -> dropped
+        problem.applications[2].app_id: "zero",  # non-numeric -> dropped
+    })
+    assert request.warm_hints_dropped == 3
+    assert request.warm_start == {good_app: 0}
+
+
+def test_clean_warm_start_drops_nothing():
+    problem = _random_problem(seed=2, n_apps=4)
+    warm = {app.app_id: 0 for app in problem.applications}
+    request = SolveRequest(problem=problem, warm_start=warm)
+    assert request.warm_hints_dropped == 0
+    assert request.warm_start == warm
+
+
+def test_dropped_hint_counter_reaches_the_solution():
+    problem = _random_problem(seed=3, n_apps=4)
+    solution = registry.solve(problem, backend="heuristic",
+                              warm_start={"no-such-app": 0, "nor-this-one": 2})
+    validate_solution(solution)
+    assert solution.all_placed
+    assert solution.warm_hints_dropped == 2
+    untainted = registry.solve(problem, backend="heuristic")
+    assert untainted.warm_hints_dropped == 0
+
+
+# -- construction deadline ---------------------------------------------------------
+
+def test_greedy_fill_expired_deadline_truncates_with_valid_state():
+    request = SolveRequest(problem=_random_problem(seed=4, n_apps=6))
+    state = GreedyState(request.dense())
+    greedy_fill(state, request.problem.energy_j, deadline=time.monotonic() - 1.0)
+    assert state.stats.truncated
+    # Whatever was filled before the cut is a consistent partial assignment.
+    assert np.all(state.assignment == -1) or state.assignment.max() >= 0
+
+
+def test_expired_budget_flags_construction_truncated_on_the_solution():
+    problem = _random_problem(seed=4, n_apps=6)
+    request = SolveRequest(problem=problem, time_budget_s=5.0,
+                           started_at=time.monotonic() - 10.0)  # already expired
+    solution = registry.get_backend("heuristic").solve(request)
+    assert solution is not None
+    validate_solution(solution)
+    assert solution.construction_truncated
+    assert not solution.all_placed
+
+
+def test_no_budget_leaves_construction_untruncated():
+    problem = _random_problem(seed=4, n_apps=6)
+    solution = registry.get_backend("heuristic").solve(SolveRequest(problem=problem))
+    assert solution is not None
+    assert not solution.construction_truncated
+    assert solution.all_placed
+
+
 # -- policy integration ------------------------------------------------------------
 
 def test_policy_accepts_any_registered_backend_name(central_eu_problem):
-    for solver in ("heuristic", "bnb", "branch-and-bound", "rounding"):
+    for solver in ("heuristic", "highs", "exact", "rounding"):
         solution = CarbonEdgePolicy(solver=solver).place(central_eu_problem)
         validate_solution(solution)
         assert solution.all_placed
