@@ -156,12 +156,12 @@ def build_carbon_edge_parser() -> argparse.ArgumentParser:
                          help="worker processes; results are identical for any "
                               "worker count (default: 1)")
     run_cmd.add_argument("--hierarchy-regions", type=int, default=None, metavar="N",
-                         help="route placement through the cluster-then-refine "
-                              "hierarchy with N geographic regions in every "
-                              "experiment that takes a hierarchy_regions "
-                              "parameter; a recorded experiment parameter (it "
-                              "changes placements; the coarse/refine gap is "
-                              "recorded)")
+                         help="plan N geographic regions for the cluster-then-"
+                              "refine hierarchy of the experiments that take a "
+                              "hierarchy_regions parameter (the planetary_sweep "
+                              "specs; selecting none is an error); a recorded "
+                              "experiment parameter (it changes placements; "
+                              "the coarse/refine gap is recorded)")
     run_cmd.add_argument("--backend", default=None, metavar="NAME",
                          help="pin the solver backend (canonical name or "
                               "alias, e.g. heuristic, highs, lp-round) in "
@@ -261,8 +261,14 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
                      f"registered: {', '.join(known)}")
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    if args.hierarchy_regions is not None and args.hierarchy_regions < 1:
-        parser.error(f"--hierarchy-regions must be >= 1, got {args.hierarchy_regions}")
+    if args.hierarchy_regions is not None:
+        if args.hierarchy_regions < 1:
+            parser.error(f"--hierarchy-regions must be >= 1, got {args.hierarchy_regions}")
+        takers = [spec.name for spec in experiment_registry.all_specs()
+                  if "hierarchy_regions" in spec.params]
+        if not set(names) & set(takers):
+            parser.error("--hierarchy-regions applies only to experiments that "
+                         f"take it ({', '.join(takers)}); none is selected")
     if args.backend is not None:
         from repro.solver import registry as solver_registry
 

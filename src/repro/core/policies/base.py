@@ -17,10 +17,8 @@ import inspect
 import time
 from abc import ABC, abstractmethod
 
-from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
-from repro.solver.config import SolverConfig
 
 
 class PlacementPolicy(ABC):
@@ -28,26 +26,6 @@ class PlacementPolicy(ABC):
 
     #: Human-readable policy name (used in experiment tables).
     name: str = "policy"
-
-    def solver_config(self) -> SolverConfig:
-        """Solver configuration forwarded to the solver registry.
-
-        Reads the policy's ``hierarchy_regions`` / ``refine_backend`` fields
-        when it declares them (:class:`SolverConfig` validates them), so every
-        solver-backed policy shares one plumbing path for solver knobs. The
-        knobs select the cluster-then-refine tier
-        (:mod:`repro.solver.hierarchy`) — see :class:`SolverConfig` for how
-        they can change which answer comes back.
-        """
-        return SolverConfig(
-            hierarchy_regions=getattr(self, "hierarchy_regions", 1),
-            refine_backend=getattr(self, "refine_backend", "greedy"),
-        )
-
-    @property
-    def objective_kind(self) -> ObjectiveKind:
-        """Objective this policy minimises (drives the hierarchical tier)."""
-        return ObjectiveKind.CARBON
 
     @abstractmethod
     def place(self, problem: PlacementProblem,

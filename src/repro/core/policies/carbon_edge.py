@@ -58,10 +58,11 @@ class CarbonEdgePolicy(PlacementPolicy):
     max_nodes / time_limit_s:
         Node and wall-clock budget forwarded to the solver backends (the node
         limit only applies to the ``highs`` backend's branch and bound).
-    hierarchy_regions / refine_backend:
-        Cluster-then-refine hierarchy knobs (:mod:`repro.solver.hierarchy`);
-        ``hierarchy_regions=1`` keeps the flat solve. These change which
-        answer comes back (see :class:`~repro.solver.config.SolverConfig`).
+
+    The policy always solves the flat epoch problem it is handed. The
+    cluster-then-refine tier is not a policy setting: callers enter it through
+    :func:`repro.solver.hierarchy.solve_hierarchical`, as ``planetary_sweep``
+    does.
     """
 
     alpha: float = 0.0
@@ -69,8 +70,6 @@ class CarbonEdgePolicy(PlacementPolicy):
     manage_power: bool = True
     max_nodes: int = 200
     time_limit_s: float = 30.0
-    hierarchy_regions: int = 1
-    refine_backend: str = "greedy"
     name: str = "CarbonEdge"
 
     def __post_init__(self) -> None:
@@ -96,5 +95,4 @@ class CarbonEdgePolicy(PlacementPolicy):
             time_budget_s=self.time_limit_s,
             warm_start=warm_start,
             max_nodes=self.max_nodes,
-            config=self.solver_config(),
         )

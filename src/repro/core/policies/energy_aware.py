@@ -26,16 +26,10 @@ class EnergyAwarePolicy(PlacementPolicy):
     solver: str = "auto"
     max_nodes: int = 100
     time_limit_s: float = 15.0
-    hierarchy_regions: int = 1
-    refine_backend: str = "greedy"
     name: str = "Energy-aware"
 
     def __post_init__(self) -> None:
         validate_solver_name(self.solver)
-
-    @property
-    def objective_kind(self) -> ObjectiveKind:
-        return ObjectiveKind.ENERGY
 
     def place(self, problem: PlacementProblem,
               warm_start: dict[str, int] | None = None) -> PlacementSolution:
@@ -46,5 +40,4 @@ class EnergyAwarePolicy(PlacementPolicy):
             time_budget_s=self.time_limit_s,
             warm_start=warm_start,
             max_nodes=self.max_nodes,
-            config=self.solver_config(),
         )

@@ -25,16 +25,9 @@ from repro.solver import registry
 class IntensityAwarePolicy(PlacementPolicy):
     """Assign each application to the feasible server with the lowest carbon intensity."""
 
-    hierarchy_regions: int = 1
-    refine_backend: str = "greedy"
     name: str = "Intensity-aware"
-
-    @property
-    def objective_kind(self) -> ObjectiveKind:
-        return ObjectiveKind.INTENSITY
 
     def place(self, problem: PlacementProblem,
               warm_start: dict[str, int] | None = None) -> PlacementSolution:
         return registry.solve(problem, backend="greedy",
-                              objective=ObjectiveKind.INTENSITY, warm_start=warm_start,
-                              config=self.solver_config())
+                              objective=ObjectiveKind.INTENSITY, warm_start=warm_start)

@@ -26,16 +26,9 @@ from repro.solver import registry
 class LatencyAwarePolicy(PlacementPolicy):
     """Assign each application to the lowest-latency server with capacity."""
 
-    hierarchy_regions: int = 1
-    refine_backend: str = "greedy"
     name: str = "Latency-aware"
-
-    @property
-    def objective_kind(self) -> ObjectiveKind:
-        return ObjectiveKind.LATENCY
 
     def place(self, problem: PlacementProblem,
               warm_start: dict[str, int] | None = None) -> PlacementSolution:
         return registry.solve(problem, backend="greedy",
-                              objective=ObjectiveKind.LATENCY, warm_start=warm_start,
-                              config=self.solver_config())
+                              objective=ObjectiveKind.LATENCY, warm_start=warm_start)

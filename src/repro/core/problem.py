@@ -56,10 +56,13 @@ def ensure_dense_cell_budget(n_applications: int, n_servers: int,
                              context: str = "flat placement build") -> None:
     """Refuse flat dense-tensor builds past the configured cell budget.
 
-    The refusal names the escape hatches: the hierarchical solver tier
-    (``SolverConfig(hierarchy_regions=...)`` / ``--hierarchy-regions``), which
-    keeps peak tensors bounded by the largest region, or raising the budget
-    via ``CARBON_EDGE_MAX_DENSE_CELLS`` on a box with the memory to match.
+    The refusal names the escape hatches: the hierarchical solver tier, which
+    keeps peak tensors bounded by the largest region — calling
+    :func:`repro.solver.hierarchy.solve_hierarchical` over a region plan, as
+    ``planetary_sweep`` does for each of its ``hierarchy_regions`` values
+    (``carbon-edge experiments run planetary_sweep --hierarchy-regions N``) —
+    or raising the budget via ``CARBON_EDGE_MAX_DENSE_CELLS`` on a machine
+    with the memory to match.
     """
     budget = max_dense_cells()
     cells = int(n_applications) * int(n_servers)
@@ -68,9 +71,11 @@ def ensure_dense_cell_budget(n_applications: int, n_servers: int,
             f"{context}: {n_applications} applications x {n_servers} servers = "
             f"{cells} dense cells exceeds the CARBON_EDGE_MAX_DENSE_CELLS budget "
             f"of {budget}. Use the hierarchical solver tier instead — "
-            f"SolverConfig(hierarchy_regions=N) / carbon-edge experiments run "
-            f"--hierarchy-regions N — or raise CARBON_EDGE_MAX_DENSE_CELLS if "
-            f"this box really has the memory for flat tensors at this scale.")
+            f"repro.solver.hierarchy.solve_hierarchical over an N-region plan, "
+            f"as planetary_sweep runs it for each of its hierarchy_regions "
+            f"values (carbon-edge experiments run planetary_sweep "
+            f"--hierarchy-regions N) — or raise CARBON_EDGE_MAX_DENSE_CELLS if "
+            f"the machine really has the memory for flat tensors at this scale.")
 
 #: Shared empty demand for (application, server) pairs without a profile.
 _EMPTY_DEMAND = ResourceVector()

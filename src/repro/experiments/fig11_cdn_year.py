@@ -21,13 +21,8 @@ from repro.simulator.scenario import CDNScenario
 def run(seed: int = EXPERIMENT_SEED, latency_limit_ms: float = 20.0,
         n_epochs: int = 12, apps_per_site_per_epoch: float = 2.0,
         max_sites: int | None = None,
-        continents: tuple[str, ...] = ("US", "EU"),
-        hierarchy_regions: int = 1) -> dict[str, object]:
-    """Year-long CDN simulation for both continents under the four policies.
-
-    ``hierarchy_regions`` is *recorded* science: above 1 every policy routes
-    through the cluster-then-refine solver tier, which changes placements.
-    """
+        continents: tuple[str, ...] = ("US", "EU")) -> dict[str, object]:
+    """Year-long CDN simulation for both continents under the four policies."""
     results: dict[str, SimulationResult] = {}
     for continent in continents:
         scenario = CDNScenario(
@@ -36,7 +31,6 @@ def run(seed: int = EXPERIMENT_SEED, latency_limit_ms: float = 20.0,
             n_epochs=n_epochs,
             apps_per_site_per_epoch=apps_per_site_per_epoch,
             max_sites=max_sites,
-            hierarchy_regions=hierarchy_regions,
             seed=seed,
         )
         results[continent] = run_cdn_simulation(scenario)
@@ -79,7 +73,7 @@ SPEC = register(ExperimentSpec(
     report=report,
     params=dict(seed=EXPERIMENT_SEED, latency_limit_ms=20.0, n_epochs=12,
                 apps_per_site_per_epoch=2.0, max_sites=None,
-                continents=("US", "EU"), hierarchy_regions=1),
+                continents=("US", "EU")),
     # tests/test_golden_digests.py pins this smoke configuration's artifact;
     # changing these values moves its digest.
     smoke_params=dict(n_epochs=1, max_sites=10, continents=("EU",),

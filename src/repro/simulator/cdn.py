@@ -38,22 +38,18 @@ from repro.workloads.demand import capacity_weights_from_population, population_
 from repro.workloads.generator import ApplicationGenerator
 
 
-def default_policies(solver: str = "greedy",
-                     hierarchy_regions: int = 1,
-                     refine_backend: str = "greedy") -> list[PlacementPolicy]:
+def default_policies(solver: str = "greedy") -> list[PlacementPolicy]:
     """The four policies the paper compares (Section 6.1.3).
 
-    ``hierarchy_regions > 1`` routes every policy through the cluster-then-
-    refine hierarchy instead (:mod:`repro.solver.hierarchy`) — a different
-    solver tier that changes placements (the comparison stays fair because
-    all policies go through the same tier).
+    ``solver`` is the backend of the two optimisation-based policies. Every
+    policy solves the flat epoch problem, so the batch loop, the incremental
+    placer and the serving replay all run the same placement.
     """
-    knobs = dict(hierarchy_regions=hierarchy_regions, refine_backend=refine_backend)
     return [
-        LatencyAwarePolicy(**knobs),
-        EnergyAwarePolicy(solver=solver, **knobs),
-        IntensityAwarePolicy(**knobs),
-        CarbonEdgePolicy(solver=solver, **knobs),
+        LatencyAwarePolicy(),
+        EnergyAwarePolicy(solver=solver),
+        IntensityAwarePolicy(),
+        CarbonEdgePolicy(solver=solver),
     ]
 
 
@@ -281,18 +277,9 @@ class CDNSimulator:
         below — the fair comparison the paper's evaluation relies on, without
         each policy paying for its own copy of the same precomputation.
         """
-        policies = policies if policies is not None else default_policies(
-            self.scenario.solver, self.scenario.hierarchy_regions,
-            self.scenario.refine_backend)
+        if policies is None:
+            policies = default_policies(self.scenario.solver)
         result = SimulationResult(scenario_name=f"CDN-{self.scenario.continent}")
-        plan = None
-        if any(p.solver_config().hierarchy_regions > 1 for p in policies):
-            from repro.solver.hierarchy import build_region_plan
-
-            plan = build_region_plan(
-                self.fleet.sites(), self.fleet.site_coordinates(),
-                max(p.solver_config().hierarchy_regions for p in policies),
-                seed=self.scenario.seed)
         for epoch in range(self.scenario.n_epochs):
             problem = self.epoch_problem(epoch)
             # Apps with no feasible server at all: no policy can place them
@@ -302,10 +289,7 @@ class CDNSimulator:
             # latency-increase mean as the seed's fallback did.
             compilation = compile_placement(problem)
             for policy in policies:
-                if plan is not None and policy.solver_config().hierarchy_regions > 1:
-                    solution = self._hierarchical_place(policy, problem, plan, epoch)
-                else:
-                    solution = policy.timed_place(problem)
+                solution = policy.timed_place(problem)
                 if validate:
                     validate_solution(solution, strict=True)
                 result.add(build_epoch_record(
@@ -313,44 +297,6 @@ class CDNSimulator:
                     self.scenario.epoch_start_hour(epoch),
                     record_assignments=record_assignments))
         return result
-
-    def _hierarchical_place(self, policy: PlacementPolicy,
-                            problem: PlacementProblem, plan, epoch: int):
-        """Route one policy's epoch through the cluster-then-refine tier.
-
-        The hierarchy solves against the scenario compilation (it never
-        materialises the flat apps×servers tensors), then the assignment
-        vector is decoded against the already-built epoch problem so the
-        record/validation path is identical to the flat branch.
-        """
-        import time
-
-        from repro.solver.compile import assignment_to_solution
-        from repro.solver.hierarchy import solve_hierarchical
-        from repro.workloads.generator import LazyApplications
-
-        substrate = compile_scenario(self.fleet.servers(), self.latency, self.carbon)
-        manage_power = getattr(policy, "manage_power", True)
-        # A problem assembled from a columnar batch hands the batch itself to
-        # the hierarchy (class table intact); object-built problems pass the
-        # application list as before.
-        apps = problem.applications
-        apps = apps.batch if isinstance(apps, LazyApplications) else list(apps)
-        start = time.monotonic()
-        outcome = solve_hierarchical(
-            substrate, apps, plan,
-            hour=self.scenario.epoch_start_hour(epoch),
-            horizon_hours=float(self.scenario.hours_per_epoch),
-            objective=policy.objective_kind,
-            alpha=getattr(policy, "alpha", 0.0),
-            manage_power=manage_power,
-            config=policy.solver_config(),
-            seed=self.scenario.seed)
-        solution = assignment_to_solution(problem, outcome.assignment,
-                                          manage_power=manage_power)
-        solution.solve_time_s = time.monotonic() - start
-        solution.policy_name = policy.name
-        return solution
 
 
 def run_cdn_simulation(scenario: CDNScenario,

@@ -41,16 +41,6 @@ class CDNScenario:
         Optional cap on the number of CDN cities simulated (keeps tests fast).
     solver:
         Solver strategy handed to the optimisation-based policies.
-    hierarchy_regions:
-        Number of geographic regions for the cluster-then-refine solver tier
-        (:mod:`repro.solver.hierarchy`). ``1`` keeps the flat solve; higher
-        values cluster the fleet, solve a coarse apps×regions pass, and
-        refine per region. This knob *changes the answer* (the coarse/refine
-        gap is recorded, never hidden), but for a fixed value the artifacts
-        stay byte-stable across worker counts.
-    refine_backend:
-        Registry backend used for each region's refinement sub-solve when
-        ``hierarchy_regions > 1``.
     seed:
         Root seed for arrivals and trace generation.
     """
@@ -68,8 +58,6 @@ class CDNScenario:
     request_rate_rps: float = 10.0
     max_sites: int | None = None
     solver: str = "greedy"
-    hierarchy_regions: int = 1
-    refine_backend: str = "greedy"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -89,13 +77,6 @@ class CDNScenario:
             raise ValueError("servers_per_site must be positive")
         if self.max_sites is not None and self.max_sites <= 1:
             raise ValueError("max_sites must be at least 2")
-        if self.hierarchy_regions < 1:
-            raise ValueError(
-                f"hierarchy_regions must be >= 1, got {self.hierarchy_regions}")
-        if not self.refine_backend or not isinstance(self.refine_backend, str):
-            raise ValueError(
-                f"refine_backend must be a non-empty backend name, "
-                f"got {self.refine_backend!r}")
 
     @property
     def hours_per_epoch(self) -> int:

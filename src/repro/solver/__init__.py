@@ -21,8 +21,9 @@ This package solves the same Equations 1–7 model with scipy's HiGHS
   relaxation + randomized rounding).
 
 The registry, backend and compilation symbols are exported lazily so that
-importing :mod:`repro.solver.config` from :mod:`repro.core` never triggers the
-backends' (circular) import of the placement problem types.
+importing the package from :mod:`repro.core` (the policies import the
+registry) never triggers the backends' (circular) import of the placement
+problem types.
 """
 
 from repro.solver.config import SolverConfig

@@ -38,7 +38,6 @@ from repro.solver.compile import (  # noqa: F401  (re-exported for compatibility
     bool_all,
     compile_placement,
 )
-from repro.solver.config import DEFAULT_SOLVER_CONFIG, SolverConfig
 
 
 @dataclass
@@ -73,10 +72,10 @@ class SolveRequest:
         others).
     seed:
         Seed for the randomised backends (randomized rounding).
-    config:
-        Solver configuration (:class:`~repro.solver.config.SolverConfig`).
-        Backends never read it: its hierarchy knobs are consumed above the
-        backend layer.
+
+    A request describes one flat solve. The cluster-then-refine tier sits
+    above the backends (:func:`repro.solver.hierarchy.solve_hierarchical`)
+    and hands each region's sub-problem to the registry as its own request.
 
     Every backend minimises the same *tie-broken* objective: the cost of
     :meth:`dense` (the raw coefficients plus a deterministic epsilon
@@ -93,7 +92,6 @@ class SolveRequest:
     warm_start: dict[str, int] | None = None
     max_nodes: int | None = None
     seed: int = 0
-    config: SolverConfig = DEFAULT_SOLVER_CONFIG
     started_at: float = field(default_factory=time.monotonic)
     #: Malformed warm-start entries dropped by the sanitization pass.
     warm_hints_dropped: int = field(default=0, init=False)

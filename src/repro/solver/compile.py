@@ -997,12 +997,11 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # element-wise server identity — which is exactly what the CDN scenario-
 # substrate cache (:func:`repro.simulator.cdn.scenario_substrate`) shares
 # between scenario variants, so a latency-limit sweep reuses one scenario tier
-# across all its variants. Epoch compilations are memoised on (substrate,
-# epoch delta) for pristine deltas, so re-running the same scenario skips
-# assembly entirely. Static rows never go stale (device catalogues and the
-# latency matrix are immutable); allocation state is *not* cached — non-
-# pristine deltas read live capacities and recompute the capacity-dependent
-# report per epoch.
+# across all its variants. Epoch compilations are not memoised: every delta
+# is assembled afresh from the class tables. Static rows never go stale
+# (device catalogues and the latency matrix are immutable); allocation state
+# is *not* cached — a delta away from baseline capacity reads live capacities
+# and recomputes the capacity-dependent report.
 
 
 #: Per-scenario class caches are dropped wholesale beyond this many distinct
@@ -1012,9 +1011,6 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 #: an LRU instead of a wholesale drop.
 CLASS_CACHE_LIMIT: int = 4096
 
-
-#: Pristine epoch compilations memoised per scenario (LRU).
-_EPOCH_MEMO_LIMIT: int = 64
 
 #: Cells (classes x servers) of class-table rows filled at once, bounding the
 #: temporaries of a batch that brings many new classes.
@@ -1051,9 +1047,6 @@ class EpochDelta:
     baseline_capacity:
         Capacities equal the scenario baseline (enables the cached
         capacity-fit report rows).
-    pristine:
-        Fully pristine fleet state (baseline capacity *and* every server on)
-        — the precondition for memoising the assembled compilation.
     """
 
     hour: int
@@ -1065,23 +1058,10 @@ class EpochDelta:
     capacities: tuple
     current_power: np.ndarray
     baseline_capacity: bool
-    pristine: bool
     #: Generation of the scenario's class table these indices point into
     #: (the table is dropped wholesale past its cache limit; a delta held
     #: across such a trim must have its indices re-derived, not trusted).
     class_generation: int = 0
-
-    def memo_key(self) -> tuple | None:
-        """Hashable identity of a pristine delta (``None`` when not memoisable)."""
-        if not self.pristine:
-            return None
-        apps = self.applications
-        # Formulaic batch ids are fully determined by (interval, count) — no
-        # per-app tuple needed; the class indices capture the content.
-        ids: tuple = (apps.interval_index, len(apps)) \
-            if apps.explicit_ids is None else apps.explicit_ids
-        return (self.hour, float(self.horizon_hours), self.use_forecast, ids,
-                self.class_indices.tobytes())
 
 
 @dataclass
@@ -1147,7 +1127,6 @@ class ScenarioCompilation:
         self._fits_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         #: Keyed rows evicted by the LRU caps (telemetry; see cache_stats).
         self._row_evictions: int = 0
-        self._epoch_memo: OrderedDict[tuple, EpochCompilation] = OrderedDict()
         #: Region-restricted child compilations (see :meth:`region_slice`).
         self._region_memo: dict[tuple, "ScenarioCompilation"] = {}
         #: Bumped whenever the class table is dropped wholesale, so deltas
@@ -1450,7 +1429,6 @@ class ScenarioCompilation:
         self._fits_rows.clear()
         self._energy_rows.clear()
         self._blocks.clear()
-        self._epoch_memo.clear()
 
     def cache_stats(self) -> dict:
         """Size telemetry for the per-class caches (diagnostics, benches).
@@ -1498,7 +1476,6 @@ class ScenarioCompilation:
         self._trim_class_caches()
         class_indices = self._batch_class_indices(batch)
         unallocated = all(not srv.allocations for srv in self.servers)
-        all_on = all(srv.is_on for srv in self.servers)
         if unallocated:
             capacities = tuple(self._baseline())
         else:
@@ -1517,18 +1494,16 @@ class ScenarioCompilation:
                           class_indices=class_indices, intensity=intensity,
                           capacities=capacities, current_power=current_power,
                           baseline_capacity=unallocated,
-                          pristine=unallocated and all_on,
                           class_generation=self._class_generation)
 
     # -- assembly ----------------------------------------------------------------
 
     def compile_epoch(self, delta: EpochDelta) -> EpochCompilation:
-        """Assemble (or recall) the epoch compilation for one delta.
+        """Assemble the epoch compilation for one delta.
 
-        Pristine deltas are memoised on (substrate, delta), so re-running an
-        identical epoch — the same arrivals against the same pristine fleet —
-        returns the previously assembled problem and all of its lazily built
-        tensors.
+        Every call gathers a fresh problem from the class tables; at baseline
+        capacity the feasibility report is gathered from the cached fit rows
+        too.
         """
         if delta.class_generation != self._class_generation:
             # The class table was dropped (cache-limit trim) after this delta
@@ -1537,12 +1512,6 @@ class ScenarioCompilation:
             # gathering silently wrong rows.
             delta = self.epoch_delta(delta.applications, delta.hour,
                                      delta.horizon_hours, delta.use_forecast)
-        key = delta.memo_key()
-        if key is not None:
-            memoised = self._epoch_memo.get(key)
-            if memoised is not None:
-                self._epoch_memo.move_to_end(key)
-                return memoised
         block_ids, app_block = np.unique(self._class_block[delta.class_indices],
                                          return_inverse=True)
         blocks = [self._block_keys[b] for b in block_ids.tolist()]
@@ -1552,10 +1521,6 @@ class ScenarioCompilation:
         if delta.baseline_capacity:
             compilation._report = self._assemble_report(problem, blocks, app_block)
         problem._compilation = compilation
-        if key is not None:
-            self._epoch_memo[key] = compilation
-            while len(self._epoch_memo) > _EPOCH_MEMO_LIMIT:
-                self._epoch_memo.popitem(last=False)
         return compilation
 
     def build_problem(self, applications: "Sequence[Application] | ApplicationBatch",

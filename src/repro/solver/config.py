@@ -1,9 +1,8 @@
-"""Dependency-free solver-layer constants and configuration.
+"""Dependency-free solver-layer constants and the hierarchy's configuration.
 
 These live in their own module (importing nothing from the rest of the
-package) so that both the backend registry and the policy layer can read them
-without creating an import cycle between :mod:`repro.solver` and
-:mod:`repro.core`.
+package) so that the backend registry and the hierarchy can read them without
+creating an import cycle between :mod:`repro.solver` and :mod:`repro.core`.
 """
 
 from __future__ import annotations
@@ -20,32 +19,24 @@ AUTO_MIN_EXACT_BUDGET_S: float = 1.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Which solver tier answers a solve: flat, or cluster-then-refine.
+    """Configuration of one :func:`~repro.solver.hierarchy.solve_hierarchical` call.
 
-    The objective, budgets and warm starts — the knobs that state *what* is
-    solved — live on :class:`~repro.solver.backend.SolveRequest`. Every field
-    here can change the answer, each in a documented way:
-
-    * The *hierarchy* knobs (``hierarchy_regions``, ``refine_backend``)
-      select the cluster-then-refine tier of :mod:`repro.solver.hierarchy`,
-      which deliberately trades optimality for memory and scale. Within a
-      fixed hierarchy configuration the answer is a pure function of the
-      inputs (worker counts never change it), and the coarse/refine
-      objective gap versus flat is recorded, never hidden.
-      Backends never see these knobs: the hierarchy consumes them above the
-      backend layer and hands each region's restricted sub-problem to the
-      registry with ``hierarchy_regions=1``.
+    The cluster-then-refine tier trades optimality for memory and scale.
+    Within a fixed (region plan, configuration) the answer is a pure function
+    of the inputs (worker counts never change it), and the coarse/refine
+    objective gap is recorded, never hidden. Policies and flat registry solves
+    take no configuration.
 
     Parameters
     ----------
     hierarchy_regions:
-        Number of geographic regions for the cluster-then-refine hierarchy.
-        ``1`` keeps the flat solve; higher values cluster the fleet into that
-        many regions, run a coarse apps×regions pass, and refine each region
-        independently.
+        Region count the caller plans for. ``solve_hierarchical`` takes the
+        regions from its :class:`~repro.solver.hierarchy.RegionPlan`, so
+        callers build the plan with this many regions (``planetary_sweep``
+        does); the field itself is only validated.
     refine_backend:
-        Registry backend name used for each region's refinement sub-solve
-        when ``hierarchy_regions > 1`` (e.g. ``"greedy"``, ``"auto"``).
+        Registry backend name that solves each region's refinement
+        sub-problem (e.g. ``"greedy"``, ``"heuristic"``, ``"auto"``).
     """
 
     hierarchy_regions: int = 1
@@ -61,5 +52,5 @@ class SolverConfig:
                 f"got {self.refine_backend!r}")
 
 
-#: Shared default configuration (flat solve).
+#: Shared default configuration (greedy refinement).
 DEFAULT_SOLVER_CONFIG = SolverConfig()

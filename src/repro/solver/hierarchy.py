@@ -39,7 +39,7 @@ byte-stable across worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -283,7 +283,7 @@ def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
                    apps: ApplicationBatch, *, hour: int,
                    horizon_hours: float, use_forecast: bool,
                    objective: ObjectiveKind, alpha: float, manage_power: bool,
-                   refine_backend: str, seed: int, config: SolverConfig):
+                   refine_backend: str, seed: int):
     """Solve one region's restricted sub-problem through the backend registry.
 
     Returns ``(local_assignment, solution)``; the solution is what
@@ -294,8 +294,7 @@ def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
                                 use_forecast=use_forecast)
     solution = registry_solve(problem, backend=refine_backend,
                               objective=objective, alpha=alpha,
-                              manage_power=manage_power, seed=seed,
-                              config=config)
+                              manage_power=manage_power, seed=seed)
     local = np.full(len(apps), -1, dtype=int)
     local[problem.app_indices(list(solution.placements))] = \
         list(solution.placements.values())
@@ -332,8 +331,9 @@ def solve_hierarchical(
     pass reduces blocks of class rows (at most :data:`COARSE_BLOCK_CELLS`
     cells each) to ``(R,)`` aggregates per class, and each refinement solves
     against a :meth:`ScenarioCompilation.region_slice` view bounded by its
-    region. See the module docstring for the four stages
-    and the determinism contract.
+    region. ``config.refine_backend`` names the registry backend of every
+    region's refinement; the regions themselves come from ``plan``. See the
+    module docstring for the four stages and the determinism contract.
     """
     if len(applications) == 0:
         raise ValueError("cannot solve an empty application batch")
@@ -462,7 +462,6 @@ def solve_hierarchical(
     n_coarse_unrouted = int((~placed_coarse).sum())
 
     # -- per-region refinement through the backend registry ---------------------
-    region_config = replace(config, hierarchy_regions=1)
     region_app_counts = [0] * n_eff
     assignment = np.full(n_apps, -1, dtype=int)
     refined: dict[int, "PlacementSolution"] = {}
@@ -475,8 +474,7 @@ def solve_hierarchical(
             compilation, cols[r], batch.take(idx_r),
             hour=hour, horizon_hours=horizon_hours, use_forecast=use_forecast,
             objective=objective, alpha=alpha, manage_power=manage_power,
-            refine_backend=config.refine_backend, seed=seed,
-            config=region_config)
+            refine_backend=config.refine_backend, seed=seed)
         placed = local >= 0
         assignment[idx_r[placed]] = cols[r][local[placed]]
 

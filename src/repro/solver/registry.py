@@ -39,12 +39,7 @@ from repro.cluster.resources import ResourceVector
 from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
-from repro.solver.config import (
-    AUTO_EXACT_PAIR_LIMIT,
-    AUTO_MIN_EXACT_BUDGET_S,
-    DEFAULT_SOLVER_CONFIG,
-    SolverConfig,
-)
+from repro.solver.config import AUTO_EXACT_PAIR_LIMIT, AUTO_MIN_EXACT_BUDGET_S
 
 if TYPE_CHECKING:  # imported lazily at runtime: backend -> compile -> core ->
     # policies -> registry would otherwise cycle on first import
@@ -146,7 +141,6 @@ def solve(
     warm_start: dict[str, int] | None = None,
     max_nodes: int | None = None,
     seed: int = 0,
-    config: SolverConfig | None = None,
 ) -> PlacementSolution:
     """Solve a placement problem with the requested backend.
 
@@ -168,9 +162,6 @@ def solve(
         Branch-and-bound node limit for the ``highs`` backend.
     seed:
         Seed for the randomised backends.
-    config:
-        Solver configuration (:class:`~repro.solver.config.SolverConfig`);
-        defaults to the flat solve.
 
     Returns
     -------
@@ -184,7 +175,7 @@ def solve(
     request = SolveRequest(problem=problem, objective=objective, alpha=alpha,
                            manage_power=manage_power, time_budget_s=time_budget_s,
                            warm_start=warm_start, max_nodes=max_nodes, seed=seed,
-                           config=config or DEFAULT_SOLVER_CONFIG, started_at=start)
+                           started_at=start)
     name = resolve_backend_name(backend, request)
     solver = get_backend(name)
 

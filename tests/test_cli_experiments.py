@@ -111,6 +111,17 @@ def test_hierarchy_regions_is_a_recorded_override(tmp_path):
     assert set(payload["artifact"]["sweep"]) == {"2"}
 
 
+def test_hierarchy_regions_needs_a_spec_that_takes_it(tmp_path, capsys):
+    """--hierarchy-regions with no selected spec taking it is an error naming
+    the specs that do, not a silent flat run."""
+    with pytest.raises(SystemExit) as excinfo:
+        carbon_edge_main(["experiments", "run", "fig11", "--smoke",
+                          "--hierarchy-regions", "2",
+                          "--output-dir", str(tmp_path)])
+    assert excinfo.value.code != 0
+    assert "planetary_sweep" in capsys.readouterr().err
+
+
 def test_stream_merge_cli_writes_identical_artifacts(tmp_path):
     rc = carbon_edge_main(["experiments", "run", "fig07", "--smoke",
                            "--merge", "stream",

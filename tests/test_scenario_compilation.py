@@ -159,13 +159,6 @@ def test_unknown_site_registers_no_class():
     _assert_problems_identical(cold, fast)
 
 
-def test_pristine_epochs_are_memoised_per_delta():
-    first = _compiled_epochs()
-    second = _compiled_epochs()  # same scenario, substrate cache warm
-    for (_, ca), (_, cb) in zip(first, second):
-        assert ca is cb
-
-
 def test_compile_scenario_memoised_on_substrate_identity():
     scenario = CDNScenario(**SCENARIO_KWARGS)
     sim = CDNSimulator(scenario=scenario)
@@ -226,7 +219,7 @@ def test_non_pristine_delta_reads_live_fleet_state():
     rf = compile_placement(fast).report
     assert np.array_equal(rc.mask, rf.mask)
     assert rc.unplaceable == rf.unplaceable
-    # Non-pristine deltas are never memoised: a second build re-reads state.
+    # Epochs are assembled afresh: a second build re-reads the live state.
     again = PlacementProblem.build(
         applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
         carbon=sim.carbon, hour=7, horizon_hours=2.0,

@@ -4,8 +4,9 @@ Covers the determinism contract (plans are pure functions of their inputs),
 the degenerate single-region case
 collapsing to the flat solve, spill accounting under overload, every
 objective's pinned outcome (also with the coarse pass cut into small class
-blocks), the multi objective's normalisation pool, and the
-dense-cell budget guard that points planetary users at this tier.
+blocks), the multi objective's normalisation pool, the refinement backend
+the config names, and the dense-cell budget guard that points planetary users
+at this tier.
 """
 
 from __future__ import annotations
@@ -291,6 +292,25 @@ def test_recorded_gap_is_refined_minus_coarse():
         config=SolverConfig(hierarchy_regions=4), seed=0)
     assert outcome.objective_gap == pytest.approx(
         outcome.refined_objective - outcome.coarse_objective)
+
+
+def test_refine_backend_names_every_region_solve():
+    """``refine_backend`` is the one config field the hierarchy reads: each
+    region that received apps is refined by one registry solve on that
+    backend, and the registry is handed no configuration of its own."""
+    fleet, compilation, apps = _substrate(32, 200)
+    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
+    with mock.patch.object(hierarchy, "registry_solve",
+                           wraps=hierarchy.registry_solve) as spy:
+        outcome = solve_hierarchical(
+            compilation, apps, plan, hour=HOUR, objective=ObjectiveKind.CARBON,
+            config=SolverConfig(hierarchy_regions=3, refine_backend="heuristic"),
+            seed=0)
+    regions_with_apps = sum(1 for count in outcome.region_app_counts if count)
+    assert spy.call_count == regions_with_apps > 0
+    for call in spy.call_args_list:
+        assert call.kwargs["backend"] == "heuristic"
+        assert "config" not in call.kwargs
 
 
 # --------------------------------------------------------------------------
