@@ -22,7 +22,7 @@ def _problem(testbed, hour: int, horizon: float, use_forecast: bool) -> Placemen
                         latency_slo_ms=30.0, request_rate_rps=20.0, duration_hours=horizon)
             for site in testbed.sites()]
     for server in testbed.fleet.servers():
-        server.allocations.clear()
+        server.reset_allocations()
         server.power_on()
     return PlacementProblem.build(apps, testbed.fleet.servers(), testbed.latency,
                                   testbed.carbon, hour=hour, horizon_hours=horizon,

@@ -34,7 +34,6 @@ import json
 import os
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -56,6 +55,8 @@ from repro.solver.compile import (
     compile_placement,
     greedy_fill,
 )
+
+from tests.conftest import cold_builds
 
 #: Where the timing trajectory is appended (repo root).
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_cdn_pipeline.json"
@@ -176,21 +177,19 @@ def test_bench_scenario_tier_speedup(bench_once):
     PR 4 baseline on the 4-policy fig11-scale epoch loop.
 
     Two arms run the same epoch loop: *delta* (scenario tier enabled, built
-    fresh inside the timed region) and *cold* (the simulator hands the
-    builder no substrate — the per-epoch rebuild the tier contractually
-    reproduces bit for bit). The delta arm runs first so it pays any
-    first-touch trace-integration cost; the recorded compile fraction shows
-    how much of each arm's epoch loop is problem assembly + compilation
-    versus solving.
+    fresh inside the timed region) and *cold* (every epoch built by the
+    per-object reference build, ``tests/conftest.py::cold_build`` — the
+    per-epoch rebuild the tier contractually reproduces bit for bit). The
+    delta arm runs first so it pays any first-touch trace-integration cost;
+    the recorded compile fraction shows how much of each arm's epoch loop
+    is problem assembly + compilation versus solving.
     """
     measured: dict[str, tuple[float, float, list]] = {}
 
     def run_all():
         for arm in ("delta", "cold"):
             clear_scenario_compilations()
-            cold = mock.patch.object(CDNSimulator, "scenario_compilation",
-                                     return_value=None) \
-                if arm == "cold" else contextlib.nullcontext()
+            cold = cold_builds() if arm == "cold" else contextlib.nullcontext()
             with cold:
                 compile_s = solve_s = 0.0
                 placements = []

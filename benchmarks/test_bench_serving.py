@@ -2,9 +2,9 @@
 
 The online service's rolling-horizon tick re-solves the live placement
 through :meth:`IncrementalPlacer.resolve_epoch` — scenario-tier delta
-assembly, warm compilation threading, warm-started solver — instead of the
-cold path a naive service would take per event: release everything, a fresh
-``PlacementProblem.build`` with no scenario substrate, an uncompiled solve,
+assembly, warm-started solver — instead of the cold path a naive service
+would take per event: release everything, a fresh per-object build
+(``tests/conftest.py::cold_build``, no scenario tier), an uncompiled solve,
 then the same validate + commit. This benchmark races the two loops on the
 same event sequence over two identical fleets (both sides pay identical
 decision-application work, so the race isolates the warm machinery) and
@@ -27,11 +27,12 @@ import numpy as np
 from bench_util import append_bench_record
 from repro.core.incremental import IncrementalPlacer
 from repro.core.policies.carbon_edge import CarbonEdgePolicy
-from repro.core.problem import PlacementProblem
 from repro.serving.loadgen import LoadGenerator
 from repro.serving.service import PlacementService, ServingConfig
 from repro.simulator.cdn import CDNSimulator
 from repro.simulator.scenario import CDNScenario
+
+from tests.conftest import cold_build
 
 #: Where the serving-latency trajectory is appended (repo root).
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
@@ -77,13 +78,13 @@ def test_bench_warm_resolve_beats_cold_build_per_event(bench_once):
     def cold_resolve(hour: int):
         # The naive loop does the same decision-application work as
         # resolve_epoch (release everything, validate, commit) but rebuilds
-        # the problem from scratch with no scenario substrate and solves with
-        # no warm compilation threading and no warm start.
+        # the problem from scratch with no scenario tier and solves with no
+        # warm start.
         apps = list(cold_placer.active_apps.values())
         for server in cold_sim.fleet.servers():
             for app_id in list(server.allocations):
                 server.release(app_id)
-        problem = PlacementProblem.build(
+        problem = cold_build(
             applications=apps, servers=cold_sim.fleet.servers(),
             latency=cold_sim.latency, carbon=cold_sim.carbon,
             hour=hour, horizon_hours=horizon)

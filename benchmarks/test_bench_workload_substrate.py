@@ -3,13 +3,14 @@
 The columnar substrate (PR 10) generates application batches as
 struct-of-arrays with a compact class table and assembles epoch tensors by
 computing one row per unique class and gathering with ``class_idx`` — the
-cold :meth:`PlacementProblem.build` materialises every :class:`Application`
-and fills its tensors from per-app Python loops. This benchmark races the two
-on the same seed and substrate at 10^5 applications: the columnar arm runs
-batch generation plus epoch-problem assembly through a *fresh*
-:class:`ScenarioCompilation` (the epoch memo would otherwise hand a second
-run the finished tensors), the cold arm runs batch generation, materialises
-the per-app objects and builds the problem with no substrate.
+per-object reference build (``tests/conftest.py::cold_build``) materialises
+every :class:`Application` and fills its tensors from per-app Python loops.
+This benchmark races the two on the same seed and substrate at 10^5
+applications: the columnar arm runs batch generation plus epoch-problem
+assembly through a *fresh* :class:`ScenarioCompilation` (the epoch memo would
+otherwise hand a second run the finished tensors), the cold arm runs batch
+generation, materialises the per-app objects and builds the problem with the
+reference build.
 
 The determinism contract makes the race honest: both arms must produce the
 same application ids and bit-identical tensors (asserted here), so the
@@ -27,10 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from bench_util import append_bench_record, peak_rss_mb
-from repro.core.problem import PlacementProblem
 from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.solver.compile import ScenarioCompilation
 from repro.workloads.generator import ApplicationGenerator
+
+from tests.conftest import cold_build
 
 #: Where the timing trajectory is appended (repo root), shared with the
 #: pipeline benchmarks.
@@ -76,14 +78,13 @@ def test_bench_columnar_vs_object(bench_once):
         columnar_s = time.perf_counter() - t0
         n_classes = batch.n_classes
 
-        # Cold arm: same seed, no substrate — materialise every Application
-        # and build the problem from per-app loops.
+        # Cold arm: same seed, no scenario tier — materialise every
+        # Application and build the problem from per-app loops.
         t0 = time.perf_counter()
         apps = list(
             make_generator().generate_batch(0, HOUR, n_arrivals=N_APPS)
             .applications)
-        cold_problem = PlacementProblem.build(apps, servers, latency, carbon,
-                                              hour=HOUR)
+        cold_problem = cold_build(apps, servers, latency, carbon, hour=HOUR)
         cold_build_s = time.perf_counter() - t0
 
     bench_once(run_both)

@@ -29,15 +29,10 @@ from repro.cluster.resources import ResourceVector
 from repro.core.policies.base import PlacementPolicy
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
-from typing import TYPE_CHECKING
-
 from repro.core.validation import validate_solution
 from repro.network.latency import LatencyMatrix
 from repro.workloads.application import Application
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a core<->solver cycle
-    from repro.solver.compile import EpochCompilation, ScenarioCompilation
-    from repro.workloads.generator import ApplicationBatch
+from repro.workloads.generator import ApplicationBatch
 
 logger = logging.getLogger(__name__)
 
@@ -92,33 +87,20 @@ class IncrementalPlacer:
     #: Applications committed through this placer, by id (the epoch re-solve
     #: needs the full Application objects to rebuild the problem).
     active_apps: dict[str, Application] = field(default_factory=dict)
-    #: The most recent epoch's compilation; the next re-solve's compilation
-    #: warm-starts from it (reusing e.g. the nearest-feasible-latency vector
-    #: when the application/server geometry is unchanged between epochs).
-    last_compilation: "EpochCompilation | None" = field(default=None, repr=False)
-
-    def scenario_compilation(self) -> "ScenarioCompilation":
-        """The scenario-lifetime compilation tier over this placer's substrate.
-
-        The fleet/latency/carbon substrate is fixed for the placer's lifetime,
-        so the static tensors (latency geometry, device-class energy/demand
-        blocks, SLO-feasibility rows) are compiled once and every batch and
-        epoch re-solve assembles only its delta — including the warm-start
-        allocation state, which the delta reads live from the fleet because
-        committed batches leave the fleet anything but pristine.
-        """
-        from repro.solver.compile import compile_scenario
-
-        return compile_scenario(self.fleet.servers(), self.latency, self.carbon)
 
     def build_problem(self, applications: "list[Application] | ApplicationBatch",
                       hour: int) -> PlacementProblem:
         """Assemble the placement problem for one batch from current fleet state.
 
         Accepts either a list of applications or a columnar
-        :class:`~repro.workloads.generator.ApplicationBatch`. Both take the
-        substrate's class-table path: a list is wrapped in a batch once, and
-        the problem's ``applications`` are the caller's objects by identity.
+        :class:`~repro.workloads.generator.ApplicationBatch`.
+        :meth:`PlacementProblem.build` gathers it from the memoised
+        scenario-lifetime compilation of this placer's fleet, latency matrix
+        and carbon service, so every batch and epoch re-solve assembles only
+        its delta — including the warm-start allocation state, which the
+        delta reads live from the fleet because committed batches leave it
+        anything but pristine. A list is wrapped in a batch once, and the
+        problem's ``applications`` are the caller's objects by identity.
         """
         return PlacementProblem.build(
             applications=applications,
@@ -128,7 +110,6 @@ class IncrementalPlacer:
             hour=hour,
             horizon_hours=self.horizon_hours,
             use_forecast=self.use_forecast,
-            substrate=self.scenario_compilation(),
         )
 
     def place_batch(self, applications: "list[Application] | ApplicationBatch",
@@ -136,10 +117,7 @@ class IncrementalPlacer:
         """Place one batch of applications and (optionally) commit it to the fleet."""
         if len(applications) == 0:
             raise ValueError("place_batch requires at least one application")
-        from repro.solver.compile import compile_placement
-
         problem = self.build_problem(applications, hour)
-        self.last_compilation = compile_placement(problem, previous=self.last_compilation)
         solution = self.policy.timed_place(problem)
         if self.validate:
             validate_solution(solution, strict=True)
@@ -176,15 +154,8 @@ class IncrementalPlacer:
             for app_id in list(server.allocations):
                 if app_id in current:
                     freed[app_id] = server.release(app_id)
-        from repro.solver.compile import compile_placement
-
         try:
             problem = self.build_problem(apps, hour)
-            # Compile once up front, warm-started from the previous epoch's
-            # compilation; the policy's solver backends then share this
-            # instance instead of compiling their own.
-            self.last_compilation = compile_placement(problem,
-                                                      previous=self.last_compilation)
             server_index = {s.server_id: j for j, s in enumerate(problem.servers)}
             warm_start = {app_id: server_index[server_id]
                           for app_id, server_id in current.items()}

@@ -13,7 +13,6 @@ ignore the argument.
 
 from __future__ import annotations
 
-import inspect
 import time
 from abc import ABC, abstractmethod
 
@@ -36,23 +35,10 @@ class PlacementPolicy(ABC):
                     warm_start: dict[str, int] | None = None) -> PlacementSolution:
         """Run :meth:`place` and record its wall-clock time on the solution."""
         start = time.monotonic()
-        # Only forward the warm start to policies whose place() accepts it, so
-        # subclasses written against the original single-argument signature
-        # keep working everywhere — including the epoch re-solve path, which
-        # always supplies one.
-        if warm_start is None or not self._accepts_warm_start():
-            solution = self.place(problem)
-        else:
-            solution = self.place(problem, warm_start=warm_start)
+        solution = self.place(problem, warm_start=warm_start)
         solution.solve_time_s = time.monotonic() - start
         solution.policy_name = self.name
         return solution
-
-    def _accepts_warm_start(self) -> bool:
-        """Whether this policy's ``place`` accepts the ``warm_start`` keyword."""
-        parameters = inspect.signature(self.place).parameters
-        return "warm_start" in parameters or any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -80,54 +80,22 @@ def ensure_dense_cell_budget(n_applications: int, n_servers: int,
 #: Shared empty demand for (application, server) pairs without a profile.
 _EMPTY_DEMAND = ResourceVector()
 
-#: Cross-epoch cache: (workload, accelerator name, cpu name) -> profile or None.
-#: Profiles are a fixed catalogue, so entries never go stale; the cache lets a
-#: year-long simulation resolve each (workload, device-class) pair exactly once.
-_PROFILE_CACHE: dict[tuple[str, str | None, str], object] = {}
-
-#: Cross-epoch cache: (workload, device key, request rate) -> shared demand
-#: vector (profile demand x replicas). ResourceVectors are treated as
-#: immutable throughout the solver stack, so sharing one instance per distinct
-#: demand is safe and avoids rebuilding ~A x S vectors every epoch.
-_DEMAND_CACHE: dict[tuple[str, str | None, str, float], ResourceVector] = {}
-
-#: Cap on either cache: the key space is tiny for catalogue workloads, but the
-#: request rate is an arbitrary float, so a long-running service fed
-#: continuously varying rates must not grow without bound. On overflow the
-#: cache is dropped wholesale (recomputation is cheap; this is a memo, not
-#: state).
-_CACHE_LIMIT: int = 16384
-
 
 def _resolve_profile(workload: str, accelerator_name: str | None, cpu_name: str):
     """Profile for a workload on a device class (accelerator first, CPU fallback)."""
-    key = (workload, accelerator_name, cpu_name)
-    if key not in _PROFILE_CACHE:
-        profile = None
-        for device in ([accelerator_name] if accelerator_name else []) + [cpu_name]:
-            try:
-                profile = get_profile(workload, device)
-                break
-            except KeyError:
-                continue
-        if len(_PROFILE_CACHE) >= _CACHE_LIMIT:
-            _PROFILE_CACHE.clear()
-        _PROFILE_CACHE[key] = profile
-    return _PROFILE_CACHE[key]
+    for device in ([accelerator_name] if accelerator_name else []) + [cpu_name]:
+        try:
+            return get_profile(workload, device)
+        except KeyError:
+            continue
+    return None
 
 
-def _demand_for(workload: str, accelerator_name: str | None, cpu_name: str,
-                rate: float, profile) -> ResourceVector:
-    """Shared demand vector for a (workload, device class, request rate) triple."""
-    key = (workload, accelerator_name, cpu_name, rate)
-    vec = _DEMAND_CACHE.get(key)
-    if vec is None:
-        replicas = max(1, int(-(-rate // profile.max_request_rate())))
-        vec = profile.resource_demand * float(replicas)
-        if len(_DEMAND_CACHE) >= _CACHE_LIMIT:
-            _DEMAND_CACHE.clear()
-        _DEMAND_CACHE[key] = vec
-    return vec
+def _demand_for(rate: float, profile) -> ResourceVector:
+    """Demand of one application at a request rate: the profile's demand times
+    the replicas the rate needs."""
+    replicas = max(1, int(-(-rate // profile.max_request_rate())))
+    return profile.resource_demand * float(replicas)
 
 
 @dataclass
@@ -177,7 +145,8 @@ class PlacementProblem:
                                         repr=False, compare=False)
     #: (A,) application class of each row, recorded by the scenario tier's
     #: assembly: rows sharing a class have identical latency, energy, support,
-    #: demand and SLO rows. ``None`` when unknown (cold builds).
+    #: demand and SLO rows. ``None`` when unknown (raw-constructed problems,
+    #: or after :func:`repro.solver.compile.clear_compilation`).
     _row_class: np.ndarray | None = field(default=None, init=False,
                                           repr=False, compare=False)
 
@@ -337,8 +306,9 @@ class PlacementProblem:
     def _dense_frame(self, demand_key_sets) -> tuple[tuple[str, ...], np.ndarray]:
         """(keys, (S, K) capacity array) spanning capacities + the given demand keys.
 
-        Shared by the block-wise pre-fill and the lazy fallback builder so
-        both always agree on the K axis.
+        Shared by the lazy builder below and the per-object reference build
+        the tests check the scenario tier against, so both agree on the K
+        axis.
         """
         key_set: set[str] = set()
         for cap in self.capacities:
@@ -375,21 +345,28 @@ class PlacementProblem:
     @classmethod
     def build(
         cls,
-        applications: Sequence[Application],
+        applications: "Sequence[Application] | ApplicationBatch",
         servers: Sequence[EdgeServer],
         latency: LatencyMatrix,
         carbon: CarbonIntensityService,
         hour: int = 0,
         horizon_hours: float = 1.0,
         use_forecast: bool = True,
-        substrate: "object | None" = None,
     ) -> "PlacementProblem":
         """Assemble a problem from library objects.
+
+        The problem is gathered from the scenario-lifetime compilation of
+        ``(servers, latency, carbon)``
+        (:func:`repro.solver.compile.compile_scenario`, memoised on those
+        objects), so it comes back with its row classes recorded and its
+        epoch compilation seeded.
 
         Parameters
         ----------
         applications:
-            Batch of applications to place.
+            Batch of applications to place: a sequence of ``Application``
+            objects (kept by identity, so ``problem.applications[i] is
+            applications[i]``) or a columnar ``ApplicationBatch``.
         servers:
             Candidate servers (their available capacity and power state are read
             at call time).
@@ -406,112 +383,10 @@ class PlacementProblem:
         use_forecast:
             Use the forecast mean (paper behaviour) instead of the
             instantaneous intensity; the ablation benchmark flips this.
-        substrate:
-            Optional scenario-lifetime compilation
-            (:class:`repro.solver.compile.ScenarioCompilation`) of exactly
-            these servers / latency matrix / carbon service. When it matches,
-            the problem is assembled from the substrate's static class rows —
-            bit-identical tensors, a fraction of the cost — and comes back
-            with its epoch compilation pre-seeded. A non-matching substrate
-            falls back to the cold build below.
         """
-        # Columnar batches pass through to the substrate untouched (class
-        # table intact, object view unmaterialised); only the cold fallback
-        # below needs the per-object list.
-        batch = applications if isinstance(applications, ApplicationBatch) else None
-        if batch is None:
-            applications = list(applications)
-        servers = list(servers)
-        a, s = len(applications), len(servers)
-        if a == 0:
-            raise ValueError("cannot build a placement problem with no applications")
-        if s == 0:
-            raise ValueError("cannot build a placement problem with no servers")
-        if substrate is not None and substrate.matches(servers, latency, carbon):
-            return substrate.build_problem(applications, hour=hour,
-                                           horizon_hours=horizon_hours,
-                                           use_forecast=use_forecast)
-        if batch is not None:
-            applications = list(batch.applications)
-        ensure_dense_cell_budget(a, s, context="PlacementProblem.build")
+        # Imported here: repro.solver.compile imports this module.
+        from repro.solver.compile import compile_scenario
 
-        # Latency: one site-index gather instead of A x S matrix lookups.
-        app_rows = [latency.index_of(app.source_site) for app in applications]
-        server_cols = [latency.index_of(srv.site) for srv in servers]
-        latency_ms = latency.matrix_ms[np.ix_(app_rows, server_cols)].astype(float)
-
-        # Every per-pair quantity depends only on (workload, request rate) x
-        # (accelerator, CPU) — group both axes and fill whole blocks at once.
-        app_groups: dict[tuple[str, float], list[int]] = {}
-        for i, app in enumerate(applications):
-            app_groups.setdefault((app.workload, app.request_rate_rps), []).append(i)
-        server_classes: dict[tuple[str | None, str], list[int]] = {}
-        for j, server in enumerate(servers):
-            accel = server.accelerator.name if server.accelerator is not None else None
-            server_classes.setdefault((accel, server.cpu.name), []).append(j)
-
-        energy_j = np.zeros((a, s))
-        supported = np.zeros((a, s), dtype=bool)
-        demand_rows: list[list[ResourceVector | None]] = [[None] * s for _ in range(a)]
-        blocks: list[tuple[list[int], list[int], ResourceVector]] = []
-        for (workload, rate), rows in app_groups.items():
-            rows_arr = np.asarray(rows, dtype=np.intp)
-            rates = np.full(len(rows), rate)
-            for (accel, cpu), cols in server_classes.items():
-                profile = _resolve_profile(workload, accel, cpu)
-                if profile is None:
-                    continue
-                cols_arr = np.asarray(cols, dtype=np.intp)
-                supported[np.ix_(rows_arr, cols_arr)] = True
-                # Same association order as the seed's scalar path
-                # (((energy/request x rate) x 3600) x horizon), so the values
-                # are bit-identical.
-                per_app = profile.energy_per_request_j * rates * 3600.0 * horizon_hours
-                energy_j[np.ix_(rows_arr, cols_arr)] = per_app[:, None]
-                vec = _demand_for(workload, accel, cpu, rate, profile)
-                blocks.append((rows, cols, vec))
-                for i in rows:
-                    row = demand_rows[i]
-                    for j in cols:
-                        row[j] = vec
-        demands: list[list[ResourceVector]] = [
-            [vec if vec is not None else _EMPTY_DEMAND for vec in row]
-            for row in demand_rows]
-        latency_ms[~supported] = INFEASIBLE_LATENCY_MS
-
-        if use_forecast:
-            intensity = np.array([
-                carbon.forecast_mean(srv.zone_id, hour, int(np.ceil(horizon_hours)))
-                for srv in servers])
-        else:
-            intensity = np.array([carbon.current_intensity(srv.zone_id, hour)
-                                  for srv in servers])
-
-        problem = cls(
-            applications=applications,
-            servers=servers,
-            latency_ms=latency_ms,
-            energy_j=energy_j,
-            demands=demands,
-            intensity=intensity,
-            capacities=[srv.available_capacity for srv in servers],
-            base_power_w=np.array([srv.base_power_w for srv in servers]),
-            current_power=np.array([1.0 if srv.is_on else 0.0 for srv in servers]),
-            horizon_hours=horizon_hours,
-            supported=supported,
-        )
-        problem._prefill_dense(blocks)
-        return problem
-
-    def _prefill_dense(self,
-                       blocks: list[tuple[list[int], list[int], ResourceVector]]) -> None:
-        """Fill the dense demand tensor from build()'s (rows, cols, demand) blocks.
-
-        The blocks are exactly the ones that populated ``demands``, so the
-        tensor and the nested list can never diverge.
-        """
-        keys, capacity = self._dense_frame(vec.keys() for _, _, vec in blocks)
-        demand = np.zeros((self.n_applications, self.n_servers, len(keys)))
-        for rows, cols, vec in blocks:
-            demand[np.ix_(rows, cols)] = np.array([vec.get(key) for key in keys])
-        self._dense_resources = (keys, capacity, demand)
+        return compile_scenario(servers, latency, carbon).build_problem(
+            applications, hour=hour, horizon_hours=horizon_hours,
+            use_forecast=use_forecast)

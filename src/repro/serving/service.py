@@ -14,8 +14,9 @@ event kinds drive it:
 * ``"intensity"`` — the rolling-horizon tick: the resilient carbon feed
   refreshes every zone (recording fallbacks/staleness), then
   :meth:`~repro.core.incremental.IncrementalPlacer.resolve_epoch` re-solves
-  everything running as a *warm delta re-solve* — warm-started solver, warm
-  compilation threading, scenario-tier row gathers — never a cold build.
+  everything running as a *warm delta re-solve*: a solver warm-started from
+  the live placement over a problem gathered from the scenario tier's class
+  rows.
 
 **Replay-parity contract.** :meth:`run_replay` drives the same loop with
 events derived from a :class:`~repro.simulator.scenario.CDNScenario` (one
@@ -248,23 +249,20 @@ class PlacementService:
         """Drive the scenario's epochs through the event loop (parity mode).
 
         One ``"epoch"`` event per placement epoch of the scenario; each
-        decision compiles through the scenario tier with warm compilation
-        threading (the previous epoch's compilation seeds the next) and must
-        be byte-identical to the batch loop's — see
+        decision compiles through the scenario tier and must be
+        byte-identical to the batch loop's — see
         :func:`repro.serving.parity.check_replay_parity`.
         """
         scenario = self.simulator.scenario
         engine = SimulationEngine()
         metrics = ServingMetrics()
         result = SimulationResult(scenario_name=f"CDN-{scenario.continent}")
-        last_compilation: list = [None]  # closed-over mutable slot
 
         def on_epoch(event: Event) -> None:
             epoch = event.payload
             start_hour = scenario.epoch_start_hour(epoch)
             problem = self.simulator.epoch_problem(epoch)
-            compilation = compile_placement(problem, previous=last_compilation[0])
-            last_compilation[0] = compilation
+            compilation = compile_placement(problem)
             started = time.perf_counter()
             solution = self.policy.timed_place(problem)
             latency_s = time.perf_counter() - started

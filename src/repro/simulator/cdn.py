@@ -235,9 +235,9 @@ class CDNSimulator:
         Built once per substrate (and shared — through
         :func:`repro.solver.compile.compile_scenario`'s substrate-keyed cache
         — with every other simulator over the same fleet/latency/carbon
-        objects, e.g. the variants of a latency-limit sweep). Its epoch
-        problems are bit-identical to a cold :meth:`PlacementProblem.build`
-        of the same epoch.
+        objects, e.g. the variants of a latency-limit sweep). It is the
+        compilation :meth:`PlacementProblem.build` assembles each epoch
+        problem from.
         """
         return compile_scenario(self.fleet.servers(), self.latency, self.carbon)
 
@@ -260,7 +260,6 @@ class CDNSimulator:
             carbon=self.carbon,
             hour=start_hour,
             horizon_hours=float(scenario.hours_per_epoch),
-            substrate=self.scenario_compilation(),
         )
 
     def run(self, policies: list[PlacementPolicy] | None = None,

@@ -9,8 +9,9 @@ The compilation layer is split along the epoch-invariance boundary:
   all keyed by application class. Each epoch then contributes only an
   :class:`EpochDelta` (epoch-mean intensities, the arrival batch, warm-start
   allocation state) that is assembled into an :class:`EpochCompilation` by
-  row gathers — bit-identical to a cold rebuild (see the scenario-lifetime
-  section below).
+  row gathers — bit-identical to filling every application's rows one by
+  one (see the scenario-lifetime section below). It is the only way
+  :meth:`PlacementProblem.build` assembles a problem.
 * :class:`EpochCompilation` (**one epoch**) — everything the epoch's policies
   share, computed once per problem.
 
@@ -73,6 +74,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -895,27 +897,16 @@ class EpochCompilation:
         return self._dense[key]
 
 
-def compile_placement(problem: PlacementProblem,
-                      previous: EpochCompilation | None = None) -> EpochCompilation:
+def compile_placement(problem: PlacementProblem) -> EpochCompilation:
     """The (memoised) compilation of a placement problem.
 
     Returns the same :class:`EpochCompilation` for repeated calls on the same
     problem instance — this is how the four policies, the solver registry,
     and the simulator's metrics loop end up sharing one set of tensors.
-
-    ``previous`` enables warm-started epoch re-solves
-    (:meth:`repro.core.incremental.IncrementalPlacer.resolve_epoch`): when the
-    new problem covers the same applications and servers with an unchanged
-    latency matrix, the previous epoch's nearest-feasible-server latencies
-    are carried over instead of recomputed. Objective coefficients and the
-    feasibility report are never carried over — intensities and capacities
-    move between epochs.
     """
     compilation = getattr(problem, "_compilation", None)
     if compilation is None:
         compilation = EpochCompilation(problem=problem)
-        if previous is not None and _layout_unchanged(problem, previous.problem):
-            problem._nearest_feasible = previous.problem._nearest_feasible
         problem._compilation = compilation
     return compilation
 
@@ -937,18 +928,6 @@ def clear_compilation(problem: PlacementProblem) -> None:
     problem._app_index_map = None
     problem._server_index_map = None
     problem._row_class = None
-
-
-def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
-    """Same apps, servers, SLOs, and latencies — the nearest-server geometry."""
-    if new.n_applications != old.n_applications or new.n_servers != old.n_servers:
-        return False
-    if any(a is not b for a, b in zip(new.applications, old.applications)):
-        return False
-    if any(a is not b for a, b in zip(new.servers, old.servers)):
-        return False
-    return np.array_equal(new.latency_ms, old.latency_ms) and \
-        np.array_equal(new.supported, old.supported)
 
 
 # -- scenario-lifetime compilation ---------------------------------------------
@@ -985,12 +964,13 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # **Bit-identity contract.** For every delta, the assembled
 # :class:`PlacementProblem` tensors, the :class:`EpochCompilation` report and
 # dense tensors, and therefore every placement and experiment artifact are
-# byte-identical to a cold :meth:`PlacementProblem.build` of the same epoch:
-# each cached row is produced by the same float expressions, in the same
-# association order, as the cold builder's block fills (see the row builders
-# below, each annotated with the cold expression it mirrors). The golden
-# artifact digests pin the assembled output, and the test suite compares the
-# tier against the cold builder epoch by epoch.
+# byte-identical to a per-object build of the same epoch, one (workload, rate)
+# x device-class block at a time: each cached row is produced by the same
+# float expressions, in the same association order, as that build's block
+# fills (see the row builders below, each annotated with the expression it
+# mirrors). The golden artifact digests pin the assembled output, and the
+# test suite compares the tier epoch by epoch against the per-object
+# reference build (``tests/conftest.py::cold_build``).
 #
 # **Cache keys and invalidation.** Scenario compilations are memoised on the
 # substrate identity — the (latency matrix, carbon service) object pair plus
@@ -998,10 +978,13 @@ def _layout_unchanged(new: PlacementProblem, old: PlacementProblem) -> bool:
 # substrate cache (:func:`repro.simulator.cdn.scenario_substrate`) shares
 # between scenario variants, so a latency-limit sweep reuses one scenario tier
 # across all its variants. Epoch compilations are not memoised: every delta
-# is assembled afresh from the class tables. Static rows never go stale
-# (device catalogues and the latency matrix are immutable); allocation state
-# is *not* cached — a delta away from baseline capacity reads live capacities
-# and recomputes the capacity-dependent report.
+# is assembled afresh from the class tables. Static rows never go stale:
+# device catalogues and the latency matrix are immutable, and a hit also
+# requires each server's site, zone, CPU and accelerator to be the ones the
+# rows were derived from (:meth:`ScenarioCompilation.matches`), so a server
+# changed in place gets a fresh compilation. Allocation state is *not*
+# cached — a delta away from baseline capacity reads live capacities and
+# recomputes the capacity-dependent report.
 
 
 #: Per-scenario class caches are dropped wholesale beyond this many distinct
@@ -1015,6 +998,10 @@ CLASS_CACHE_LIMIT: int = 4096
 #: Cells (classes x servers) of class-table rows filled at once, bounding the
 #: temporaries of a batch that brings many new classes.
 CLASS_FILL_CELLS: int = 1 << 20
+
+
+#: The server attributes every static row is derived from.
+_SERVER_STATIC = attrgetter("site", "zone_id", "cpu", "accelerator")
 
 
 def _grown(table: np.ndarray, used: int, rows: int) -> np.ndarray:
@@ -1094,13 +1081,14 @@ class ScenarioCompilation:
             raise ValueError("cannot compile a scenario with no servers")
         self.latency = latency
         self.carbon = carbon
+        self._server_static = list(map(_SERVER_STATIC, self.servers))
         #: Latency-matrix column of each server's site.
         self.server_cols = np.asarray(
             [latency.index_of(srv.site) for srv in self.servers], dtype=np.intp)
         self.base_power_w = np.array([srv.base_power_w for srv in self.servers])
         self._zones = [srv.zone_id for srv in self.servers]
-        # Device-class groups in first-occurrence order, exactly as the cold
-        # builder's server_classes dict iterates them.
+        # Device-class groups in first-occurrence order, exactly as the
+        # per-object build's server_classes dict iterates them.
         classes: dict[tuple, list[int]] = {}
         for j, srv in enumerate(self.servers):
             accel = srv.accelerator.name if srv.accelerator is not None else None
@@ -1135,16 +1123,15 @@ class ScenarioCompilation:
 
     # -- substrate identity ------------------------------------------------------
 
-    def matches(self, servers: Sequence["EdgeServer"],
-                latency: "LatencyMatrix | None" = None,
-                carbon: "CarbonIntensityService | None" = None) -> bool:
-        """Whether this compilation was built over exactly these objects."""
-        if latency is not None and latency is not self.latency:
-            return False
-        if carbon is not None and carbon is not self.carbon:
-            return False
-        return len(servers) == len(self.servers) and \
-            all(a is b for a, b in zip(servers, self.servers))
+    def matches(self, servers: Sequence["EdgeServer"], latency: "LatencyMatrix",
+                carbon: "CarbonIntensityService") -> bool:
+        """Whether this compilation was built over exactly these objects, with
+        every server still on the site, zone and hardware its rows were
+        derived from (``EdgeServer`` is mutable)."""
+        return latency is self.latency and carbon is self.carbon \
+            and len(servers) == len(self.servers) \
+            and all(a is b for a, b in zip(servers, self.servers)) \
+            and list(map(_SERVER_STATIC, servers)) == self._server_static
 
     # -- region slicing (the hierarchical tier's memory bound) -------------------
 
@@ -1171,7 +1158,7 @@ class ScenarioCompilation:
             self._region_memo[key] = child
         return child
 
-    # -- static row builders (each mirrors one cold-build expression) ------------
+    # -- static row builders (each mirrors one per-object build expression) -----
 
     def _lru_get(self, cache: OrderedDict, key: tuple):
         """Fetch from a keyed row cache, refreshing the entry's recency."""
@@ -1203,7 +1190,7 @@ class ScenarioCompilation:
                 if profile is None:
                     continue
                 supported[cols] = True
-                vec = _demand_for(workload, accel, cpu, rate, profile)
+                vec = _demand_for(rate, profile)
                 demand_keys.update(vec.keys())
                 groups.append((cols, profile, vec))
                 for j in cols:
@@ -1219,7 +1206,7 @@ class ScenarioCompilation:
     def _energy_row(self, workload: str, rate: float, horizon_hours: float) -> np.ndarray:
         """(S,) dynamic energy E_ij of one class over the placement horizon.
 
-        Mirrors the cold builder's
+        Mirrors the per-object build's
         ``profile.energy_per_request_j * rates * 3600.0 * horizon_hours``
         block fill — same factors, same association order, so the values are
         bit-identical.
@@ -1288,7 +1275,7 @@ class ScenarioCompilation:
         the fleet is in when first consulted. The expression mirrors what
         ``EdgeServer.available_capacity`` evaluates to on an unallocated
         server — ``total - zeros(total.keys())`` — so the values are
-        bit-identical to a cold build over a pristine fleet.
+        bit-identical to reading ``available_capacity`` off a pristine fleet.
         """
         if self._baseline_capacities is None:
             baseline = []
@@ -1355,7 +1342,7 @@ class ScenarioCompilation:
     def _fill_class_rows(self, fresh: list[tuple]) -> None:
         """Append the static rows of newly numbered classes to the tables.
 
-        Mirrors the cold builder's latency gather + INFEASIBLE fill and the
+        Mirrors the per-object build's latency gather + INFEASIBLE fill and the
         feasible_mask / nearest_feasible_ms expressions, row-wise: every
         element goes through the same float operations as a one-row build.
         Rows are filled :data:`CLASS_FILL_CELLS` cells at a time, so the
@@ -1526,7 +1513,11 @@ class ScenarioCompilation:
     def build_problem(self, applications: "Sequence[Application] | ApplicationBatch",
                       hour: int, horizon_hours: float = 1.0,
                       use_forecast: bool = True) -> PlacementProblem:
-        """The substrate-backed fast path behind :meth:`PlacementProblem.build`."""
+        """One epoch's problem, gathered from this substrate's class rows.
+
+        :meth:`PlacementProblem.build` is this method on the memoised
+        compilation of its servers, latency matrix and carbon service.
+        """
         delta = self.epoch_delta(applications, hour, horizon_hours, use_forecast)
         return self.compile_epoch(delta).problem
 
@@ -1562,7 +1553,7 @@ class ScenarioCompilation:
             horizon_hours=delta.horizon_hours,
             supported=np.stack([block.supported for block in workload_blocks])[app_block],
         )
-        # Seed every lazy problem cache the cold path would derive from the
+        # Seed every lazy problem cache the problem would derive from the
         # same rows: the SLO+support mask, the nearest-feasible latencies, and
         # the dense resource tensors. Every per-app row is gathered from its
         # class's rows, so the scenario classes are recorded too.
@@ -1610,10 +1601,11 @@ class ScenarioCompilation:
 #: Scenario-compilation cache: keyed on the substrate identity — the latency
 #: matrix + carbon service objects plus the server objects themselves (so two
 #: fleets sharing one latency/carbon pair hold separate entries instead of
-#: evicting each other), validated against element-wise server identity on
-#: every hit. The cached compilation pins its substrate objects, so the ids
-#: in the key can never be recycled while the entry lives. Bounded LRU
-#: mirroring the CDN scenario-substrate cache.
+#: evicting each other), validated on every hit by
+#: :meth:`ScenarioCompilation.matches` (element-wise server identity, and each
+#: server's site, zone and hardware). The cached compilation pins its
+#: substrate objects, so the ids in the key can never be recycled while the
+#: entry lives. Bounded LRU mirroring the CDN scenario-substrate cache.
 _SCENARIO_CACHE: OrderedDict[tuple, ScenarioCompilation] = OrderedDict()
 _SCENARIO_CACHE_MAX: int = 8
 

@@ -9,18 +9,27 @@ from __future__ import annotations
 
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.synthetic import SyntheticTraceGenerator
 from repro.cluster.fleet import build_regional_fleet
-from repro.core.problem import PlacementProblem
+from repro.cluster.resources import ResourceVector
+from repro.core.problem import (
+    _EMPTY_DEMAND,
+    INFEASIBLE_LATENCY_MS,
+    PlacementProblem,
+    _demand_for,
+    _resolve_profile,
+    ensure_dense_cell_budget,
+)
 from repro.datasets.cities import default_city_catalog
 from repro.datasets.electricity_maps import default_zone_catalog
 from repro.datasets.regions import CENTRAL_EU, FLORIDA
 from repro.network.latency import build_latency_matrix
-from repro.simulator.cdn import CDNSimulator
 from repro.workloads.application import Application
+from repro.workloads.generator import ApplicationBatch
 
 #: Trace length used by most tests (one week keeps generation fast).
 TEST_TRACE_HOURS = 7 * 24
@@ -107,11 +116,109 @@ def make_apps(sites, workload="ResNet50", n_per_site=1, slo_ms=25.0, rate_rps=10
     return apps
 
 
+def cold_build(applications, servers, latency, carbon, hour=0,
+               horizon_hours=1.0, use_forecast=True) -> PlacementProblem:
+    """The per-object reference build the scenario tier is checked against.
+
+    Fills every (workload, rate) x (accelerator, CPU) block of a fresh
+    problem from the application and server objects, reading each server's
+    site, zone, hardware, capacity and power at call time, and caches
+    nothing across calls. :meth:`PlacementProblem.build` gathers the same
+    tensors from the scenario tier's class rows; they must agree bit for bit.
+    Accepts a list of applications or an ``ApplicationBatch``.
+    """
+    if isinstance(applications, ApplicationBatch):
+        applications = list(applications.applications)
+    else:
+        applications = list(applications)
+    servers = list(servers)
+    a, s = len(applications), len(servers)
+    if a == 0:
+        raise ValueError("cannot build a placement problem with no applications")
+    if s == 0:
+        raise ValueError("cannot build a placement problem with no servers")
+    ensure_dense_cell_budget(a, s, context="cold_build")
+
+    # Latency: one site-index gather instead of A x S matrix lookups.
+    app_rows = [latency.index_of(app.source_site) for app in applications]
+    server_cols = [latency.index_of(srv.site) for srv in servers]
+    latency_ms = latency.matrix_ms[np.ix_(app_rows, server_cols)].astype(float)
+
+    # Every per-pair quantity depends only on (workload, request rate) x
+    # (accelerator, CPU) — group both axes and fill whole blocks at once.
+    app_groups: dict[tuple[str, float], list[int]] = {}
+    for i, app in enumerate(applications):
+        app_groups.setdefault((app.workload, app.request_rate_rps), []).append(i)
+    server_classes: dict[tuple[str | None, str], list[int]] = {}
+    for j, server in enumerate(servers):
+        accel = server.accelerator.name if server.accelerator is not None else None
+        server_classes.setdefault((accel, server.cpu.name), []).append(j)
+
+    energy_j = np.zeros((a, s))
+    supported = np.zeros((a, s), dtype=bool)
+    demand_rows: list[list[ResourceVector | None]] = [[None] * s for _ in range(a)]
+    blocks: list[tuple[list[int], list[int], ResourceVector]] = []
+    for (workload, rate), rows in app_groups.items():
+        rows_arr = np.asarray(rows, dtype=np.intp)
+        rates = np.full(len(rows), rate)
+        for (accel, cpu), cols in server_classes.items():
+            profile = _resolve_profile(workload, accel, cpu)
+            if profile is None:
+                continue
+            cols_arr = np.asarray(cols, dtype=np.intp)
+            supported[np.ix_(rows_arr, cols_arr)] = True
+            # Same association order as the seed's scalar path
+            # (((energy/request x rate) x 3600) x horizon), so the values
+            # are bit-identical.
+            per_app = profile.energy_per_request_j * rates * 3600.0 * horizon_hours
+            energy_j[np.ix_(rows_arr, cols_arr)] = per_app[:, None]
+            vec = _demand_for(rate, profile)
+            blocks.append((rows, cols, vec))
+            for i in rows:
+                row = demand_rows[i]
+                for j in cols:
+                    row[j] = vec
+    demands: list[list[ResourceVector]] = [
+        [vec if vec is not None else _EMPTY_DEMAND for vec in row]
+        for row in demand_rows]
+    latency_ms[~supported] = INFEASIBLE_LATENCY_MS
+
+    if use_forecast:
+        intensity = np.array([
+            carbon.forecast_mean(srv.zone_id, hour, int(np.ceil(horizon_hours)))
+            for srv in servers])
+    else:
+        intensity = np.array([carbon.current_intensity(srv.zone_id, hour)
+                              for srv in servers])
+
+    problem = PlacementProblem(
+        applications=applications,
+        servers=servers,
+        latency_ms=latency_ms,
+        energy_j=energy_j,
+        demands=demands,
+        intensity=intensity,
+        capacities=[srv.available_capacity for srv in servers],
+        base_power_w=np.array([srv.base_power_w for srv in servers]),
+        current_power=np.array([1.0 if srv.is_on else 0.0 for srv in servers]),
+        horizon_hours=horizon_hours,
+        supported=supported,
+    )
+    # Fill the dense demand tensor from the same blocks that populated
+    # ``demands``, so the tensor and the nested list can never diverge.
+    keys, capacity = problem._dense_frame(vec.keys() for _, _, vec in blocks)
+    demand = np.zeros((a, s, len(keys)))
+    for rows, cols, vec in blocks:
+        demand[np.ix_(rows, cols)] = np.array([vec.get(key) for key in keys])
+    problem._dense_resources = (keys, capacity, demand)
+    return problem
+
+
 def cold_builds():
-    """Hand the builder no substrate: every simulator epoch builds cold
-    (:meth:`PlacementProblem.build`'s reference body, not the scenario tier)."""
-    return mock.patch.object(CDNSimulator, "scenario_compilation",
-                             return_value=None)
+    """Route every :meth:`PlacementProblem.build` — the simulator's epochs,
+    the incremental placer's batches and re-solves — through
+    :func:`cold_build` instead of the scenario tier."""
+    return mock.patch.object(PlacementProblem, "build", staticmethod(cold_build))
 
 
 @pytest.fixture

@@ -137,22 +137,3 @@ def test_forecast_mean_is_memoised(central_eu_carbon):
     service.forecaster = PersistenceForecaster()
     persisted = service.forecast_mean(zone, 0, 24)
     assert persisted == pytest.approx(service.current_intensity(zone, 0))
-
-
-def test_incremental_placer_records_compilation(central_eu_fleet, central_eu_latency,
-                                                central_eu_carbon):
-    from repro.core.incremental import IncrementalPlacer
-    from tests.conftest import make_apps
-
-    placer = IncrementalPlacer(fleet=central_eu_fleet, latency=central_eu_latency,
-                               carbon=central_eu_carbon,
-                               policy=CarbonEdgePolicy(solver="greedy"))
-    placer.release_all()
-    apps = make_apps(central_eu_fleet.sites())
-    placer.place_batch(apps, hour=0)
-    assert placer.last_compilation is not None
-    first = placer.last_compilation
-    resolved = placer.resolve_epoch(hour=1)
-    assert resolved is not None
-    assert placer.last_compilation is not first
-    placer.release_all()

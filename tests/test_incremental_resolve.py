@@ -205,17 +205,17 @@ def test_reoptimize_tears_down_evicted_apps(placer, central_eu_fleet):
 
 def _run_batch_and_resolve(fleet, latency, carbon, disable_tier: bool):
     """One arrival batch + one warm-started epoch re-solve, delta or cold
-    (cold: no substrate reaches the builder)."""
+    (cold: every build is the per-object reference build)."""
     import contextlib
-    from unittest import mock
 
     from repro.solver.compile import clear_scenario_compilations
+
+    from tests.conftest import cold_builds
 
     clear_scenario_compilations()
     placer = IncrementalPlacer(fleet=fleet, latency=latency, carbon=carbon,
                                policy=CarbonEdgePolicy(), horizon_hours=24.0)
-    cold = mock.patch.object(placer, "scenario_compilation", return_value=None) \
-        if disable_tier else contextlib.nullcontext()
+    cold = cold_builds() if disable_tier else contextlib.nullcontext()
     with cold:
         apps = make_apps(fleet.sites(), n_per_site=2)
         batch = placer.place_batch(apps, hour=0)

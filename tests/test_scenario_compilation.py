@@ -4,9 +4,10 @@ The contract under test (see the scenario-lifetime section of
 :mod:`repro.solver.compile`): for every epoch, the problem tensors, the epoch
 compilation's report and dense cost tensors, and every simulation artifact
 must be byte-identical whether assembled through the scenario tier's delta
-path or rebuilt cold per epoch — the tier is a pure performance layer. The
-cold arm is the simulator with no substrate, which sends every epoch through
-:meth:`PlacementProblem.build`'s cold body.
+path — the only path :meth:`PlacementProblem.build` takes — or rebuilt cold
+per epoch: the tier is a pure performance layer. The cold arm is the
+per-object reference build, :func:`tests.conftest.cold_build`, which
+:func:`tests.conftest.cold_builds` swaps in for ``PlacementProblem.build``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.solver.compile import (
     compile_scenario,
 )
 
-from tests.conftest import cold_builds
+from tests.conftest import cold_build, cold_builds, make_apps
 
 SCENARIO_KWARGS = dict(continent="EU", n_epochs=2, max_sites=8, seed=0)
 
@@ -135,7 +136,7 @@ def test_class_tables_fill_in_bounded_blocks(rows_per_block):
             if epoch == 0:
                 assert added > rows_per_block
                 assert rows_per_block == 1 or added % rows_per_block
-            cold = PlacementProblem.build(
+            cold = cold_build(
                 applications=apps, servers=servers, latency=sim.latency,
                 carbon=sim.carbon, hour=epoch, horizon_hours=1.0)
             _assert_problems_identical(cold, fast)
@@ -153,7 +154,7 @@ def test_unknown_site_registers_no_class():
         compilation.build_problem(apps + [stray], hour=0)
     assert compilation.cache_stats()["n_classes"] == 0
     fast = compilation.build_problem(apps, hour=0)
-    cold = PlacementProblem.build(
+    cold = cold_build(
         applications=apps, servers=servers, latency=sim.latency,
         carbon=sim.carbon, hour=0, horizon_hours=1.0)
     _assert_problems_identical(cold, fast)
@@ -173,24 +174,39 @@ def test_compile_scenario_memoised_on_substrate_identity():
     assert compile_scenario(sim.fleet.servers(), sim.latency, sim.carbon) is not a
 
 
-def test_mismatched_substrate_falls_back_to_cold_build():
-    scenario = CDNScenario(**SCENARIO_KWARGS)
-    sim = CDNSimulator(scenario=scenario)
-    substrate = sim.scenario_compilation()
-    batch = sim.generator.generate_batch(0, 0)
-    apps = list(batch.applications)
-    # Dropping a server breaks the element-wise identity check, so build()
-    # must take the cold path — and still produce a correct problem.
-    servers = sim.fleet.servers()[:-1]
-    assert not substrate.matches(servers, sim.latency, sim.carbon)
-    problem = PlacementProblem.build(
-        applications=apps, servers=servers, latency=sim.latency,
-        carbon=sim.carbon, hour=0, horizon_hours=1.0, substrate=substrate)
-    assert problem.n_servers == len(servers)
-    assert problem._compilation is None  # cold builds compile lazily
+def test_build_over_a_list_records_row_classes(central_eu_fleet, central_eu_latency,
+                                                central_eu_carbon):
+    """A list of applications is assembled through the scenario tier too: the
+    problem records its row classes and hands back the caller's objects."""
+    apps = make_apps(central_eu_fleet.sites(), n_per_site=2)
+    problem = PlacementProblem.build(apps, central_eu_fleet.servers(),
+                                     central_eu_latency, central_eu_carbon,
+                                     hour=12, horizon_hours=24.0)
+    assert problem._row_class is not None
+    assert len(problem._row_class) == len(apps)
+    assert all(problem.applications[i] is app for i, app in enumerate(apps))
 
 
-def test_non_pristine_delta_reads_live_fleet_state():
+def test_server_hardware_changed_in_place_is_reread(central_eu_fleet, central_eu_latency,
+                                                    central_eu_carbon):
+    """``EdgeServer`` is mutable: a build after a server loses its
+    accelerator must see the change, not the rows compiled before it."""
+    servers = central_eu_fleet.servers()
+    apps = make_apps(central_eu_fleet.sites(), n_per_site=2)
+    before = PlacementProblem.build(apps, servers, central_eu_latency,
+                                    central_eu_carbon, hour=12)
+    assert before.supported[:, 0].all()
+    servers[0].accelerator = None
+    after = PlacementProblem.build(apps, servers, central_eu_latency,
+                                   central_eu_carbon, hour=12)
+    cold = cold_build(apps, servers, central_eu_latency, central_eu_carbon, hour=12)
+    _assert_problems_identical(cold, after)
+    assert not after.supported[:, 0].any()
+    assert after.base_power_w[0] < before.base_power_w[0]
+
+
+@pytest.mark.parametrize("use_forecast", [True, False])
+def test_non_pristine_delta_reads_live_fleet_state(use_forecast):
     scenario = CDNScenario(**SCENARIO_KWARGS)
     sim = CDNSimulator(scenario=scenario)
     problem0 = sim.epoch_problem(0)  # registers classes, resets the fleet
@@ -207,11 +223,10 @@ def test_non_pristine_delta_reads_live_fleet_state():
     apps = list(problem0.applications)
     fast = PlacementProblem.build(
         applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
-        carbon=sim.carbon, hour=7, horizon_hours=2.0,
-        substrate=sim.scenario_compilation())
-    cold = PlacementProblem.build(
+        carbon=sim.carbon, hour=7, horizon_hours=2.0, use_forecast=use_forecast)
+    cold = cold_build(
         applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
-        carbon=sim.carbon, hour=7, horizon_hours=2.0)
+        carbon=sim.carbon, hour=7, horizon_hours=2.0, use_forecast=use_forecast)
     _assert_problems_identical(cold, fast)
     assert fast.current_power[off] == 0.0
     # The capacity-dependent report is not served from the pristine rows.
@@ -222,6 +237,5 @@ def test_non_pristine_delta_reads_live_fleet_state():
     # Epochs are assembled afresh: a second build re-reads the live state.
     again = PlacementProblem.build(
         applications=apps, servers=sim.fleet.servers(), latency=sim.latency,
-        carbon=sim.carbon, hour=7, horizon_hours=2.0,
-        substrate=sim.scenario_compilation())
+        carbon=sim.carbon, hour=7, horizon_hours=2.0, use_forecast=use_forecast)
     assert again is not fast

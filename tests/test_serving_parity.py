@@ -4,18 +4,19 @@ The correctness anchor of the serving mode: a :class:`PlacementService` run
 driven by events derived from a fig11-style scenario must produce
 *bit-identical* placement decisions to the batch
 :meth:`~repro.simulator.cdn.CDNSimulator.run` loop — across every default
-policy, and with no scenario-compilation substrate (both loops then build
-every problem cold, and parity must still hold).
+policy, and with every problem built by the per-object reference build
+instead of the scenario tier (parity must still hold).
 """
 
 from __future__ import annotations
 
-from repro.core.incremental import IncrementalPlacer
 from repro.experiments.common import EXPERIMENT_SEED
 from repro.serving.parity import canonical_records, check_replay_parity
 from repro.serving.service import PlacementService
 from repro.simulator.cdn import CDNSimulator
 from repro.simulator.scenario import CDNScenario
+
+from tests.conftest import cold_builds
 
 
 def _smoke_scenario(n_epochs: int = 1) -> CDNScenario:
@@ -37,16 +38,15 @@ def test_replay_parity_across_default_policies():
     assert report.ok
 
 
-def test_replay_parity_with_scenario_tier_disabled(monkeypatch):
-    """Without a substrate both loops build every problem cold; parity holds."""
-    for owner in (CDNSimulator, IncrementalPlacer):
-        monkeypatch.setattr(owner, "scenario_compilation", lambda self: None)
-    report = check_replay_parity(_smoke_scenario())
+def test_replay_parity_with_scenario_tier_disabled():
+    """With both loops building every problem cold, parity holds."""
+    with cold_builds():
+        report = check_replay_parity(_smoke_scenario())
     assert report.ok, report.summary()
 
 
 def test_replay_parity_over_multiple_epochs():
-    """Warm compilation threading across epochs must not perturb decisions."""
+    """Decisions stay in parity across consecutive epochs."""
     report = check_replay_parity(_smoke_scenario(n_epochs=2))
     assert report.ok, report.summary()
     for check in report.checks:

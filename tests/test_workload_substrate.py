@@ -4,8 +4,9 @@ The contract under test (see the columnar section of
 :mod:`repro.workloads.generator`): the struct-of-arrays batch is a pure
 representation change — application ids, per-app fields, the class partition,
 every compiled epoch tensor, and every simulation artifact must be identical
-whether the batch flows through the class-table path or the per-object cold
-builder (:meth:`PlacementProblem.build` with no substrate).
+whether the batch flows through the class-table path or the per-object
+reference build (:func:`tests.conftest.cold_build`, which
+:func:`tests.conftest.cold_builds` swaps in for ``PlacementProblem.build``).
 """
 
 from __future__ import annotations
