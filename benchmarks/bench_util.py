@@ -9,7 +9,9 @@ carried a ``benchmark`` name, some not; none carried an ordering key);
 :func:`append_bench_record` is the single shared implementation. Every entry
 it writes carries the ``benchmark`` name and a monotone ``seq`` number
 (1 + the highest existing ``seq`` in the file), so consumers can name and
-order records without guessing from field shapes. Pre-existing entries are
+order records without guessing from field shapes, plus an environment stamp
+(:func:`environment_stamp`: interpreter version, core count and commit) so a
+number can be traced to what produced it. Pre-existing entries are
 left exactly as they are — the PR 4 era baseline detection in
 ``test_bench_cdn_pipeline`` depends on old records *not* having these fields.
 """
@@ -18,7 +20,9 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import resource
+import subprocess
 from pathlib import Path
 
 #: Environment variable that opts a run into appending to the trajectory
@@ -29,6 +33,21 @@ RECORD_ENV = "BENCH_RECORD"
 def peak_rss_mb() -> float:
     """Process peak RSS in MB (``ru_maxrss`` is KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def environment_stamp() -> dict:
+    """``python`` version, ``cpus`` (``os.cpu_count()``) and the short
+    ``commit`` hash of the checkout (``None`` outside a git checkout)."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+            text=True, check=True, cwd=Path(__file__).resolve().parent)
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    else:
+        commit = result.stdout.strip() or None
+    return {"python": platform.python_version(), "cpus": os.cpu_count(),
+            "commit": commit}
 
 
 def load_bench_history(artifact: Path) -> list:
@@ -59,7 +78,8 @@ def append_bench_record(artifact: Path, benchmark: str, record: dict,
     sort_keys:
         Serialise with sorted keys (``BENCH_serving.json``'s convention).
 
-    Returns the entry (with its assigned ``seq``), appended or not.
+    Returns the entry (with its assigned ``seq`` and the
+    :func:`environment_stamp`), appended or not.
     """
     if "benchmark" in record or "seq" in record:
         raise ValueError(
@@ -68,7 +88,7 @@ def append_bench_record(artifact: Path, benchmark: str, record: dict,
     history = load_bench_history(artifact)
     seq = 1 + max((int(r.get("seq", 0)) for r in history if isinstance(r, dict)),
                   default=0)
-    entry = {"benchmark": benchmark, "seq": seq, **record}
+    entry = {"benchmark": benchmark, "seq": seq, **record, **environment_stamp()}
     if os.environ.get(RECORD_ENV) == "1":
         history.append(entry)
         artifact.write_text(json.dumps(history, indent=2, sort_keys=sort_keys) + "\n")

@@ -48,7 +48,7 @@ from repro.solver.compile import (
     _argmin_chunk,
     _greedy_fill_live,
     _pending_order,
-    _replay_per_app,
+    _replay_step,
     _replay_waves,
     clear_compilation,
     clear_scenario_compilations,
@@ -272,11 +272,11 @@ def test_bench_kernel_schedule_speedup(bench_once):
                 for dense in denses:
                     naive = GreedyState(dense)
                     t0 = time.monotonic()
-                    _greedy_fill_live(naive, _pending_order(naive, problem.energy_j))
+                    _greedy_fill_live(naive, _pending_order(naive))
                     naive_s += time.monotonic() - t0
                     spec = GreedyState(dense)
                     t0 = time.monotonic()
-                    greedy_fill(spec, problem.energy_j)
+                    greedy_fill(spec)
                     spec_s += time.monotonic() - t0
                     # Bit-identity of the full mutable state, not just the
                     # assignment — local search consumes capacity_left.
@@ -318,8 +318,8 @@ def _saturated_epoch(n_servers: int, n_apps: int):
     The plain carbon objective concentrates winners on the greenest servers
     (product-form costs give every application the same server ranking), so
     an untouched fig17 instance is *conflict-dense*: most replayed
-    applications are invalidated and the wave replay correctly degrades to
-    the per-application loop. The saturated regime the wave replay targets is
+    applications are invalidated and the wave replay correctly hands them to
+    the class tail. The saturated regime the wave replay targets is
     the opposite: capacity rescaled to just about the speculative winner load
     (a few servers 5% short, the rest 2% over), utilisation ~95%, few
     invalidations. Seeds pinned so the instance is identical across arms and
@@ -331,19 +331,27 @@ def _saturated_epoch(n_servers: int, n_apps: int):
 
     problem = _build_problem(n_servers, n_apps, seed=1)
     dense0 = compile_placement(problem).dense(ObjectiveKind.CARBON)
-    rows = dense0.cost
+    rows = dense0.cost[dense0.row_class]
     choice = np.argmin(rows, axis=1)
     finite = np.isfinite(rows[np.arange(len(choice)), choice])
     winner_load = np.zeros_like(dense0.capacity)
     np.add.at(winner_load, choice[finite],
-              dense0.demand[np.flatnonzero(finite), choice[finite]])
+              dense0.demand[dense0.row_class[finite], choice[finite]])
     rng = np.random.default_rng(7)
     # The compiled tensor keeps only feasible servers, so size the headroom
     # off its capacity axis (a subset of the fleet's n_servers).
     headroom = np.where(rng.random(dense0.capacity.shape[0]) < 0.10,
                         0.95, 1.02)[:, None]
     capacity = np.maximum(winner_load * headroom, dense0.capacity * 1e-3)
-    return dataclasses.replace(dense0, capacity=capacity), problem.energy_j
+    return dataclasses.replace(dense0, capacity=capacity)
+
+
+def _replay_per_app(state: GreedyState, order: np.ndarray,
+                    choices: np.ndarray) -> None:
+    """The per-application replay: the exact replay step for every
+    application in processing order."""
+    for i, j in zip(order, choices):
+        _replay_step(state, int(i), int(j))
 
 
 def test_bench_wave_reconcile_speedup(bench_once):
@@ -358,8 +366,8 @@ def test_bench_wave_reconcile_speedup(bench_once):
     byte for byte while replacing almost every step with wave commits
     (telemetry asserted: waves happened, revalidation rate near zero)."""
     n_servers, n_apps, repeats = WAVE_BENCH_SIZE
-    dense, energy = _saturated_epoch(n_servers, n_apps)
-    order = _pending_order(GreedyState(dense), energy)
+    dense = _saturated_epoch(n_servers, n_apps)
+    order = _pending_order(GreedyState(dense))
     choices = _argmin_chunk(dense, order)
     replays = {"serial": _replay_per_app, "wave": _replay_waves}
     times = {"serial": 0.0, "wave": 0.0}

@@ -143,12 +143,12 @@ class PlacementProblem:
     #: Per-problem :class:`repro.solver.compile.EpochCompilation` memo.
     _compilation: object | None = field(default=None, init=False,
                                         repr=False, compare=False)
-    #: (A,) application class of each row, recorded by the scenario tier's
-    #: assembly: rows sharing a class have identical latency, energy, support,
-    #: demand and SLO rows. ``None`` when unknown (raw-constructed problems,
-    #: or after :func:`repro.solver.compile.clear_compilation`).
-    _row_class: np.ndarray | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    #: (A,) application class of each row: rows sharing a class have
+    #: identical latency, energy, support, demand and SLO rows. The scenario
+    #: tier's assembly records its class ids; otherwise (raw-constructed
+    #: problems, or after :func:`repro.solver.compile.clear_compilation`)
+    #: each row is its own class.
+    _row_class: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, s = len(self.applications), len(self.servers)
@@ -178,6 +178,7 @@ class PlacementProblem:
             raise ValueError("horizon_hours must be positive")
         if np.any(self.intensity < 0):
             raise ValueError("carbon intensities must be non-negative")
+        self._row_class = np.arange(a)
 
     # -- sizes ------------------------------------------------------------------
 

@@ -36,8 +36,9 @@ SERVER_COUNTS: tuple[int, ...] = (100, 200, 300, 400)
 APP_COUNTS: tuple[int, ...] = (20, 60, 100, 140)
 
 
-def _build_problem(n_servers: int, n_apps: int, seed: int) -> PlacementProblem:
-    """A placement problem with the requested numbers of servers and applications."""
+def _build_instance(n_servers: int, n_apps: int, seed: int) -> tuple:
+    """``(apps, servers, latency, carbon)`` of an instance with the requested
+    numbers of servers and applications, every server powered on."""
     catalog = default_city_catalog()
     zone_catalog = default_zone_catalog()
     footprint = build_cdn_footprint(seed=seed)
@@ -63,7 +64,12 @@ def _build_problem(n_servers: int, n_apps: int, seed: int) -> PlacementProblem:
     batch = generator.generate_batch(0, 0, n_arrivals=n_apps)
     for server in servers:
         server.power_on()
-    return PlacementProblem.build(list(batch.applications), servers, latency, carbon,
+    return list(batch.applications), servers, latency, carbon
+
+
+def _build_problem(n_servers: int, n_apps: int, seed: int) -> PlacementProblem:
+    """A placement problem with the requested numbers of servers and applications."""
+    return PlacementProblem.build(*_build_instance(n_servers, n_apps, seed),
                                   hour=0, horizon_hours=1.0)
 
 
@@ -115,23 +121,22 @@ def compare_backends(seed: int = EXPERIMENT_SEED,
     per-size speedup of the fastest backend relative to the slowest.
     """
     from repro.solver.backend import SolveRequest
-    from repro.solver.compile import clear_compilation
     from repro.solver.registry import available_backends, get_backend
 
     # Load the registry (and with it scipy) before the first timer starts.
     available_backends()
     rows: list[dict[str, object]] = []
     for n_servers, n_apps in sizes:
-        problem = _build_problem(n_servers, n_apps, seed)
+        instance = _build_instance(n_servers, n_apps, seed)
         timings: dict[str, float] = {}
         for backend in backends:
-            # Fresh request per backend, and the problem's memoised epoch
-            # compilation is dropped so each backend pays for its own
-            # feasibility report and dense tensors — timings stay
-            # self-contained. No tracemalloc either — its allocation-tracking
-            # overhead would distort exactly the timings the comparison
-            # reports.
-            clear_compilation(problem)
+            # A freshly built problem per backend (outside the timer, cheap
+            # through the memoised scenario tier), as production builds one
+            # per epoch: each backend pays for its own feasibility report and
+            # dense tensors, so timings stay self-contained. No tracemalloc
+            # either — its allocation-tracking overhead would distort exactly
+            # the timings the comparison reports.
+            problem = PlacementProblem.build(*instance, hour=0, horizon_hours=1.0)
             request = SolveRequest(problem=problem)
             start = time.monotonic()
             solution = get_backend(backend).solve(request)

@@ -142,17 +142,6 @@ class SolveRequest:
         """Feasible-server report (computed once per problem, shared by all)."""
         return self.compilation.report
 
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (assignment, activation) objective coefficients for this request.
-
-        With ``manage_power=False`` the activation coefficients are zero — the
-        objective ignores power state, matching the MILP builder's behaviour.
-        """
-        assign, activation = self.compilation.coefficients(self.objective, self.alpha)
-        if not self.manage_power:
-            activation = np.zeros_like(activation)
-        return assign, activation
-
     def dense(self) -> DenseCosts:
         """Dense cost/demand tensors (built once per problem, shared by every
         backend and policy through the epoch compilation)."""
@@ -200,11 +189,11 @@ def raw_objective_value(request: SolveRequest, solution: PlacementSolution) -> f
     backends on equal footing (total carbon for the carbon objective, joules
     for energy, the normalised blend for multi-objective).
     """
-    assign, activation = request.coefficients()
+    dense = request.dense()
     problem = request.problem
     total = 0.0
     for app_id, j in solution.placements.items():
-        total += float(assign[problem.app_index(app_id), j])
+        total += float(dense.raw_assign[dense.row_class[problem.app_index(app_id)], j])
     if request.manage_power:
-        total += float(np.dot(solution.newly_activated(), activation))
+        total += float(np.dot(solution.newly_activated(), dense.activation))
     return total

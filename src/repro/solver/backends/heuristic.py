@@ -65,8 +65,7 @@ class GreedyLocalSearchBackend:
         # returns the valid partial fill, flagged construction_truncated.
         construction_deadline = None if request.time_budget_s is None \
             else request.started_at + request.time_budget_s
-        greedy_fill(state, request.problem.energy_j,
-                    deadline=construction_deadline)
+        greedy_fill(state, deadline=construction_deadline)
         if self.local_search and not state.stats.truncated:
             self._improve(request, state)
         solution = solution_from_assignment(request, state.assignment)
@@ -88,13 +87,13 @@ class GreedyLocalSearchBackend:
         """
         if not request.warm_start:
             return
-        problem = request.problem
+        problem, dense = request.problem, state.dense
         for app_id, j in request.warm_start.items():
             i = problem.app_index(app_id)  # O(1), cached on the problem
-            j = int(j)
-            if not state.dense.mask[i, j] or state.assignment[i] >= 0:
+            c, j = dense.row_class[i], int(j)
+            if not dense.mask[c, j] or state.assignment[i] >= 0:
                 continue
-            if not bool_all(state.dense.demand[i, j] <= state.capacity_left[j] + 1e-9):
+            if not bool_all(dense.demand[c, j] <= state.capacity_left[j] + 1e-9):
                 continue
             state.place(i, j)
 
@@ -119,8 +118,8 @@ class GreedyLocalSearchBackend:
 
     def _relocate(self, i: int, state: GreedyState, dense: DenseCosts) -> bool:
         """Move application ``i`` to the server with the best cost delta, if any."""
-        j0 = int(state.assignment[i])
-        feasible = dense.mask[i] & dense.fits(i, state.capacity_left)
+        j0, c = int(state.assignment[i]), dense.row_class[i]
+        feasible = dense.mask[c] & dense.fits(i, state.capacity_left)
         if j0 >= 0:
             feasible[j0] = True  # staying put is always allowed
         if not feasible.any():
@@ -131,7 +130,7 @@ class GreedyLocalSearchBackend:
         # Cost of hosting i on each server, counting servers this move would
         # newly switch on (a server only i occupies stops counting).
         activation_pay = dense.activation * ((served_without == 0) & ~dense.initially_on)
-        candidate = np.where(feasible, dense.cost[i] + activation_pay, np.inf)
+        candidate = np.where(feasible, dense.cost[c] + activation_pay, np.inf)
         j1 = int(np.argmin(candidate))
         if not np.isfinite(candidate[j1]):
             return False
@@ -139,7 +138,7 @@ class GreedyLocalSearchBackend:
             # Placing a previously unplaced application always wins.
             state.place(i, j1)
             return True
-        current = dense.cost[i, j0] + activation_pay[j0]
+        current = dense.cost[c, j0] + activation_pay[j0]
         if candidate[j1] >= current - 1e-9 or j1 == j0:
             return False
         state.move(i, j0, j1)

@@ -5,7 +5,8 @@ The model is built once per request from the candidate pairs of
 vectorised sparse matrices, so it minimises exactly the tie-broken objective
 every other backend minimises:
 
-* one binary ``x`` per candidate ``(i, j)`` pair, costed ``dense.cost[i, j]``,
+* one binary ``x`` per candidate ``(i, j)`` pair, costed by application
+  ``i``'s class row, ``dense.cost[dense.row_class[i], j]``,
   then one binary ``y`` per server, costed ``dense.activation[j]`` unless the
   server is already on;
 * Equation 3: ``Σ_j x_ij == 1`` for every application with a candidate;
@@ -44,8 +45,8 @@ DEFAULT_TIME_LIMIT_S: float = 30.0
 class PlacementModel:
     """The Equations 1–7 MILP over the candidate pairs of one request.
 
-    Variables are ordered ``x`` (one per pair, row-major over ``dense.mask``)
-    then ``y`` (one per server).
+    Variables are ordered ``x`` (one per pair, row-major over the
+    per-application mask) then ``y`` (one per server).
     """
 
     #: (P,) application and server index of every ``x`` variable.
@@ -59,7 +60,8 @@ class PlacementModel:
 
     @classmethod
     def build(cls, dense: DenseCosts) -> "PlacementModel":
-        apps, servers = np.nonzero(dense.mask)
+        apps, servers = np.nonzero(dense.mask[dense.row_class])
+        pair_class = dense.row_class[apps]
         n_servers = dense.mask.shape[1]
         n_pairs = len(apps)
         pair = np.arange(n_pairs)
@@ -72,7 +74,7 @@ class PlacementModel:
         lower, upper = [np.ones(n_rows)], [np.ones(n_rows)]
 
         # Equation 1: per resource, one row per server some pair loads.
-        pair_demand = dense.demand[apps, servers]
+        pair_demand = dense.demand[pair_class, servers]
         for k in range(len(dense.keys)):
             demand = pair_demand[:, k]
             loaded = demand > 0
@@ -95,8 +97,8 @@ class PlacementModel:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n_rows, n_pairs + n_servers)).tocsr()
         return cls(
-            apps=apps, servers=servers, shape=dense.mask.shape,
-            cost=np.concatenate([dense.cost[apps, servers], activation]),
+            apps=apps, servers=servers, shape=(len(dense.row_class), n_servers),
+            cost=np.concatenate([dense.cost[pair_class, servers], activation]),
             constraints=LinearConstraint(matrix, np.concatenate(lower),
                                          np.concatenate(upper)),
             bounds=Bounds(np.concatenate([np.zeros(n_pairs),

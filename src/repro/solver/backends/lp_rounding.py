@@ -81,18 +81,19 @@ class LPRandomizedRoundingBackend:
     def _one_trial(dense: DenseCosts, fractions: np.ndarray, rng: np.random.Generator,
                    sample: bool) -> np.ndarray:
         """One rounding pass: pick a server per application, repair capacity."""
-        n_apps, _ = dense.mask.shape
+        n_apps = len(dense.row_class)
         assignment = np.full(n_apps, -1, dtype=int)
         capacity_left = dense.capacity.copy()
         # Most fractional mass concentrated first: applications whose LP row is
         # nearly integral are committed before genuinely contested ones.
         order = sorted(range(n_apps), key=lambda i: -float(fractions[i].max(initial=0.0)))
         for i in order:
-            weights = np.where(dense.mask[i], fractions[i], 0.0)
+            c = dense.row_class[i]
+            weights = np.where(dense.mask[c], fractions[i], 0.0)
             total = float(weights.sum())
             if total <= 0.0:
                 continue
-            fits = dense.mask[i] & bool_all(dense.demand[i] <= capacity_left + 1e-9)
+            fits = dense.mask[c] & bool_all(dense.demand[c] <= capacity_left + 1e-9)
             if not fits.any():
                 continue
             j = -1
@@ -104,11 +105,11 @@ class LPRandomizedRoundingBackend:
                 # Deterministic repair: largest fraction among fitting servers,
                 # cost as tie-break.
                 ranked = np.where(fits, weights, -1.0)
-                j = int(np.lexsort((dense.cost[i], -ranked))[0])
+                j = int(np.lexsort((dense.cost[c], -ranked))[0])
                 if ranked[j] < 0.0:
                     continue
             assignment[i] = j
-            capacity_left[j] -= dense.demand[i, j]
+            capacity_left[j] -= dense.demand[c, j]
         return assignment
 
     @staticmethod
@@ -118,7 +119,7 @@ class LPRandomizedRoundingBackend:
         served = np.zeros(dense.capacity.shape[0], dtype=int)
         for i, j in enumerate(assignment):
             if j >= 0:
-                total += float(dense.cost[i, int(j)])
+                total += float(dense.cost[dense.row_class[i], int(j)])
                 served[int(j)] += 1
         newly_on = (served > 0) & ~dense.initially_on
         return total + float(dense.activation[newly_on].sum())

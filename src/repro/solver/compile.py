@@ -58,15 +58,18 @@ the kernel picks every application's capacity-oblivious winner with one
 batched row argmin and replays the winners into the shared state in
 *waves*: maximal serial-order prefixes whose capacity dependencies are
 provably settled commit as one dense batched operation
-(:meth:`GreedyState.place_batch`). When the rows' classes are known, the
-first round that settles under half of what it scanned hands the rest to
-one forward-only cursor per class over the class's ranked candidates
-(:func:`_replay_classes`); otherwise a conflict-dense remainder is finished
-by the exact per-application step (:func:`_replay_per_app`, also the
-reference both other arms are tested against) once the scan budget runs
-out. Every arm is bit-identical to the naive per-row loop; the hypothesis
-suite, the golden artifact digests and the pinned conflict-tail placements
-hold the contract.
+(:meth:`GreedyState.place_batch`). The first round that settles under half
+of what it scanned hands the rest to one forward-only cursor per class over
+the class's ranked candidates (:func:`_replay_classes`). Both arms are
+bit-identical to the naive per-row loop; the hypothesis suite (against a
+per-application replay of :func:`_replay_step`), the golden artifact digests
+and the pinned conflict-tail placements hold the contract.
+
+**Class rows.** The kernels read one table row per application class:
+:class:`DenseCosts` holds (C, S) cost, mask and energy tables and a (C, S, K)
+demand table, and its (A,) ``row_class`` maps each application to its row.
+Scenario-tier problems record their scenario classes; a raw-constructed
+problem is one class per application.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ import numpy as np
 from repro.core.filters import FeasibilityReport, filter_feasible_servers
 from repro.core.objective import (
     ObjectiveKind,
-    _at_rows,
     apply_tie_break,
     objective_coefficients,
     tie_break_matrix,
@@ -107,36 +109,42 @@ if TYPE_CHECKING:  # typing only — no runtime dependency on these layers
 
 @dataclass
 class DenseCosts:
-    """Dense numpy view of a placement instance for the vectorised kernels.
+    """Dense numpy view of a placement instance for the vectorised kernels,
+    one table row per application class.
+
+    Applications of one class have identical cost, mask, demand and energy
+    rows, so the tables hold each class's row once and :attr:`row_class`
+    maps every application to its row: application ``i``'s cost at server
+    ``j`` is ``cost[row_class[i], j]``. A gather is exact, so reading
+    through the class index is the per-application tensor bit for bit. The
+    fill orders, ranks and takes its speculative winners once per class
+    (:func:`_pending_order`, :func:`_argmin_chunk`) and the replay's
+    conflict tail runs one cursor per class (:func:`_replay_classes`).
 
     Attributes
     ----------
     keys:
         Resource dimensions, the K axis of ``demand`` / ``capacity``.
     demand:
-        (A, S, K) per-pair resource demands (zero outside the support mask).
+        (C, S, K) per-pair resource demands (zero outside the support mask).
     capacity:
         (S, K) available capacity per server.
     mask:
-        (A, S) candidate mask from the feasibility report.
+        (C, S) candidate mask from the feasibility report.
     cost:
-        (A, S) assignment cost including the deterministic epsilon tie-break;
+        (C, S) assignment cost including the deterministic epsilon tie-break;
         ``+inf`` outside the mask.
     raw_assign:
-        (A, S) un-augmented assignment coefficients (for reporting).
+        (C, S) un-augmented assignment coefficients (for reporting).
+    energy:
+        (C, S) dynamic energy, the fill order's secondary key.
     activation:
         (S,) activation cost of switching a server on (zero when power is
         unmanaged).
     initially_on:
         (S,) bool, servers already on (all True when power is unmanaged).
     row_class:
-        (A,) int class of each row, or ``None`` when unknown. Rows sharing a
-        class have identical ``cost``, ``mask`` and ``demand`` rows, and
-        identical rows of the energy matrix :func:`greedy_fill` is handed
-        with them. That lets the fill order, rank and take its speculative
-        winners once per class (:func:`_pending_order`,
-        :func:`_argmin_chunk`) and the replay's conflict tail run one cursor
-        per class (:func:`_replay_classes`).
+        (A,) int, each application's row in the class tables.
     """
 
     keys: list[str]
@@ -145,21 +153,10 @@ class DenseCosts:
     mask: np.ndarray
     cost: np.ndarray
     raw_assign: np.ndarray
+    energy: np.ndarray
     activation: np.ndarray
     initially_on: np.ndarray
-    row_class: np.ndarray | None = None
-    _classes: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
-
-    def classes(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """``(rows, inverse)`` from :attr:`row_class`: the first row of each
-        class and (A,) each row's class number, computed once; ``None`` when
-        the classes are unknown. Any row of a class stands for all of them."""
-        if self.row_class is None:
-            return None
-        if self._classes is None:
-            self._classes = _group_rows(self.row_class)
-        return self._classes
+    row_class: np.ndarray
 
     @classmethod
     def from_matrices(
@@ -170,9 +167,10 @@ class DenseCosts:
         activation: np.ndarray | None = None,
         manage_power: bool = True,
         tie_breaker: np.ndarray | None = None,
-        row_class: np.ndarray | None = None,
     ) -> "DenseCosts":
-        """Assemble dense tensors for arbitrary assignment/activation costs.
+        """Assemble dense tensors for arbitrary per-application assignment
+        costs, one class per application: the tables are the per-application
+        matrices themselves.
 
         The demand and capacity tensors are shared read-only with the problem
         (built once per epoch); only the cost matrix is objective-specific.
@@ -180,30 +178,29 @@ class DenseCosts:
         candidates order by it through an epsilon perturbation scaled so the
         perturbation never exceeds ``1e-5`` of the largest feasible
         assignment cost. ``None`` disables the perturbation (exact ties then
-        resolve to the lowest server index). ``row_class`` may only be given
-        when ``assign``, ``tie_breaker``, the report's mask and the problem's
-        demand are equal on rows of one class (see :attr:`row_class`).
+        resolve to the lowest server index).
         """
         return cls._assemble(problem, report.mask,
                              cls._tie_broken(assign, report.mask, tie_breaker),
-                             assign, activation, manage_power, row_class)
+                             assign, problem.demand_dense(), problem.energy_j,
+                             activation, manage_power,
+                             np.arange(problem.n_applications))
 
     @classmethod
     def _assemble(cls, problem: PlacementProblem, mask: np.ndarray,
-                  cost: np.ndarray, raw_assign: np.ndarray,
-                  activation: np.ndarray | None, manage_power: bool,
-                  row_class: np.ndarray | None) -> "DenseCosts":
-        """The tensors around an already tie-broken, masked cost matrix."""
+                  cost: np.ndarray, raw_assign: np.ndarray, demand: np.ndarray,
+                  energy: np.ndarray, activation: np.ndarray | None,
+                  manage_power: bool, row_class: np.ndarray) -> "DenseCosts":
+        """The tensors around already tie-broken, masked class cost rows."""
         s = problem.n_servers
         if activation is None:
             activation = np.zeros(s)
         initially_on = (problem.current_power > 0.5) if manage_power \
             else np.ones(s, dtype=bool)
-        return cls(keys=list(problem.resource_keys()),
-                   demand=problem.demand_dense(),
+        return cls(keys=list(problem.resource_keys()), demand=demand,
                    capacity=problem.capacity_dense(),
-                   mask=mask, cost=cost,
-                   raw_assign=raw_assign, activation=np.asarray(activation, dtype=float),
+                   mask=mask, cost=cost, raw_assign=raw_assign, energy=energy,
+                   activation=np.asarray(activation, dtype=float),
                    initially_on=initially_on, row_class=row_class)
 
     @staticmethod
@@ -223,14 +220,7 @@ class DenseCosts:
 
     def fits(self, i: int, capacity_left: np.ndarray) -> np.ndarray:
         """(S,) bool: servers with room for application ``i`` given remaining capacity."""
-        return bool_all(self.demand[i] <= capacity_left + 1e-9)
-
-
-def _group_rows(row_class: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, inverse)``: the first row of each class (classes in ascending
-    order) and each row's class number."""
-    _, rows, inverse = np.unique(row_class, return_index=True, return_inverse=True)
-    return rows, inverse.reshape(len(row_class))
+        return bool_all(self.demand[self.row_class[i]] <= capacity_left + 1e-9)
 
 
 def bool_all(fits_per_key: np.ndarray) -> np.ndarray:
@@ -288,10 +278,9 @@ class GreedyState:
 
     def __init__(self, dense: DenseCosts) -> None:
         self.dense = dense
-        n_apps, n_servers = dense.mask.shape
-        self.assignment = np.full(n_apps, -1, dtype=int)
+        self.assignment = np.full(len(dense.row_class), -1, dtype=int)
         self.capacity_left = dense.capacity.copy()
-        self.served = np.zeros(n_servers, dtype=int)
+        self.served = np.zeros(dense.mask.shape[1], dtype=int)
         self.stats = FillStats()
 
     def would_activate(self) -> np.ndarray:
@@ -301,7 +290,7 @@ class GreedyState:
     def place(self, i: int, j: int) -> None:
         """Commit application ``i`` to server ``j``."""
         self.assignment[i] = j
-        self.capacity_left[j] -= self.dense.demand[i, j]
+        self.capacity_left[j] -= self.dense.demand[self.dense.row_class[i], j]
         self.served[j] += 1
 
     def place_batch(self, apps: np.ndarray, servers: np.ndarray) -> None:
@@ -320,19 +309,19 @@ class GreedyState:
             return
         self.assignment[apps] = servers
         np.subtract.at(self.capacity_left, servers,
-                       self.dense.demand[apps, servers])
+                       self.dense.demand[self.dense.row_class[apps], servers])
         np.add.at(self.served, servers, 1)
         self.stats.waves += 1
         self.stats.wave_placements += int(len(apps))
 
     def move(self, i: int, j0: int, j1: int) -> None:
         """Relocate application ``i`` from server ``j0`` to ``j1``."""
-        self.capacity_left[j0] += self.dense.demand[i, j0]
+        self.capacity_left[j0] += self.dense.demand[self.dense.row_class[i], j0]
         self.served[j0] -= 1
         self.place(i, j1)
 
 
-def _pending_order(state: GreedyState, energy_j: np.ndarray) -> np.ndarray:
+def _pending_order(state: GreedyState) -> np.ndarray:
     """Still-unassigned applications in the kernel's processing order.
 
     Most-constrained first: fewest candidate servers, then larger maximum
@@ -340,25 +329,20 @@ def _pending_order(state: GreedyState, energy_j: np.ndarray) -> np.ndarray:
     application index. Implemented as a stable ``np.lexsort`` over the same
     keys the original per-application tuple sort compared, so the order is
     unchanged — and fully vectorised (no per-application Python loop), which
-    matters at 10^6 applications. With the row classes known the keys are
-    computed once per class and gathered (see :attr:`DenseCosts.row_class`).
+    matters at 10^6 applications. The keys are computed once per class row
+    and gathered per application.
     """
     dense = state.dense
     pending = np.flatnonzero(state.assignment < 0)
     if len(pending) <= 1:
         return pending
-    classes = dense.classes()
-    rows = pending if classes is None else classes[0]
-    counts = dense.mask[rows].sum(axis=1)
-    max_energy = energy_j[rows].max(axis=1, initial=0.0)
-    if classes is not None:
-        of_pending = classes[1][pending]
-        counts, max_energy = counts[of_pending], max_energy[of_pending]
+    of_pending = dense.row_class[pending]
+    counts = dense.mask.sum(axis=1)[of_pending]
+    max_energy = dense.energy.max(axis=1, initial=0.0)[of_pending]
     return pending[np.lexsort((-max_energy, counts))]
 
 
-def greedy_fill(state: GreedyState, energy_j: np.ndarray,
-                deadline: float | None = None) -> None:
+def greedy_fill(state: GreedyState, deadline: float | None = None) -> None:
     """THE greedy placement kernel (every policy and backend routes here).
 
     Places each still-unassigned application at its cheapest marginal-cost
@@ -395,7 +379,7 @@ def greedy_fill(state: GreedyState, energy_j: np.ndarray,
     consumer) leaves the schedule untouched.
     """
     dense = state.dense
-    order = _pending_order(state, energy_j)
+    order = _pending_order(state)
     if not len(order):
         return
     if _expired(deadline):
@@ -427,10 +411,11 @@ def _greedy_fill_live(state: GreedyState, order: Sequence[int],
             state.stats.truncated = True
             return
         state.stats.serial_steps += 1
-        feasible = dense.mask[i] & dense.fits(i, state.capacity_left)
+        c = dense.row_class[i]
+        feasible = dense.mask[c] & dense.fits(i, state.capacity_left)
         if not feasible.any():
             continue
-        marginal = dense.cost[i] + dense.activation * state.would_activate()
+        marginal = dense.cost[c] + dense.activation * state.would_activate()
         marginal = np.where(feasible, marginal, np.inf)
         j = int(np.argmin(marginal))
         if np.isfinite(marginal[j]):
@@ -468,16 +453,13 @@ def _argmin_chunk(dense: DenseCosts, apps: np.ndarray) -> np.ndarray:
     minimum as the naive loop's ``argmin(where(feasible, marginal, inf))``
     whenever the activation term vanishes on the row. ``-1`` marks
     applications with no finite-cost candidate, which the naive loop
-    provably leaves unplaced. With the row classes known the argmin runs
-    once per class, on its first row (rows of one class are equal), and is
+    provably leaves unplaced. The argmin runs once per class row and is
     gathered back per application.
     """
-    classes = dense.classes()
-    rows = dense.cost[apps if classes is None else classes[0]]
+    rows = dense.cost
     choice = np.argmin(rows, axis=1).astype(int)
     finite = np.isfinite(rows[np.arange(len(rows)), choice])
-    choice = np.where(finite, choice, -1)
-    return choice if classes is None else choice[classes[1][apps]]
+    return np.where(finite, choice, -1)[dense.row_class[apps]]
 
 
 def _replay_step(state: GreedyState, i: int, j: int) -> None:
@@ -486,47 +468,30 @@ def _replay_step(state: GreedyState, i: int, j: int) -> None:
     O(K) revalidation of the winner against the evolving capacity (the same
     comparison ``DenseCosts.fits`` performs), falling back to the exact
     serial step — full feasibility scan plus static-cost argmin — when the
-    winner was invalidated. The single place the per-application replay and
-    the wave replay's boundary handling share, so both arms perform the same
-    arithmetic in the same order.
+    winner was invalidated. The wave replay commits its boundaries with it,
+    and a loop of it over the processing order is the per-application
+    reference the wave replay and the class tail are tested against.
     """
     dense = state.dense
-    demand, capacity_left = dense.demand, state.capacity_left
+    c = dense.row_class[i]
+    demand, capacity_left = dense.demand[c], state.capacity_left
     state.stats.serial_steps += 1
     if j < 0:
         # No finite-cost candidate at all: the exact step provably leaves
         # the application unplaced (its feasible set is a subset).
         return
-    if bool(np.all(demand[i, j] <= capacity_left[j] + 1e-9)):
+    if bool(np.all(demand[j] <= capacity_left[j] + 1e-9)):
         state.place(i, j)
         return
     # Invalidated winner: exact serial step for this row.
     state.stats.invalidations += 1
-    feasible = dense.mask[i] & bool_all(demand[i] <= capacity_left + 1e-9)
+    feasible = dense.mask[c] & bool_all(demand <= capacity_left + 1e-9)
     if not feasible.any():
         return
-    marginal = np.where(feasible, dense.cost[i], np.inf)
+    marginal = np.where(feasible, dense.cost[c], np.inf)
     j2 = int(np.argmin(marginal))
     if np.isfinite(marginal[j2]):
         state.place(i, j2)
-
-
-def _replay_per_app(state: GreedyState, order: np.ndarray,
-                    choices: np.ndarray,
-                    deadline: float | None = None) -> None:
-    """The per-application reconciliation replay.
-
-    Runs :func:`_replay_step` for every application in processing order.
-    It finishes :func:`_replay_waves`'s conflict tail when the rows' classes
-    are unknown, and is the reference the wave replay and the class tail
-    (:func:`_replay_classes`) are tested and benchmarked against.
-    """
-    for k, i in enumerate(order):
-        if deadline is not None and k % _DEADLINE_STRIDE == 0 \
-                and time.monotonic() >= deadline:
-            state.stats.truncated = True
-            return
-        _replay_step(state, int(i), int(choices[k]))
 
 
 def _replay_classes(state: GreedyState, order: np.ndarray,
@@ -534,11 +499,10 @@ def _replay_classes(state: GreedyState, order: np.ndarray,
                     deadline: float | None = None) -> None:
     """The conflict tail replayed with one forward-only cursor per class.
 
-    Requires ``state.dense.row_class``. Each class gets one list of its
-    candidate servers — masked, finite cost — ranked by (cost, server
-    index), and a cursor into it. At an application's turn the cursor skips
-    the servers that no longer fit the class's demand and the application
-    goes to the first one that does.
+    Each class gets one list of its candidate servers — masked, finite
+    cost — ranked by (cost, server index), and a cursor into it. At an
+    application's turn the cursor skips the servers that no longer fit the
+    class's demand and the application goes to the first one that does.
 
     Exactness: on a cold channel capacity only shrinks and a class's demand
     row is fixed, so a server skipped for a class never fits that class
@@ -546,27 +510,25 @@ def _replay_classes(state: GreedyState, order: np.ndarray,
     (and :func:`_replay_step`) takes over the fitting candidates, lowest
     index among ties included; a class whose speculative winner is ``-1``
     stays unplaced exactly as :func:`_replay_step` leaves it. Placements
-    subtract in processing order, so the state matches
-    :func:`_replay_per_app` bit for bit.
+    subtract in processing order, so the state matches a
+    :func:`_replay_step` loop over the same order bit for bit.
 
-    A class's list is ranked at its first turn, from the class's first row
-    alone (:meth:`DenseCosts.classes`, :func:`_ranked_candidates`), and read
-    in place together with that row's demand: cursors touch a small prefix
-    of most lists, so neither a classes x servers tensor nor a Python object
-    per (class, candidate) pair is ever built. Capacity lives in one flat
-    Python float list, written back once.
+    A class's list is ranked at its first turn, from its class row alone
+    (:func:`_ranked_candidates`), and read in place together with the
+    class's demand row: cursors touch a small prefix of most lists, so no
+    Python object per (class, candidate) pair is ever built. Capacity lives
+    in one flat Python float list, written back once.
     """
     n = len(order)
     if n == 0:
         return
     dense = state.dense
     n_keys = dense.capacity.shape[1]
-    reps, row_class = dense.classes()
-    tail_class = row_class[order]
-    n_classes = len(reps)
+    tail_class = dense.row_class[order]
+    n_classes = len(dense.cost)
     live = np.zeros(n_classes, dtype=bool)
     live[tail_class] = choices >= 0  # one winner per class
-    reps, live = reps.tolist(), live.tolist()
+    live = live.tolist()
     ranked_servers: list = [None] * n_classes   # (n_c,) int arrays, lazily
     cursor = [0] * n_classes
     capacity = state.capacity_left.ravel().tolist()  # (S * K,) flat
@@ -584,8 +546,8 @@ def _replay_classes(state: GreedyState, order: np.ndarray,
             continue
         ranked = ranked_servers[c]
         if ranked is None:
-            ranked = ranked_servers[c] = _ranked_candidates(dense, reps[c])
-        need = dense.demand[reps[c]]  # (S, K) view
+            ranked = ranked_servers[c] = _ranked_candidates(dense, c)
+        need = dense.demand[c]  # (S, K) view
         p, stop = cursor[c], len(ranked)
         while p < stop:
             j = ranked.item(p)
@@ -622,15 +584,6 @@ def _ranked_candidates(dense: DenseCosts, row: int) -> np.ndarray:
     return candidates[np.argsort(cost[candidates], kind="stable")]
 
 
-#: Without row classes, the wave replay hands the rest to the per-application
-#: tail once it has scanned this many multiples of the pending-application
-#: count across its rounds, so adversarially conflicting instances pay at
-#: most a few dense passes of planning overhead on top of the serial work
-#: they genuinely need. (With row classes the half-settled rule of
-#: :func:`_replay_waves` hands off first: its rounds scan under 2x.)
-_WAVE_SCAN_BUDGET_FACTOR: int = 8
-
-
 def _replay_waves(state: GreedyState, order: np.ndarray,
                   choices: np.ndarray,
                   deadline: float | None = None) -> None:
@@ -641,14 +594,13 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     each wave with one dense batched operation
     (:meth:`GreedyState.place_batch`), and drops to the exact
     per-application step (:func:`_replay_step`) only at wave boundaries.
-    The rest of the order becomes the conflict tail in one of two ways. When
-    ``dense.row_class`` is known, a round that commits fewer than half of
-    the rows it scanned hands the rest, its boundary included, to
-    :func:`_replay_classes`: on a hierarchy region fill the first round
+    A round that commits fewer than half of the rows it scanned hands the
+    rest, its boundary included, to the conflict tail
+    (:func:`_replay_classes`): on a hierarchy region fill the first round
     commits 10-15% of the rows and further rounds add little, while a CDN
-    epoch commits everything in its first wave. Without row
-    classes the rounds go on until the scan budget runs out, and
-    :func:`_replay_per_app` finishes the order.
+    epoch commits everything in its first wave. The hand-off also bounds
+    the planning work: the rounds before it each commit at least half of
+    what they scan, so together they scan under twice the pending count.
 
     **Wave construction rule.** Within the remaining replay order, group the
     winners by target server and take per-server *prefix sums* of their
@@ -689,15 +641,14 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     targets = np.where(has_winner, choices, 0)
     # Winner demand rows aligned with the replay order ((P, K); zero for
     # winnerless rows so they never perturb a prefix sum).
-    wdemand = np.where(has_winner[:, None], dense.demand[order, targets], 0.0)
-    budget = _WAVE_SCAN_BUDGET_FACTOR * n
+    wdemand = np.where(has_winner[:, None],
+                       dense.demand[dense.row_class[order], targets], 0.0)
     pos = 0
     while pos < n:
         if _expired(deadline):  # polled once per wave round
             state.stats.truncated = True
             return
         r = n - pos
-        budget -= r
         t = targets[pos:]
         w = wdemand[pos:]
         hw = has_winner[pos:]
@@ -734,21 +685,16 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
             pos += cut
         if pos >= n:
             return
-        if dense.row_class is not None and 2 * cut < r:
-            # Early hand-off: a round that settles under half of what it
-            # scanned is in the conflict-dense part of the fill, where one
-            # cursor per class beats another dense planning pass. The
-            # boundary goes with the rest; the class tail re-derives it.
+        if 2 * cut < r:
+            # Hand-off: a round that settles under half of what it scanned
+            # is in the conflict-dense part of the fill, where one cursor
+            # per class beats another dense planning pass. The boundary
+            # goes with the rest; the class tail re-derives it.
             _replay_classes(state, order[pos:], choices[pos:], deadline)
             return
         # Boundary: the first placement the certificate could not settle.
         _replay_step(state, int(order[pos]), int(choices[pos]))
         pos += 1
-        if budget <= 0:
-            # Productivity guard: conflicts are too dense for wave planning
-            # to pay — finish the tail per application.
-            _replay_per_app(state, order[pos:], choices[pos:], deadline)
-            return
 
 
 def assignment_to_solution(problem: PlacementProblem, assignment: np.ndarray,
@@ -788,7 +734,7 @@ def dense_greedy_solution(
     dense = DenseCosts.from_matrices(problem, compilation.report, assign,
                                      activation, tie_breaker=tie_breaker)
     state = GreedyState(dense)
-    greedy_fill(state, problem.energy_j)
+    greedy_fill(state)
     return assignment_to_solution(problem, state.assignment)
 
 
@@ -834,41 +780,34 @@ class EpochCompilation:
         """Applications with no feasible server at all (``nearest`` is +inf)."""
         return int(np.isinf(self.nearest_feasible_ms).sum())
 
-    def _row_classes(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(rows, inverse)``: one representative row per application class
-        and (A,) each row's class, from the problem's recorded row classes.
-        ``(None, None)`` when they are unknown: each row is its own class
-        and nothing is gathered."""
+    def _row_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, inverse, demand, energy)``, computed once: the first row
+        of each application class (classes in ascending order), (A,) each
+        application's class number, and the class rows of the problem's
+        demand and energy tensors, which every dense view shares."""
         if self._classes is None:
-            row_class = self.problem._row_class
-            self._classes = (None, None) if row_class is None \
-                else _group_rows(row_class)
+            problem = self.problem
+            _, rows, inverse = np.unique(problem._row_class, return_index=True,
+                                         return_inverse=True)
+            self._classes = (rows, inverse.reshape(-1), problem.demand_dense()[rows],
+                             problem.energy_j[rows])
         return self._classes
 
     def _coefficient_rows(self, objective: ObjectiveKind, alpha: float
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(class-row assign, per-app assign, activation), cached per
-        (kind, alpha): the coefficients are computed on one representative
-        row per class and gathered per application."""
-        key = (objective, float(alpha))
-        if key not in self._coefficients:
-            rows, inverse = self._row_classes()
-            assign, activation = objective_coefficients(self.problem, objective,
-                                                        alpha, rows)
-            self._coefficients[key] = (assign, _at_rows(assign, inverse), activation)
-        return self._coefficients[key]
-
-    def coefficients(self, objective: ObjectiveKind,
-                     alpha: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """(assign, activation) objective coefficients, cached per (kind, alpha).
+                          ) -> tuple[np.ndarray, np.ndarray]:
+        """(class-row assign, activation) objective coefficients, cached per
+        (kind, alpha).
 
         Each coefficient is an elementwise function of its row, and every
         scale (the multi objective's min-max pool) is taken over the same
-        multiset of values, so computing them per class and gathering gives
-        the per-application build's matrix bit for bit.
+        multiset of values, so the class rows are the per-application
+        build's rows bit for bit.
         """
-        _, assign, activation = self._coefficient_rows(objective, alpha)
-        return assign, activation
+        key = (objective, float(alpha))
+        if key not in self._coefficients:
+            self._coefficients[key] = objective_coefficients(
+                self.problem, objective, alpha, self._row_classes()[0])
+        return self._coefficients[key]
 
     def dense(self, objective: ObjectiveKind = ObjectiveKind.CARBON,
               alpha: float = 0.0, manage_power: bool = True) -> DenseCosts:
@@ -876,24 +815,19 @@ class EpochCompilation:
         key = (objective, float(alpha), bool(manage_power))
         if key not in self._dense:
             # Every objective's coefficients and tie-break rows are functions
-            # of an application's class, so the assembly's classes carry
-            # over: the tie-break and the infinite masking run on one row per
-            # class (the epsilon's scales are maxima over the same multiset
-            # of values) and the cost is gathered per application.
-            rows, inverse = self._row_classes()
-            class_assign, assign, activation = self._coefficient_rows(objective, alpha)
+            # of an application's class, so the tie-break and the infinite
+            # masking run on one row per class (the epsilon's scales are
+            # maxima over the same multiset of values).
+            rows, inverse, demand, energy = self._row_classes()
+            assign, activation = self._coefficient_rows(objective, alpha)
             if not manage_power:
                 activation = np.zeros_like(activation)
-            mask = self.report.mask
+            mask = self.report.mask[rows]
             cost = DenseCosts._tie_broken(
-                class_assign, _at_rows(mask, rows),
-                tie_break_matrix(self.problem, objective, rows))
-            dense = DenseCosts._assemble(
-                self.problem, mask, _at_rows(cost, inverse), assign, activation,
-                manage_power, self.problem._row_class)
-            if rows is not None:
-                dense._classes = (rows, inverse)
-            self._dense[key] = dense
+                assign, mask, tie_break_matrix(self.problem, objective, rows))
+            self._dense[key] = DenseCosts._assemble(
+                self.problem, mask, cost, assign, demand, energy, activation,
+                manage_power, inverse)
         return self._dense[key]
 
 
@@ -914,11 +848,11 @@ def compile_placement(problem: PlacementProblem) -> EpochCompilation:
 def clear_compilation(problem: PlacementProblem) -> None:
     """Drop every cache derived from a problem's arrays.
 
-    Call after mutating a problem in place (so nothing solves against stale
-    tensors), or to time an uncompiled solve fairly. Clears the memoised
-    :class:`EpochCompilation` *and* the problem-level caches it builds on
-    (feasibility mask, dense resource tensors, id index maps) and the row
-    classes recorded at assembly, which a mutated row may no longer honour.
+    Call after mutating a problem in place, so nothing solves against stale
+    tensors. Clears the memoised :class:`EpochCompilation` *and* the
+    problem-level caches it builds on (feasibility mask, dense resource
+    tensors, id index maps), and resets the row classes recorded at assembly,
+    which a mutated row may no longer honour, to one class per application.
     """
     problem._compilation = None
     problem._feasible_mask = None
@@ -927,7 +861,7 @@ def clear_compilation(problem: PlacementProblem) -> None:
     problem._app_ids = None
     problem._app_index_map = None
     problem._server_index_map = None
-    problem._row_class = None
+    problem._row_class = np.arange(problem.n_applications)
 
 
 # -- scenario-lifetime compilation ---------------------------------------------
@@ -1155,6 +1089,8 @@ class ScenarioCompilation:
                 raise ValueError("region_slice requires at least one server column")
             child = ScenarioCompilation([self.servers[j] for j in key],
                                         self.latency, self.carbon)
+            if self._baseline_capacities is not None:  # same servers, same vectors
+                child._baseline_capacities = [self._baseline_capacities[j] for j in key]
             self._region_memo[key] = child
         return child
 
@@ -1370,14 +1306,14 @@ class ScenarioCompilation:
         step = max(1, CLASS_FILL_CELLS // len(self.servers))
         for a in range(0, n, step):
             rows = slice(a, a + step)
-            supported = block_supported[local[rows]]
-            lat = self.latency.matrix_ms[sites[rows, None], self.server_cols]
-            lat[~supported] = INFEASIBLE_LATENCY_MS
-            feas = (2.0 * lat <= slo[rows, None] + 1e-9) & supported
             table = slice(lo + a, lo + min(a + step, n))
-            self._lat[table] = lat
-            self._feas[table] = feas
-            self._near[table] = np.where(feas, lat, np.inf).min(axis=1)
+            lat, feas = self._lat[table], self._feas[table]  # filled in place
+            np.take(self.latency.matrix_ms[sites[rows]], self.server_cols, axis=1, out=lat)
+            supported = block_supported[local[rows]]
+            lat[~supported] = INFEASIBLE_LATENCY_MS
+            np.less_equal(2.0 * lat, slo[rows, None] + 1e-9, out=feas)
+            feas &= supported
+            self._near[table] = np.min(lat, axis=1, where=feas, initial=np.inf)
         self._n_classes = hi
 
     def _batch_class_indices(self, batch: ApplicationBatch) -> np.ndarray:

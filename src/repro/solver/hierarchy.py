@@ -17,7 +17,8 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
    by the existing dense greedy kernel (:func:`repro.solver.compile.
    greedy_fill`) with a zero activation channel, so the cold batched schedule
    applies. The aggregates are class quantities: they are reduced for a
-   block of application classes at a time and gathered per app.
+   block of application classes at a time, and the kernel reads them as
+   its class rows.
 3. **Refine pass**: each region's restricted sub-problem (the apps the coarse
    pass routed there × the region's servers) is compiled through
    :meth:`ScenarioCompilation.region_slice` and solved through the backend
@@ -241,13 +242,6 @@ class HierarchicalResult:
 COARSE_BLOCK_CELLS: int = 1 << 18
 
 
-def _region_min(values: np.ndarray, feas: np.ndarray,
-                starts: np.ndarray) -> np.ndarray:
-    """Per-region minimum of region-ordered ``values`` over feasible servers
-    along axis 1 (+inf where a region has none)."""
-    return np.minimum.reduceat(np.where(feas, values, np.inf), starts, axis=1)
-
-
 def _minmax_pools(compilation: ScenarioCompilation, uniq: np.ndarray,
                   energy: np.ndarray, class_block: np.ndarray, spans: list,
                   intensity: np.ndarray, act_carbon: np.ndarray,
@@ -301,13 +295,24 @@ def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
     return local, solution
 
 
-def _remaining_capacities(solution: "PlacementSolution") -> list:
-    """Per-server capacities a region's refinement left, seeding the spill pass."""
+def _remaining_capacities(solution: "PlacementSolution", keys: tuple,
+                          demand: np.ndarray, app_block: np.ndarray) -> np.ndarray:
+    """(S_r, K) capacities a region's refinement left over ``keys``, seeding
+    the spill pass. ``demand`` is the epoch's (blocks, S_r, K) table and
+    ``app_block`` each region app's row in it. Every server sees its
+    placements in the solution's order, clamped at zero as
+    ``ResourceVector.__sub__`` does, one placement depth at a time."""
     problem = solution.problem
-    remaining = [cap for cap in problem.capacities]
-    for app_id, j in solution.placements.items():
-        i = problem.app_index(app_id)
-        remaining[j] = remaining[j] - problem.demands[i][j]
+    remaining = np.array([[cap.get(k) for k in keys] for cap in problem.capacities],
+                         dtype=float).reshape(problem.n_servers, len(keys))
+    apps = problem.app_indices(list(solution.placements))
+    servers = np.fromiter(solution.placements.values(), dtype=np.intp, count=len(apps))
+    order = np.argsort(servers, kind="stable")
+    servers, rows = servers[order], demand[app_block[apps[order]], servers[order]]
+    depth = np.arange(len(servers)) - np.searchsorted(servers, servers)
+    for level in range(int(depth.max(initial=-1)) + 1):
+        at = depth == level
+        remaining[servers[at]] = np.maximum(remaining[servers[at]] - rows[at], 0.0)
     return remaining
 
 
@@ -410,30 +415,32 @@ def solve_hierarchical(
         return lat
 
     # -- coarse aggregate tensors, a block of classes at a time -----------------
-    # Each block gathers its classes' rows with the server axis in region
-    # order and reduces every region segment along that axis; the block
-    # size bounds the cells, so the classes x servers tensor never exists.
-    class_cost = np.empty((n_classes, n_eff))
-    class_tie = np.empty((n_classes, n_eff))
-    class_energy = np.empty((n_classes, n_eff))
-    class_mask = np.empty((n_classes, n_eff), dtype=bool)
-    class_demand = np.empty((n_classes, n_eff, len(keys)))
-    energy_r, demand_r, intensity_r = energy[:, perm], demand[:, perm], intensity[perm]
+    # A block gathers its classes' feasibility rows with the server axis in
+    # region order, so each (class, region) cell's feasible servers are one
+    # run of the block's feasible pairs and each aggregate is one reduction
+    # per run. Infeasible pairs are never read; empty cells stay zero, masked.
+    n_servers = len(servers)
+    class_cost, class_tie, class_energy = (np.zeros((n_classes, n_eff)) for _ in range(3))
+    class_demand = np.zeros((n_classes, n_eff, len(keys)))
+    class_mask = np.zeros((n_classes, n_eff), dtype=bool)
     for rows in spans:
-        ks = uniq[rows, None]
-        feas = compilation._feas[ks, perm]
-        lat = compilation._lat[ks, perm]
-        e = energy_r[class_block[rows]]
-        feas_any = np.logical_or.reduceat(feas, starts, axis=1)
-        class_mask[rows] = feas_any
-        class_cost[rows] = _region_min(raw_values(e, lat, intensity_r), feas, starts)
-        class_tie[rows] = np.where(
-            feas_any, _region_min(tie_values(e, lat, intensity_r), feas, starts), 0.0)
-        class_energy[rows] = np.where(feas_any, _region_min(e, feas, starts), 0.0)
-        class_demand[rows] = np.where(
-            feas_any[..., None],
-            _region_min(demand_r[class_block[rows]], feas[..., None], starts), 0.0)
-    class_cost[~class_mask] = 0.0  # masked out below; keep the tensor finite
+        ks = uniq[rows]
+        feas = compilation._feas[ks][:, perm]
+        counts = np.add.reduceat(feas, starts, axis=1, dtype=np.intp)
+        row = np.repeat(np.arange(len(ks)), counts.sum(axis=1))
+        j = perm[np.flatnonzero(feas) - row * n_servers]
+        counts = counts.ravel()
+        runs, cells = (np.cumsum(counts) - counts)[counts > 0], np.flatnonzero(counts)
+        cells += rows.start * n_eff
+        block_col = class_block[rows][row] * n_servers + j
+        e, lat = energy.ravel()[block_col], compilation._lat.ravel()[ks[row] * n_servers + j]
+        class_mask.flat[cells] = True
+        class_cost.flat[cells] = np.minimum.reduceat(raw_values(e, lat, intensity[j]), runs)
+        class_tie.flat[cells] = np.minimum.reduceat(tie_values(e, lat, intensity[j]), runs)
+        class_energy.flat[cells] = np.minimum.reduceat(e, runs)
+        for k in range(len(keys)):
+            class_demand[..., k].flat[cells] = np.minimum.reduceat(
+                demand[..., k].ravel()[block_col], runs)
 
     if delta.baseline_capacity:
         cap_dense = compilation._capacity_dense(keys)
@@ -443,64 +450,65 @@ def solve_hierarchical(
 
     # -- the coarse apps×regions greedy pass ------------------------------------
     # Costs are tie-broken on the class rows (every class has an app, so the
-    # epsilon's scales see the same values) and gathered per app.
+    # epsilon's scales see the same values); ``inverse`` maps apps to rows.
     class_tie_broken = np.where(
         class_mask, apply_tie_break(class_cost, class_mask, class_tie), np.inf)
-    raw_cost = class_cost[inverse]
-    mask = class_mask[inverse]
-    dense = DenseCosts(keys=list(keys), demand=class_demand[inverse],
-                       capacity=cap_region, mask=mask,
-                       cost=class_tie_broken[inverse],
-                       raw_assign=raw_cost, activation=np.zeros(n_eff),
+    dense = DenseCosts(keys=list(keys), demand=class_demand,
+                       capacity=cap_region, mask=class_mask,
+                       cost=class_tie_broken, raw_assign=class_cost,
+                       energy=class_energy, activation=np.zeros(n_eff),
                        initially_on=np.ones(n_eff, dtype=bool), row_class=inverse)
     state = GreedyState(dense)
-    greedy_fill(state, class_energy[inverse])
+    greedy_fill(state)
     routed = state.assignment
-    placed_coarse = routed >= 0
-    coarse_objective = float(raw_cost[np.flatnonzero(placed_coarse),
-                                      routed[placed_coarse]].sum())
-    n_coarse_unrouted = int((~placed_coarse).sum())
+    placed_coarse = np.flatnonzero(routed >= 0)
+    coarse_objective = float(class_cost[inverse[placed_coarse],
+                                        routed[placed_coarse]].sum())
+    n_coarse_unrouted = n_apps - len(placed_coarse)
 
     # -- per-region refinement through the backend registry ---------------------
     region_app_counts = [0] * n_eff
     assignment = np.full(n_apps, -1, dtype=int)
-    refined: dict[int, "PlacementSolution"] = {}
+    refined: dict[int, tuple] = {}
     for r in range(n_eff):
         idx_r = np.flatnonzero(routed == r)
         region_app_counts[r] = len(idx_r)
         if not len(idx_r):
             continue
-        local, refined[r] = _refine_region(
+        local, solution = _refine_region(
             compilation, cols[r], batch.take(idx_r),
             hour=hour, horizon_hours=horizon_hours, use_forecast=use_forecast,
             objective=objective, alpha=alpha, manage_power=manage_power,
             refine_backend=config.refine_backend, seed=seed)
+        refined[r] = (solution, idx_r)
         placed = local >= 0
         assignment[idx_r[placed]] = cols[r][local[placed]]
 
     # -- spill: deterministic re-routing of everything still unplaced -----------
     n_spilled = 0
     unplaced = np.flatnonzero(assignment < 0)
-    remaining: dict[int, list] = {}
+    remaining: dict[int, np.ndarray] = {}
     if len(unplaced):
-        remaining = {r: _remaining_capacities(solution)
-                     for r, solution in refined.items()}
+        remaining = {r: _remaining_capacities(solution, keys, demand[:, cols[r]],
+                                              class_block[inverse[idx_r]])
+                     for r, (solution, idx_r) in refined.items()}
     for i in unplaced:
         app = batch.application(int(i))
+        reachable = class_mask[inverse[i]]
         home = int(routed[i]) if routed[i] >= 0 else None
         if home is not None:
             order = [coarse_of_plan[int(p)]
                      for p in plan.neighbor_order[eff_regions[home]]
                      if int(p) in coarse_of_plan and coarse_of_plan[int(p)] != home]
         else:
-            finite = np.where(mask[i], raw_cost[i], np.inf)
+            finite = np.where(reachable, class_cost[inverse[i]], np.inf)
             order = [int(r) for r in np.argsort(finite, kind="stable")
                      if np.isfinite(finite[r])]
         for r in order:
-            if not mask[i, r]:
+            if not reachable[r]:
                 continue
             if _spill_into(compilation, cols[r], app, intensity, horizon,
-                           objective, remaining, r, assignment, i):
+                           objective, keys, remaining, r, assignment, i):
                 n_spilled += 1
                 break
 
@@ -534,14 +542,14 @@ def solve_hierarchical(
 
 def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
                 app, intensity: np.ndarray, horizon: float,
-                objective: ObjectiveKind, remaining: dict,
+                objective: ObjectiveKind, keys: tuple, remaining: dict,
                 r: int, assignment: np.ndarray, i: int) -> bool:
     """Try to place one spilled app in one region; True when committed.
 
     Feasibility is the region slice's SLO + support row; capacity is checked
-    against the region's live remaining capacities (seeded by the refinement
-    results). The candidate server is the minimum raw-objective-coefficient
-    feasible fit, ties to the lowest server index.
+    against the region's live remaining capacities over ``keys`` (seeded by
+    the refinement results, else the baseline). The candidate server is the
+    minimum raw-objective-coefficient feasible fit, ties to the lowest index.
     """
     sub = compilation.region_slice(region_cols)
     k = sub._class_of(app)
@@ -550,12 +558,9 @@ def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
         return False
     rem = remaining.get(r)
     if rem is None:
-        rem = list(sub._baseline())
-        remaining[r] = rem
-    block = sub._block(app.workload, app.request_rate_rps)
-    fits = np.fromiter(
-        (feas[j] and block.demand_row[j].fits_within(rem[j])
-         for j in range(len(region_cols))), dtype=bool, count=len(region_cols))
+        rem = remaining[r] = sub._capacity_dense(keys).copy()
+    demand = sub._dense_row(app.workload, app.request_rate_rps, keys)
+    fits = feas & np.all(demand <= rem + 1e-9, axis=1)
     if not fits.any():
         return False
     row = _spill_cost_row(sub, app, intensity[region_cols], horizon, objective)
@@ -564,7 +569,7 @@ def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
     if not np.isfinite(cost[j]):
         return False
     assignment[i] = int(region_cols[j])
-    rem[j] = rem[j] - block.demand_row[j]
+    rem[j] = np.maximum(rem[j] - demand[j], 0.0)
     return True
 
 

@@ -95,6 +95,28 @@ def test_clear_compilation_invalidates_problem_caches(central_eu_problem):
     assert not fresh_mask.any()
 
 
+def test_raw_problem_is_one_class_per_application():
+    """A raw-constructed problem records each row as its own class, and its
+    dense view holds one table row per application."""
+    from tests.test_highs_backend import _unit_problem
+
+    problem = _unit_problem(4, 3)
+    assert np.array_equal(problem._row_class, np.arange(4))
+    dense = compile_placement(problem).dense()
+    assert np.array_equal(dense.row_class, np.arange(4))
+    for table in (dense.cost, dense.raw_assign, dense.mask, dense.energy):
+        assert table.shape == (4, 3)
+    assert dense.demand.shape[:2] == (4, 3)
+
+
+def test_clear_compilation_resets_row_classes(central_eu_problem):
+    problem = central_eu_problem
+    assert len(np.unique(problem._row_class)) < problem.n_applications
+    clear_compilation(problem)
+    assert np.array_equal(problem._row_class, np.arange(problem.n_applications))
+    assert len(compile_placement(problem).dense().cost) == problem.n_applications
+
+
 def test_problem_dense_resource_tensors(central_eu_problem):
     problem = central_eu_problem
     keys = problem.resource_keys()

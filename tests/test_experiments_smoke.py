@@ -101,3 +101,20 @@ def test_fig17_small_scale():
                                    fixed_servers=20)
     assert result["by_servers"][0]["time_s"] < 30.0
     assert "Figure 17" in fig17_scalability.report(result)
+
+
+def test_backend_comparisons_time_the_scenario_tier_path():
+    """Each timed arm solves a problem the scenario tier assembled, as
+    production does: nothing rebuilds the dense demand per object, which
+    only the per-object builder's key frame leads to."""
+    from unittest import mock
+
+    from repro.core.problem import PlacementProblem
+    from repro.experiments import backend_tournament
+
+    with mock.patch.object(PlacementProblem, "_dense_frame",
+                           side_effect=AssertionError("per-object rebuild")):
+        rows = fig17_scalability.compare_backends(sizes=((20, 8),))
+        result = backend_tournament.run(sizes=((20, 8),), time_budget_s=2.0)
+    assert {row["backend"] for row in rows} == {"highs", "heuristic"}
+    assert len(result["arms"]) == 2

@@ -51,17 +51,18 @@ def _tie_broken_objective(dense: DenseCosts, assignment: np.ndarray) -> float:
     placed = np.flatnonzero(assignment >= 0)
     used = np.zeros(dense.mask.shape[1], dtype=bool)
     used[assignment[placed]] = True
-    return float(dense.cost[placed, assignment[placed]].sum()) + \
+    return float(dense.cost[dense.row_class[placed], assignment[placed]].sum()) + \
         float(dense.activation[used & ~dense.initially_on].sum())
 
 
 def _brute_force(dense: DenseCosts) -> float:
     """Minimum tie-broken objective over every capacity-feasible choice of one
     mask candidate per placeable application (``inf`` when none fits)."""
-    rows = [i for i in range(dense.mask.shape[0]) if dense.mask[i].any()]
+    mask = dense.mask[dense.row_class]
+    rows = [i for i in range(len(mask)) if mask[i].any()]
     if not rows:
         return 0.0
-    grids = np.meshgrid(*[np.flatnonzero(dense.mask[i]) for i in rows], indexing="ij")
+    grids = np.meshgrid(*[np.flatnonzero(mask[i]) for i in rows], indexing="ij")
     combos = np.stack([grid.ravel() for grid in grids], axis=1)  # (N, placeable)
     n_combos, n_servers = len(combos), dense.mask.shape[1]
     load = np.zeros((n_combos, n_servers, len(dense.keys)))
@@ -69,10 +70,10 @@ def _brute_force(dense: DenseCosts) -> float:
     every = np.arange(n_combos)
     cost = np.zeros(n_combos)
     for col, i in enumerate(rows):
-        j = combos[:, col]
-        load[every, j] += dense.demand[i, j]
+        j, c = combos[:, col], dense.row_class[i]
+        load[every, j] += dense.demand[c, j]
         used[every, j] = True
-        cost += dense.cost[i, j]
+        cost += dense.cost[c, j]
     fits = np.all(load <= dense.capacity + 1e-9, axis=(1, 2))
     total = cost + (used & ~dense.initially_on) @ dense.activation
     return float(np.where(fits, total, np.inf).min())

@@ -220,7 +220,8 @@ def _run_batch_and_resolve(fleet, latency, carbon, disable_tier: bool):
         apps = make_apps(fleet.sites(), n_per_site=2)
         batch = placer.place_batch(apps, hour=0)
         resolved = placer.resolve_epoch(hour=12)
-    assert (batch.problem._row_class is None) == disable_tier
+    n_classes = len(set(batch.problem._row_class.tolist()))
+    assert (n_classes == batch.problem.n_applications) == disable_tier
     return batch, resolved, _allocation_map(fleet)
 
 

@@ -78,7 +78,8 @@ def test_epoch_tensors_bit_identical_to_cold_rebuild():
     clear_substrate_cache()
     fast = _compiled_epochs()
     for (pc, cc), (pf, cf) in zip(cold, fast):
-        assert pc._row_class is None and pf._row_class is not None
+        assert np.array_equal(pc._row_class, np.arange(pc.n_applications))
+        assert len(np.unique(pf._row_class)) < pf.n_applications
         _assert_problems_identical(pc, pf)
         # The pre-seeded feasibility report vs the cold vectorised filter.
         assert np.array_equal(cc.report.mask, cf.report.mask)
@@ -91,8 +92,12 @@ def test_epoch_tensors_bit_identical_to_cold_rebuild():
                      ObjectiveKind.LATENCY, ObjectiveKind.INTENSITY):
             dc, df = cc.dense(kind), cf.dense(kind)
             assert dc.keys == df.keys
-            for attr in ("demand", "capacity", "mask", "cost", "raw_assign",
-                         "activation", "initially_on"):
+            # The class tables, read through each arm's row classes.
+            for attr in ("demand", "mask", "cost", "raw_assign", "energy"):
+                a = getattr(dc, attr)[dc.row_class]
+                b = getattr(df, attr)[df.row_class]
+                assert a.dtype == b.dtype and np.array_equal(a, b), (kind, attr)
+            for attr in ("capacity", "activation", "initially_on"):
                 a, b = getattr(dc, attr), getattr(df, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (kind, attr)
 
@@ -182,7 +187,7 @@ def test_build_over_a_list_records_row_classes(central_eu_fleet, central_eu_late
     problem = PlacementProblem.build(apps, central_eu_fleet.servers(),
                                      central_eu_latency, central_eu_carbon,
                                      hour=12, horizon_hours=24.0)
-    assert problem._row_class is not None
+    assert len(np.unique(problem._row_class)) < len(apps)
     assert len(problem._row_class) == len(apps)
     assert all(problem.applications[i] is app for i, app in enumerate(apps))
 

@@ -9,10 +9,11 @@ order, same served counts. These tests hammer that contract plus the physical
 invariants every fill must uphold (capacity never exceeded, demand
 conservation) on randomized dense instances and on randomized
 :class:`~repro.core.problem.PlacementProblem`\\ s. The replay's conflict tail
-has two arms — per class when the rows' classes are known, per application
-otherwise — and the class arm is held to the per-application arm on
-instances whose rows repeat a few class rows, and its premise (rows of one
-class are identical) is checked on every producer of row classes.
+runs one cursor per class; it is held to a per-application replay of
+:func:`_replay_step` (:func:`_replay_per_app`, the reference kept here) on
+instances whose applications share a few class rows, and its premise (a
+class row reads like each of its applications' rows) is checked on every
+producer of class tables.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.solver.compile import (
     _greedy_fill_live,
     _pending_order,
     _replay_classes,
-    _replay_per_app,
+    _replay_step,
     _replay_waves,
     compile_placement,
     greedy_fill,
@@ -66,7 +67,7 @@ from tests.conftest import cold_builds
 
 @st.composite
 def dense_instances(draw):
-    """A random DenseCosts + warm-started GreedyState + energy matrix.
+    """A random warm-started GreedyState over one-class-per-app DenseCosts.
 
     Deliberately adversarial for the kernel: contended capacity,
     initially-off servers with nonzero (even negative) activation costs,
@@ -99,8 +100,8 @@ def dense_instances(draw):
         elements=st.floats(0.0, 9.0, allow_nan=False, width=32)))
     dense = DenseCosts(keys=[f"r{k}" for k in range(n_keys)], demand=demand,
                        capacity=capacity.astype(float), mask=mask, cost=cost,
-                       raw_assign=cost, activation=activation,
-                       initially_on=initially_on)
+                       raw_assign=cost, energy=energy, activation=activation,
+                       initially_on=initially_on, row_class=np.arange(n_apps))
     state = GreedyState(dense)
     warm = draw(st.lists(
         st.tuples(st.integers(0, n_apps - 1), st.integers(0, n_servers - 1)),
@@ -109,12 +110,29 @@ def dense_instances(draw):
         if mask[i, j] and state.assignment[i] < 0 and \
                 bool(np.all(demand[i, j] <= state.capacity_left[j] + 1e-9)):
             state.place(i, j)
-    return state, energy
+    return state
 
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.filter_too_much])
+
+
+def _replay_per_app(state: GreedyState, order: np.ndarray,
+                    choices: np.ndarray) -> None:
+    """The per-application reference replay: the exact replay step for every
+    application in processing order."""
+    for i, j in zip(order, choices):
+        _replay_step(state, int(i), int(j))
+
+
+def _per_app(dense: DenseCosts) -> DenseCosts:
+    """The same instance with its class tables expanded to one row per
+    application (one class per application)."""
+    rc = dense.row_class
+    return replace(dense, demand=dense.demand[rc], mask=dense.mask[rc],
+                   cost=dense.cost[rc], raw_assign=dense.raw_assign[rc],
+                   energy=dense.energy[rc], row_class=np.arange(len(rc)))
 
 
 def _assert_same_state(reference: GreedyState, arm: GreedyState) -> None:
@@ -127,8 +145,8 @@ def _assert_same_state(reference: GreedyState, arm: GreedyState) -> None:
 @settings(max_examples=120, **COMMON)
 @given(dense_instances())
 def test_fill_never_exceeds_capacity(instance):
-    state, energy = instance
-    greedy_fill(state, energy)
+    state = instance
+    greedy_fill(state)
     dense = state.dense
     used = np.zeros_like(dense.capacity)
     for i, j in enumerate(state.assignment):
@@ -144,8 +162,8 @@ def test_fill_never_exceeds_capacity(instance):
 def test_fill_conserves_demand_and_state(instance):
     """Every application is assigned at most once, within its mask, and the
     shared state is exactly the ledger of the placements made."""
-    state, energy = instance
-    greedy_fill(state, energy)
+    state = instance
+    greedy_fill(state)
     dense = state.dense
     n_servers = dense.capacity.shape[0]
     expected_capacity = dense.capacity.copy()
@@ -227,11 +245,11 @@ def test_cold_speculative_schedule_is_bit_identical_to_naive_loop(instance):
     (adversarial inf-costs-inside-the-mask, warm starts, and zero-width
     resource axes included).
     """
-    state, energy = instance
+    state = instance
     naive = deepcopy(state)
-    _greedy_fill_live(naive, _pending_order(naive, energy))
+    _greedy_fill_live(naive, _pending_order(naive))
     auto = deepcopy(state)
-    greedy_fill(auto, energy)
+    greedy_fill(auto)
     assert np.array_equal(naive.assignment, auto.assignment)
     # Bit-equal, not allclose: the replay must reproduce the naive loop's
     # float subtraction sequence exactly.
@@ -249,9 +267,9 @@ def test_wave_replay_matches_per_app_replay_and_live_loop(instance):
     the same speculative winners both reproduce each other bit-for-bit —
     assignment, remaining capacity down to float arithmetic order, and served
     counts. On a cold activation channel both also equal the naive loop."""
-    state, energy = instance
+    state = instance
     dense = state.dense
-    order = _pending_order(state, energy)
+    order = _pending_order(state)
     choices = _argmin_chunk(dense, order)
     per_app = deepcopy(state)
     _replay_per_app(per_app, order, choices)
@@ -265,7 +283,7 @@ def test_wave_replay_matches_per_app_replay_and_live_loop(instance):
         _greedy_fill_live(live, order)
         _assert_same_state(live, wave)
     filled = deepcopy(state)
-    greedy_fill(filled, energy)
+    greedy_fill(filled)
     assert 0.0 <= filled.stats.revalidation_rate <= 1.0
 
 
@@ -276,7 +294,7 @@ def test_place_batch_replays_sequential_place_exactly(instance, rnd):
     per-placement loop: ``np.subtract.at`` applies repeated server indices in
     order of appearance, so remaining capacity matches bit-for-bit even when
     a wave lands several placements on one server."""
-    state, _ = instance
+    state = instance
     n_apps, n_servers = state.dense.mask.shape
     pending = [i for i in range(n_apps) if state.assignment[i] < 0]
     rnd.shuffle(pending)
@@ -299,14 +317,13 @@ def test_place_batch_replays_sequential_place_exactly(instance, rnd):
 
 @st.composite
 def class_instances(draw):
-    """A random cold-channel DenseCosts whose rows repeat a few class rows.
+    """A random cold-channel DenseCosts whose applications share a few
+    class rows.
 
     Each application draws one of a few class rows (cost, mask, demand,
-    energy), so applications of one class share every row the kernel reads —
-    the premise of :func:`_replay_classes` — and ``row_class`` records the
-    draw. Otherwise as adversarial as :func:`dense_instances`: contended
-    capacity, ``inf`` costs inside the mask, zero-width resource axes and
-    warm starts.
+    energy) and ``row_class`` records the draw. Otherwise as adversarial as
+    :func:`dense_instances`: contended capacity, ``inf`` costs inside the
+    mask, zero-width resource axes and warm starts.
     """
     n_classes = draw(st.integers(1, 4))
     n_apps = draw(st.integers(1, 14))
@@ -335,10 +352,9 @@ def class_instances(draw):
     row_class = draw(hnp.arrays(np.int64, (n_apps,),
                                 elements=st.integers(0, n_classes - 1)))
     dense = DenseCosts(keys=[f"r{k}" for k in range(n_keys)],
-                       demand=class_demand[row_class], capacity=capacity,
-                       mask=class_mask[row_class], cost=class_cost[row_class],
-                       raw_assign=class_cost[row_class],
-                       activation=np.zeros(n_servers),
+                       demand=class_demand, capacity=capacity,
+                       mask=class_mask, cost=class_cost, raw_assign=class_cost,
+                       energy=class_energy, activation=np.zeros(n_servers),
                        initially_on=np.ones(n_servers, dtype=bool),
                        row_class=row_class)
     state = GreedyState(dense)
@@ -346,10 +362,11 @@ def class_instances(draw):
         st.tuples(st.integers(0, n_apps - 1), st.integers(0, n_servers - 1)),
         max_size=n_apps))
     for i, j in warm:
-        if dense.mask[i, j] and state.assignment[i] < 0 and \
-                bool(np.all(dense.demand[i, j] <= state.capacity_left[j] + 1e-9)):
+        c = row_class[i]
+        if class_mask[c, j] and state.assignment[i] < 0 and \
+                bool(np.all(class_demand[c, j] <= state.capacity_left[j] + 1e-9)):
             state.place(i, j)
-    return state, class_energy[row_class]
+    return state
 
 
 @settings(max_examples=200, **COMMON)
@@ -357,15 +374,17 @@ def class_instances(draw):
 def test_class_tail_matches_per_app_replay(instance):
     """The per-class cursor tail and the per-application tail are the same
     program on the same order: assignment, remaining capacity bit for bit,
-    served counts and the replay telemetry. Both equal the naive loop, and
-    the class-row processing order and winners equal the per-row ones."""
-    state, energy = instance
-    order = _pending_order(state, energy)
+    served counts and the replay telemetry. Both equal the naive loop; the
+    class-row processing order and winners equal the per-row ones, and a
+    full fill on the class tables equals one on their per-application
+    expansion."""
+    state = instance
+    order = _pending_order(state)
     choices = _argmin_chunk(state.dense, order)
     # The order and the winners, computed once per class, are the per-row ones.
     per_row = deepcopy(state)
-    per_row.dense = replace(state.dense, row_class=None)
-    assert np.array_equal(order, _pending_order(per_row, energy))
+    per_row.dense = _per_app(state.dense)
+    assert np.array_equal(order, _pending_order(per_row))
     assert np.array_equal(choices, _argmin_chunk(per_row.dense, order))
     per_app = deepcopy(state)
     _replay_per_app(per_app, order, choices)
@@ -382,22 +401,23 @@ def test_class_tail_matches_per_app_replay(instance):
     _replay_classes(expired, order, choices, deadline=0.0)
     assert expired.stats.truncated == (len(order) > 0)
     _assert_same_state(state, expired)
+    filled = deepcopy(state)
+    greedy_fill(filled)
+    greedy_fill(per_row)
+    _assert_same_state(per_row, filled)
 
 
 @settings(max_examples=150, **COMMON)
 @given(class_instances())
 def test_greedy_fill_hands_conflicting_rounds_to_class_tail(instance):
-    """With row classes known, a wave round that settles under half of what
-    it scanned hands the rest to the class arm, so the scan budget never
-    runs out and the per-application tail never runs; the fill still equals
-    the naive loop."""
-    state, energy = instance
+    """On instances whose applications share class rows, where a wave round
+    that settles under half of what it scanned hands the rest to the class
+    tail, the fill equals the naive loop."""
+    state = instance
     naive = deepcopy(state)
-    _greedy_fill_live(naive, _pending_order(naive, energy))
+    _greedy_fill_live(naive, _pending_order(naive))
     filled = deepcopy(state)
-    with mock.patch.object(compile_module, "_replay_per_app",
-                           side_effect=AssertionError("per-app tail")):
-        greedy_fill(filled, energy)
+    greedy_fill(filled)
     _assert_same_state(naive, filled)
 
 
@@ -408,20 +428,20 @@ def test_class_tail_is_reached_through_greedy_fill():
     of six and hands the rest, boundary included, to the class tail, which
     fills server 0 and places the others on server 1."""
     n_apps = 6
-    row_class = np.zeros(n_apps, dtype=np.int64)
-    dense = DenseCosts(keys=["cpu"], demand=np.ones((n_apps, 2, 1)),
+    dense = DenseCosts(keys=["cpu"], demand=np.ones((1, 2, 1)),
                        capacity=np.array([[2.0], [10.0]]),
-                       mask=np.ones((n_apps, 2), dtype=bool),
-                       cost=np.tile([1.0, 2.0], (n_apps, 1)),
-                       raw_assign=np.tile([1.0, 2.0], (n_apps, 1)),
-                       activation=np.zeros(2),
-                       initially_on=np.ones(2, dtype=bool), row_class=row_class)
+                       mask=np.ones((1, 2), dtype=bool),
+                       cost=np.array([[1.0, 2.0]]),
+                       raw_assign=np.array([[1.0, 2.0]]),
+                       energy=np.zeros((1, 2)), activation=np.zeros(2),
+                       initially_on=np.ones(2, dtype=bool),
+                       row_class=np.zeros(n_apps, dtype=np.int64))
     state = GreedyState(dense)
     naive = deepcopy(state)
-    _greedy_fill_live(naive, _pending_order(naive, np.zeros((n_apps, 2))))
+    _greedy_fill_live(naive, _pending_order(naive))
     with mock.patch.object(compile_module, "_replay_classes",
                            wraps=_replay_classes) as tail:
-        greedy_fill(state, np.zeros((n_apps, 2)))
+        greedy_fill(state)
     assert tail.call_count == 1
     assert len(tail.call_args.args[1]) == n_apps - 1
     assert state.stats.waves == 1 and state.stats.wave_placements == 1
@@ -432,19 +452,25 @@ def test_class_tail_is_reached_through_greedy_fill():
     _assert_same_state(naive, state)
 
 
-def _assert_rows_share_class(dense: DenseCosts, energy: np.ndarray) -> None:
-    """Rows of one ``row_class`` have identical cost, mask and demand rows,
-    and identical rows of the energy matrix the fill is handed."""
-    row_class = dense.row_class
-    assert row_class is not None and row_class.shape == dense.mask.shape[:1]
-    _, first, inverse = np.unique(row_class, return_index=True,
-                                  return_inverse=True)
-    assert len(first) < len(row_class), "no class repeats: the check is vacuous"
-    representative = first[inverse]
-    assert np.array_equal(dense.cost, dense.cost[representative])
-    assert np.array_equal(dense.mask, dense.mask[representative])
-    assert np.array_equal(dense.demand, dense.demand[representative])
-    assert np.array_equal(energy, energy[representative])
+def _assert_class_tables(dense: DenseCosts) -> None:
+    """Every table holds one row per class, each class has an application,
+    and some class repeats."""
+    n_classes = len(dense.cost)
+    assert np.array_equal(np.unique(dense.row_class), np.arange(n_classes))
+    assert n_classes < len(dense.row_class), "no class repeats: the check is vacuous"
+    for name in ("demand", "mask", "raw_assign", "energy"):
+        assert len(getattr(dense, name)) == n_classes, name
+
+
+def _assert_rows_share_class(dense: DenseCosts, problem: PlacementProblem) -> None:
+    """The class tables of a compiled problem, read through ``row_class``,
+    are its per-application demand, energy and candidate rows."""
+    _assert_class_tables(dense)
+    assert len(dense.cost) == len(np.unique(problem._row_class))
+    rc = dense.row_class
+    assert np.array_equal(dense.demand[rc], problem.demand_dense())
+    assert np.array_equal(dense.energy[rc], problem.energy_j)
+    assert np.array_equal(dense.mask[rc], compile_placement(problem).report.mask)
 
 
 @pytest.fixture(scope="module")
@@ -470,19 +496,20 @@ def cdn_live_epoch_problem():
     servers[3].power_off()
     live = simulator.scenario_compilation().build_problem(
         list(problem.applications), hour=7)
-    assert live._row_class is not None
+    assert len(np.unique(live._row_class)) < live.n_applications
     assert not np.array_equal(compile_placement(live).report.mask,
                               compile_placement(problem).report.mask)
     return live
 
 
 def _assert_class_rows_cost_like_apps(problem, objective, manage_power) -> None:
-    """Costing one row per class then gathering builds exactly the
-    per-application tensors, and the speculative winners match."""
+    """Costing one row per class builds exactly the per-application tensors
+    read through ``row_class``, and the processing order and speculative
+    winners match the per-application ones."""
     alpha = 0.5 if objective is ObjectiveKind.MULTI else 0.0
     compilation = compile_placement(problem)
     dense = compilation.dense(objective, alpha=alpha, manage_power=manage_power)
-    _assert_rows_share_class(dense, problem.energy_j)
+    _assert_rows_share_class(dense, problem)
 
     assign, activation = objective_coefficients(problem, objective, alpha)
     reference = DenseCosts.from_matrices(
@@ -490,16 +517,15 @@ def _assert_class_rows_cost_like_apps(problem, objective, manage_power) -> None:
         activation if manage_power else np.zeros_like(activation),
         manage_power=manage_power,
         tie_breaker=tie_break_matrix(problem, objective))
-    for name in ("cost", "raw_assign", "mask", "activation", "initially_on"):
+    for name in ("cost", "raw_assign", "mask", "demand", "energy"):
+        assert np.array_equal(getattr(dense, name)[dense.row_class],
+                              getattr(reference, name)), name
+    for name in ("activation", "initially_on"):
         assert np.array_equal(getattr(dense, name), getattr(reference, name)), name
-    got_assign, got_activation = compilation.coefficients(objective, alpha)
-    assert np.array_equal(got_assign, assign)
-    assert np.array_equal(got_activation, activation)
 
-    apps = _pending_order(GreedyState(dense), problem.energy_j)
-    per_app = replace(dense, row_class=None)
-    assert np.array_equal(apps, _pending_order(GreedyState(per_app), problem.energy_j))
-    assert np.array_equal(_argmin_chunk(dense, apps), _argmin_chunk(per_app, apps))
+    apps = _pending_order(GreedyState(dense))
+    assert np.array_equal(apps, _pending_order(GreedyState(reference)))
+    assert np.array_equal(_argmin_chunk(dense, apps), _argmin_chunk(reference, apps))
 
 
 @pytest.mark.parametrize("manage_power", [True, False])
@@ -523,19 +549,23 @@ def test_cdn_epoch_fills_in_one_wave(cdn_epoch_problem):
     state = GreedyState(compile_placement(cdn_epoch_problem).dense())
     with mock.patch.object(compile_module, "_replay_classes",
                            side_effect=AssertionError("class tail")):
-        greedy_fill(state, cdn_epoch_problem.energy_j)
+        greedy_fill(state)
     assert state.stats.waves == 1
     assert state.stats.wave_placements == state.stats.pending
     assert state.stats.serial_steps == 0
 
 
-def test_cold_build_leaves_row_class_unknown():
-    """Without the scenario tier nothing records classes: the tail runs per
-    application."""
+def test_cold_build_is_one_class_per_application():
+    """Without the scenario tier nothing records classes: each application
+    is its own class and the tables are the per-application matrices."""
     with cold_builds():
         problem = CDNSimulator(scenario=CDNScenario(
             continent="EU", n_epochs=1, max_sites=8, seed=0)).epoch_problem(0)
-    assert compile_placement(problem).dense().row_class is None
+    n_apps = problem.n_applications
+    assert np.array_equal(problem._row_class, np.arange(n_apps))
+    dense = compile_placement(problem).dense()
+    assert np.array_equal(dense.row_class, np.arange(n_apps))
+    assert dense.cost.shape == dense.mask.shape == (n_apps, problem.n_servers)
 
 
 @pytest.mark.parametrize("columnar", [True, False])
@@ -557,9 +587,8 @@ def test_hierarchy_rows_share_their_class(columnar):
         hierarchy.solve_hierarchical(
             ScenarioCompilation(fleet.servers(), latency, carbon), apps, plan,
             hour=4700, config=SolverConfig(hierarchy_regions=2), seed=0)
-    _assert_rows_share_class(coarse.call_args.args[0].dense,
-                             coarse.call_args.args[1])
+    _assert_class_tables(coarse.call_args.args[0].dense)
     assert refine.call_count == 2
     for call in refine.call_args_list:
         _assert_rows_share_class(compile_placement(call.args[0]).dense(),
-                                 call.args[0].energy_j)
+                                 call.args[0])

@@ -267,7 +267,7 @@ def test_dropped_hint_counter_reaches_the_solution():
 def test_greedy_fill_expired_deadline_truncates_with_valid_state():
     request = SolveRequest(problem=_random_problem(seed=4, n_apps=6))
     state = GreedyState(request.dense())
-    greedy_fill(state, request.problem.energy_j, deadline=time.monotonic() - 1.0)
+    greedy_fill(state, deadline=time.monotonic() - 1.0)
     assert state.stats.truncated
     # Whatever was filled before the cut is a consistent partial assignment.
     assert np.all(state.assignment == -1) or state.assignment.max() >= 0

@@ -188,6 +188,28 @@ def test_overloaded_region_spills_to_neighbors():
     assert outcome.n_spilled == again.n_spilled
 
 
+def test_spill_into_an_unrouted_region_depletes_a_copy_of_the_baseline():
+    """A region no app was routed to seeds its spill capacities from the
+    slice's cached pristine baseline. The spilled app must deplete a copy,
+    so a later solve over the same compilation starts from the baseline."""
+    fleet, compilation, apps = _substrate(12, 20)
+    delta = compilation.epoch_delta(apps, HOUR)
+    blocks = np.unique(compilation._class_block[delta.class_indices])
+    keys = compilation._epoch_keys(
+        [compilation._block(*compilation._block_keys[b]) for b in blocks])
+    cols = np.arange(len(fleet.servers()), dtype=np.intp)
+    sub = compilation.region_slice(cols)
+    baseline = sub._capacity_dense(keys).copy()
+    remaining: dict = {}
+    assignment = np.full(len(apps), -1)
+    assert hierarchy._spill_into(compilation, cols, apps[0], delta.intensity, 1.0,
+                                 ObjectiveKind.CARBON, keys, remaining, 0,
+                                 assignment, 0)
+    j = assignment[0]
+    assert np.all(remaining[0][j] <= baseline[j]) and np.any(remaining[0][j] < baseline[j])
+    assert np.array_equal(sub._capacity_dense(keys), baseline)
+
+
 @pytest.mark.parametrize("objective", list(ObjectiveKind))
 def test_hierarchy_supports_every_objective(objective):
     fleet, compilation, apps = _substrate(20, 40)
