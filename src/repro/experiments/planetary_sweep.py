@@ -80,8 +80,7 @@ def build_planetary_substrate(n_sites: int, seed: int, accelerator: str = "NVIDI
 def run(seed: int = EXPERIMENT_SEED, n_sites: int = 10_000,
         n_apps: int = 100_000, hour: int = 4700,
         latency_slo_ms: float = 40.0,
-        hierarchy_regions: tuple[int, ...] = (32, 64),
-        refine_backend: str = "greedy") -> dict[str, object]:
+        hierarchy_regions: tuple[int, ...] = (32, 64)) -> dict[str, object]:
     """One placement epoch at planetary scale, swept over the region count.
 
     Records, per region count: placement coverage, the coarse (optimistic
@@ -104,8 +103,8 @@ def run(seed: int = EXPERIMENT_SEED, n_sites: int = 10_000,
     generator = ApplicationGenerator(
         sites=fleet.sites(), latency_slo_ms=latency_slo_ms,
         mean_arrivals_per_batch=float(n_apps), duration_hours=1.0, seed=seed)
-    # The columnar batch flows to the hierarchy whole — per-app objects are
-    # only built for the apps the spill pass re-routes.
+    # The columnar batch flows to the hierarchy whole; it builds no per-app
+    # objects.
     batch = generator.generate_batch(0, hour, n_arrivals=n_apps)
 
     coords = fleet.site_coordinates()
@@ -116,8 +115,7 @@ def run(seed: int = EXPERIMENT_SEED, n_sites: int = 10_000,
             compilation, batch, plan,
             hour=hour, horizon_hours=1.0,
             objective=ObjectiveKind.CARBON,
-            config=SolverConfig(hierarchy_regions=n_regions,
-                                refine_backend=refine_backend),
+            config=SolverConfig(hierarchy_regions=n_regions),
             seed=seed)
         counts = np.asarray(outcome.region_server_counts)
         sweep[str(n_regions)] = {
@@ -174,8 +172,7 @@ SPEC = register(ExperimentSpec(
     compute=compute,
     report=report,
     params=dict(seed=EXPERIMENT_SEED, n_sites=10_000, n_apps=100_000,
-                hour=4700, latency_slo_ms=40.0, hierarchy_regions=(32, 64),
-                refine_backend="greedy"),
+                hour=4700, latency_slo_ms=40.0, hierarchy_regions=(32, 64)),
     # Two sweep units even at smoke scale so the CI hierarchy-determinism job
     # (--workers {1,2} x --merge {memory,stream}, byte-diffed) exercises a
     # real multi-unit merge.
@@ -186,8 +183,8 @@ SPEC = register(ExperimentSpec(
 
 #: The 10^6-application point the columnar substrate unlocks: one epoch at
 #: 10k sites x 10^6 apps (10^10 flat dense cells — far past the budget guard),
-#: solved through the hierarchy from a columnar batch whose per-app objects
-#: are only built for apps the spill pass re-routes.
+#: solved through the hierarchy from a columnar batch, which builds no per-app
+#: objects.
 SPEC_XL = register(ExperimentSpec(
     name="planetary_sweep_xl",
     title="Planetary-scale placement at one million applications",
@@ -195,8 +192,7 @@ SPEC_XL = register(ExperimentSpec(
     compute=compute,
     report=report,
     params=dict(seed=EXPERIMENT_SEED, n_sites=10_000, n_apps=1_000_000,
-                hour=4700, latency_slo_ms=40.0, hierarchy_regions=(64,),
-                refine_backend="greedy"),
+                hour=4700, latency_slo_ms=40.0, hierarchy_regions=(64,)),
     smoke_params=dict(n_sites=32, n_apps=120, hierarchy_regions=(2,)),
     sweep=(SweepAxis("hierarchy_regions"),),
     schema=("scale", "sweep"),

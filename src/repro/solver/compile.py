@@ -1049,8 +1049,6 @@ class ScenarioCompilation:
         self._fits_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         #: Keyed rows evicted by the LRU caps (telemetry; see cache_stats).
         self._row_evictions: int = 0
-        #: Region-restricted child compilations (see :meth:`region_slice`).
-        self._region_memo: dict[tuple, "ScenarioCompilation"] = {}
         #: Bumped whenever the class table is dropped wholesale, so deltas
         #: built against an older table are detected and re-derived.
         self._class_generation: int = 0
@@ -1066,33 +1064,6 @@ class ScenarioCompilation:
             and len(servers) == len(self.servers) \
             and all(a is b for a, b in zip(servers, self.servers)) \
             and list(map(_SERVER_STATIC, servers)) == self._server_static
-
-    # -- region slicing (the hierarchical tier's memory bound) -------------------
-
-    def region_slice(self, cols: Sequence[int]) -> "ScenarioCompilation":
-        """Child compilation restricted to a subset of server columns.
-
-        The hierarchical tier (:mod:`repro.solver.hierarchy`) solves each
-        region's refinement sub-problem against one of these views: the child
-        compiles class rows over only the region's servers, so peak resident
-        tensor memory during refinement is bounded by the largest region
-        rather than the fleet. Children share the parent's latency matrix and
-        carbon service objects (gathers index the same arrays; nothing is
-        copied per region beyond the class rows the region actually uses) and
-        are memoised per column set, so every epoch of a scenario reuses one
-        child per region.
-        """
-        key = tuple(int(j) for j in cols)
-        child = self._region_memo.get(key)
-        if child is None:
-            if not key:
-                raise ValueError("region_slice requires at least one server column")
-            child = ScenarioCompilation([self.servers[j] for j in key],
-                                        self.latency, self.carbon)
-            if self._baseline_capacities is not None:  # same servers, same vectors
-                child._baseline_capacities = [self._baseline_capacities[j] for j in key]
-            self._region_memo[key] = child
-        return child
 
     # -- static row builders (each mirrors one per-object build expression) -----
 
@@ -1246,13 +1217,6 @@ class ScenarioCompilation:
             b = self._block_index[key] = len(self._block_keys)
             self._block_keys.append(key)
         return b
-
-    def _class_of(self, app: "Application") -> int:
-        """Index of one application's class, registering it on first sight
-        (the hierarchy's spill pass looks up single applications)."""
-        return int(self._register_classes([(
-            app.source_site, app.workload, app.request_rate_rps,
-            app.latency_slo_ms, app.duration_hours)])[0])
 
     def _register_classes(self, keys: Sequence[tuple]) -> np.ndarray:
         """Scenario class ids of (site, workload, rate, slo, duration) keys.

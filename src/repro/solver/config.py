@@ -25,7 +25,8 @@ class SolverConfig:
     Within a fixed (region plan, configuration) the answer is a pure function
     of the inputs (worker counts never change it), and the coarse/refine
     objective gap is recorded, never hidden. Policies and flat registry solves
-    take no configuration.
+    take no configuration. ``solve_hierarchical`` reads neither field: both
+    are only validated.
 
     Parameters
     ----------
@@ -33,10 +34,11 @@ class SolverConfig:
         Region count the caller plans for. ``solve_hierarchical`` takes the
         regions from its :class:`~repro.solver.hierarchy.RegionPlan`, so
         callers build the plan with this many regions (``planetary_sweep``
-        does); the field itself is only validated.
+        does).
     refine_backend:
-        Registry backend name that solves each region's refinement
-        sub-problem (e.g. ``"greedy"``, ``"heuristic"``, ``"auto"``).
+        How each region's refinement sub-problem is solved. ``"greedy"`` is
+        the only value: the tier runs the greedy kernel on the region's class
+        tables, and any other name is refused.
     """
 
     hierarchy_regions: int = 1
@@ -46,10 +48,10 @@ class SolverConfig:
         if self.hierarchy_regions < 1:
             raise ValueError(
                 f"hierarchy_regions must be >= 1, got {self.hierarchy_regions}")
-        if not self.refine_backend or not isinstance(self.refine_backend, str):
+        if self.refine_backend != "greedy":
             raise ValueError(
-                f"refine_backend must be a non-empty backend name, "
-                f"got {self.refine_backend!r}")
+                f"refine_backend must be 'greedy' (regions are refined by the "
+                f"greedy kernel on class tables), got {self.refine_backend!r}")
 
 
 #: Shared default configuration (greedy refinement).

@@ -20,17 +20,21 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
    block of application classes at a time, and the kernel reads them as
    its class rows.
 3. **Refine pass**: each region's restricted sub-problem (the apps the coarse
-   pass routed there × the region's servers) is compiled through
-   :meth:`ScenarioCompilation.region_slice` and solved through the backend
-   registry (``refine_backend``); regions are refined one after another in
-   region-index order. The arrivals are refined as columnar sub-batches
-   (:meth:`ApplicationBatch.take`) and decoded by id, so no per-app
-   ``Application`` object is built unless the app spills (a list input is
-   wrapped in a batch once and keeps its objects).
+   pass routed there × the region's servers) is solved by the greedy kernel
+   on class tables cut from the rows this function already holds: the
+   scenario tier's latency and feasibility rows of the region's classes and
+   the epoch's per-block energy and demand rows, restricted to the region's
+   server columns and checked against the epoch's capacity table
+   (:func:`_region_costs`). These are the tables the ``greedy`` backend
+   would build for the region's own problem, bit for bit; no per-region
+   problem, sub-batch or solution is assembled. Regions are refined one
+   after another in region-index order.
 4. **Spill**: apps a region's refinement could not fit (coarse aggregate
    capacity is optimistic) are re-routed in deterministic global order to
    neighbouring regions (centroid-distance order; coarse-unrouted apps try
    regions by ascending coarse cost), so served demand never silently drops.
+   A spilled app is read by its scenario class and block, so the tier never
+   builds an ``Application`` object.
 
 The hierarchy deliberately changes placements versus the flat solve — the
 coarse/refine objective gap is *recorded* on :class:`HierarchicalResult`,
@@ -41,22 +45,21 @@ byte-stable across worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.objective import ObjectiveKind, apply_tie_break
+from repro.core.problem import ensure_dense_cell_budget
 from repro.network.geo import pairwise_distances_km
 from repro.solver.compile import DenseCosts, GreedyState, ScenarioCompilation, greedy_fill
 from repro.solver.config import DEFAULT_SOLVER_CONFIG, SolverConfig
-from repro.solver.registry import solve as registry_solve
 from repro.utils.rng import substream
 from repro.utils.units import joules_to_kwh
-from repro.workloads.generator import ApplicationBatch
 
 if TYPE_CHECKING:  # typing only
-    from repro.core.solution import PlacementSolution
     from repro.workloads.application import Application
+    from repro.workloads.generator import ApplicationBatch
 
 #: Fixed k-means iteration count: enough to settle CDN-scale footprints, and a
 #: constant so the plan is a pure function of (coords, n_regions, seed).
@@ -242,24 +245,21 @@ class HierarchicalResult:
 COARSE_BLOCK_CELLS: int = 1 << 18
 
 
-def _minmax_pools(compilation: ScenarioCompilation, uniq: np.ndarray,
-                  energy: np.ndarray, class_block: np.ndarray, spans: list,
+def _minmax_pools(parts: Iterable[tuple[np.ndarray, np.ndarray]],
                   intensity: np.ndarray, act_carbon: np.ndarray,
                   act_energy: np.ndarray) -> dict:
     """(lo, span) of the carbon and energy min-max normalisation.
 
     Mirrors the flat ``_minmax_normalize`` pool: every feasible assignment
     entry when any entry is feasible, else every entry, plus every
-    activation coefficient. Class rows replicate per app, which leaves the
-    minimum and maximum unchanged, so the pool is read class block by class
-    block: ``energy`` holds one row per (workload, rate) block and
-    ``class_block`` each class's row in it.
+    activation coefficient. ``parts`` yields ``(feasible, energy)`` class
+    rows over the servers of ``intensity`` and the activation rows, so the
+    pool can be read class block by class block. Class rows replicate per
+    app, which leaves the minimum and maximum unchanged.
     """
     feasible: dict[str, list] = {"carbon": [], "energy": []}
     everything: dict[str, list] = {"carbon": [], "energy": []}
-    for rows in spans:
-        feas = compilation._feas[uniq[rows]]
-        e = energy[class_block[rows]]
+    for feas, e in parts:
         for name, values in (("carbon", joules_to_kwh(e) * intensity), ("energy", e)):
             everything[name] += [values.min(), values.max()]
             if feas.any():
@@ -273,47 +273,112 @@ def _minmax_pools(compilation: ScenarioCompilation, uniq: np.ndarray,
     return norm
 
 
-def _refine_region(compilation: ScenarioCompilation, cols: np.ndarray,
-                   apps: ApplicationBatch, *, hour: int,
-                   horizon_hours: float, use_forecast: bool,
-                   objective: ObjectiveKind, alpha: float, manage_power: bool,
-                   refine_backend: str, seed: int):
-    """Solve one region's restricted sub-problem through the backend registry.
+def _blend(norm: dict, alpha: float, c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Equation 8's ``α·ê + (1-α)·ĉ`` of carbon ``c`` and energy ``e`` under a
+    :func:`_minmax_pools` normalisation (a zero span normalises to zero)."""
+    (c_lo, c_span), (e_lo, e_span) = norm["carbon"], norm["energy"]
+    c_hat = (c - c_lo) / c_span if c_span > 0 else np.zeros_like(c)
+    e_hat = (e - e_lo) / e_span if e_span > 0 else np.zeros_like(e)
+    return alpha * e_hat + (1.0 - alpha) * c_hat
 
-    Returns ``(local_assignment, solution)``; the solution is what
-    :func:`_remaining_capacities` reads should the spill pass need it.
+
+def _raw_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
+                inten: np.ndarray, norm: dict | None = None,
+                alpha: float = 0.0) -> np.ndarray:
+    """Raw assignment coefficients of (class, server) pairs, given their
+    energy, one-way latency and server intensity, elementwise; the multi
+    objective blends under ``norm``."""
+    if objective is ObjectiveKind.LATENCY:
+        return lat
+    if objective is ObjectiveKind.INTENSITY:
+        return inten
+    if objective is ObjectiveKind.ENERGY:
+        return e
+    c = joules_to_kwh(e) * inten
+    if objective is ObjectiveKind.CARBON:
+        return c
+    return _blend(norm, alpha, c, e)
+
+
+def _tie_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
+                inten: np.ndarray) -> np.ndarray:
+    """Tie-break values of (class, server) pairs, elementwise: operational
+    carbon for the latency objective, one-way latency for every other."""
+    if objective is ObjectiveKind.LATENCY:
+        return joules_to_kwh(e) * inten
+    return lat
+
+
+def _region_costs(compilation: ScenarioCompilation, cols: np.ndarray,
+                  classes: np.ndarray, blocks: np.ndarray, row_class: np.ndarray,
+                  *, keys: tuple, energy: np.ndarray, demand: np.ndarray,
+                  capacity: np.ndarray, intensity: np.ndarray,
+                  act_carbon: np.ndarray, act_energy: np.ndarray,
+                  current_power: np.ndarray, objective: ObjectiveKind,
+                  alpha: float, manage_power: bool) -> DenseCosts:
+    """One region's class tables, cut from the epoch's rows: the tables the
+    ``greedy`` backend builds for the region's own problem (its routed apps
+    over the server columns ``cols``), bit for bit.
+
+    ``classes`` are the region's scenario classes, ``blocks`` each class's
+    row of the epoch's (blocks, S) ``energy`` and (blocks, S, K) ``demand``
+    tables, and ``row_class`` each region app's class; block rows are cut to
+    ``cols`` before they are expanded to class rows, so no gather spans the
+    fleet. The mask is the SLO + support row and the standalone fit against
+    the epoch's ``capacity`` table (live or baseline). The coefficients are
+    the problem's elementwise formulas, and the multi objective pools the
+    region's own feasible entries and activation row, as the flat
+    normalisation pools its problem's. The epoch's key axis is a superset of
+    a region problem's: a key the region lacks has zero demand and zero
+    capacity there, so no fit changes. The region is held to the dense-cell
+    budget as its problem was (routed apps × its servers).
     """
-    sub = compilation.region_slice(cols)
-    problem = sub.build_problem(apps, hour=hour, horizon_hours=horizon_hours,
-                                use_forecast=use_forecast)
-    solution = registry_solve(problem, backend=refine_backend,
-                              objective=objective, alpha=alpha,
-                              manage_power=manage_power, seed=seed)
-    local = np.full(len(apps), -1, dtype=int)
-    local[problem.app_indices(list(solution.placements))] = \
-        list(solution.placements.values())
-    return local, solution
+    ensure_dense_cell_budget(len(row_class), len(cols),
+                             context="hierarchy region refinement")
+    region = np.ix_(classes, cols)
+    lat, feas = compilation._lat[region], compilation._feas[region]
+    e = energy[np.ix_(blocks, cols)]
+    block_demand, cap = demand[:, cols], capacity[cols]
+    mask = feas & np.all(block_demand <= cap + 1e-9, axis=-1)[blocks]
+    intensity, act_carbon, act_energy = intensity[cols], act_carbon[cols], act_energy[cols]
+    inten = np.broadcast_to(intensity, lat.shape)
+    norm = None
+    if objective is ObjectiveKind.MULTI:
+        norm = _minmax_pools([(feas, e)], intensity, act_carbon, act_energy)
+    raw = _raw_values(objective, e, lat, inten, norm, alpha)
+    if not manage_power or objective in (ObjectiveKind.LATENCY, ObjectiveKind.INTENSITY):
+        activation = np.zeros(len(cols))
+    elif objective is ObjectiveKind.MULTI:
+        activation = _blend(norm, alpha, act_carbon, act_energy)
+    else:
+        activation = act_carbon if objective is ObjectiveKind.CARBON else act_energy
+    initially_on = current_power[cols] > 0.5 if manage_power \
+        else np.ones(len(cols), dtype=bool)
+    return DenseCosts(
+        keys=list(keys), demand=block_demand[blocks], capacity=cap, mask=mask,
+        cost=DenseCosts._tie_broken(raw, mask, _tie_values(objective, e, lat, inten)),
+        raw_assign=raw, energy=e, activation=activation,
+        initially_on=initially_on, row_class=row_class)
 
 
-def _remaining_capacities(solution: "PlacementSolution", keys: tuple,
+def _remaining_capacities(capacity: np.ndarray, local: np.ndarray,
                           demand: np.ndarray, app_block: np.ndarray) -> np.ndarray:
-    """(S_r, K) capacities a region's refinement left over ``keys``, seeding
-    the spill pass. ``demand`` is the epoch's (blocks, S_r, K) table and
-    ``app_block`` each region app's row in it. Every server sees its
-    placements in the solution's order, clamped at zero as
+    """(S_r, K) capacities a region's refinement left, seeding the spill
+    pass. ``capacity`` is the region's rows of the epoch's capacity table
+    (updated in place), ``local`` each region app's server column (-1 when
+    unplaced), ``demand`` the epoch's (blocks, S_r, K) table over the
+    region's columns and ``app_block`` each region app's row in it. Every
+    server sees its placements in ascending app order, clamped at zero as
     ``ResourceVector.__sub__`` does, one placement depth at a time."""
-    problem = solution.problem
-    remaining = np.array([[cap.get(k) for k in keys] for cap in problem.capacities],
-                         dtype=float).reshape(problem.n_servers, len(keys))
-    apps = problem.app_indices(list(solution.placements))
-    servers = np.fromiter(solution.placements.values(), dtype=np.intp, count=len(apps))
+    apps = np.flatnonzero(local >= 0)
+    servers = local[apps]
     order = np.argsort(servers, kind="stable")
     servers, rows = servers[order], demand[app_block[apps[order]], servers[order]]
     depth = np.arange(len(servers)) - np.searchsorted(servers, servers)
     for level in range(int(depth.max(initial=-1)) + 1):
         at = depth == level
-        remaining[servers[at]] = np.maximum(remaining[servers[at]] - rows[at], 0.0)
-    return remaining
+        capacity[servers[at]] = np.maximum(capacity[servers[at]] - rows[at], 0.0)
+    return capacity
 
 
 def solve_hierarchical(
@@ -334,11 +399,12 @@ def solve_hierarchical(
 
     The fleet never materialises an ``n_apps × n_servers`` tensor: the coarse
     pass reduces blocks of class rows (at most :data:`COARSE_BLOCK_CELLS`
-    cells each) to ``(R,)`` aggregates per class, and each refinement solves
-    against a :meth:`ScenarioCompilation.region_slice` view bounded by its
-    region. ``config.refine_backend`` names the registry backend of every
-    region's refinement; the regions themselves come from ``plan``. See the
-    module docstring for the four stages and the determinism contract.
+    cells each) to ``(R,)`` aggregates per class, and each region is refined
+    by the greedy kernel on (region classes × region servers) tables
+    (:func:`_region_costs`). The regions come from ``plan``. Greedy
+    refinement is the one route, so ``config`` (validated on construction)
+    and ``seed`` change nothing. See the module docstring for the four
+    stages and the determinism contract.
     """
     if len(applications) == 0:
         raise ValueError("cannot solve an empty application batch")
@@ -346,15 +412,12 @@ def solve_hierarchical(
 
     # -- epoch delta: class rows, epoch-mean intensities, capacities ------------
     # The delta carries the arrivals as a columnar batch (a list is wrapped
-    # once, keeping its objects): the coarse pass below works entirely on
-    # class rows and index arrays, each region refines a columnar sub-batch
-    # decoded by id, and only the spill pass touches Application objects, one
-    # per spilled app.
+    # once, keeping its objects); every pass below works on class rows and
+    # index arrays, so no Application object is built.
     delta = compilation.epoch_delta(applications, hour, horizon_hours, use_forecast)
-    batch = delta.applications
-    n_apps = len(batch)
     intensity = delta.intensity
     class_idx = delta.class_indices
+    n_apps = len(class_idx)
     uniq, inverse = np.unique(class_idx, return_inverse=True)
 
     # -- effective regions (server-bearing) -------------------------------------
@@ -385,34 +448,13 @@ def solve_hierarchical(
     step = max(1, COARSE_BLOCK_CELLS // len(servers))
     spans = [slice(lo, lo + step) for lo in range(0, n_classes, step)]
 
-    norm: dict[str, tuple[float, float]] = {}
+    norm: dict[str, tuple[float, float]] | None = None
     if objective is ObjectiveKind.MULTI:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        norm = _minmax_pools(compilation, uniq, energy, class_block, spans,
-                             intensity, act_carbon, act_energy)
-
-    def raw_values(e: np.ndarray, lat: np.ndarray, inten: np.ndarray) -> np.ndarray:
-        """Raw assignment coefficients of (class, server) pairs, given their
-        energy, one-way latency and server intensity, elementwise."""
-        if objective is ObjectiveKind.LATENCY:
-            return lat
-        if objective is ObjectiveKind.INTENSITY:
-            return inten
-        if objective is ObjectiveKind.ENERGY:
-            return e
-        c = joules_to_kwh(e) * inten
-        if objective is ObjectiveKind.CARBON:
-            return c
-        (c_lo, c_span), (e_lo, e_span) = norm["carbon"], norm["energy"]
-        c_hat = (c - c_lo) / c_span if c_span > 0 else np.zeros_like(c)
-        e_hat = (e - e_lo) / e_span if e_span > 0 else np.zeros_like(e)
-        return alpha * e_hat + (1.0 - alpha) * c_hat
-
-    def tie_values(e: np.ndarray, lat: np.ndarray, inten: np.ndarray) -> np.ndarray:
-        if objective is ObjectiveKind.LATENCY:
-            return joules_to_kwh(e) * inten
-        return lat
+        norm = _minmax_pools(
+            ((compilation._feas[uniq[rows]], energy[class_block[rows]]) for rows in spans),
+            intensity, act_carbon, act_energy)
 
     # -- coarse aggregate tensors, a block of classes at a time -----------------
     # A block gathers its classes' feasibility rows with the server axis in
@@ -435,8 +477,10 @@ def solve_hierarchical(
         block_col = class_block[rows][row] * n_servers + j
         e, lat = energy.ravel()[block_col], compilation._lat.ravel()[ks[row] * n_servers + j]
         class_mask.flat[cells] = True
-        class_cost.flat[cells] = np.minimum.reduceat(raw_values(e, lat, intensity[j]), runs)
-        class_tie.flat[cells] = np.minimum.reduceat(tie_values(e, lat, intensity[j]), runs)
+        class_cost.flat[cells] = np.minimum.reduceat(
+            _raw_values(objective, e, lat, intensity[j], norm, alpha), runs)
+        class_tie.flat[cells] = np.minimum.reduceat(
+            _tie_values(objective, e, lat, intensity[j]), runs)
         class_energy.flat[cells] = np.minimum.reduceat(e, runs)
         for k in range(len(keys)):
             class_demand[..., k].flat[cells] = np.minimum.reduceat(
@@ -466,7 +510,10 @@ def solve_hierarchical(
                                         routed[placed_coarse]].sum())
     n_coarse_unrouted = n_apps - len(placed_coarse)
 
-    # -- per-region refinement through the backend registry ---------------------
+    # -- per-region refinement on the class tables ------------------------------
+    # A region's classes are the rows of ``uniq`` its apps use, and the
+    # kernel reads its apps in ascending index order, as the region's own
+    # problem lists them.
     region_app_counts = [0] * n_eff
     assignment = np.full(n_apps, -1, dtype=int)
     refined: dict[int, tuple] = {}
@@ -475,25 +522,34 @@ def solve_hierarchical(
         region_app_counts[r] = len(idx_r)
         if not len(idx_r):
             continue
-        local, solution = _refine_region(
-            compilation, cols[r], batch.take(idx_r),
-            hour=hour, horizon_hours=horizon_hours, use_forecast=use_forecast,
-            objective=objective, alpha=alpha, manage_power=manage_power,
-            refine_backend=config.refine_backend, seed=seed)
-        refined[r] = (solution, idx_r)
+        rows_r, row_class = np.unique(inverse[idx_r], return_inverse=True)
+        state = GreedyState(_region_costs(
+            compilation, cols[r], uniq[rows_r], class_block[rows_r], row_class,
+            keys=keys, energy=energy, demand=demand, capacity=cap_dense,
+            intensity=intensity, act_carbon=act_carbon, act_energy=act_energy,
+            current_power=delta.current_power, objective=objective,
+            alpha=alpha, manage_power=manage_power))
+        greedy_fill(state)
+        local = state.assignment
+        refined[r] = (local, idx_r)
         placed = local >= 0
         assignment[idx_r[placed]] = cols[r][local[placed]]
 
     # -- spill: deterministic re-routing of everything still unplaced -----------
+    # The multi objective spills by its carbon component: spill is a capacity
+    # escape hatch, and re-deriving the normalisation per candidate region
+    # would couple regions for no placement benefit.
     n_spilled = 0
     unplaced = np.flatnonzero(assignment < 0)
     remaining: dict[int, np.ndarray] = {}
     if len(unplaced):
-        remaining = {r: _remaining_capacities(solution, keys, demand[:, cols[r]],
+        remaining = {r: _remaining_capacities(cap_dense[cols[r]], local,
+                                              demand[:, cols[r]],
                                               class_block[inverse[idx_r]])
-                     for r, (solution, idx_r) in refined.items()}
+                     for r, (local, idx_r) in refined.items()}
+    spill_objective = ObjectiveKind.CARBON if objective is ObjectiveKind.MULTI \
+        else objective
     for i in unplaced:
-        app = batch.application(int(i))
         reachable = class_mask[inverse[i]]
         home = int(routed[i]) if routed[i] >= 0 else None
         if home is not None:
@@ -507,8 +563,10 @@ def solve_hierarchical(
         for r in order:
             if not reachable[r]:
                 continue
-            if _spill_into(compilation, cols[r], app, intensity, horizon,
-                           objective, keys, remaining, r, assignment, i):
+            if _spill_into(compilation, cols[r], class_idx[i],
+                           class_block[inverse[i]], energy, demand, cap_dense,
+                           intensity, spill_objective, remaining, r,
+                           assignment, i):
                 n_spilled += 1
                 break
 
@@ -520,8 +578,9 @@ def solve_hierarchical(
     placed = np.flatnonzero(placed_final)
     placed = placed[np.argsort(inverse[placed], kind="stable")]
     j = assignment[placed]
-    values = raw_values(energy[class_block[inverse[placed]], j],
-                        compilation._lat[class_idx[placed], j], intensity[j])
+    values = _raw_values(objective, energy[class_block[inverse[placed]], j],
+                         compilation._lat[class_idx[placed], j], intensity[j],
+                         norm, alpha)
     cuts = np.flatnonzero(np.diff(inverse[placed])) + 1
     refined_objective = 0.0
     for part in np.split(values, cuts):
@@ -541,52 +600,37 @@ def solve_hierarchical(
 
 
 def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
-                app, intensity: np.ndarray, horizon: float,
-                objective: ObjectiveKind, keys: tuple, remaining: dict,
-                r: int, assignment: np.ndarray, i: int) -> bool:
-    """Try to place one spilled app in one region; True when committed.
+                k: int, b: int, energy: np.ndarray, demand: np.ndarray,
+                cap_dense: np.ndarray, intensity: np.ndarray,
+                objective: ObjectiveKind, remaining: dict, r: int,
+                assignment: np.ndarray, i: int) -> bool:
+    """Try to place spilled app ``i`` in one region; True when committed.
 
-    Feasibility is the region slice's SLO + support row; capacity is checked
-    against the region's live remaining capacities over ``keys`` (seeded by
-    the refinement results, else the baseline). The candidate server is the
-    minimum raw-objective-coefficient feasible fit, ties to the lowest index.
+    The app is read by its scenario class ``k`` and its row ``b`` of the
+    epoch's ``energy`` and ``demand`` tables. Feasibility is the class's
+    SLO + support row over the region's columns; capacity is checked
+    against the region's remaining capacities over the epoch's keys, seeded
+    by its refinement, else by a copy of its rows of ``cap_dense`` (the
+    epoch's live or baseline capacity table). The candidate server is the
+    minimum raw ``objective`` coefficient feasible fit, ties to the lowest
+    index.
     """
-    sub = compilation.region_slice(region_cols)
-    k = sub._class_of(app)
-    feas = sub._feas[k]
+    feas = compilation._feas[k, region_cols]
     if not feas.any():
         return False
     rem = remaining.get(r)
     if rem is None:
-        rem = remaining[r] = sub._capacity_dense(keys).copy()
-    demand = sub._dense_row(app.workload, app.request_rate_rps, keys)
-    fits = feas & np.all(demand <= rem + 1e-9, axis=1)
+        rem = remaining[r] = cap_dense[region_cols]  # a gather: a fresh copy
+    need = demand[b][region_cols]
+    fits = feas & np.all(need <= rem + 1e-9, axis=1)
     if not fits.any():
         return False
-    row = _spill_cost_row(sub, app, intensity[region_cols], horizon, objective)
+    row = _raw_values(objective, energy[b, region_cols],
+                      compilation._lat[k, region_cols], intensity[region_cols])
     cost = np.where(fits, row, np.inf)
     j = int(np.argmin(cost))
     if not np.isfinite(cost[j]):
         return False
     assignment[i] = int(region_cols[j])
-    rem[j] = np.maximum(rem[j] - demand[j], 0.0)
+    rem[j] = np.maximum(rem[j] - need[j], 0.0)
     return True
-
-
-def _spill_cost_row(sub: ScenarioCompilation, app, intensity_r: np.ndarray,
-                    horizon: float, objective: ObjectiveKind) -> np.ndarray:
-    """Raw per-server objective row of one app over a region slice.
-
-    The multi objective spills by its carbon component — spill is a capacity
-    escape hatch, and re-deriving the global min-max normalisation per
-    candidate region would couple regions for no placement benefit.
-    """
-    k = sub._class_of(app)
-    if objective is ObjectiveKind.LATENCY:
-        return sub._lat[k]
-    if objective is ObjectiveKind.INTENSITY:
-        return intensity_r
-    e_row = sub._energy_row(app.workload, app.request_rate_rps, horizon)
-    if objective is ObjectiveKind.ENERGY:
-        return e_row
-    return joules_to_kwh(e_row) * intensity_r

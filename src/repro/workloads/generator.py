@@ -66,8 +66,8 @@ class ApplicationBatch:
     ``(site_idx, workload_idx, slo, rate, duration)``.
 
     ``applications`` materialises the per-object view on first access (cached);
-    consumers that only need ids (:meth:`app_ids`), counts, the class
-    partition or a sub-batch (:meth:`take`) should stay on the arrays.
+    consumers that only need ids (:meth:`app_ids`), counts or the class
+    partition should stay on the arrays.
     """
 
     interval_index: int
@@ -260,38 +260,6 @@ class ApplicationBatch:
             request_rate_rps=float(self.request_rate_rps[k]),
             duration_hours=float(self.duration_hours[k]),
         )
-
-    def take(self, indices: Sequence[int] | np.ndarray) -> "ApplicationBatch":
-        """Columnar sub-batch of the applications at ``indices`` (arrival positions).
-
-        The per-app columns are gathered and the class table is compacted to
-        the classes the sub-batch uses; compaction keeps the rows'
-        lexicographic order, so the table is the one :meth:`from_columns`
-        would build. The applications keep the parent's ids, and objects the
-        parent already materialised are shared, not rebuilt.
-        """
-        idx = np.asarray(indices, dtype=np.intp)
-        used, class_idx, counts = np.unique(
-            self.class_idx[idx], return_inverse=True, return_counts=True)
-        positions = idx.tolist()
-        sub = ApplicationBatch(
-            interval_index=self.interval_index, hour_of_year=self.hour_of_year,
-            site_names=self.site_names, workload_names=self.workload_names,
-            site_idx=self.site_idx[idx], workload_idx=self.workload_idx[idx],
-            latency_slo_ms=self.latency_slo_ms[idx],
-            request_rate_rps=self.request_rate_rps[idx],
-            duration_hours=self.duration_hours[idx],
-            class_idx=np.asarray(class_idx, dtype=np.int64).reshape(len(idx)),
-            class_site_idx=self.class_site_idx[used],
-            class_workload_idx=self.class_workload_idx[used],
-            class_slo_ms=self.class_slo_ms[used],
-            class_rate_rps=self.class_rate_rps[used],
-            class_duration_h=self.class_duration_h[used],
-            class_counts=np.asarray(counts, dtype=np.int64),
-            explicit_ids=tuple(map(self.app_ids().__getitem__, positions)))
-        if self._apps is not None:
-            sub._apps = tuple(map(self._apps.__getitem__, positions))
-        return sub
 
 
 #: Historical name for the arrival-batch type; ``generate_batch`` has returned

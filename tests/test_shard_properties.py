@@ -570,9 +570,9 @@ def test_cold_build_is_one_class_per_application():
 
 @pytest.mark.parametrize("columnar", [True, False])
 def test_hierarchy_rows_share_their_class(columnar):
-    """The coarse pass's DenseCosts and every region problem's, built from a
-    columnar batch or from an application list (which the delta wraps in a
-    batch)."""
+    """The coarse pass's DenseCosts and every region refinement's, built from
+    a columnar batch or from an application list (which the delta wraps in a
+    batch), hold one row per class."""
     fleet, latency, carbon = build_planetary_substrate(32, seed=0)
     plan = hierarchy.build_region_plan(fleet.sites(), fleet.site_coordinates(),
                                        2, seed=0)
@@ -581,14 +581,11 @@ def test_hierarchy_rows_share_their_class(columnar):
         seed=0).generate_batch(0, 4700, n_arrivals=320)
     apps = batch if columnar else list(batch.applications)
     with mock.patch.object(hierarchy, "greedy_fill",
-                           wraps=hierarchy.greedy_fill) as coarse, \
-            mock.patch.object(hierarchy, "registry_solve",
-                              wraps=hierarchy.registry_solve) as refine:
-        hierarchy.solve_hierarchical(
+                           wraps=hierarchy.greedy_fill) as fill:
+        outcome = hierarchy.solve_hierarchical(
             ScenarioCompilation(fleet.servers(), latency, carbon), apps, plan,
             hour=4700, config=SolverConfig(hierarchy_regions=2), seed=0)
-    _assert_class_tables(coarse.call_args.args[0].dense)
-    assert refine.call_count == 2
-    for call in refine.call_args_list:
-        _assert_rows_share_class(compile_placement(call.args[0]).dense(),
-                                 call.args[0])
+    regions_with_apps = sum(1 for n in outcome.region_app_counts if n)
+    assert fill.call_count == 1 + regions_with_apps == 3
+    for call in fill.call_args_list:
+        _assert_class_tables(call.args[0].dense)

@@ -2,11 +2,12 @@
 
 Covers the determinism contract (plans are pure functions of their inputs),
 the degenerate single-region case
-collapsing to the flat solve, spill accounting under overload, every
-objective's pinned outcome (also with the coarse pass cut into small class
-blocks), the multi objective's normalisation pool, the refinement backend
-the config names, and the dense-cell budget guard that points planetary users
-at this tier.
+collapsing to the flat solve, spill accounting under overload and over a
+fleet that already holds allocations, every objective's pinned and validated
+outcome (also with the coarse pass cut into small class blocks), the multi
+objective's normalisation pool, the region refinement against the route it
+replaced (a region problem solved by the registry's greedy backend), and the
+dense-cell budget guard that points planetary users at this tier.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ import pytest
 
 from repro.core.objective import ObjectiveKind, objective_coefficients
 from repro.core.problem import ensure_dense_cell_budget
+from repro.core.validation import validate_solution
 from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.solver import hierarchy
-from repro.solver.compile import ScenarioCompilation
+from repro.solver.compile import (
+    ScenarioCompilation,
+    assignment_to_solution,
+    compile_placement,
+)
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import (
     HierarchicalResult,
@@ -32,6 +38,9 @@ from repro.solver.hierarchy import (
 )
 from repro.solver.registry import solve as registry_solve
 from repro.workloads.generator import ApplicationGenerator
+
+from tests.test_refine_pins import N_APPS as PERFBENCH_APPS
+from tests.test_refine_pins import build_instance as perfbench_instance
 
 HOUR = 4700
 
@@ -189,25 +198,53 @@ def test_overloaded_region_spills_to_neighbors():
 
 
 def test_spill_into_an_unrouted_region_depletes_a_copy_of_the_baseline():
-    """A region no app was routed to seeds its spill capacities from the
-    slice's cached pristine baseline. The spilled app must deplete a copy,
-    so a later solve over the same compilation starts from the baseline."""
+    """A region no app was routed to seeds its spill capacities from its rows
+    of the epoch's capacity table, here the compilation's cached pristine
+    baseline. The spilled app must deplete a copy, so a later solve over the
+    same compilation starts from the baseline."""
     fleet, compilation, apps = _substrate(12, 20)
     delta = compilation.epoch_delta(apps, HOUR)
-    blocks = np.unique(compilation._class_block[delta.class_indices])
-    keys = compilation._epoch_keys(
-        [compilation._block(*compilation._block_keys[b]) for b in blocks])
+    block_ids = np.unique(compilation._class_block[delta.class_indices])
+    blocks = [compilation._block_keys[b] for b in block_ids]
+    keys = compilation._epoch_keys([compilation._block(*b) for b in blocks])
+    energy = np.stack([compilation._energy_row(w, r, 1.0) for w, r in blocks])
+    demand = np.stack([compilation._dense_row(w, r, keys) for w, r in blocks])
+    k = int(delta.class_indices[0])
+    b = int(np.searchsorted(block_ids, compilation._class_block[k]))
+    cap_dense = compilation._capacity_dense(keys)
+    baseline = cap_dense.copy()
     cols = np.arange(len(fleet.servers()), dtype=np.intp)
-    sub = compilation.region_slice(cols)
-    baseline = sub._capacity_dense(keys).copy()
     remaining: dict = {}
     assignment = np.full(len(apps), -1)
-    assert hierarchy._spill_into(compilation, cols, apps[0], delta.intensity, 1.0,
-                                 ObjectiveKind.CARBON, keys, remaining, 0,
-                                 assignment, 0)
+    assert hierarchy._spill_into(compilation, cols, k, b, energy, demand, cap_dense,
+                                 delta.intensity, ObjectiveKind.CARBON, remaining,
+                                 0, assignment, 0)
     j = assignment[0]
     assert np.all(remaining[0][j] <= baseline[j]) and np.any(remaining[0][j] < baseline[j])
-    assert np.array_equal(sub._capacity_dense(keys), baseline)
+    assert np.array_equal(compilation._capacity_dense(keys), baseline)
+
+
+@pytest.mark.parametrize("full_regions", [(0,), (0, 1, 2)])
+def test_spill_respects_live_allocations(full_regions):
+    """Servers the fleet has already filled take no spilled app: a region no
+    app was routed to seeds its spill capacities from the live capacities,
+    not from the pristine baseline, so the decoded placement validates, and
+    a fleet with no room left places nothing."""
+    fleet, compilation, apps = _substrate(12, 600)
+    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
+    cols = region_server_columns(plan, fleet.servers())
+    full = np.concatenate([cols[r] for r in full_regions])
+    for j in full:
+        server = fleet.servers()[j]
+        server.allocate("blocker", server.available_capacity)
+    outcome = solve_hierarchical(
+        compilation, apps, plan, hour=HOUR, objective=ObjectiveKind.CARBON,
+        config=SolverConfig(hierarchy_regions=3), seed=0)
+    assert not np.isin(outcome.assignment, full).any()
+    problem = compilation.build_problem(apps, HOUR)
+    validate_solution(assignment_to_solution(problem, outcome.assignment), strict=True)
+    if len(full) == len(fleet.servers()):
+        assert outcome.n_placed == 0
 
 
 @pytest.mark.parametrize("objective", list(ObjectiveKind))
@@ -240,13 +277,18 @@ OUTCOME_DIGESTS = {
 }
 
 
-def _outcome_digest(size, objective, manage_power=True):
+def _pinned_solve(size, objective, manage_power=True):
+    """(compilation, apps, outcome) of one pinned three-region solve."""
     fleet, compilation, apps = _substrate(*size)
     plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
     outcome = solve_hierarchical(
         compilation, apps, plan, hour=HOUR, objective=objective, alpha=0.5,
         manage_power=manage_power, config=SolverConfig(hierarchy_regions=3),
         seed=0)
+    return compilation, apps, outcome
+
+
+def _outcome_digest(outcome) -> str:
     digest = hashlib.sha256(np.asarray(outcome.assignment, dtype=np.int64).tobytes())
     digest.update(repr(outcome.coarse_objective).encode("ascii"))
     digest.update(repr(outcome.refined_objective).encode("ascii"))
@@ -257,8 +299,13 @@ def _outcome_digest(size, objective, manage_power=True):
 @pytest.mark.parametrize("objective", list(ObjectiveKind))
 @pytest.mark.parametrize("size", [(20, 40), (12, 600)])
 def test_every_objective_outcome_is_pinned(size, objective, manage_power):
-    assert _outcome_digest(size, objective, manage_power) \
-        == OUTCOME_DIGESTS[size, objective.value]
+    """Pinned, and valid: decoded on the flat problem of the same batch, the
+    refined and spilled placements pass the validator every path answers to."""
+    compilation, apps, outcome = _pinned_solve(size, objective, manage_power)
+    assert _outcome_digest(outcome) == OUTCOME_DIGESTS[size, objective.value]
+    problem = compilation.build_problem(apps, HOUR)
+    validate_solution(assignment_to_solution(problem, outcome.assignment,
+                                             manage_power), strict=True)
 
 
 @pytest.mark.parametrize("objective", list(ObjectiveKind))
@@ -275,7 +322,7 @@ def test_coarse_class_blocks_do_not_move_the_outcome(size, objective):
         "the blocks must split the classes unevenly"
     for cells in (1, per_block * n_servers):
         with mock.patch.object(hierarchy, "COARSE_BLOCK_CELLS", cells):
-            digest = _outcome_digest(size, objective)
+            digest = _outcome_digest(_pinned_solve(size, objective)[2])
         assert digest == OUTCOME_DIGESTS[size, objective.value], cells
 
 
@@ -316,23 +363,91 @@ def test_recorded_gap_is_refined_minus_coarse():
         outcome.refined_objective - outcome.coarse_objective)
 
 
-def test_refine_backend_names_every_region_solve():
-    """``refine_backend`` is the one config field the hierarchy reads: each
-    region that received apps is refined by one registry solve on that
-    backend, and the registry is handed no configuration of its own."""
-    fleet, compilation, apps = _substrate(32, 200)
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_refinement_is_the_region_solve(compilation, apps, plan, objective,
+                                           alpha, manage_power) -> None:
+    """Each region's refinement costs and places its apps exactly as the
+    route it replaced: a fresh compilation over the region's servers builds
+    the region's problem from its routed apps, and the registry's greedy
+    backend solves it. The DenseCosts the kernel receives equal that
+    problem's compiled tables per application, bit for bit (demand and
+    capacity on the region problem's keys), and the placements are the
+    backend's."""
+    with mock.patch.object(hierarchy, "greedy_fill",
+                           wraps=hierarchy.greedy_fill) as fill:
+        solve_hierarchical(
+            compilation, apps, plan, hour=HOUR, objective=objective, alpha=alpha,
+            manage_power=manage_power,
+            config=SolverConfig(hierarchy_regions=plan.n_regions), seed=0)
+    coarse, *regions = [call.args[0] for call in fill.call_args_list]
+    servers = compilation.servers
+    cols = [c for c in region_server_columns(plan, servers) if len(c)]
+    routed = coarse.assignment
+    refined = [r for r in range(len(cols)) if np.any(routed == r)]
+    assert len(regions) == len(refined) > 1
+    for r, state in zip(refined, regions):
+        idx_r = np.flatnonzero(routed == r)
+        problem = ScenarioCompilation(
+            [servers[j] for j in cols[r]], compilation.latency, compilation.carbon,
+        ).build_problem([apps[i] for i in idx_r], HOUR)
+        solution = registry_solve(problem, backend="greedy", objective=objective,
+                                  alpha=alpha, manage_power=manage_power)
+        reference = compile_placement(problem).dense(objective, alpha, manage_power)
+        dense = state.dense
+        rows, ref_rows = dense.row_class, reference.row_class
+        for name in ("cost", "raw_assign", "mask", "energy"):
+            assert _same_bits(getattr(dense, name)[rows],
+                              getattr(reference, name)[ref_rows]), (r, name)
+        for name in ("activation", "initially_on"):
+            assert _same_bits(getattr(dense, name), getattr(reference, name)), (r, name)
+        on_keys = [dense.keys.index(key) for key in reference.keys]
+        assert _same_bits(dense.demand[rows][..., on_keys], reference.demand[ref_rows])
+        assert _same_bits(dense.capacity[:, on_keys], reference.capacity)
+        expected = np.full(len(idx_r), -1)
+        expected[problem.app_indices(list(solution.placements))] = \
+            list(solution.placements.values())
+        assert np.array_equal(state.assignment, expected), r
+
+
+@pytest.mark.parametrize("manage_power", [True, False])
+@pytest.mark.parametrize("objective", list(ObjectiveKind))
+@pytest.mark.parametrize("size", [(20, 40), (12, 600)])
+@pytest.mark.parametrize("live", [False, True], ids=["pristine", "live"])
+def test_region_refinement_is_the_region_problems_greedy_solve(live, size, objective,
+                                                               manage_power):
+    """On a pristine fleet, and on a live one (a third of the servers half
+    allocated, some others off), where the mask reads live capacities and
+    the activation channel is open."""
+    fleet, compilation, apps = _substrate(*size)
+    if live:
+        for j, server in enumerate(fleet.servers()):
+            if j % 3 == 0:
+                server.allocate("blocker", server.available_capacity * 0.5)
+            elif j % 2:
+                server.power_off()
     plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
-    with mock.patch.object(hierarchy, "registry_solve",
-                           wraps=hierarchy.registry_solve) as spy:
-        outcome = solve_hierarchical(
-            compilation, apps, plan, hour=HOUR, objective=ObjectiveKind.CARBON,
-            config=SolverConfig(hierarchy_regions=3, refine_backend="heuristic"),
-            seed=0)
-    regions_with_apps = sum(1 for count in outcome.region_app_counts if count)
-    assert spy.call_count == regions_with_apps > 0
-    for call in spy.call_args_list:
-        assert call.kwargs["backend"] == "heuristic"
-        assert "config" not in call.kwargs
+    _assert_refinement_is_the_region_solve(compilation, apps, plan, objective,
+                                           0.5, manage_power)
+
+
+def test_perfbench_region_refinement_is_the_region_problems_greedy_solve():
+    fleet, latency, carbon, plan, generator = perfbench_instance()
+    batch = generator.generate_batch(0, HOUR, n_arrivals=PERFBENCH_APPS)
+    _assert_refinement_is_the_region_solve(
+        ScenarioCompilation(fleet.servers(), latency, carbon),
+        list(batch.applications), plan, ObjectiveKind.CARBON, 0.0, True)
+
+
+def test_refine_backend_other_than_greedy_is_refused():
+    """Regions are refined by the greedy kernel on class tables; a config
+    naming another backend is refused rather than silently ignored."""
+    assert SolverConfig(refine_backend="greedy").refine_backend == "greedy"
+    for name in ("heuristic", "auto", "highs", ""):
+        with pytest.raises(ValueError, match="refine_backend"):
+            SolverConfig(hierarchy_regions=3, refine_backend=name)
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +467,8 @@ def test_dense_cell_guard_names_the_hierarchy_knob(monkeypatch):
 
 def test_dense_cell_guard_spares_the_hierarchical_path(monkeypatch):
     """The same instance that the flat path refuses solves hierarchically:
-    no region sub-problem crosses the budget."""
+    no region sub-problem crosses the budget. Each region is still held to
+    it: one region spanning the fleet is refused like the flat build."""
     monkeypatch.setenv("CARBON_EDGE_MAX_DENSE_CELLS", "400")
     fleet, compilation, apps = _substrate(20, 40)
     with pytest.raises(ValueError):
@@ -362,6 +478,10 @@ def test_dense_cell_guard_spares_the_hierarchical_path(monkeypatch):
         compilation, apps, plan, hour=HOUR, objective=ObjectiveKind.CARBON,
         config=SolverConfig(hierarchy_regions=8), seed=0)
     assert outcome.n_placed > 0
+    one = build_region_plan(fleet.sites(), fleet.site_coordinates(), 1, seed=0)
+    with pytest.raises(ValueError, match="hierarchy region refinement"):
+        solve_hierarchical(compilation, apps, one, hour=HOUR,
+                           config=SolverConfig(hierarchy_regions=1), seed=0)
 
 
 @pytest.mark.parametrize("raw", ["1e8", "abc", "2.5", "0", "-5"])
@@ -374,14 +494,3 @@ def test_dense_cell_budget_rejects_a_non_positive_integer(monkeypatch, raw):
     message = str(excinfo.value)
     assert "CARBON_EDGE_MAX_DENSE_CELLS" in message
     assert repr(raw) in message
-
-
-def test_region_slice_is_memoised_per_column_set():
-    fleet, compilation, apps = _substrate(16, 10)
-    cols = np.arange(4, dtype=np.intp)
-    sub1 = compilation.region_slice(cols)
-    sub2 = compilation.region_slice(np.arange(4, dtype=np.intp))
-    assert sub1 is sub2
-    assert len(sub1.servers) == 4
-    assert [s.server_id for s in sub1.servers] \
-        == [fleet.servers()[j].server_id for j in range(4)]

@@ -27,7 +27,6 @@ from repro.serving.loadgen import LoadGenerator
 from repro.simulator.cdn import CDNSimulator, clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
 from repro.solver import compile as compile_module
-from repro.solver import hierarchy
 from repro.solver.compile import ScenarioCompilation, compile_placement
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import build_region_plan, solve_hierarchical
@@ -276,39 +275,11 @@ def test_hierarchy_solves_batch_and_list_identically():
     assert from_batch.refined_objective == from_list.refined_objective
 
 
-def test_take_is_the_columnar_subset_with_parent_ids():
-    generator = ApplicationGenerator(
-        sites=[f"s{k}" for k in range(6)],
-        workload_mix={"ResNet50": 0.5, "YOLOv4": 0.5},
-        mean_arrivals_per_batch=40.0, seed=2)
-    batch = generator.generate_batch(3, 100, n_arrivals=40)
-    picks = np.array([31, 2, 2, 17, 5, 39])
-    sub = batch.take(picks)
-    assert sub.app_ids() == tuple(batch.app_id(int(i)) for i in picks)
-    # The compacted class table is the one a fresh build of the subset makes.
-    fresh = ApplicationBatch.from_columns(
-        interval_index=3, hour_of_year=100, site_names=batch.site_names,
-        workload_names=batch.workload_names, site_idx=batch.site_idx[picks],
-        workload_idx=batch.workload_idx[picks],
-        latency_slo_ms=batch.latency_slo_ms[picks],
-        request_rate_rps=batch.request_rate_rps[picks],
-        duration_hours=batch.duration_hours[picks])
-    for name in ("class_idx", "class_site_idx", "class_workload_idx",
-                 "class_slo_ms", "class_rate_rps", "class_duration_h",
-                 "class_counts"):
-        assert np.array_equal(getattr(sub, name), getattr(fresh, name)), name
-    assert sub._apps is None and batch._apps is None
-    assert [a.app_id for a in sub.applications] == list(sub.app_ids())
-    # Objects the parent already built are shared, not rebuilt.
-    parent_apps = batch.applications
-    assert all(a is parent_apps[int(i)]
-               for a, i in zip(batch.take(picks).applications, picks))
-
-
 def test_decision_path_builds_no_application_objects():
-    """A cdn epoch (assemble, compile, CarbonEdge, validate) and a spill-free
-    hierarchical solve decide and decode by id: no batch builds its
-    per-app ``Application`` objects."""
+    """A cdn epoch (assemble, compile, CarbonEdge, validate) decides and
+    decodes by id without building the batch's per-app ``Application``
+    objects, and a hierarchical solve builds none at all, through the spill
+    pass included."""
     clear_substrate_cache()
     simulator = CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS))
     problem = simulator.epoch_problem(0)
@@ -319,23 +290,26 @@ def test_decision_path_builds_no_application_objects():
     assert isinstance(problem.applications, LazyApplications)
     assert problem.applications.batch._apps is None
 
-    fleet, latency, carbon = build_planetary_substrate(32, seed=0)
-    batch = ApplicationGenerator(
-        sites=fleet.sites(), latency_slo_ms=40.0, mean_arrivals_per_batch=320.0,
-        seed=0).generate_batch(0, 4700, n_arrivals=320)
-    plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 2, seed=0)
-    with mock.patch.object(hierarchy, "registry_solve",
-                           wraps=hierarchy.registry_solve) as refine:
-        outcome = solve_hierarchical(
-            ScenarioCompilation(fleet.servers(), latency, carbon), batch, plan,
-            hour=4700, config=SolverConfig(hierarchy_regions=2), seed=0)
-    assert outcome.n_spilled == 0 and outcome.n_unplaced == 0
-    assert batch._apps is None
-    assert refine.call_count == 2
-    for call in refine.call_args_list:
-        region_apps = call.args[0].applications
-        assert isinstance(region_apps, LazyApplications)
-        assert region_apps.batch._apps is None
+    spilled = 0
+    for n_sites, n_apps, n_regions in ((32, 320, 2), (12, 600, 3)):
+        fleet, latency, carbon = build_planetary_substrate(n_sites, seed=0)
+        batch = ApplicationGenerator(
+            sites=fleet.sites(), latency_slo_ms=40.0,
+            mean_arrivals_per_batch=float(n_apps), duration_hours=1.0,
+            seed=0).generate_batch(0, 4700, n_arrivals=n_apps)
+        plan = build_region_plan(fleet.sites(), fleet.site_coordinates(),
+                                 n_regions, seed=0)
+        # ``application(k)`` builds a fresh object on every call (only the
+        # ``applications`` view caches them), so the check patches that method.
+        with mock.patch.object(ApplicationBatch, "application",
+                               side_effect=AssertionError("Application built")):
+            outcome = solve_hierarchical(
+                ScenarioCompilation(fleet.servers(), latency, carbon), batch,
+                plan, hour=4700, config=SolverConfig(hierarchy_regions=n_regions),
+                seed=0)
+        assert batch._apps is None
+        spilled += outcome.n_spilled
+    assert spilled > 0
 
 
 def test_place_batch_accepts_columnar_batch():
