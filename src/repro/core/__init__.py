@@ -6,8 +6,8 @@ This package is the paper's primary contribution (Section 4):
   servers, latency/energy/intensity matrices; Table 2 inputs).
 * :mod:`repro.core.solution` — placement/power decisions plus their carbon,
   energy, and latency accounting (Equation 6).
-* :mod:`repro.core.objective` — carbon, energy, and multi-objective (Equation 8)
-  objective builders.
+* :mod:`repro.core.objective` — the carbon, energy, multi-objective
+  (Equation 8), latency and intensity objective formulas.
 * :mod:`repro.core.filters` — feasible-server filtering (Algorithm 1, line 7).
 * :mod:`repro.core.policies` — CarbonEdge and the paper's baselines
   (Latency-aware, Energy-aware, Intensity-aware).
@@ -17,12 +17,7 @@ This package is the paper's primary contribution (Section 4):
 
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution, Assignment
-from repro.core.objective import (
-    ObjectiveKind,
-    carbon_objective_coefficients,
-    energy_objective_coefficients,
-    multi_objective_coefficients,
-)
+from repro.core.objective import ObjectiveKind
 from repro.core.filters import filter_feasible_servers, FeasibilityReport
 from repro.core.validation import validate_solution, ValidationError
 from repro.core.incremental import IncrementalPlacer, PlacementRound
@@ -41,9 +36,6 @@ __all__ = [
     "PlacementSolution",
     "Assignment",
     "ObjectiveKind",
-    "carbon_objective_coefficients",
-    "energy_objective_coefficients",
-    "multi_objective_coefficients",
     "filter_feasible_servers",
     "FeasibilityReport",
     "validate_solution",

@@ -62,6 +62,6 @@ def filter_feasible_servers(problem: PlacementProblem,
         if demand.shape[-1]:
             fits = np.all(demand <= capacity[None, :, :] + 1e-9, axis=-1)
             mask &= fits
-    unplaceable = [i for i in range(problem.n_applications) if not mask[i].any()]
-    useful = sorted(set(np.flatnonzero(mask.any(axis=0)).tolist()))
+    unplaceable = np.flatnonzero(~mask.any(axis=1)).tolist()
+    useful = np.flatnonzero(mask.any(axis=0)).tolist()  # ascending, unique
     return FeasibilityReport(mask=mask, unplaceable=unplaceable, useful_servers=useful)

@@ -1,6 +1,6 @@
-"""Objective construction for the placement MILP.
+"""The objective formulas of the placement model, elementwise.
 
-Three objectives are supported, matching the paper:
+Five objectives are supported:
 
 * **carbon** (Equation 6): operational emissions of every assignment plus the
   activation emissions of newly powered-on servers;
@@ -8,16 +8,27 @@ Three objectives are supported, matching the paper:
   Energy-aware baseline of Section 6.1.3);
 * **multi-objective** (Equation 8): ``α·p + (1-α)·f`` over min-max normalised
   energy (p) and carbon (f) coefficients, which is how the paper explores the
-  carbon-energy trade-off in Section 6.4.
+  carbon-energy trade-off in Section 6.4;
+* **latency** and **intensity**: the Latency-aware and Intensity-aware
+  baselines (one-way latency, the hosting zone's intensity Ī_j), with no
+  activation term.
+
+Every formula here reads arrays of (application class, server) pairs — their
+dynamic energy E_ij, one-way latency and server intensity — and never a
+problem object, so the flat epoch (:meth:`repro.solver.compile.
+EpochCompilation.dense`), each hierarchy region and the hierarchy's coarse
+pass all price placements through the same code
+(:func:`repro.solver.compile.class_costs`).
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.problem import PlacementProblem
+from repro.utils.units import joules_to_kwh
 
 
 class ObjectiveKind(Enum):
@@ -30,101 +41,91 @@ class ObjectiveKind(Enum):
     INTENSITY = "intensity"
 
 
-def _at_rows(matrix: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """``matrix`` restricted to ``rows`` (the whole matrix for ``None``)."""
-    return matrix if rows is None else matrix[rows]
+def minmax_pools(parts: Iterable[tuple[np.ndarray, np.ndarray]],
+                 intensity: np.ndarray, act_carbon: np.ndarray,
+                 act_energy: np.ndarray) -> dict:
+    """(lo, span) of Equation 8's carbon and energy min-max normalisation.
 
-
-# Every builder takes optional ``rows``: the assignment coefficients of those
-# rows of the problem only (one representative per application class, say).
-# Each coefficient is an elementwise function of its row, so the values are
-# the full matrix's rows, bit for bit.
-
-
-def carbon_objective_coefficients(problem: PlacementProblem,
-                                  rows: np.ndarray | None = None
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(A,S) assignment coefficients and (S,) activation coefficients, in grams CO2eq."""
-    return problem.operational_carbon_g(rows), problem.activation_carbon_g()
-
-
-def energy_objective_coefficients(problem: PlacementProblem,
-                                  rows: np.ndarray | None = None
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(A,S) assignment coefficients and (S,) activation coefficients, in joules."""
-    return _at_rows(problem.energy_j, rows).copy(), problem.activation_energy_j()
-
-
-def latency_objective_coefficients(problem: PlacementProblem,
-                                   rows: np.ndarray | None = None
-                                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(A,S) assignment coefficients (one-way ms) and zero activation coefficients."""
-    return _at_rows(problem.latency_ms, rows).copy(), np.zeros(problem.n_servers)
-
-
-def intensity_objective_coefficients(problem: PlacementProblem,
-                                     rows: np.ndarray | None = None
-                                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(A,S) coefficients equal to the hosting zone's intensity Ī_j (Section 6.1.3).
-
-    The Intensity-aware baseline's objective: chase the greenest zone,
-    ignoring how much energy the application actually consumes there.
+    The pool is every feasible assignment entry when any entry is feasible,
+    else every entry, plus every activation coefficient. ``parts`` yields
+    ``(feasible, energy)`` class rows over the servers of ``intensity`` and
+    the activation rows, so the pool can be read class block by class block;
+    ``feasible`` is the SLO + support mask, not the capacity fit. Class rows
+    replicate per application, which leaves the minimum and maximum
+    unchanged.
     """
-    n_rows = problem.n_applications if rows is None else len(rows)
-    assignment = np.broadcast_to(problem.intensity[None, :],
-                                 (n_rows, problem.n_servers)).copy()
-    return assignment, np.zeros(problem.n_servers)
+    feasible: dict[str, list] = {"carbon": [], "energy": []}
+    everything: dict[str, list] = {"carbon": [], "energy": []}
+    for feas, e in parts:
+        for name, values in (("carbon", joules_to_kwh(e) * intensity), ("energy", e)):
+            everything[name] += [values.min(), values.max()]
+            if feas.any():
+                feasible[name] += [values[feas].min(), values[feas].max()]
+    pools = feasible if feasible["carbon"] else everything
+    norm = {}
+    for name, activation in (("carbon", act_carbon), ("energy", act_energy)):
+        lo = float(min(activation.min(), *pools[name]))
+        hi = float(max(activation.max(), *pools[name]))
+        norm[name] = (lo, hi - lo)
+    return norm
 
 
-def _minmax_normalize(assignment: np.ndarray, activation: np.ndarray,
-                      feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Min-max normalise coefficients jointly over the feasible entries to [0, 1]."""
-    pool = assignment[feasible] if feasible.any() else assignment.ravel()
-    pool = np.concatenate([pool.ravel(), activation.ravel()])
-    lo, hi = float(pool.min()), float(pool.max())
-    span = hi - lo
-    if span <= 0:
-        return np.zeros_like(assignment), np.zeros_like(activation)
-    return (assignment - lo) / span, (activation - lo) / span
+def blend(norm: dict, alpha: float, c: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Equation 8's ``α·ê + (1-α)·ĉ`` of carbon ``c`` and energy ``e`` under a
+    :func:`minmax_pools` normalisation (a zero span normalises to zero).
 
-
-def multi_objective_coefficients(problem: PlacementProblem, alpha: float,
-                                 rows: np.ndarray | None = None
-                                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Equation 8 coefficients: ``α·p̂ + (1-α)·f̂`` with min-max normalised p and f.
-
-    ``alpha = 0`` is the vanilla CarbonEdge (carbon-only) objective; ``alpha = 1``
-    is the Energy-aware objective. The normalisation pools the given
-    ``rows``, so they must hold every distinct row of the problem (one per
-    application class) for the minimum and maximum to be the full matrix's.
+    ``alpha = 0`` is the vanilla CarbonEdge (carbon-only) objective and
+    ``alpha = 1`` the Energy-aware one; anything outside [0, 1] is refused.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    feasible = _at_rows(problem.feasible_mask(), rows)
-    carbon_a, carbon_s = carbon_objective_coefficients(problem, rows)
-    energy_a, energy_s = energy_objective_coefficients(problem, rows)
-    carbon_a, carbon_s = _minmax_normalize(carbon_a, carbon_s, feasible)
-    energy_a, energy_s = _minmax_normalize(energy_a, energy_s, feasible)
-    assignment = alpha * energy_a + (1.0 - alpha) * carbon_a
-    activation = alpha * energy_s + (1.0 - alpha) * carbon_s
-    return assignment, activation
+    (c_lo, c_span), (e_lo, e_span) = norm["carbon"], norm["energy"]
+    c_hat = (c - c_lo) / c_span if c_span > 0 else np.zeros_like(c)
+    e_hat = (e - e_lo) / e_span if e_span > 0 else np.zeros_like(e)
+    return alpha * e_hat + (1.0 - alpha) * c_hat
 
 
-def tie_break_matrix(problem: PlacementProblem, kind: ObjectiveKind,
-                     rows: np.ndarray | None = None) -> np.ndarray:
-    """(A,S) documented default tie-break matrix for an objective (``rows``
-    as for the coefficient builders).
+def raw_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
+               inten: np.ndarray, norm: dict | None = None,
+               alpha: float = 0.0) -> np.ndarray:
+    """Raw assignment coefficients of (class, server) pairs, given their
+    energy (J), one-way latency (ms) and server intensity (g/kWh),
+    elementwise; carbon is ``E_ij (kWh) × Ī_j`` grams, and the multi
+    objective blends under ``norm``."""
+    if objective is ObjectiveKind.LATENCY:
+        return lat
+    if objective is ObjectiveKind.INTENSITY:
+        return inten
+    if objective is ObjectiveKind.ENERGY:
+        return e
+    c = joules_to_kwh(e) * inten
+    if objective is ObjectiveKind.CARBON:
+        return c
+    return blend(norm, alpha, c, e)
 
-    One-way latency for every objective except the latency objective itself
-    (greener-but-equidistant choices prefer proximity); the latency objective
-    tie-breaks by operational carbon so equal-latency choices stay stable
-    and prefer the greener server. The single source of this rule — the MILP
-    builder and the dense backends both consume it, so every backend
-    minimises the same augmented objective.
-    """
-    if kind is ObjectiveKind.LATENCY:
-        return problem.operational_carbon_g(rows)
-    return _at_rows(problem.latency_ms, rows)
+
+def tie_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
+               inten: np.ndarray) -> np.ndarray:
+    """Tie-break values of (class, server) pairs, elementwise: operational
+    carbon for the latency objective (equal-latency choices prefer the
+    greener server), one-way latency for every other (greener-but-equidistant
+    choices prefer proximity)."""
+    if objective is ObjectiveKind.LATENCY:
+        return joules_to_kwh(e) * inten
+    return lat
+
+
+def activation_values(objective: ObjectiveKind, act_carbon: np.ndarray,
+                      act_energy: np.ndarray, manage_power: bool,
+                      norm: dict | None = None, alpha: float = 0.0) -> np.ndarray:
+    """(S,) cost of switching each server on: its activation carbon or
+    energy, their blend for the multi objective, and zero for the latency
+    and intensity objectives or when power is unmanaged."""
+    if not manage_power or objective in (ObjectiveKind.LATENCY, ObjectiveKind.INTENSITY):
+        return np.zeros(len(act_carbon))
+    if objective is ObjectiveKind.MULTI:
+        return blend(norm, alpha, act_carbon, act_energy)
+    return act_carbon if objective is ObjectiveKind.CARBON else act_energy
 
 
 def apply_tie_break(assign: np.ndarray, mask: np.ndarray,
@@ -142,20 +143,3 @@ def apply_tie_break(assign: np.ndarray, mask: np.ndarray,
         epsilon = 1e-5 * scale / tie_scale
         return assign + epsilon * np.where(mask, tie, 0.0)
     return assign
-
-
-def objective_coefficients(problem: PlacementProblem, kind: ObjectiveKind,
-                           alpha: float = 0.0, rows: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the requested objective's coefficient builder."""
-    if kind is ObjectiveKind.CARBON:
-        return carbon_objective_coefficients(problem, rows)
-    if kind is ObjectiveKind.ENERGY:
-        return energy_objective_coefficients(problem, rows)
-    if kind is ObjectiveKind.LATENCY:
-        return latency_objective_coefficients(problem, rows)
-    if kind is ObjectiveKind.INTENSITY:
-        return intensity_objective_coefficients(problem, rows)
-    if kind is ObjectiveKind.MULTI:
-        return multi_objective_coefficients(problem, alpha, rows)
-    raise ValueError(f"unknown objective kind {kind!r}")

@@ -7,7 +7,7 @@ savings and latency increases are reported.
 
 Routed through the shared dense greedy kernel with the latency objective;
 equal-latency choices tie-break by operational carbon (see
-:func:`repro.core.objective.tie_break_matrix`) so comparisons
+:func:`repro.core.objective.tie_values`) so comparisons
 stay stable across runs.
 """
 

@@ -52,16 +52,27 @@ def max_dense_cells() -> int:
     return int(raw)
 
 
-def ensure_dense_cell_budget(n_applications: int, n_servers: int,
-                             context: str = "flat placement build") -> None:
-    """Refuse flat dense-tensor builds past the configured cell budget.
+#: What a refused flat build should do instead: the hierarchical solver tier,
+#: which keeps peak tensors bounded by the largest region, or a larger budget.
+_FLAT_BUILD_REMEDY: str = (
+    "Use the hierarchical solver tier instead — "
+    "repro.solver.hierarchy.solve_hierarchical over an N-region plan, "
+    "as planetary_sweep runs it for each of its hierarchy_regions "
+    "values (carbon-edge experiments run planetary_sweep "
+    "--hierarchy-regions N) — or raise CARBON_EDGE_MAX_DENSE_CELLS if "
+    "the machine really has the memory for flat tensors at this scale.")
 
-    The refusal names the escape hatches: the hierarchical solver tier, which
-    keeps peak tensors bounded by the largest region — calling
-    :func:`repro.solver.hierarchy.solve_hierarchical` over a region plan, as
-    ``planetary_sweep`` does for each of its ``hierarchy_regions`` values
-    (``carbon-edge experiments run planetary_sweep --hierarchy-regions N``) —
-    or raising the budget via ``CARBON_EDGE_MAX_DENSE_CELLS`` on a machine
+
+def ensure_dense_cell_budget(n_applications: int, n_servers: int,
+                             context: str = "flat placement build",
+                             remedy: str = _FLAT_BUILD_REMEDY) -> None:
+    """Refuse dense-tensor builds past the configured cell budget.
+
+    The refusal names ``context`` and the caller's ``remedy``; the default
+    is the flat build's escape hatches: the hierarchical solver tier
+    (:func:`repro.solver.hierarchy.solve_hierarchical` over a region plan,
+    as ``planetary_sweep`` runs it for each of its ``hierarchy_regions``
+    values) or a larger ``CARBON_EDGE_MAX_DENSE_CELLS`` budget on a machine
     with the memory to match.
     """
     budget = max_dense_cells()
@@ -70,12 +81,7 @@ def ensure_dense_cell_budget(n_applications: int, n_servers: int,
         raise ValueError(
             f"{context}: {n_applications} applications x {n_servers} servers = "
             f"{cells} dense cells exceeds the CARBON_EDGE_MAX_DENSE_CELLS budget "
-            f"of {budget}. Use the hierarchical solver tier instead — "
-            f"repro.solver.hierarchy.solve_hierarchical over an N-region plan, "
-            f"as planetary_sweep runs it for each of its hierarchy_regions "
-            f"values (carbon-edge experiments run planetary_sweep "
-            f"--hierarchy-regions N) — or raise CARBON_EDGE_MAX_DENSE_CELLS if "
-            f"the machine really has the memory for flat tensors at this scale.")
+            f"of {budget}. {remedy}")
 
 #: Shared empty demand for (application, server) pairs without a profile.
 _EMPTY_DEMAND = ResourceVector()
@@ -143,12 +149,6 @@ class PlacementProblem:
     #: Per-problem :class:`repro.solver.compile.EpochCompilation` memo.
     _compilation: object | None = field(default=None, init=False,
                                         repr=False, compare=False)
-    #: (A,) application class of each row: rows sharing a class have
-    #: identical latency, energy, support, demand and SLO rows. The scenario
-    #: tier's assembly records its class ids; otherwise (raw-constructed
-    #: problems, or after :func:`repro.solver.compile.clear_compilation`)
-    #: each row is its own class.
-    _row_class: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, s = len(self.applications), len(self.servers)
@@ -178,7 +178,6 @@ class PlacementProblem:
             raise ValueError("horizon_hours must be positive")
         if np.any(self.intensity < 0):
             raise ValueError("carbon intensities must be non-negative")
-        self._row_class = np.arange(a)
 
     # -- sizes ------------------------------------------------------------------
 
@@ -224,11 +223,9 @@ class PlacementProblem:
                                               self.latency_ms, np.inf).min(axis=1)
         return self._nearest_feasible
 
-    def operational_carbon_g(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """(A, S) operational emissions x_ij would incur: E_ij (kWh) × Ī_j, grams
-        (only the given ``rows`` of it, when some are given)."""
-        energy = self.energy_j if rows is None else self.energy_j[rows]
-        return joules_to_kwh(energy) * self.intensity[None, :]
+    def operational_carbon_g(self) -> np.ndarray:
+        """(A, S) operational emissions x_ij would incur: E_ij (kWh) × Ī_j, grams."""
+        return joules_to_kwh(self.energy_j) * self.intensity[None, :]
 
     def activation_carbon_g(self) -> np.ndarray:
         """(S,) emissions of newly activating each server: B_j × horizon × Ī_j, grams."""

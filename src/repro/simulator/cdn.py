@@ -270,10 +270,9 @@ class CDNSimulator:
         compilation (:meth:`scenario_compilation` — static substrate tensors
         built once, per-epoch deltas gathered from class rows) and compiled
         exactly once (:func:`repro.solver.compile.compile_placement`); the
-        feasibility report, objective coefficient matrices, dense cost
-        tensors, and nearest-feasible-server latencies are then shared
-        read-only by all policies under test and by the metrics collection
-        below — the fair comparison the paper's evaluation relies on, without
+        dense cost tensors and nearest-feasible-server latencies are then
+        shared read-only by all policies under test and by the metrics
+        collection below — the fair comparison the paper's evaluation relies on, without
         each policy paying for its own copy of the same precomputation.
         """
         if policies is None:

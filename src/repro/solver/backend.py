@@ -9,8 +9,8 @@ themselves with :func:`repro.solver.registry.register_backend`; callers go
 through :func:`repro.solver.registry.solve` and never instantiate backends
 directly.
 
-The shared numeric substrate (dense cost/demand tensors, the feasibility
-report, per-objective coefficients) lives in the scenario compilation layer
+The shared numeric substrate (dense cost/demand tensors and the feasibility
+report) lives in the scenario compilation layer
 (:mod:`repro.solver.compile`): a :class:`SolveRequest` is a thin view over
 the problem's memoised :class:`~repro.solver.compile.EpochCompilation`, so
 every backend — and every *policy* solving the same problem in the same
@@ -73,9 +73,11 @@ class SolveRequest:
     seed:
         Seed for the randomised backends (randomized rounding).
 
-    A request describes one flat solve. The cluster-then-refine tier sits
-    above the backends (:func:`repro.solver.hierarchy.solve_hierarchical`)
-    and hands each region's sub-problem to the registry as its own request.
+    A request describes one flat solve. The cluster-then-refine tier
+    (:func:`repro.solver.hierarchy.solve_hierarchical`) does not go through
+    the registry: it refines each region with the greedy kernel on class
+    tables priced by the builder the flat dense view uses
+    (:func:`repro.solver.compile.class_costs`).
 
     Every backend minimises the same *tie-broken* objective: the cost of
     :meth:`dense` (the raw coefficients plus a deterministic epsilon

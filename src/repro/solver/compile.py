@@ -19,15 +19,16 @@ At CDN scale the same :class:`~repro.core.problem.PlacementProblem` is solved
 by four policies per epoch, and before this layer existed each of them
 independently re-derived the feasibility report, the objective coefficient
 matrices, and the dense cost/demand tensors. An :class:`EpochCompilation`
-precomputes all of that exactly once per problem and hands the read-only
+computes each of those at most once per problem and hands the read-only
 results to every consumer — the solver backends (through
 :class:`~repro.solver.backend.SolveRequest`), the baseline policies, and the
 CDN simulator's metrics loop:
 
-* the feasibility report (latency SLO + profile support + standalone capacity);
-* per-objective coefficient matrices (carbon / energy / latency / intensity,
-  plus the multi-objective blend), cached by ``(objective, alpha)``;
-* :class:`DenseCosts` tensors, cached by ``(objective, alpha, manage_power)``;
+* :class:`DenseCosts` tensors, cached by ``(objective, alpha, manage_power)``
+  and priced by :func:`class_costs`, the one cost builder, which the
+  hierarchy's region refinement calls too;
+* the feasibility report (latency SLO + profile support + standalone
+  capacity), built on first use;
 * the epoch-mean carbon intensities Ī_j (the problem's ``intensity`` vector);
 * each application's nearest-feasible-server latency (the baseline for the
   paper's "increased latency" metric).
@@ -44,7 +45,7 @@ engine in the tree: most-constrained application first (fewest candidate
 servers, larger maximum energy first among equals), each placed at the server
 minimising the marginal augmented cost (assignment cost plus the activation
 cost of switching a currently-off server on). Tie-breaking is by an epsilon
-perturbation of the cost matrix (see :meth:`DenseCosts.from_matrices`):
+perturbation of the cost matrix (see :func:`repro.core.objective.apply_tie_break`):
 objective-equal servers are ordered by the tie-break matrix — one-way latency
 for the carbon/energy/intensity objectives, operational carbon for the
 latency objective — and remaining exact ties resolve to the lowest server
@@ -68,8 +69,8 @@ and the pinned conflict-tail placements hold the contract.
 **Class rows.** The kernels read one table row per application class:
 :class:`DenseCosts` holds (C, S) cost, mask and energy tables and a (C, S, K)
 demand table, and its (A,) ``row_class`` maps each application to its row.
-Scenario-tier problems record their scenario classes; a raw-constructed
-problem is one class per application.
+A scenario-tier epoch's classes are its :class:`EpochDelta`'s; a
+raw-constructed problem is one class per application.
 """
 
 from __future__ import annotations
@@ -85,9 +86,11 @@ import numpy as np
 from repro.core.filters import FeasibilityReport, filter_feasible_servers
 from repro.core.objective import (
     ObjectiveKind,
+    activation_values,
     apply_tie_break,
-    objective_coefficients,
-    tie_break_matrix,
+    minmax_pools,
+    raw_values,
+    tie_values,
 )
 from repro.core.problem import (
     _EMPTY_DEMAND,
@@ -130,7 +133,8 @@ class DenseCosts:
     capacity:
         (S, K) available capacity per server.
     mask:
-        (C, S) candidate mask from the feasibility report.
+        (C, S) candidate mask: latency SLO, profile support and the
+        standalone capacity fit.
     cost:
         (C, S) assignment cost including the deterministic epsilon tie-break;
         ``+inf`` outside the mask.
@@ -159,49 +163,24 @@ class DenseCosts:
     row_class: np.ndarray
 
     @classmethod
-    def from_matrices(
-        cls,
-        problem: PlacementProblem,
-        report: FeasibilityReport,
-        assign: np.ndarray,
-        activation: np.ndarray | None = None,
-        manage_power: bool = True,
-        tie_breaker: np.ndarray | None = None,
-    ) -> "DenseCosts":
-        """Assemble dense tensors for arbitrary per-application assignment
-        costs, one class per application: the tables are the per-application
-        matrices themselves.
+    def from_matrices(cls, problem: PlacementProblem, report: FeasibilityReport,
+                      assign: np.ndarray) -> "DenseCosts":
+        """Dense tensors for caller-supplied (A, S) assignment costs, one
+        class per application: the tables are the per-application matrices
+        themselves, masked by ``report``, with no tie-break perturbation
+        (exact ties resolve to the lowest server index) and a zero
+        activation channel.
 
-        The demand and capacity tensors are shared read-only with the problem
-        (built once per epoch); only the cost matrix is objective-specific.
-        ``tie_breaker`` is an optional (A, S) secondary cost: objective-equal
-        candidates order by it through an epsilon perturbation scaled so the
-        perturbation never exceeds ``1e-5`` of the largest feasible
-        assignment cost. ``None`` disables the perturbation (exact ties then
-        resolve to the lowest server index).
+        The demand, energy and capacity tensors are shared read-only with
+        the problem; only the cost matrix is built fresh.
         """
-        return cls._assemble(problem, report.mask,
-                             cls._tie_broken(assign, report.mask, tie_breaker),
-                             assign, problem.demand_dense(), problem.energy_j,
-                             activation, manage_power,
-                             np.arange(problem.n_applications))
-
-    @classmethod
-    def _assemble(cls, problem: PlacementProblem, mask: np.ndarray,
-                  cost: np.ndarray, raw_assign: np.ndarray, demand: np.ndarray,
-                  energy: np.ndarray, activation: np.ndarray | None,
-                  manage_power: bool, row_class: np.ndarray) -> "DenseCosts":
-        """The tensors around already tie-broken, masked class cost rows."""
-        s = problem.n_servers
-        if activation is None:
-            activation = np.zeros(s)
-        initially_on = (problem.current_power > 0.5) if manage_power \
-            else np.ones(s, dtype=bool)
-        return cls(keys=list(problem.resource_keys()), demand=demand,
-                   capacity=problem.capacity_dense(),
-                   mask=mask, cost=cost, raw_assign=raw_assign, energy=energy,
-                   activation=np.asarray(activation, dtype=float),
-                   initially_on=initially_on, row_class=row_class)
+        return cls(keys=list(problem.resource_keys()), demand=problem.demand_dense(),
+                   capacity=problem.capacity_dense(), mask=report.mask,
+                   cost=cls._tie_broken(assign, report.mask, None),
+                   raw_assign=assign, energy=problem.energy_j,
+                   activation=np.zeros(problem.n_servers),
+                   initially_on=problem.current_power > 0.5,
+                   row_class=np.arange(problem.n_applications))
 
     @staticmethod
     def _tie_broken(assign: np.ndarray, mask: np.ndarray,
@@ -228,6 +207,44 @@ def bool_all(fits_per_key: np.ndarray) -> np.ndarray:
     if fits_per_key.shape[-1] == 0:
         return np.ones(fits_per_key.shape[:-1], dtype=bool)
     return np.all(fits_per_key, axis=-1)
+
+
+def class_costs(lat: np.ndarray, feas: np.ndarray, mask: np.ndarray,
+                energy: np.ndarray, demand: np.ndarray, capacity: np.ndarray, *,
+                keys: Sequence[str], intensity: np.ndarray,
+                act_carbon: np.ndarray, act_energy: np.ndarray,
+                current_power: np.ndarray, objective: ObjectiveKind,
+                alpha: float, manage_power: bool,
+                row_class: np.ndarray) -> DenseCosts:
+    """The one cost builder: :class:`DenseCosts` of some application classes
+    over some servers, priced by :mod:`repro.core.objective`'s formulas.
+
+    ``lat``, ``feas`` (SLO + support), ``mask`` (the candidate mask: ``feas``
+    and the standalone capacity fit) and ``energy`` are the classes' (C, S)
+    rows, ``demand`` their (C, S, K) rows over ``keys`` and ``capacity`` the
+    servers' (S, K) table; ``intensity``, the activation carbon and energy
+    rows and ``current_power`` are (S,); ``row_class`` gives each
+    application's class. The multi objective pools its min-max over these
+    classes' feasible entries and these servers' activation rows, so a
+    hierarchy region normalises over its own pairs as the flat epoch does
+    over the fleet's. Power left unmanaged zeroes the activation channel and
+    treats every server as on. The caller holds the rows to its dense-cell
+    budget; the builder checks none.
+    """
+    norm = None
+    if objective is ObjectiveKind.MULTI:
+        norm = minmax_pools([(feas, energy)], intensity, act_carbon, act_energy)
+    inten = np.broadcast_to(intensity, lat.shape)
+    raw = raw_values(objective, energy, lat, inten, norm, alpha)
+    initially_on = current_power > 0.5 if manage_power \
+        else np.ones(len(current_power), dtype=bool)
+    return DenseCosts(
+        keys=list(keys), demand=demand, capacity=capacity, mask=mask,
+        cost=DenseCosts._tie_broken(raw, mask, tie_values(objective, energy, lat, inten)),
+        raw_assign=raw, energy=energy,
+        activation=activation_values(objective, act_carbon, act_energy,
+                                     manage_power, norm, alpha),
+        initially_on=initially_on, row_class=row_class)
 
 
 #: The construction deadline is polled every this many applications inside
@@ -717,22 +734,17 @@ def assignment_to_solution(problem: PlacementProblem, assignment: np.ndarray,
                              power_on=power_on, unplaced=unplaced)
 
 
-def dense_greedy_solution(
-    problem: PlacementProblem,
-    assign: np.ndarray,
-    activation: np.ndarray | None = None,
-    tie_breaker: np.ndarray | None = None,
-) -> PlacementSolution:
-    """One-shot greedy placement for an arbitrary cost matrix.
+def dense_greedy_solution(problem: PlacementProblem,
+                          assign: np.ndarray) -> PlacementSolution:
+    """One-shot greedy placement for an arbitrary (A, S) cost matrix.
 
-    Used by policies whose objective is not one of the registered
-    :class:`ObjectiveKind` coefficient builders (e.g. the Random baseline's
-    sampled costs). Shares the compiled feasibility report and resource
-    tensors; only the cost matrix is built fresh.
+    Used by policies whose objective is not an :class:`ObjectiveKind` (the
+    Random baseline's sampled costs). Shares the compiled feasibility report
+    and resource tensors; only the cost matrix is built fresh
+    (:meth:`DenseCosts.from_matrices`).
     """
     compilation = compile_placement(problem)
-    dense = DenseCosts.from_matrices(problem, compilation.report, assign,
-                                     activation, tie_breaker=tie_breaker)
+    dense = DenseCosts.from_matrices(problem, compilation.report, assign)
     state = GreedyState(dense)
     greedy_fill(state)
     return assignment_to_solution(problem, state.assignment)
@@ -747,9 +759,12 @@ class EpochCompilation:
     """
 
     problem: PlacementProblem
+    #: The scenario tier's delta the problem was assembled from, whose class
+    #: tables the dense views read; ``None`` (a raw-constructed or cleared
+    #: problem) is one class per application, on the problem's own tensors.
+    delta: EpochDelta | None = None
     _report: FeasibilityReport | None = field(default=None, repr=False)
-    _classes: tuple | None = field(default=None, repr=False)
-    _coefficients: dict = field(default_factory=dict, repr=False)
+    _tables: tuple | None = field(default=None, repr=False)
     _dense: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -780,54 +795,48 @@ class EpochCompilation:
         """Applications with no feasible server at all (``nearest`` is +inf)."""
         return int(np.isinf(self.nearest_feasible_ms).sum())
 
-    def _row_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, inverse, demand, energy)``, computed once: the first row
-        of each application class (classes in ascending order), (A,) each
-        application's class number, and the class rows of the problem's
-        demand and energy tensors, which every dense view shares."""
-        if self._classes is None:
-            problem = self.problem
-            _, rows, inverse = np.unique(problem._row_class, return_index=True,
-                                         return_inverse=True)
-            self._classes = (rows, inverse.reshape(-1), problem.demand_dense()[rows],
-                             problem.energy_j[rows])
-        return self._classes
+    def _class_tables(self) -> tuple:
+        """``(rows, row_class, mask, energy, demand)``, built once and shared
+        by every dense view: the problem rows that stand for the classes,
+        each application's class, and the classes' candidate-mask, energy
+        and demand rows.
 
-    def _coefficient_rows(self, objective: ObjectiveKind, alpha: float
-                          ) -> tuple[np.ndarray, np.ndarray]:
-        """(class-row assign, activation) objective coefficients, cached per
-        (kind, alpha).
-
-        Each coefficient is an elementwise function of its row, and every
-        scale (the multi objective's min-max pool) is taken over the same
-        multiset of values, so the class rows are the per-application
-        build's rows bit for bit.
-        """
-        key = (objective, float(alpha))
-        if key not in self._coefficients:
-            self._coefficients[key] = objective_coefficients(
-                self.problem, objective, alpha, self._row_classes()[0])
-        return self._coefficients[key]
+        A scenario epoch reads its delta: the candidate fit runs on the
+        (blocks, S, K) demand rows before they are expanded to class rows,
+        which is the report's mask row for row. A raw or cleared problem's
+        classes are its applications, masked by its feasibility report."""
+        if self._tables is None:
+            problem, delta = self.problem, self.delta
+            if delta is None:
+                self._tables = (slice(None), np.arange(problem.n_applications),
+                                self.report.mask, problem.energy_j,
+                                problem.demand_dense())
+            else:
+                blocks = delta.class_block
+                fits = np.all(delta.demand <= delta.capacity + 1e-9, axis=-1)[blocks]
+                self._tables = (delta.first_app, delta.app_class,
+                                problem.feasible_mask()[delta.first_app] & fits,
+                                delta.energy[blocks], delta.demand[blocks])
+        return self._tables
 
     def dense(self, objective: ObjectiveKind = ObjectiveKind.CARBON,
               alpha: float = 0.0, manage_power: bool = True) -> DenseCosts:
-        """Dense cost tensors for an objective, cached per (kind, alpha, power)."""
+        """Dense cost tensors for an objective, cached per (kind, alpha, power).
+
+        The classes' latency and SLO + support rows are gathered per view
+        from the problem, so the compilation keeps no copy of them."""
         key = (objective, float(alpha), bool(manage_power))
         if key not in self._dense:
-            # Every objective's coefficients and tie-break rows are functions
-            # of an application's class, so the tie-break and the infinite
-            # masking run on one row per class (the epsilon's scales are
-            # maxima over the same multiset of values).
-            rows, inverse, demand, energy = self._row_classes()
-            assign, activation = self._coefficient_rows(objective, alpha)
-            if not manage_power:
-                activation = np.zeros_like(activation)
-            mask = self.report.mask[rows]
-            cost = DenseCosts._tie_broken(
-                assign, mask, tie_break_matrix(self.problem, objective, rows))
-            self._dense[key] = DenseCosts._assemble(
-                self.problem, mask, cost, assign, demand, energy, activation,
-                manage_power, inverse)
+            problem = self.problem
+            rows, row_class, mask, energy, demand = self._class_tables()
+            self._dense[key] = class_costs(
+                problem.latency_ms[rows], problem.feasible_mask()[rows], mask,
+                energy, demand, problem.capacity_dense(),
+                keys=problem.resource_keys(), intensity=problem.intensity,
+                act_carbon=problem.activation_carbon_g(),
+                act_energy=problem.activation_energy_j(),
+                current_power=problem.current_power, objective=objective,
+                alpha=alpha, manage_power=manage_power, row_class=row_class)
         return self._dense[key]
 
 
@@ -849,10 +858,11 @@ def clear_compilation(problem: PlacementProblem) -> None:
     """Drop every cache derived from a problem's arrays.
 
     Call after mutating a problem in place, so nothing solves against stale
-    tensors. Clears the memoised :class:`EpochCompilation` *and* the
-    problem-level caches it builds on (feasibility mask, dense resource
-    tensors, id index maps), and resets the row classes recorded at assembly,
-    which a mutated row may no longer honour, to one class per application.
+    tensors. Clears the memoised :class:`EpochCompilation` — and with it the
+    epoch's class tables, which a mutated row may no longer honour, so the
+    next compilation is one class per application — *and* the problem-level
+    caches it builds on (feasibility mask, dense resource tensors, id index
+    maps).
     """
     problem._compilation = None
     problem._feasible_mask = None
@@ -861,7 +871,6 @@ def clear_compilation(problem: PlacementProblem) -> None:
     problem._app_ids = None
     problem._app_index_map = None
     problem._server_index_map = None
-    problem._row_class = np.arange(problem.n_applications)
 
 
 # -- scenario-lifetime compilation ---------------------------------------------
@@ -883,13 +892,16 @@ def clear_compilation(problem: PlacementProblem) -> None:
 # rebuild. The class-specific rows sit in contiguous class tables indexed by
 # scenario class id, filled in bulk for a batch's unseen classes; the rows a
 # class shares with its (workload, rate) block sit in keyed LRU caches, read
-# once per block per epoch. Each epoch tensor is then one fancy-index gather,
-# and the problem records the scenario class ids as its row classes, which
-# the epoch tier costs one row per class on (:meth:`EpochCompilation.dense`).
-# The per-epoch remainder is the :class:`EpochDelta`: the epoch-mean
-# intensity vector (one memoised forecast integral per zone), the arrival
-# batch with its class indices, and the warm-start allocation state (live
-# capacities and power when the fleet is not pristine). Every delta carries a
+# once per block per epoch. The per-epoch remainder is the
+# :class:`EpochDelta`: the epoch-mean intensity vector (one memoised forecast
+# integral per zone), the arrival batch with its class indices, the
+# warm-start allocation state (live capacities and power when the fleet is
+# not pristine), and the epoch's class tables — its classes, their blocks,
+# the blocks' energy and demand rows and the capacity table — which both the
+# flat epoch (:meth:`compile_epoch`) and the hierarchy
+# (:func:`repro.solver.hierarchy.solve_hierarchical`) start from. Each
+# per-application problem tensor is one fancy-index gather, and the epoch
+# tier costs one row per class (:meth:`EpochCompilation.dense`). Every delta carries a
 # columnar :class:`~repro.workloads.generator.ApplicationBatch`; a plain
 # application sequence is wrapped once on the way in
 # (:meth:`ApplicationBatch.from_applications`, which keeps the caller's objects
@@ -917,15 +929,15 @@ def clear_compilation(problem: PlacementProblem) -> None:
 # requires each server's site, zone, CPU and accelerator to be the ones the
 # rows were derived from (:meth:`ScenarioCompilation.matches`), so a server
 # changed in place gets a fresh compilation. Allocation state is *not*
-# cached — a delta away from baseline capacity reads live capacities and
-# recomputes the capacity-dependent report.
+# cached — a delta away from baseline capacity reads live capacities, and
+# its candidate fit runs against them.
 
 
 #: Per-scenario class caches are dropped wholesale beyond this many distinct
 #: application classes (unbounded only for adversarial streams of distinct
 #: request rates; catalogue workloads stay tiny). The same limit caps each of
-#: the keyed row caches (blocks / energy / dense / fit rows) individually, as
-#: an LRU instead of a wholesale drop.
+#: the keyed row caches (blocks / energy / dense rows) individually, as an
+#: LRU instead of a wholesale drop.
 CLASS_CACHE_LIMIT: int = 4096
 
 
@@ -965,9 +977,17 @@ class EpochDelta:
         Warm-start allocation state: per-server available capacity and power
         at the epoch's start. For a pristine fleet these are the scenario
         baselines (all capacity free, every server on).
-    baseline_capacity:
-        Capacities equal the scenario baseline (enables the cached
-        capacity-fit report rows).
+    classes / first_app / app_class:
+        The epoch's class tables' rows: (C,) the batch's scenario classes in
+        ascending order, (C,) the first application of each, and (A,) each
+        application's class (its ``row_class``).
+    blocks / class_block:
+        The classes' (workload, rate) blocks, ascending by block id, and
+        (C,) each class's block.
+    keys / energy / demand / capacity:
+        The epoch's resource keys, the blocks' (B, S) dynamic energy and
+        (B, S, K) demand rows, and the (S, K) capacity table (live, or the
+        cached baseline).
     """
 
     hour: int
@@ -978,7 +998,15 @@ class EpochDelta:
     intensity: np.ndarray
     capacities: tuple
     current_power: np.ndarray
-    baseline_capacity: bool
+    classes: np.ndarray
+    first_app: np.ndarray
+    app_class: np.ndarray
+    blocks: tuple
+    class_block: np.ndarray
+    keys: tuple
+    energy: np.ndarray
+    demand: np.ndarray
+    capacity: np.ndarray
     #: Generation of the scenario's class table these indices point into
     #: (the table is dropped wholesale past its cache limit; a delta held
     #: across such a trim must have its indices re-derived, not trusted).
@@ -1046,7 +1074,6 @@ class ScenarioCompilation:
         self._blocks: OrderedDict[tuple, _WorkloadBlock] = OrderedDict()
         self._energy_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._dense_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._fits_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
         #: Keyed rows evicted by the LRU caps (telemetry; see cache_stats).
         self._row_evictions: int = 0
         #: Bumped whenever the class table is dropped wholesale, so deltas
@@ -1140,22 +1167,6 @@ class ScenarioCompilation:
             self._lru_put(self._dense_rows, cache_key, row)
         return row
 
-    def _fits_row(self, workload: str, rate: float, keys: tuple) -> np.ndarray:
-        """(S,) standalone capacity fit of one class at the *baseline* capacity.
-
-        Mirrors ``filter_feasible_servers``'s
-        ``np.all(demand <= capacity[None] + 1e-9, axis=-1)`` — only valid
-        while the fleet holds no allocations.
-        """
-        cache_key = (workload, rate, keys)
-        row = self._lru_get(self._fits_rows, cache_key)
-        if row is None:
-            capacity = self._capacity_dense(keys)
-            row = np.all(self._dense_row(workload, rate, keys) <= capacity + 1e-9,
-                         axis=-1)
-            self._lru_put(self._fits_rows, cache_key, row)
-        return row
-
     def _capacity_dense(self, keys: tuple, capacities: list | None = None) -> np.ndarray:
         """(S, K) capacity tensor over ``keys`` (baseline cached, live computed).
 
@@ -1198,9 +1209,9 @@ class ScenarioCompilation:
     # static rows of scenario class k: its (S,) one-way latencies (with the
     # INFEASIBLE fill on unsupported servers), its SLO + support feasibility,
     # its nearest-feasible latency, and the id of its (workload, rate) block,
-    # whose rows (support, demand, energy, dense demand, capacity fit) live in
-    # the keyed LRU caches. An epoch's tensors are one fancy-index gather from
-    # these tables plus one row per block.
+    # whose rows (support, demand, energy, dense demand) live in the keyed LRU
+    # caches. An epoch's tensors are one fancy-index gather from these tables
+    # plus one row per block.
 
     def _reset_class_tables(self) -> None:
         s = len(self.servers)
@@ -1313,7 +1324,6 @@ class ScenarioCompilation:
         self._n_classes = 0
         self._reset_class_tables()
         self._dense_rows.clear()
-        self._fits_rows.clear()
         self._energy_rows.clear()
         self._blocks.clear()
 
@@ -1328,13 +1338,11 @@ class ScenarioCompilation:
         row_bytes = self._lat[:n].nbytes + self._feas[:n].nbytes
         row_bytes += sum(r.nbytes for r in self._energy_rows.values())
         row_bytes += sum(r.nbytes for r in self._dense_rows.values())
-        row_bytes += sum(r.nbytes for r in self._fits_rows.values())
         return {
             "n_classes": n,
             "n_blocks": len(self._blocks),
             "n_energy_rows": len(self._energy_rows),
             "n_dense_rows": len(self._dense_rows),
-            "n_fits_rows": len(self._fits_rows),
             "row_bytes": int(row_bytes),
             "row_evictions": int(self._row_evictions),
             "class_generation": int(self._class_generation),
@@ -1349,7 +1357,8 @@ class ScenarioCompilation:
         """Capture one epoch's moving parts against this scenario's substrate.
 
         Classes register once per unique class of the batch (in first-arrival
-        order) and the per-app index vector is one gather. A sequence of
+        order) and the per-app index vector is one gather; the class tables
+        fetch one energy and one demand row per block. A sequence of
         ``Application`` objects is wrapped in a batch first
         (:meth:`ApplicationBatch.from_applications`), which keeps the objects
         by identity: the assembled problem hands back the caller's instances.
@@ -1362,11 +1371,19 @@ class ScenarioCompilation:
             raise ValueError("cannot build a placement problem with no applications")
         self._trim_class_caches()
         class_indices = self._batch_class_indices(batch)
-        unallocated = all(not srv.allocations for srv in self.servers)
-        if unallocated:
+        classes, first_app, app_class = np.unique(
+            class_indices, return_index=True, return_inverse=True)
+        block_ids, class_block = np.unique(self._class_block[classes],
+                                           return_inverse=True)
+        blocks = tuple(self._block_keys[b] for b in block_ids.tolist())
+        keys = self._epoch_keys([self._block(w, r) for w, r in blocks])
+        horizon_hours = float(horizon_hours)
+        if all(not srv.allocations for srv in self.servers):
             capacities = tuple(self._baseline())
+            capacity = self._capacity_dense(keys)
         else:
             capacities = tuple(srv.available_capacity for srv in self.servers)
+            capacity = self._capacity_dense(keys, list(capacities))
         current_power = np.array([1.0 if srv.is_on else 0.0 for srv in self.servers])
         if use_forecast:
             horizon = int(np.ceil(horizon_hours))
@@ -1376,21 +1393,23 @@ class ScenarioCompilation:
             by_zone = {zone: self.carbon.current_intensity(zone, hour)
                        for zone in dict.fromkeys(self._zones)}
         intensity = np.array([by_zone[zone] for zone in self._zones])
-        return EpochDelta(hour=int(hour), horizon_hours=float(horizon_hours),
-                          use_forecast=use_forecast, applications=batch,
-                          class_indices=class_indices, intensity=intensity,
-                          capacities=capacities, current_power=current_power,
-                          baseline_capacity=unallocated,
-                          class_generation=self._class_generation)
+        return EpochDelta(
+            hour=int(hour), horizon_hours=horizon_hours, use_forecast=use_forecast,
+            applications=batch, class_indices=class_indices, intensity=intensity,
+            capacities=capacities, current_power=current_power, classes=classes,
+            first_app=first_app, app_class=app_class, blocks=blocks,
+            class_block=class_block, keys=keys,
+            energy=np.stack([self._energy_row(w, r, horizon_hours) for w, r in blocks]),
+            demand=np.stack([self._dense_row(w, r, keys) for w, r in blocks]),
+            capacity=capacity, class_generation=self._class_generation)
 
     # -- assembly ----------------------------------------------------------------
 
     def compile_epoch(self, delta: EpochDelta) -> EpochCompilation:
         """Assemble the epoch compilation for one delta.
 
-        Every call gathers a fresh problem from the class tables; at baseline
-        capacity the feasibility report is gathered from the cached fit rows
-        too.
+        Every call gathers a fresh problem from the class tables, and the
+        compilation keeps the delta, whose class tables its dense views read.
         """
         if delta.class_generation != self._class_generation:
             # The class table was dropped (cache-limit trim) after this delta
@@ -1399,14 +1418,8 @@ class ScenarioCompilation:
             # gathering silently wrong rows.
             delta = self.epoch_delta(delta.applications, delta.hour,
                                      delta.horizon_hours, delta.use_forecast)
-        block_ids, app_block = np.unique(self._class_block[delta.class_indices],
-                                         return_inverse=True)
-        blocks = [self._block_keys[b] for b in block_ids.tolist()]
-        app_block = app_block.reshape(len(delta.class_indices))
-        problem = self._assemble_problem(delta, blocks, app_block)
-        compilation = EpochCompilation(problem=problem)
-        if delta.baseline_capacity:
-            compilation._report = self._assemble_report(problem, blocks, app_block)
+        problem = self._assemble_problem(delta)
+        compilation = EpochCompilation(problem=problem, delta=delta)
         problem._compilation = compilation
         return compilation
 
@@ -1421,30 +1434,26 @@ class ScenarioCompilation:
         delta = self.epoch_delta(applications, hour, horizon_hours, use_forecast)
         return self.compile_epoch(delta).problem
 
-    def _assemble_problem(self, delta: EpochDelta, blocks: list,
-                          app_block: np.ndarray) -> PlacementProblem:
+    def _assemble_problem(self, delta: EpochDelta) -> PlacementProblem:
         """Gather one epoch's problem tensors from the class tables.
 
-        ``blocks`` are the epoch's (workload, rate) blocks and ``app_block``
-        (A,) each application's position in them. Class rows come from the
-        class tables and block rows from the row caches (one lookup per
-        block); each tensor is then expanded to per-application rows with a
-        single fancy-index gather, which materialises fresh copies.
+        Class rows come from the class tables, block rows from the delta
+        (energy, dense demand) and the row caches (support, demand vectors;
+        one lookup per block); each tensor is then expanded to
+        per-application rows with a single fancy-index gather, which
+        materialises fresh copies.
         """
         ensure_dense_cell_budget(len(delta.applications), len(self.servers),
                                  context="ScenarioCompilation epoch assembly")
         idx = delta.class_indices
-        workload_blocks = [self._block(w, r) for w, r in blocks]
-        keys = self._epoch_keys(workload_blocks)
-        energy = np.stack([self._energy_row(w, r, delta.horizon_hours)
-                           for w, r in blocks])
-        dense = np.stack([self._dense_row(w, r, keys) for w, r in blocks])
+        app_block = delta.class_block[delta.app_class]
+        workload_blocks = [self._block(w, r) for w, r in delta.blocks]
         demand_rows = [block.demand_row for block in workload_blocks]
         problem = PlacementProblem(
             applications=LazyApplications(delta.applications),
             servers=list(self.servers),
             latency_ms=self._lat[idx],
-            energy_j=energy[app_block],
+            energy_j=delta.energy[app_block],
             demands=[demand_rows[b] for b in app_block.tolist()],
             intensity=delta.intensity,
             capacities=list(delta.capacities),
@@ -1455,16 +1464,10 @@ class ScenarioCompilation:
         )
         # Seed every lazy problem cache the problem would derive from the
         # same rows: the SLO+support mask, the nearest-feasible latencies, and
-        # the dense resource tensors. Every per-app row is gathered from its
-        # class's rows, so the scenario classes are recorded too.
-        problem._row_class = idx
+        # the dense resource tensors.
         problem._feasible_mask = self._feas[idx]
         problem._nearest_feasible = self._near[idx]
-        if delta.baseline_capacity:
-            capacity_dense = self._capacity_dense(keys)
-        else:
-            capacity_dense = self._capacity_dense(keys, list(delta.capacities))
-        problem._dense_resources = (keys, capacity_dense, dense[app_block])
+        problem._dense_resources = (delta.keys, delta.capacity, delta.demand[app_block])
         return problem
 
     def _epoch_keys(self, blocks: Sequence[_WorkloadBlock]) -> tuple:
@@ -1476,26 +1479,6 @@ class ScenarioCompilation:
         for block in blocks:
             key_set.update(block.demand_keys)
         return tuple(sorted(key_set))
-
-    def _assemble_report(self, problem: PlacementProblem, blocks: list,
-                         app_block: np.ndarray) -> FeasibilityReport:
-        """Gather the feasibility report from the class tables + fit rows.
-
-        Only valid at baseline capacity (the fit rows are); non-pristine
-        deltas leave the report to the lazy vectorised filter, which reads
-        the seeded dense tensors against the live capacities.
-        """
-        keys, _, _ = problem._dense_resources
-        feasible = problem._feasible_mask
-        if len(keys):
-            fits = np.stack([self._fits_row(w, r, keys) for w, r in blocks])
-            mask = feasible & fits[app_block]
-        else:
-            mask = feasible.copy()
-        unplaceable = np.flatnonzero(~mask.any(axis=1)).tolist()
-        useful = sorted(set(np.flatnonzero(mask.any(axis=0)).tolist()))
-        return FeasibilityReport(mask=mask, unplaceable=unplaceable,
-                                 useful_servers=useful)
 
 
 #: Scenario-compilation cache: keyed on the substrate identity — the latency

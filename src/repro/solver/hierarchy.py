@@ -24,8 +24,9 @@ planetary regime (10k sites × 10^5 apps). This tier keeps per-stage tensors at
    on class tables cut from the rows this function already holds: the
    scenario tier's latency and feasibility rows of the region's classes and
    the epoch's per-block energy and demand rows, restricted to the region's
-   server columns and checked against the epoch's capacity table
-   (:func:`_region_costs`). These are the tables the ``greedy`` backend
+   server columns and fitted against the epoch's capacity table, then
+   priced by :func:`repro.solver.compile.class_costs`, the builder the flat
+   epoch's dense views use. These are the tables the ``greedy`` backend
    would build for the region's own problem, bit for bit; no per-region
    problem, sub-batch or solution is assembled. Regions are refined one
    after another in region-index order.
@@ -45,17 +46,28 @@ byte-stable across worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.objective import ObjectiveKind, apply_tie_break
+from repro.core.objective import (
+    ObjectiveKind,
+    apply_tie_break,
+    minmax_pools,
+    raw_values,
+    tie_values,
+)
 from repro.core.problem import ensure_dense_cell_budget
 from repro.network.geo import pairwise_distances_km
-from repro.solver.compile import DenseCosts, GreedyState, ScenarioCompilation, greedy_fill
+from repro.solver.compile import (
+    DenseCosts,
+    GreedyState,
+    ScenarioCompilation,
+    class_costs,
+    greedy_fill,
+)
 from repro.solver.config import DEFAULT_SOLVER_CONFIG, SolverConfig
 from repro.utils.rng import substream
-from repro.utils.units import joules_to_kwh
 
 if TYPE_CHECKING:  # typing only
     from repro.workloads.application import Application
@@ -245,120 +257,13 @@ class HierarchicalResult:
 COARSE_BLOCK_CELLS: int = 1 << 18
 
 
-def _minmax_pools(parts: Iterable[tuple[np.ndarray, np.ndarray]],
-                  intensity: np.ndarray, act_carbon: np.ndarray,
-                  act_energy: np.ndarray) -> dict:
-    """(lo, span) of the carbon and energy min-max normalisation.
-
-    Mirrors the flat ``_minmax_normalize`` pool: every feasible assignment
-    entry when any entry is feasible, else every entry, plus every
-    activation coefficient. ``parts`` yields ``(feasible, energy)`` class
-    rows over the servers of ``intensity`` and the activation rows, so the
-    pool can be read class block by class block. Class rows replicate per
-    app, which leaves the minimum and maximum unchanged.
-    """
-    feasible: dict[str, list] = {"carbon": [], "energy": []}
-    everything: dict[str, list] = {"carbon": [], "energy": []}
-    for feas, e in parts:
-        for name, values in (("carbon", joules_to_kwh(e) * intensity), ("energy", e)):
-            everything[name] += [values.min(), values.max()]
-            if feas.any():
-                feasible[name] += [values[feas].min(), values[feas].max()]
-    pools = feasible if feasible["carbon"] else everything
-    norm = {}
-    for name, activation in (("carbon", act_carbon), ("energy", act_energy)):
-        lo = float(min(activation.min(), *pools[name]))
-        hi = float(max(activation.max(), *pools[name]))
-        norm[name] = (lo, hi - lo)
-    return norm
-
-
-def _blend(norm: dict, alpha: float, c: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Equation 8's ``α·ê + (1-α)·ĉ`` of carbon ``c`` and energy ``e`` under a
-    :func:`_minmax_pools` normalisation (a zero span normalises to zero)."""
-    (c_lo, c_span), (e_lo, e_span) = norm["carbon"], norm["energy"]
-    c_hat = (c - c_lo) / c_span if c_span > 0 else np.zeros_like(c)
-    e_hat = (e - e_lo) / e_span if e_span > 0 else np.zeros_like(e)
-    return alpha * e_hat + (1.0 - alpha) * c_hat
-
-
-def _raw_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
-                inten: np.ndarray, norm: dict | None = None,
-                alpha: float = 0.0) -> np.ndarray:
-    """Raw assignment coefficients of (class, server) pairs, given their
-    energy, one-way latency and server intensity, elementwise; the multi
-    objective blends under ``norm``."""
-    if objective is ObjectiveKind.LATENCY:
-        return lat
-    if objective is ObjectiveKind.INTENSITY:
-        return inten
-    if objective is ObjectiveKind.ENERGY:
-        return e
-    c = joules_to_kwh(e) * inten
-    if objective is ObjectiveKind.CARBON:
-        return c
-    return _blend(norm, alpha, c, e)
-
-
-def _tie_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
-                inten: np.ndarray) -> np.ndarray:
-    """Tie-break values of (class, server) pairs, elementwise: operational
-    carbon for the latency objective, one-way latency for every other."""
-    if objective is ObjectiveKind.LATENCY:
-        return joules_to_kwh(e) * inten
-    return lat
-
-
-def _region_costs(compilation: ScenarioCompilation, cols: np.ndarray,
-                  classes: np.ndarray, blocks: np.ndarray, row_class: np.ndarray,
-                  *, keys: tuple, energy: np.ndarray, demand: np.ndarray,
-                  capacity: np.ndarray, intensity: np.ndarray,
-                  act_carbon: np.ndarray, act_energy: np.ndarray,
-                  current_power: np.ndarray, objective: ObjectiveKind,
-                  alpha: float, manage_power: bool) -> DenseCosts:
-    """One region's class tables, cut from the epoch's rows: the tables the
-    ``greedy`` backend builds for the region's own problem (its routed apps
-    over the server columns ``cols``), bit for bit.
-
-    ``classes`` are the region's scenario classes, ``blocks`` each class's
-    row of the epoch's (blocks, S) ``energy`` and (blocks, S, K) ``demand``
-    tables, and ``row_class`` each region app's class; block rows are cut to
-    ``cols`` before they are expanded to class rows, so no gather spans the
-    fleet. The mask is the SLO + support row and the standalone fit against
-    the epoch's ``capacity`` table (live or baseline). The coefficients are
-    the problem's elementwise formulas, and the multi objective pools the
-    region's own feasible entries and activation row, as the flat
-    normalisation pools its problem's. The epoch's key axis is a superset of
-    a region problem's: a key the region lacks has zero demand and zero
-    capacity there, so no fit changes. The region is held to the dense-cell
-    budget as its problem was (routed apps × its servers).
-    """
-    ensure_dense_cell_budget(len(row_class), len(cols),
-                             context="hierarchy region refinement")
-    region = np.ix_(classes, cols)
-    lat, feas = compilation._lat[region], compilation._feas[region]
-    e = energy[np.ix_(blocks, cols)]
-    block_demand, cap = demand[:, cols], capacity[cols]
-    mask = feas & np.all(block_demand <= cap + 1e-9, axis=-1)[blocks]
-    intensity, act_carbon, act_energy = intensity[cols], act_carbon[cols], act_energy[cols]
-    inten = np.broadcast_to(intensity, lat.shape)
-    norm = None
-    if objective is ObjectiveKind.MULTI:
-        norm = _minmax_pools([(feas, e)], intensity, act_carbon, act_energy)
-    raw = _raw_values(objective, e, lat, inten, norm, alpha)
-    if not manage_power or objective in (ObjectiveKind.LATENCY, ObjectiveKind.INTENSITY):
-        activation = np.zeros(len(cols))
-    elif objective is ObjectiveKind.MULTI:
-        activation = _blend(norm, alpha, act_carbon, act_energy)
-    else:
-        activation = act_carbon if objective is ObjectiveKind.CARBON else act_energy
-    initially_on = current_power[cols] > 0.5 if manage_power \
-        else np.ones(len(cols), dtype=bool)
-    return DenseCosts(
-        keys=list(keys), demand=block_demand[blocks], capacity=cap, mask=mask,
-        cost=DenseCosts._tie_broken(raw, mask, _tie_values(objective, e, lat, inten)),
-        raw_assign=raw, energy=e, activation=activation,
-        initially_on=initially_on, row_class=row_class)
+#: What a region refused by the dense-cell budget should do instead: it is
+#: already inside the hierarchical tier, so a finer plan or a larger budget.
+_REGION_REMEDY: str = (
+    "Use a region plan with more regions (build_region_plan(..., n_regions), "
+    "or carbon-edge experiments run planetary_sweep --hierarchy-regions N), "
+    "so no region's routed applications x servers cross the budget, or raise "
+    "CARBON_EDGE_MAX_DENSE_CELLS if the machine has the memory for it.")
 
 
 def _remaining_capacities(capacity: np.ndarray, local: np.ndarray,
@@ -401,7 +306,9 @@ def solve_hierarchical(
     pass reduces blocks of class rows (at most :data:`COARSE_BLOCK_CELLS`
     cells each) to ``(R,)`` aggregates per class, and each region is refined
     by the greedy kernel on (region classes × region servers) tables
-    (:func:`_region_costs`). The regions come from ``plan``. Greedy
+    (:func:`repro.solver.compile.class_costs`), each region held to the
+    dense-cell budget as its own problem would be (routed apps × its
+    servers). The regions come from ``plan``. Greedy
     refinement is the one route, so ``config`` (validated on construction)
     and ``seed`` change nothing. See the module docstring for the four
     stages and the determinism contract.
@@ -410,15 +317,19 @@ def solve_hierarchical(
         raise ValueError("cannot solve an empty application batch")
     servers = compilation.servers
 
-    # -- epoch delta: class rows, epoch-mean intensities, capacities ------------
+    # -- epoch delta: class tables, epoch-mean intensities, capacities ----------
     # The delta carries the arrivals as a columnar batch (a list is wrapped
-    # once, keeping its objects); every pass below works on class rows and
-    # index arrays, so no Application object is built.
+    # once, keeping its objects) and the epoch's class tables: ``uniq`` are
+    # the batch's scenario classes, ``inverse`` each app's position among
+    # them and ``class_block`` each class's row of the (workload, rate)
+    # blocks' energy and demand tables. Every pass below works on class rows
+    # and index arrays, so no Application object is built.
     delta = compilation.epoch_delta(applications, hour, horizon_hours, use_forecast)
     intensity = delta.intensity
     class_idx = delta.class_indices
     n_apps = len(class_idx)
-    uniq, inverse = np.unique(class_idx, return_inverse=True)
+    uniq, inverse, class_block = delta.classes, delta.app_class, delta.class_block
+    keys, energy, demand, cap_dense = delta.keys, delta.energy, delta.demand, delta.capacity
 
     # -- effective regions (server-bearing) -------------------------------------
     all_cols = region_server_columns(plan, servers)
@@ -431,28 +342,16 @@ def solve_hierarchical(
     perm = np.concatenate(cols)
     starts = np.cumsum([0] + [len(c) for c in cols])[:-1]
 
-    # -- class rows: one table row per class, one cached row per block ----------
-    # ``uniq`` are the batch's scenario classes and ``inverse`` each app's
-    # position among them; a class's energy and demand rows are its
-    # (workload, rate) block's, fetched once per block.
-    block_ids, class_block = np.unique(compilation._class_block[uniq],
-                                       return_inverse=True)
-    blocks = [compilation._block_keys[b] for b in block_ids.tolist()]
-    keys = compilation._epoch_keys([compilation._block(w, r) for w, r in blocks])
-    horizon = float(horizon_hours)
-    energy = np.stack([compilation._energy_row(w, r, horizon) for w, r in blocks])
-    demand = np.stack([compilation._dense_row(w, r, keys) for w, r in blocks])
-    act_carbon = compilation.base_power_w * horizon / 1000.0 * intensity
-    act_energy = compilation.base_power_w * horizon * 3600.0
+    # -- activation rows and the fleet-wide multi-objective pool ---------------
+    act_carbon = compilation.base_power_w * delta.horizon_hours / 1000.0 * intensity
+    act_energy = compilation.base_power_w * delta.horizon_hours * 3600.0
     n_classes = len(uniq)
     step = max(1, COARSE_BLOCK_CELLS // len(servers))
     spans = [slice(lo, lo + step) for lo in range(0, n_classes, step)]
 
     norm: dict[str, tuple[float, float]] | None = None
     if objective is ObjectiveKind.MULTI:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        norm = _minmax_pools(
+        norm = minmax_pools(
             ((compilation._feas[uniq[rows]], energy[class_block[rows]]) for rows in spans),
             intensity, act_carbon, act_energy)
 
@@ -478,18 +377,14 @@ def solve_hierarchical(
         e, lat = energy.ravel()[block_col], compilation._lat.ravel()[ks[row] * n_servers + j]
         class_mask.flat[cells] = True
         class_cost.flat[cells] = np.minimum.reduceat(
-            _raw_values(objective, e, lat, intensity[j], norm, alpha), runs)
+            raw_values(objective, e, lat, intensity[j], norm, alpha), runs)
         class_tie.flat[cells] = np.minimum.reduceat(
-            _tie_values(objective, e, lat, intensity[j]), runs)
+            tie_values(objective, e, lat, intensity[j]), runs)
         class_energy.flat[cells] = np.minimum.reduceat(e, runs)
         for k in range(len(keys)):
             class_demand[..., k].flat[cells] = np.minimum.reduceat(
                 demand[..., k].ravel()[block_col], runs)
 
-    if delta.baseline_capacity:
-        cap_dense = compilation._capacity_dense(keys)
-    else:
-        cap_dense = compilation._capacity_dense(keys, list(delta.capacities))
     cap_region = np.add.reduceat(cap_dense[perm], starts, axis=0)
 
     # -- the coarse apps×regions greedy pass ------------------------------------
@@ -513,7 +408,11 @@ def solve_hierarchical(
     # -- per-region refinement on the class tables ------------------------------
     # A region's classes are the rows of ``uniq`` its apps use, and the
     # kernel reads its apps in ascending index order, as the region's own
-    # problem lists them.
+    # problem lists them. Block rows are cut to the region's columns and
+    # fitted before they are expanded to class rows, so no gather spans the
+    # fleet. The epoch's key axis is a superset of a region problem's: a key
+    # the region lacks has zero demand and zero capacity there, so no fit
+    # changes.
     region_app_counts = [0] * n_eff
     assignment = np.full(n_apps, -1, dtype=int)
     refined: dict[int, tuple] = {}
@@ -522,18 +421,24 @@ def solve_hierarchical(
         region_app_counts[r] = len(idx_r)
         if not len(idx_r):
             continue
+        c = cols[r]
+        ensure_dense_cell_budget(len(idx_r), len(c), context="hierarchy region refinement",
+                                 remedy=_REGION_REMEDY)
         rows_r, row_class = np.unique(inverse[idx_r], return_inverse=True)
-        state = GreedyState(_region_costs(
-            compilation, cols[r], uniq[rows_r], class_block[rows_r], row_class,
-            keys=keys, energy=energy, demand=demand, capacity=cap_dense,
-            intensity=intensity, act_carbon=act_carbon, act_energy=act_energy,
-            current_power=delta.current_power, objective=objective,
-            alpha=alpha, manage_power=manage_power))
+        blocks_r, region = class_block[rows_r], np.ix_(uniq[rows_r], c)
+        feas, block_demand, cap = compilation._feas[region], demand[:, c], cap_dense[c]
+        mask = feas & np.all(block_demand <= cap + 1e-9, axis=-1)[blocks_r]
+        state = GreedyState(class_costs(
+            compilation._lat[region], feas, mask, energy[np.ix_(blocks_r, c)],
+            block_demand[blocks_r], cap, keys=keys, intensity=intensity[c],
+            act_carbon=act_carbon[c], act_energy=act_energy[c],
+            current_power=delta.current_power[c], objective=objective,
+            alpha=alpha, manage_power=manage_power, row_class=row_class))
         greedy_fill(state)
         local = state.assignment
         refined[r] = (local, idx_r)
         placed = local >= 0
-        assignment[idx_r[placed]] = cols[r][local[placed]]
+        assignment[idx_r[placed]] = c[local[placed]]
 
     # -- spill: deterministic re-routing of everything still unplaced -----------
     # The multi objective spills by its carbon component: spill is a capacity
@@ -578,9 +483,9 @@ def solve_hierarchical(
     placed = np.flatnonzero(placed_final)
     placed = placed[np.argsort(inverse[placed], kind="stable")]
     j = assignment[placed]
-    values = _raw_values(objective, energy[class_block[inverse[placed]], j],
-                         compilation._lat[class_idx[placed], j], intensity[j],
-                         norm, alpha)
+    values = raw_values(objective, energy[class_block[inverse[placed]], j],
+                        compilation._lat[class_idx[placed], j], intensity[j],
+                        norm, alpha)
     cuts = np.flatnonzero(np.diff(inverse[placed])) + 1
     refined_objective = 0.0
     for part in np.split(values, cuts):
@@ -625,8 +530,8 @@ def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
     fits = feas & np.all(need <= rem + 1e-9, axis=1)
     if not fits.any():
         return False
-    row = _raw_values(objective, energy[b, region_cols],
-                      compilation._lat[k, region_cols], intensity[region_cols])
+    row = raw_values(objective, energy[b, region_cols],
+                     compilation._lat[k, region_cols], intensity[region_cols])
     cost = np.where(fits, row, np.inf)
     j = int(np.argmin(cost))
     if not np.isfinite(cost[j]):

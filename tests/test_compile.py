@@ -101,7 +101,6 @@ def test_raw_problem_is_one_class_per_application():
     from tests.test_highs_backend import _unit_problem
 
     problem = _unit_problem(4, 3)
-    assert np.array_equal(problem._row_class, np.arange(4))
     dense = compile_placement(problem).dense()
     assert np.array_equal(dense.row_class, np.arange(4))
     for table in (dense.cost, dense.raw_assign, dense.mask, dense.energy):
@@ -111,10 +110,12 @@ def test_raw_problem_is_one_class_per_application():
 
 def test_clear_compilation_resets_row_classes(central_eu_problem):
     problem = central_eu_problem
-    assert len(np.unique(problem._row_class)) < problem.n_applications
+    assert len(np.unique(compile_placement(problem).dense().row_class)) \
+        < problem.n_applications
     clear_compilation(problem)
-    assert np.array_equal(problem._row_class, np.arange(problem.n_applications))
-    assert len(compile_placement(problem).dense().cost) == problem.n_applications
+    dense = compile_placement(problem).dense()
+    assert np.array_equal(dense.row_class, np.arange(problem.n_applications))
+    assert len(dense.cost) == problem.n_applications
 
 
 def test_problem_dense_resource_tensors(central_eu_problem):

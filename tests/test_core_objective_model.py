@@ -1,37 +1,39 @@
-"""Objective-builder tests, and the placement MILP's LP relaxation."""
+"""Objective tests (the flat epoch's dense views), and the placement MILP's
+LP relaxation."""
 
 import numpy as np
 import pytest
 
-from repro.core.objective import (
-    ObjectiveKind,
-    carbon_objective_coefficients,
-    energy_objective_coefficients,
-    latency_objective_coefficients,
-    multi_objective_coefficients,
-    objective_coefficients,
-)
+from repro.core.objective import ObjectiveKind
 from repro.solver.backend import SolveRequest, solution_from_assignment
 from repro.solver.backends.highs import PlacementModel
+from repro.solver.compile import compile_placement
+
+
+def _coefficients(problem, kind, alpha=0.0):
+    """(A, S) raw assignment and (S,) activation coefficients of a dense view."""
+    dense = compile_placement(problem).dense(kind, alpha)
+    return dense.raw_assign[dense.row_class], dense.activation
 
 
 def test_carbon_coefficients_match_problem(central_eu_problem):
-    assign, activation = carbon_objective_coefficients(central_eu_problem)
+    assign, activation = _coefficients(central_eu_problem, ObjectiveKind.CARBON)
     assert np.allclose(assign, central_eu_problem.operational_carbon_g())
     assert np.allclose(activation, central_eu_problem.activation_carbon_g())
 
 
 def test_energy_and_latency_coefficients(central_eu_problem):
-    assign, activation = energy_objective_coefficients(central_eu_problem)
+    assign, activation = _coefficients(central_eu_problem, ObjectiveKind.ENERGY)
     assert np.allclose(assign, central_eu_problem.energy_j)
-    lat_assign, lat_activation = latency_objective_coefficients(central_eu_problem)
+    assert np.allclose(activation, central_eu_problem.activation_energy_j())
+    lat_assign, lat_activation = _coefficients(central_eu_problem, ObjectiveKind.LATENCY)
     assert np.allclose(lat_assign, central_eu_problem.latency_ms)
     assert np.all(lat_activation == 0.0)
 
 
 def test_multi_objective_endpoints(central_eu_problem):
-    carbon0, _ = multi_objective_coefficients(central_eu_problem, alpha=0.0)
-    energy1, _ = multi_objective_coefficients(central_eu_problem, alpha=1.0)
+    carbon0, _ = _coefficients(central_eu_problem, ObjectiveKind.MULTI, alpha=0.0)
+    energy1, _ = _coefficients(central_eu_problem, ObjectiveKind.MULTI, alpha=1.0)
     feasible = central_eu_problem.feasible_mask()
     # alpha=0 ranks pairs by carbon; alpha=1 by energy (after normalisation the
     # ordering over feasible entries must match the raw coefficients).
@@ -42,18 +44,18 @@ def test_multi_objective_endpoints(central_eu_problem):
 
 
 def test_multi_objective_normalised_range(central_eu_problem):
-    assign, activation = multi_objective_coefficients(central_eu_problem, alpha=0.5)
+    assign, activation = _coefficients(central_eu_problem, ObjectiveKind.MULTI, alpha=0.5)
     assert assign.min() >= -1e-9 and activation.min() >= -1e-9
 
 
 def test_multi_objective_invalid_alpha(central_eu_problem):
-    with pytest.raises(ValueError):
-        multi_objective_coefficients(central_eu_problem, alpha=1.5)
+    with pytest.raises(ValueError, match="alpha"):
+        compile_placement(central_eu_problem).dense(ObjectiveKind.MULTI, 1.5)
 
 
 def test_objective_dispatch(central_eu_problem):
     for kind in ObjectiveKind:
-        assign, activation = objective_coefficients(central_eu_problem, kind, alpha=0.5)
+        assign, activation = _coefficients(central_eu_problem, kind, alpha=0.5)
         assert assign.shape == (central_eu_problem.n_applications, central_eu_problem.n_servers)
         assert activation.shape == (central_eu_problem.n_servers,)
 

@@ -208,7 +208,7 @@ def _run_batch_and_resolve(fleet, latency, carbon, disable_tier: bool):
     (cold: every build is the per-object reference build)."""
     import contextlib
 
-    from repro.solver.compile import clear_scenario_compilations
+    from repro.solver.compile import clear_scenario_compilations, compile_placement
 
     from tests.conftest import cold_builds
 
@@ -220,7 +220,7 @@ def _run_batch_and_resolve(fleet, latency, carbon, disable_tier: bool):
         apps = make_apps(fleet.sites(), n_per_site=2)
         batch = placer.place_batch(apps, hour=0)
         resolved = placer.resolve_epoch(hour=12)
-    n_classes = len(set(batch.problem._row_class.tolist()))
+    n_classes = len(set(compile_placement(batch.problem).dense().row_class.tolist()))
     assert (n_classes == batch.problem.n_applications) == disable_tier
     return batch, resolved, _allocation_map(fleet)
 

@@ -78,10 +78,10 @@ def test_epoch_tensors_bit_identical_to_cold_rebuild():
     clear_substrate_cache()
     fast = _compiled_epochs()
     for (pc, cc), (pf, cf) in zip(cold, fast):
-        assert np.array_equal(pc._row_class, np.arange(pc.n_applications))
-        assert len(np.unique(pf._row_class)) < pf.n_applications
+        assert np.array_equal(cc.dense().row_class, np.arange(pc.n_applications))
+        assert len(np.unique(cf.dense().row_class)) < pf.n_applications
         _assert_problems_identical(pc, pf)
-        # The pre-seeded feasibility report vs the cold vectorised filter.
+        # The feasibility report, on the tier's tensors and the cold arm's.
         assert np.array_equal(cc.report.mask, cf.report.mask)
         assert cc.report.unplaceable == cf.report.unplaceable
         assert cc.report.useful_servers == cf.report.useful_servers
@@ -182,13 +182,15 @@ def test_compile_scenario_memoised_on_substrate_identity():
 def test_build_over_a_list_records_row_classes(central_eu_fleet, central_eu_latency,
                                                 central_eu_carbon):
     """A list of applications is assembled through the scenario tier too: the
-    problem records its row classes and hands back the caller's objects."""
+    problem is costed on its scenario classes and hands back the caller's
+    objects."""
     apps = make_apps(central_eu_fleet.sites(), n_per_site=2)
     problem = PlacementProblem.build(apps, central_eu_fleet.servers(),
                                      central_eu_latency, central_eu_carbon,
                                      hour=12, horizon_hours=24.0)
-    assert len(np.unique(problem._row_class)) < len(apps)
-    assert len(problem._row_class) == len(apps)
+    row_class = compile_placement(problem).dense().row_class
+    assert len(np.unique(row_class)) < len(apps)
+    assert len(row_class) == len(apps)
     assert all(problem.applications[i] is app for i, app in enumerate(apps))
 
 

@@ -30,7 +30,7 @@ from hypothesis.extra import numpy as hnp
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.traces import TraceSet
 from repro.cluster.fleet import build_regional_fleet
-from repro.core.objective import ObjectiveKind, objective_coefficients, tie_break_matrix
+from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.validation import validate_solution
 from repro.datasets.cities import default_city_catalog
@@ -44,6 +44,7 @@ from repro.solver import hierarchy
 from repro.solver.backend import SolveRequest
 from repro.solver.compile import (
     DenseCosts,
+    EpochCompilation,
     GreedyState,
     ScenarioCompilation,
     _argmin_chunk,
@@ -466,7 +467,7 @@ def _assert_rows_share_class(dense: DenseCosts, problem: PlacementProblem) -> No
     """The class tables of a compiled problem, read through ``row_class``,
     are its per-application demand, energy and candidate rows."""
     _assert_class_tables(dense)
-    assert len(dense.cost) == len(np.unique(problem._row_class))
+    assert len(dense.cost) == len(np.unique(compile_placement(problem).dense().row_class))
     rc = dense.row_class
     assert np.array_equal(dense.demand[rc], problem.demand_dense())
     assert np.array_equal(dense.energy[rc], problem.energy_j)
@@ -496,7 +497,7 @@ def cdn_live_epoch_problem():
     servers[3].power_off()
     live = simulator.scenario_compilation().build_problem(
         list(problem.applications), hour=7)
-    assert len(np.unique(live._row_class)) < live.n_applications
+    assert len(np.unique(compile_placement(live).dense().row_class)) < live.n_applications
     assert not np.array_equal(compile_placement(live).report.mask,
                               compile_placement(problem).report.mask)
     return live
@@ -505,18 +506,17 @@ def cdn_live_epoch_problem():
 def _assert_class_rows_cost_like_apps(problem, objective, manage_power) -> None:
     """Costing one row per class builds exactly the per-application tensors
     read through ``row_class``, and the processing order and speculative
-    winners match the per-application ones."""
+    winners match the per-application ones. The reference is a fresh
+    compilation of the problem without the scenario tier's class tables: the
+    problem's own tensors, one class per application."""
     alpha = 0.5 if objective is ObjectiveKind.MULTI else 0.0
-    compilation = compile_placement(problem)
-    dense = compilation.dense(objective, alpha=alpha, manage_power=manage_power)
+    dense = compile_placement(problem).dense(objective, alpha=alpha,
+                                             manage_power=manage_power)
     _assert_rows_share_class(dense, problem)
 
-    assign, activation = objective_coefficients(problem, objective, alpha)
-    reference = DenseCosts.from_matrices(
-        problem, compilation.report, assign,
-        activation if manage_power else np.zeros_like(activation),
-        manage_power=manage_power,
-        tie_breaker=tie_break_matrix(problem, objective))
+    reference = EpochCompilation(problem=problem).dense(
+        objective, alpha=alpha, manage_power=manage_power)
+    assert np.array_equal(reference.row_class, np.arange(problem.n_applications))
     for name in ("cost", "raw_assign", "mask", "demand", "energy"):
         assert np.array_equal(getattr(dense, name)[dense.row_class],
                               getattr(reference, name)), name
@@ -562,7 +562,6 @@ def test_cold_build_is_one_class_per_application():
         problem = CDNSimulator(scenario=CDNScenario(
             continent="EU", n_epochs=1, max_sites=8, seed=0)).epoch_problem(0)
     n_apps = problem.n_applications
-    assert np.array_equal(problem._row_class, np.arange(n_apps))
     dense = compile_placement(problem).dense()
     assert np.array_equal(dense.row_class, np.arange(n_apps))
     assert dense.cost.shape == dense.mask.shape == (n_apps, problem.n_servers)

@@ -4,10 +4,11 @@ Covers the determinism contract (plans are pure functions of their inputs),
 the degenerate single-region case
 collapsing to the flat solve, spill accounting under overload and over a
 fleet that already holds allocations, every objective's pinned and validated
-outcome (also with the coarse pass cut into small class blocks), the multi
-objective's normalisation pool, the region refinement against the route it
-replaced (a region problem solved by the registry's greedy backend), and the
-dense-cell budget guard that points planetary users at this tier.
+outcome on a pristine and on a live fleet (also with the coarse pass cut into
+small class blocks), the multi objective's normalisation pool, the region
+refinement against the route it replaced (a region problem solved by the
+registry's greedy backend), and the dense-cell budget guard that points
+planetary users at this tier and, inside it, at a finer region plan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.core.objective import ObjectiveKind, objective_coefficients
+from repro.core.objective import ObjectiveKind
 from repro.core.problem import ensure_dense_cell_budget
 from repro.core.validation import validate_solution
 from repro.experiments.planetary_sweep import build_planetary_substrate
@@ -262,7 +263,8 @@ def test_hierarchy_supports_every_objective(objective):
 #: mode, on a slack instance and on the spill instance: SHA-256 of the int64
 #: assignment followed by ``repr`` of the coarse and the refined objective.
 #: Recorded before the coarse pass ran in class blocks, so every objective's
-#: placements and both floats are pinned, not only carbon's.
+#: placements and both floats are pinned, not only carbon's. Every server of
+#: these fleets is on and free, so both power modes share a digest.
 OUTCOME_DIGESTS = {
     ((20, 40), "carbon"): "202b373b4d44dfcf01cfddeaf249421980e37c54c3dcaed03717fcbc649024bd",
     ((20, 40), "energy"): "d6d1ec52dfca38c07794fbc1af0cc1bea22a7bec7fd6c6b6e2b384e96638d0e0",
@@ -276,10 +278,47 @@ OUTCOME_DIGESTS = {
     ((12, 600), "intensity"): "1f8cc2733c9ed623dbc35f1c03bb7379b4211790f118bc134e408466751d6ba0",
 }
 
+#: The same solves on the live fleet of :func:`_make_live`, keyed by (size,
+#: objective, manage_power): allocations narrow the mask and the servers off
+#: open the activation channel, so the power modes part.
+LIVE_OUTCOME_DIGESTS = {
+    ((20, 40), "carbon", True): "5d51b49966e172bbdd1d24ccb5c62002b07c692f21d53fff19d5c614440bb3e4",
+    ((20, 40), "carbon", False): "202b373b4d44dfcf01cfddeaf249421980e37c54c3dcaed03717fcbc649024bd",
+    ((20, 40), "energy", True): "ece9a180324b87de66ec8103aca2c741d4ffc1a2e78f3dfaa92afe41e14d3626",
+    ((20, 40), "energy", False): "d6d1ec52dfca38c07794fbc1af0cc1bea22a7bec7fd6c6b6e2b384e96638d0e0",
+    ((20, 40), "multi", True): "e4c8155fb14f5923b80dbeb40390195f443e523bcd78f43b435cae0e2329d3e9",
+    ((20, 40), "multi", False): "3031dc69a9565d12ad27ee28d66944ce133dac0c11ae95bbca8021871c0636c5",
+    ((20, 40), "latency", True): "6126d2641e844e7346aa0ae6c37d442292ed9e9e4a7743d0fb54f58ec8a033a0",
+    ((20, 40), "latency", False): "6126d2641e844e7346aa0ae6c37d442292ed9e9e4a7743d0fb54f58ec8a033a0",
+    ((20, 40), "intensity", True): "fc0d32400ad98fbaf8ac37891828cb617ba5dd9ce26caca6dae834139a809ca8",
+    ((20, 40), "intensity", False): "fc0d32400ad98fbaf8ac37891828cb617ba5dd9ce26caca6dae834139a809ca8",
+    ((12, 600), "carbon", True): "1e1fd5843deca01d1439cd649ec7a3ddd3955dde0c8bd9b3871f0b3fa2852ddc",
+    ((12, 600), "carbon", False): "909a21724f6cfa75018b0b08b54f3e29a97935a2711b5e67470e811d987e8787",
+    ((12, 600), "energy", True): "7e477da20dbf79a0da03609c80fcafad3190d5f03ee5040abd31bc250b9f6b28",
+    ((12, 600), "energy", False): "c9f87a87692bf6dcf9233ef6c6456daaf776f5a9e8d6999bf7cddef697b3a7cd",
+    ((12, 600), "multi", True): "7aed1a01f6d88bd08a907c2690f3620e8e94aa51647aa7b308e79a52d4802bb9",
+    ((12, 600), "multi", False): "73595f7a0a64df1ad74d2490ab17302015ef430f8abbd1417c631105c755819b",
+    ((12, 600), "latency", True): "aab25f15624475ff9ecb290f6c6e31f3de2370abcdfa33d00dd750f291f2bbd3",
+    ((12, 600), "latency", False): "aab25f15624475ff9ecb290f6c6e31f3de2370abcdfa33d00dd750f291f2bbd3",
+    ((12, 600), "intensity", True): "1f3e3a5bbbad16bdb677eec7bc32af9a62feba7714a2c70ac7a210378e4b26f6",
+    ((12, 600), "intensity", False): "1f3e3a5bbbad16bdb677eec7bc32af9a62feba7714a2c70ac7a210378e4b26f6",
+}
 
-def _pinned_solve(size, objective, manage_power=True):
+
+def _make_live(fleet) -> None:
+    """Every third server half allocated, and the other odd-indexed servers off."""
+    for j, server in enumerate(fleet.servers()):
+        if j % 3 == 0:
+            server.allocate("blocker", server.available_capacity * 0.5)
+        elif j % 2:
+            server.power_off()
+
+
+def _pinned_solve(size, objective, manage_power=True, live=False):
     """(compilation, apps, outcome) of one pinned three-region solve."""
     fleet, compilation, apps = _substrate(*size)
+    if live:
+        _make_live(fleet)
     plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
     outcome = solve_hierarchical(
         compilation, apps, plan, hour=HOUR, objective=objective, alpha=0.5,
@@ -298,11 +337,15 @@ def _outcome_digest(outcome) -> str:
 @pytest.mark.parametrize("manage_power", [True, False])
 @pytest.mark.parametrize("objective", list(ObjectiveKind))
 @pytest.mark.parametrize("size", [(20, 40), (12, 600)])
-def test_every_objective_outcome_is_pinned(size, objective, manage_power):
-    """Pinned, and valid: decoded on the flat problem of the same batch, the
-    refined and spilled placements pass the validator every path answers to."""
-    compilation, apps, outcome = _pinned_solve(size, objective, manage_power)
-    assert _outcome_digest(outcome) == OUTCOME_DIGESTS[size, objective.value]
+@pytest.mark.parametrize("live", [False, True], ids=["pristine", "live"])
+def test_every_objective_outcome_is_pinned(live, size, objective, manage_power):
+    """Pinned, on a pristine and on a live fleet, and valid: decoded on the
+    flat problem of the same batch, the refined and spilled placements pass
+    the validator every path answers to."""
+    compilation, apps, outcome = _pinned_solve(size, objective, manage_power, live)
+    expected = LIVE_OUTCOME_DIGESTS[size, objective.value, manage_power] if live \
+        else OUTCOME_DIGESTS[size, objective.value]
+    assert _outcome_digest(outcome) == expected
     problem = compilation.build_problem(apps, HOUR)
     validate_solution(assignment_to_solution(problem, outcome.assignment,
                                              manage_power), strict=True)
@@ -331,7 +374,7 @@ def test_multi_normalisation_pools_only_feasible_entries():
     min-max pool. Server 0 is CPU-only, so it has no ResNet50 profile, and a
     1 ms SLO leaves its site's ResNet50 applications nowhere to go; their
     zero coefficients on unsupported servers stay out of the pool, as in
-    the flat ``_minmax_normalize``, so the refined objective is the flat
+    the flat epoch's dense view, so the refined objective is the flat
     normalised coefficients of the same placements."""
     fleet, latency, carbon = build_planetary_substrate(20, seed=0)
     fleet.servers()[0].accelerator = None
@@ -346,7 +389,8 @@ def test_multi_normalisation_pools_only_feasible_entries():
 
     problem = compilation.build_problem(apps, HOUR)
     assert (~problem.feasible_mask().any(axis=1)).sum() == 1
-    assign, _ = objective_coefficients(problem, ObjectiveKind.MULTI, 0.5)
+    dense = compile_placement(problem).dense(ObjectiveKind.MULTI, 0.5)
+    assign = dense.raw_assign[dense.row_class]
     placed = np.flatnonzero(outcome.assignment >= 0)
     assert len(placed) == 39
     flat = float(assign[placed, outcome.assignment[placed]].sum())
@@ -423,11 +467,7 @@ def test_region_refinement_is_the_region_problems_greedy_solve(live, size, objec
     the activation channel is open."""
     fleet, compilation, apps = _substrate(*size)
     if live:
-        for j, server in enumerate(fleet.servers()):
-            if j % 3 == 0:
-                server.allocate("blocker", server.available_capacity * 0.5)
-            elif j % 2:
-                server.power_off()
+        _make_live(fleet)
     plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 3, seed=0)
     _assert_refinement_is_the_region_solve(compilation, apps, plan, objective,
                                            0.5, manage_power)
@@ -468,7 +508,8 @@ def test_dense_cell_guard_names_the_hierarchy_knob(monkeypatch):
 def test_dense_cell_guard_spares_the_hierarchical_path(monkeypatch):
     """The same instance that the flat path refuses solves hierarchically:
     no region sub-problem crosses the budget. Each region is still held to
-    it: one region spanning the fleet is refused like the flat build."""
+    it: one region spanning the fleet is refused like the flat build, and
+    the refusal points at a finer plan, not at the tier it came from."""
     monkeypatch.setenv("CARBON_EDGE_MAX_DENSE_CELLS", "400")
     fleet, compilation, apps = _substrate(20, 40)
     with pytest.raises(ValueError):
@@ -479,9 +520,14 @@ def test_dense_cell_guard_spares_the_hierarchical_path(monkeypatch):
         config=SolverConfig(hierarchy_regions=8), seed=0)
     assert outcome.n_placed > 0
     one = build_region_plan(fleet.sites(), fleet.site_coordinates(), 1, seed=0)
-    with pytest.raises(ValueError, match="hierarchy region refinement"):
+    with pytest.raises(ValueError, match="hierarchy region refinement") as excinfo:
         solve_hierarchical(compilation, apps, one, hour=HOUR,
                            config=SolverConfig(hierarchy_regions=1), seed=0)
+    message = str(excinfo.value)
+    assert "more regions" in message
+    assert "--hierarchy-regions N" in message and "build_region_plan" in message
+    assert "CARBON_EDGE_MAX_DENSE_CELLS" in message
+    assert "hierarchical solver tier" not in message
 
 
 @pytest.mark.parametrize("raw", ["1e8", "abc", "2.5", "0", "-5"])
