@@ -336,7 +336,8 @@ def _saturated_epoch(n_servers: int, n_apps: int):
     finite = np.isfinite(rows[np.arange(len(choice)), choice])
     winner_load = np.zeros_like(dense0.capacity)
     np.add.at(winner_load, choice[finite],
-              dense0.demand[dense0.row_class[finite], choice[finite]])
+              dense0.demand[dense0.class_block[dense0.row_class[finite]],
+                            choice[finite]])
     rng = np.random.default_rng(7)
     # The compiled tensor keeps only feasible servers, so size the headroom
     # off its capacity axis (a subset of the fleet's n_servers).

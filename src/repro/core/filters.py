@@ -16,6 +16,18 @@ import numpy as np
 
 from repro.core.problem import PlacementProblem
 
+#: Per-dimension slack of every capacity fit test: it absorbs the float
+#: residue subtraction leaves (0.3 - 0.1 is just under 0.2), so a demand
+#: that fills what is left still fits.
+FIT_SLACK: float = 1e-9
+
+
+def capacity_fits(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Whether ``demand`` fits ``capacity`` on every resource dimension (the
+    last axis, broadcast), each within :data:`FIT_SLACK`. A zero-width
+    resource axis fits everywhere: ``np.all`` over an empty axis is True."""
+    return np.all(demand <= capacity + FIT_SLACK, axis=-1)
+
 
 @dataclass
 class FeasibilityReport:
@@ -57,11 +69,7 @@ def filter_feasible_servers(problem: PlacementProblem,
         # pair: compare the dense (A, S, K) demand tensor against capacity with
         # the same per-dimension slack. Pairs outside the mask have zero
         # demand rows, so restricting afterwards gives identical results.
-        demand = problem.demand_dense()
-        capacity = problem.capacity_dense()
-        if demand.shape[-1]:
-            fits = np.all(demand <= capacity[None, :, :] + 1e-9, axis=-1)
-            mask &= fits
+        mask &= capacity_fits(problem.demand_dense(), problem.capacity_dense())
     unplaceable = np.flatnonzero(~mask.any(axis=1)).tolist()
     useful = np.flatnonzero(mask.any(axis=0)).tolist()  # ascending, unique
     return FeasibilityReport(mask=mask, unplaceable=unplaceable, useful_servers=useful)

@@ -115,6 +115,15 @@ def tie_values(objective: ObjectiveKind, e: np.ndarray, lat: np.ndarray,
     return lat
 
 
+def activation_rows(base_power_w: np.ndarray, horizon_hours: float,
+                    intensity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S,) activation carbon and energy of each server: keeping it on for
+    the horizon emits ``B_j × horizon × Ī_j`` grams (its base power in kWh
+    times its intensity) and uses ``B_j × horizon × 3600`` joules."""
+    activation_kwh = base_power_w * horizon_hours / 1000.0
+    return activation_kwh * intensity, base_power_w * horizon_hours * 3600.0
+
+
 def activation_values(objective: ObjectiveKind, act_carbon: np.ndarray,
                       act_energy: np.ndarray, manage_power: bool,
                       norm: dict | None = None, alpha: float = 0.0) -> np.ndarray:

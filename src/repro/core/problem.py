@@ -20,6 +20,7 @@ import numpy as np
 from repro.carbon.service import CarbonIntensityService
 from repro.cluster.resources import ResourceVector
 from repro.cluster.server import EdgeServer
+from repro.core.objective import activation_rows
 from repro.network.latency import LatencyMatrix
 from repro.utils.units import joules_to_kwh
 from repro.workloads.application import Application
@@ -229,12 +230,11 @@ class PlacementProblem:
 
     def activation_carbon_g(self) -> np.ndarray:
         """(S,) emissions of newly activating each server: B_j × horizon × Ī_j, grams."""
-        activation_kwh = self.base_power_w * self.horizon_hours / 1000.0
-        return activation_kwh * self.intensity
+        return activation_rows(self.base_power_w, self.horizon_hours, self.intensity)[0]
 
     def activation_energy_j(self) -> np.ndarray:
         """(S,) energy of keeping each server on for the horizon, joules."""
-        return self.base_power_w * self.horizon_hours * 3600.0
+        return activation_rows(self.base_power_w, self.horizon_hours, self.intensity)[1]
 
     def app_ids(self) -> tuple[str, ...]:
         """Application ids in row order, computed once.

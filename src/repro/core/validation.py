@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.resources import ResourceVector
+from repro.core.filters import capacity_fits
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
 
@@ -74,7 +75,7 @@ def validate_solution(solution: PlacementSolution, strict: bool = True) -> list[
         capacity_dense = problem.capacity_dense()
         totals = np.zeros_like(capacity_dense)
         np.add.at(totals, j_arr, demand_dense[i_arr, j_arr])
-        over = np.flatnonzero(np.any(totals > capacity_dense + 1e-9, axis=-1))
+        over = np.flatnonzero(~capacity_fits(totals, capacity_dense))
         for j in over:
             j = int(j)
             demand_total = ResourceVector(

@@ -35,7 +35,6 @@ from repro.solver.compile import (  # noqa: F401  (re-exported for compatibility
     DenseCosts,
     EpochCompilation,
     assignment_to_solution,
-    bool_all,
     compile_placement,
 )
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.filters import capacity_fits
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import SolveRequest, solution_from_assignment
-from repro.solver.compile import DenseCosts, GreedyState, bool_all, greedy_fill
+from repro.solver.compile import DenseCosts, GreedyState, greedy_fill
 from repro.solver.registry import register_backend
 
 #: Local-search wall-clock budget when the request carries none.
@@ -93,7 +94,8 @@ class GreedyLocalSearchBackend:
             c, j = dense.row_class[i], int(j)
             if not dense.mask[c, j] or state.assignment[i] >= 0:
                 continue
-            if not bool_all(dense.demand[c, j] <= state.capacity_left[j] + 1e-9):
+            if not capacity_fits(dense.demand[dense.class_block[c], j],
+                                 state.capacity_left[j]):
                 continue
             state.place(i, j)
 

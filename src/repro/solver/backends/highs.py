@@ -74,7 +74,7 @@ class PlacementModel:
         lower, upper = [np.ones(n_rows)], [np.ones(n_rows)]
 
         # Equation 1: per resource, one row per server some pair loads.
-        pair_demand = dense.demand[pair_class, servers]
+        pair_demand = dense.demand[dense.class_block[pair_class], servers]
         for k in range(len(dense.keys)):
             demand = pair_demand[:, k]
             loaded = demand > 0

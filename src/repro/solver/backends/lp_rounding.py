@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.filters import capacity_fits
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import DenseCosts, SolveRequest, solution_from_assignment
-from repro.solver.backend import bool_all
 from repro.solver.backends.highs import PlacementModel
 from repro.solver.registry import register_backend
 
@@ -89,11 +89,12 @@ class LPRandomizedRoundingBackend:
         order = sorted(range(n_apps), key=lambda i: -float(fractions[i].max(initial=0.0)))
         for i in order:
             c = dense.row_class[i]
+            demand = dense.demand[dense.class_block[c]]
             weights = np.where(dense.mask[c], fractions[i], 0.0)
             total = float(weights.sum())
             if total <= 0.0:
                 continue
-            fits = dense.mask[c] & bool_all(dense.demand[c] <= capacity_left + 1e-9)
+            fits = dense.mask[c] & capacity_fits(demand, capacity_left)
             if not fits.any():
                 continue
             j = -1
@@ -109,7 +110,7 @@ class LPRandomizedRoundingBackend:
                 if ranked[j] < 0.0:
                     continue
             assignment[i] = j
-            capacity_left[j] -= dense.demand[c, j]
+            capacity_left[j] -= demand[j]
         return assignment
 
     @staticmethod

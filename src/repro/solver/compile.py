@@ -67,10 +67,15 @@ per-application replay of :func:`_replay_step`), the golden artifact digests
 and the pinned conflict-tail placements hold the contract.
 
 **Class rows.** The kernels read one table row per application class:
-:class:`DenseCosts` holds (C, S) cost, mask and energy tables and a (C, S, K)
-demand table, and its (A,) ``row_class`` maps each application to its row.
-A scenario-tier epoch's classes are its :class:`EpochDelta`'s; a
-raw-constructed problem is one class per application.
+:class:`DenseCosts` holds (C, S) cost, mask and energy tables, and its (A,)
+``row_class`` maps each application to its row. Demand depends on the class
+only through its (workload, request rate) *block*, so it is one (B, S, K)
+table of block rows and the (C,) ``class_block`` gives each class its row:
+application ``i`` reads ``demand[class_block[row_class[i]]]``. A
+scenario-tier epoch's classes and blocks are its :class:`EpochDelta`'s and
+a hierarchy region's are the delta's over the region's servers; the
+hierarchy's coarse pass, a raw-constructed problem and a cleared one are
+one block per class, and the last two one class per application.
 """
 
 from __future__ import annotations
@@ -83,7 +88,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.filters import FeasibilityReport, filter_feasible_servers
+from repro.core.filters import (
+    FIT_SLACK,
+    FeasibilityReport,
+    capacity_fits,
+    filter_feasible_servers,
+)
 from repro.core.objective import (
     ObjectiveKind,
     activation_values,
@@ -118,18 +128,24 @@ class DenseCosts:
     Applications of one class have identical cost, mask, demand and energy
     rows, so the tables hold each class's row once and :attr:`row_class`
     maps every application to its row: application ``i``'s cost at server
-    ``j`` is ``cost[row_class[i], j]``. A gather is exact, so reading
-    through the class index is the per-application tensor bit for bit. The
+    ``j`` is ``cost[row_class[i], j]``. Classes of one (workload, request
+    rate) block share their demand row, so ``demand`` holds each block's
+    row once and :attr:`class_block` maps every class to it: application
+    ``i``'s demand at server ``j`` is
+    ``demand[class_block[row_class[i]], j]``. A gather is exact, so reading
+    through the indices is the per-application tensor bit for bit. The
     fill orders, ranks and takes its speculative winners once per class
     (:func:`_pending_order`, :func:`_argmin_chunk`) and the replay's
-    conflict tail runs one cursor per class (:func:`_replay_classes`).
+    conflict tail runs one cursor per class, sharing each block's demand
+    row and full-server marks across its classes (:func:`_replay_classes`).
 
     Attributes
     ----------
     keys:
         Resource dimensions, the K axis of ``demand`` / ``capacity``.
     demand:
-        (C, S, K) per-pair resource demands (zero outside the support mask).
+        (B, S, K) per-pair resource demands of each block (zero outside the
+        support mask).
     capacity:
         (S, K) available capacity per server.
     mask:
@@ -149,6 +165,8 @@ class DenseCosts:
         (S,) bool, servers already on (all True when power is unmanaged).
     row_class:
         (A,) int, each application's row in the class tables.
+    class_block:
+        (C,) int, each class's row in ``demand``.
     """
 
     keys: list[str]
@@ -161,15 +179,16 @@ class DenseCosts:
     activation: np.ndarray
     initially_on: np.ndarray
     row_class: np.ndarray
+    class_block: np.ndarray
 
     @classmethod
     def from_matrices(cls, problem: PlacementProblem, report: FeasibilityReport,
                       assign: np.ndarray) -> "DenseCosts":
         """Dense tensors for caller-supplied (A, S) assignment costs, one
-        class per application: the tables are the per-application matrices
-        themselves, masked by ``report``, with no tie-break perturbation
-        (exact ties resolve to the lowest server index) and a zero
-        activation channel.
+        class and one block per application: the tables are the
+        per-application matrices themselves, masked by ``report``, with no
+        tie-break perturbation (exact ties resolve to the lowest server
+        index) and a zero activation channel.
 
         The demand, energy and capacity tensors are shared read-only with
         the problem; only the cost matrix is built fresh.
@@ -180,7 +199,8 @@ class DenseCosts:
                    raw_assign=assign, energy=problem.energy_j,
                    activation=np.zeros(problem.n_servers),
                    initially_on=problem.current_power > 0.5,
-                   row_class=np.arange(problem.n_applications))
+                   row_class=np.arange(problem.n_applications),
+                   class_block=np.arange(problem.n_applications))
 
     @staticmethod
     def _tie_broken(assign: np.ndarray, mask: np.ndarray,
@@ -199,14 +219,8 @@ class DenseCosts:
 
     def fits(self, i: int, capacity_left: np.ndarray) -> np.ndarray:
         """(S,) bool: servers with room for application ``i`` given remaining capacity."""
-        return bool_all(self.demand[self.row_class[i]] <= capacity_left + 1e-9)
-
-
-def bool_all(fits_per_key: np.ndarray) -> np.ndarray:
-    """All-dimensions reduction that tolerates a zero-width resource axis."""
-    if fits_per_key.shape[-1] == 0:
-        return np.ones(fits_per_key.shape[:-1], dtype=bool)
-    return np.all(fits_per_key, axis=-1)
+        return capacity_fits(self.demand[self.class_block[self.row_class[i]]],
+                             capacity_left)
 
 
 def class_costs(lat: np.ndarray, feas: np.ndarray, mask: np.ndarray,
@@ -215,16 +229,17 @@ def class_costs(lat: np.ndarray, feas: np.ndarray, mask: np.ndarray,
                 act_carbon: np.ndarray, act_energy: np.ndarray,
                 current_power: np.ndarray, objective: ObjectiveKind,
                 alpha: float, manage_power: bool,
-                row_class: np.ndarray) -> DenseCosts:
+                row_class: np.ndarray, class_block: np.ndarray) -> DenseCosts:
     """The one cost builder: :class:`DenseCosts` of some application classes
     over some servers, priced by :mod:`repro.core.objective`'s formulas.
 
     ``lat``, ``feas`` (SLO + support), ``mask`` (the candidate mask: ``feas``
     and the standalone capacity fit) and ``energy`` are the classes' (C, S)
-    rows, ``demand`` their (C, S, K) rows over ``keys`` and ``capacity`` the
-    servers' (S, K) table; ``intensity``, the activation carbon and energy
-    rows and ``current_power`` are (S,); ``row_class`` gives each
-    application's class. The multi objective pools its min-max over these
+    rows, ``demand`` the (B, S, K) rows of their blocks over ``keys`` and
+    ``capacity`` the servers' (S, K) table; ``intensity``, the activation
+    carbon and energy rows and ``current_power`` are (S,); ``row_class``
+    gives each application's class and ``class_block`` each class's block.
+    The multi objective pools its min-max over these
     classes' feasible entries and these servers' activation rows, so a
     hierarchy region normalises over its own pairs as the flat epoch does
     over the fleet's. Power left unmanaged zeroes the activation channel and
@@ -244,7 +259,7 @@ def class_costs(lat: np.ndarray, feas: np.ndarray, mask: np.ndarray,
         raw_assign=raw, energy=energy,
         activation=activation_values(objective, act_carbon, act_energy,
                                      manage_power, norm, alpha),
-        initially_on=initially_on, row_class=row_class)
+        initially_on=initially_on, row_class=row_class, class_block=class_block)
 
 
 #: The construction deadline is polled every this many applications inside
@@ -306,8 +321,9 @@ class GreedyState:
 
     def place(self, i: int, j: int) -> None:
         """Commit application ``i`` to server ``j``."""
+        dense = self.dense
         self.assignment[i] = j
-        self.capacity_left[j] -= self.dense.demand[self.dense.row_class[i], j]
+        self.capacity_left[j] -= dense.demand[dense.class_block[dense.row_class[i]], j]
         self.served[j] += 1
 
     def place_batch(self, apps: np.ndarray, servers: np.ndarray) -> None:
@@ -324,16 +340,18 @@ class GreedyState:
         """
         if len(apps) == 0:
             return
+        dense = self.dense
         self.assignment[apps] = servers
         np.subtract.at(self.capacity_left, servers,
-                       self.dense.demand[self.dense.row_class[apps], servers])
+                       dense.demand[dense.class_block[dense.row_class[apps]], servers])
         np.add.at(self.served, servers, 1)
         self.stats.waves += 1
         self.stats.wave_placements += int(len(apps))
 
     def move(self, i: int, j0: int, j1: int) -> None:
         """Relocate application ``i`` from server ``j0`` to ``j1``."""
-        self.capacity_left[j0] += self.dense.demand[self.dense.row_class[i], j0]
+        dense = self.dense
+        self.capacity_left[j0] += dense.demand[dense.class_block[dense.row_class[i]], j0]
         self.served[j0] -= 1
         self.place(i, j1)
 
@@ -491,18 +509,18 @@ def _replay_step(state: GreedyState, i: int, j: int) -> None:
     """
     dense = state.dense
     c = dense.row_class[i]
-    demand, capacity_left = dense.demand[c], state.capacity_left
+    demand, capacity_left = dense.demand[dense.class_block[c]], state.capacity_left
     state.stats.serial_steps += 1
     if j < 0:
         # No finite-cost candidate at all: the exact step provably leaves
         # the application unplaced (its feasible set is a subset).
         return
-    if bool(np.all(demand[j] <= capacity_left[j] + 1e-9)):
+    if capacity_fits(demand[j], capacity_left[j]):
         state.place(i, j)
         return
     # Invalidated winner: exact serial step for this row.
     state.stats.invalidations += 1
-    feasible = dense.mask[c] & bool_all(demand <= capacity_left + 1e-9)
+    feasible = dense.mask[c] & capacity_fits(demand, capacity_left)
     if not feasible.any():
         return
     marginal = np.where(feasible, dense.cost[c], np.inf)
@@ -511,94 +529,120 @@ def _replay_step(state: GreedyState, i: int, j: int) -> None:
         state.place(i, j2)
 
 
+#: The ranked list of a class without a speculative winner.
+_NO_CANDIDATES: np.ndarray = np.empty(0, dtype=np.intp)
+
+
 def _replay_classes(state: GreedyState, order: np.ndarray,
                     choices: np.ndarray,
                     deadline: float | None = None) -> None:
     """The conflict tail replayed with one forward-only cursor per class.
 
-    Each class gets one list of its candidate servers — masked, finite
-    cost — ranked by (cost, server index), and a cursor into it. At an
+    Each class gets one list of its candidate servers — finite cost, which
+    is masked — ranked by (cost, server index), and a cursor into it. At an
     application's turn the cursor skips the servers that no longer fit the
     class's demand and the application goes to the first one that does.
+    The classes of one demand block share two things: one flat Python list
+    of the block's demand row, and one mark per server that has failed the
+    block's fit test.
 
-    Exactness: on a cold channel capacity only shrinks and a class's demand
-    row is fixed, so a server skipped for a class never fits that class
-    again. The first fitting server is therefore the argmin the naive loop
-    (and :func:`_replay_step`) takes over the fitting candidates, lowest
-    index among ties included; a class whose speculative winner is ``-1``
-    stays unplaced exactly as :func:`_replay_step` leaves it. Placements
-    subtract in processing order, so the state matches a
-    :func:`_replay_step` loop over the same order bit for bit.
+    Exactness: on a cold channel capacity only shrinks, and the classes of
+    a block share one demand row, so a server that failed the fit test for
+    one class of a block fails it for every later class of that block: a
+    cursor never moves back, and a marked server is skipped untested. The
+    first fitting server is therefore the argmin the naive loop (and
+    :func:`_replay_step`) takes over the fitting candidates, lowest index
+    among ties included; a class whose speculative winner is ``-1`` stays
+    unplaced exactly as :func:`_replay_step` leaves it. An application
+    whose cursor has left its speculative winner, tested or marked, counts
+    the invalidation :func:`_replay_step` counts for a winner that no
+    longer fits. Placements subtract in processing order, so the state
+    matches a :func:`_replay_step` loop over the same order bit for bit.
 
     A class's list is ranked at its first turn, from its class row alone
-    (:func:`_ranked_candidates`), and read in place together with the
-    class's demand row: cursors touch a small prefix of most lists, so no
-    Python object per (class, candidate) pair is ever built. Capacity lives
-    in one flat Python float list, written back once.
+    (:func:`_ranked_candidates`), and read in place with ``.item``: cursors
+    touch a small prefix of most lists, so no Python object per (class,
+    candidate) pair is ever built. Capacity lives in one flat Python float
+    list, written back once. The deadline is polled once per
+    :data:`_DEADLINE_STRIDE` applications.
     """
     n = len(order)
     if n == 0:
         return
     dense = state.dense
-    n_keys = dense.capacity.shape[1]
+    n_servers, n_keys = dense.capacity.shape
+    keys = range(n_keys)
+    slack = FIT_SLACK
     tail_class = dense.row_class[order]
-    n_classes = len(dense.cost)
-    live = np.zeros(n_classes, dtype=bool)
+    live = np.zeros(len(dense.cost), dtype=bool)
     live[tail_class] = choices >= 0  # one winner per class
     live = live.tolist()
-    ranked_servers: list = [None] * n_classes   # (n_c,) int arrays, lazily
-    cursor = [0] * n_classes
+    # Per class: [ranked servers, cursor, list length, block demand, block marks].
+    entries: list = [None] * len(live)
+    blocks: dict[int, tuple] = {}
     capacity = state.capacity_left.ravel().tolist()  # (S * K,) flat
-    keys = range(n_keys)
     apps: list[int] = []
     servers: list[int] = []
+    invalidations = 0
     stats = state.stats
-    for k, (i, c) in enumerate(zip(order.tolist(), tail_class.tolist())):
-        if deadline is not None and k % _DEADLINE_STRIDE == 0 \
-                and time.monotonic() >= deadline:
+    turns = list(zip(order.tolist(), tail_class.tolist()))
+    for lo in range(0, n, _DEADLINE_STRIDE):
+        if _expired(deadline):
             stats.truncated = True
             break
-        stats.serial_steps += 1
-        if not live[c]:
-            continue
-        ranked = ranked_servers[c]
-        if ranked is None:
-            ranked = ranked_servers[c] = _ranked_candidates(dense, c)
-        need = dense.demand[c]  # (S, K) view
-        p, stop = cursor[c], len(ranked)
-        while p < stop:
-            j = ranked.item(p)
-            at = j * n_keys
-            for t in keys:  # the fit test of DenseCosts.fits, per key
-                if not need.item(j, t) <= capacity[at + t] + 1e-9:
-                    break
-            else:
-                break
-            p += 1
-        cursor[c] = p
-        if p:
-            stats.invalidations += 1  # the speculative winner no longer fits
-        if p == stop:
-            continue
-        for t in keys:
-            capacity[at + t] -= need.item(j, t)
-        apps.append(i)
-        servers.append(j)
+        chunk = turns[lo:lo + _DEADLINE_STRIDE]
+        stats.serial_steps += len(chunk)
+        for i, c in chunk:
+            entry = entries[c]
+            if entry is None:
+                b = int(dense.class_block[c])
+                shared = blocks.get(b)
+                if shared is None:
+                    shared = blocks[b] = (dense.demand[b].ravel().tolist(),
+                                          bytearray(n_servers))
+                ranked = _ranked_candidates(dense, c) if live[c] else _NO_CANDIDATES
+                entry = entries[c] = [ranked, 0, len(ranked), *shared]
+            ranked, p, stop, need, full = entry
+            while p < stop:
+                j = ranked.item(p)
+                if not full[j]:
+                    at = j * n_keys
+                    for t in keys:  # the fit test of capacity_fits, per key
+                        if not need[at + t] <= capacity[at + t] + slack:
+                            full[j] = 1
+                            break
+                    else:
+                        break
+                p += 1
+            if p:
+                entry[1] = p
+                invalidations += 1  # the speculative winner no longer fits
+            if p == stop:
+                continue
+            for t in keys:
+                capacity[at + t] -= need[at + t]
+            apps.append(i)
+            servers.append(j)
+    stats.invalidations += invalidations
     state.capacity_left[...] = np.reshape(capacity, state.capacity_left.shape)
     state.assignment[apps] = servers
     np.add.at(state.served, np.asarray(servers, dtype=int), 1)
 
 
 def _ranked_candidates(dense: DenseCosts, row: int) -> np.ndarray:
-    """One row's masked finite-cost candidate servers, ranked.
+    """The finite-cost candidate servers of a row with a speculative winner,
+    ranked.
 
-    Ordered by (cost, server index): ``np.flatnonzero`` yields ascending
-    indices and the stable sort keeps them among equal costs, so the head is
-    the row's lowest-index argmin.
+    Cost is ``+inf`` outside the mask, so the finite entries are masked
+    candidates, and a row with a winner holds no NaN or ``-inf`` (its
+    argmin would have picked one), so ``cost < inf`` keeps exactly its
+    finite entries. Ordered by (cost, server index): ``nonzero`` yields
+    ascending indices and the stable sort keeps them among equal costs, so
+    the head is the row's lowest-index argmin.
     """
     cost = dense.cost[row]
-    candidates = np.flatnonzero(dense.mask[row] & np.isfinite(cost))
-    return candidates[np.argsort(cost[candidates], kind="stable")]
+    candidates = (cost < np.inf).nonzero()[0]
+    return candidates[cost[candidates].argsort(kind="stable")]
 
 
 def _replay_waves(state: GreedyState, order: np.ndarray,
@@ -659,7 +703,8 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
     # Winner demand rows aligned with the replay order ((P, K); zero for
     # winnerless rows so they never perturb a prefix sum).
     wdemand = np.where(has_winner[:, None],
-                       dense.demand[dense.row_class[order], targets], 0.0)
+                       dense.demand[dense.class_block[dense.row_class[order]], targets],
+                       0.0)
     pos = 0
     while pos < n:
         if _expired(deadline):  # polled once per wave round
@@ -687,10 +732,10 @@ def _replay_waves(state: GreedyState, order: np.ndarray,
         prefix = cum - base                         # (r, K) inclusive, per server
         counts = np.bincount(t[hw], minlength=len(capacity_left))
         cap_row = capacity_left[sorted_t]
-        slack = (1e-9 * (counts[sorted_t][:, None] + 1)
+        slack = (FIT_SLACK * (counts[sorted_t][:, None] + 1)
                  + 1e-7 * np.abs(cap_row)
                  + 1e-7 * np.abs(base))             # cumsum-cancellation guard
-        settled_sorted = bool_all(prefix <= cap_row - slack) | ~hw[by_server]
+        settled_sorted = np.all(prefix <= cap_row - slack, axis=-1) | ~hw[by_server]
         settled = np.empty(r, dtype=bool)
         settled[by_server] = settled_sorted
         unsettled = np.flatnonzero(~settled)
@@ -796,27 +841,28 @@ class EpochCompilation:
         return int(np.isinf(self.nearest_feasible_ms).sum())
 
     def _class_tables(self) -> tuple:
-        """``(rows, row_class, mask, energy, demand)``, built once and shared
-        by every dense view: the problem rows that stand for the classes,
-        each application's class, and the classes' candidate-mask, energy
-        and demand rows.
+        """``(rows, row_class, mask, energy, demand, class_block)``, built
+        once and shared by every dense view: the problem rows that stand for
+        the classes, each application's class, the classes' candidate-mask
+        and energy rows, the blocks' demand rows and each class's block.
 
         A scenario epoch reads its delta: the candidate fit runs on the
-        (blocks, S, K) demand rows before they are expanded to class rows,
-        which is the report's mask row for row. A raw or cleared problem's
-        classes are its applications, masked by its feasibility report."""
+        (blocks, S, K) demand rows, which is the report's mask row for row,
+        and the dense views keep those rows unexpanded. A raw or cleared
+        problem's classes and blocks are its applications, masked by its
+        feasibility report."""
         if self._tables is None:
             problem, delta = self.problem, self.delta
             if delta is None:
-                self._tables = (slice(None), np.arange(problem.n_applications),
-                                self.report.mask, problem.energy_j,
-                                problem.demand_dense())
+                apps = np.arange(problem.n_applications)
+                self._tables = (slice(None), apps, self.report.mask,
+                                problem.energy_j, problem.demand_dense(), apps)
             else:
                 blocks = delta.class_block
-                fits = np.all(delta.demand <= delta.capacity + 1e-9, axis=-1)[blocks]
+                fits = capacity_fits(delta.demand, delta.capacity)[blocks]
                 self._tables = (delta.first_app, delta.app_class,
                                 problem.feasible_mask()[delta.first_app] & fits,
-                                delta.energy[blocks], delta.demand[blocks])
+                                delta.energy[blocks], delta.demand, blocks)
         return self._tables
 
     def dense(self, objective: ObjectiveKind = ObjectiveKind.CARBON,
@@ -828,7 +874,7 @@ class EpochCompilation:
         key = (objective, float(alpha), bool(manage_power))
         if key not in self._dense:
             problem = self.problem
-            rows, row_class, mask, energy, demand = self._class_tables()
+            rows, row_class, mask, energy, demand, class_block = self._class_tables()
             self._dense[key] = class_costs(
                 problem.latency_ms[rows], problem.feasible_mask()[rows], mask,
                 energy, demand, problem.capacity_dense(),
@@ -836,7 +882,8 @@ class EpochCompilation:
                 act_carbon=problem.activation_carbon_g(),
                 act_energy=problem.activation_energy_j(),
                 current_power=problem.current_power, objective=objective,
-                alpha=alpha, manage_power=manage_power, row_class=row_class)
+                alpha=alpha, manage_power=manage_power, row_class=row_class,
+                class_block=class_block)
         return self._dense[key]
 
 

@@ -50,8 +50,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from repro.core.filters import capacity_fits
 from repro.core.objective import (
     ObjectiveKind,
+    activation_rows,
     apply_tie_break,
     minmax_pools,
     raw_values,
@@ -343,8 +345,8 @@ def solve_hierarchical(
     starts = np.cumsum([0] + [len(c) for c in cols])[:-1]
 
     # -- activation rows and the fleet-wide multi-objective pool ---------------
-    act_carbon = compilation.base_power_w * delta.horizon_hours / 1000.0 * intensity
-    act_energy = compilation.base_power_w * delta.horizon_hours * 3600.0
+    act_carbon, act_energy = activation_rows(compilation.base_power_w,
+                                             delta.horizon_hours, intensity)
     n_classes = len(uniq)
     step = max(1, COARSE_BLOCK_CELLS // len(servers))
     spans = [slice(lo, lo + step) for lo in range(0, n_classes, step)]
@@ -396,7 +398,8 @@ def solve_hierarchical(
                        capacity=cap_region, mask=class_mask,
                        cost=class_tie_broken, raw_assign=class_cost,
                        energy=class_energy, activation=np.zeros(n_eff),
-                       initially_on=np.ones(n_eff, dtype=bool), row_class=inverse)
+                       initially_on=np.ones(n_eff, dtype=bool), row_class=inverse,
+                       class_block=np.arange(n_classes))
     state = GreedyState(dense)
     greedy_fill(state)
     routed = state.assignment
@@ -408,8 +411,8 @@ def solve_hierarchical(
     # -- per-region refinement on the class tables ------------------------------
     # A region's classes are the rows of ``uniq`` its apps use, and the
     # kernel reads its apps in ascending index order, as the region's own
-    # problem lists them. Block rows are cut to the region's columns and
-    # fitted before they are expanded to class rows, so no gather spans the
+    # problem lists them. Block rows are cut to the region's columns, fitted
+    # there and passed as the region's demand table, so no gather spans the
     # fleet. The epoch's key axis is a superset of a region problem's: a key
     # the region lacks has zero demand and zero capacity there, so no fit
     # changes.
@@ -427,13 +430,14 @@ def solve_hierarchical(
         rows_r, row_class = np.unique(inverse[idx_r], return_inverse=True)
         blocks_r, region = class_block[rows_r], np.ix_(uniq[rows_r], c)
         feas, block_demand, cap = compilation._feas[region], demand[:, c], cap_dense[c]
-        mask = feas & np.all(block_demand <= cap + 1e-9, axis=-1)[blocks_r]
+        mask = feas & capacity_fits(block_demand, cap)[blocks_r]
         state = GreedyState(class_costs(
             compilation._lat[region], feas, mask, energy[np.ix_(blocks_r, c)],
-            block_demand[blocks_r], cap, keys=keys, intensity=intensity[c],
+            block_demand, cap, keys=keys, intensity=intensity[c],
             act_carbon=act_carbon[c], act_energy=act_energy[c],
             current_power=delta.current_power[c], objective=objective,
-            alpha=alpha, manage_power=manage_power, row_class=row_class))
+            alpha=alpha, manage_power=manage_power, row_class=row_class,
+            class_block=blocks_r))
         greedy_fill(state)
         local = state.assignment
         refined[r] = (local, idx_r)
@@ -486,10 +490,7 @@ def solve_hierarchical(
     values = raw_values(objective, energy[class_block[inverse[placed]], j],
                         compilation._lat[class_idx[placed], j], intensity[j],
                         norm, alpha)
-    cuts = np.flatnonzero(np.diff(inverse[placed])) + 1
-    refined_objective = 0.0
-    for part in np.split(values, cuts):
-        refined_objective += float(part.sum())
+    refined_objective = _sum_by_part(values, np.flatnonzero(np.diff(inverse[placed])) + 1)
 
     return HierarchicalResult(
         assignment=assignment,
@@ -502,6 +503,26 @@ def solve_hierarchical(
         region_server_counts=tuple(len(c) for c in cols),
         plan=plan,
     )
+
+
+def _sum_by_part(values: np.ndarray, cuts: np.ndarray) -> float:
+    """The float ``total += float(part.sum())`` gives over the parts
+    ``np.split(values, cuts)``, starting from ``0.0``, with numpy calls per
+    distinct part length instead of per part.
+
+    The parts of one length are gathered into the rows of one C-contiguous
+    array: a row sum runs numpy's pairwise summation over one contiguous
+    row, as a part's own ``sum`` does, so each part sum keeps its bits. The
+    running total is the last element of a ``cumsum``, which adds left to
+    right.
+    """
+    starts = np.concatenate(([0], cuts))
+    lengths = np.diff(np.append(starts, len(values)))
+    sums = np.zeros(len(starts) + 1)
+    for length in np.unique(lengths).tolist():
+        at = np.flatnonzero(lengths == length)
+        sums[at + 1] = values[starts[at, None] + np.arange(length)].sum(axis=1)
+    return float(np.cumsum(sums)[-1])
 
 
 def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
@@ -527,7 +548,7 @@ def _spill_into(compilation: ScenarioCompilation, region_cols: np.ndarray,
     if rem is None:
         rem = remaining[r] = cap_dense[region_cols]  # a gather: a fresh copy
     need = demand[b][region_cols]
-    fits = feas & np.all(need <= rem + 1e-9, axis=1)
+    fits = feas & capacity_fits(need, rem)
     if not fits.any():
         return False
     row = raw_values(objective, energy[b, region_cols],

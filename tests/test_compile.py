@@ -97,7 +97,7 @@ def test_clear_compilation_invalidates_problem_caches(central_eu_problem):
 
 def test_raw_problem_is_one_class_per_application():
     """A raw-constructed problem records each row as its own class, and its
-    dense view holds one table row per application."""
+    dense view holds one table row and one demand block per application."""
     from tests.test_highs_backend import _unit_problem
 
     problem = _unit_problem(4, 3)
@@ -105,6 +105,7 @@ def test_raw_problem_is_one_class_per_application():
     assert np.array_equal(dense.row_class, np.arange(4))
     for table in (dense.cost, dense.raw_assign, dense.mask, dense.energy):
         assert table.shape == (4, 3)
+    assert np.array_equal(dense.class_block, np.arange(4))
     assert dense.demand.shape[:2] == (4, 3)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.filters import filter_feasible_servers
+from repro.core.filters import capacity_fits, filter_feasible_servers
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
 from repro.core.validation import ValidationError, validate_solution
@@ -27,6 +27,18 @@ def test_filter_capacity_prunes_oversized_demands(florida_fleet, florida_latency
     assert without_capacity.n_candidate_pairs > 0
     assert with_capacity.n_candidate_pairs == 0
     assert with_capacity.unplaceable == [0]
+
+
+def test_capacity_fit_tolerates_residue_and_a_zero_width_key_axis():
+    """A demand that fills what float subtraction left (0.3 - 0.1 is just
+    under 0.2) fits within the slack, a larger one does not, and a
+    zero-width resource axis fits everywhere."""
+    left = np.array([0.3 - 0.1, 1.0])
+    assert left[0] < 0.2
+    assert capacity_fits(np.array([0.2, 1.0]), left)
+    assert not capacity_fits(np.array([0.2, 1.0 + 1e-6]), left)
+    fits = capacity_fits(np.zeros((2, 3, 0)), np.zeros((3, 0)))
+    assert fits.shape == (2, 3) and fits.all()
 
 
 def test_filter_useful_servers(central_eu_problem):

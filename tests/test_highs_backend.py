@@ -71,7 +71,7 @@ def _brute_force(dense: DenseCosts) -> float:
     cost = np.zeros(n_combos)
     for col, i in enumerate(rows):
         j, c = combos[:, col], dense.row_class[i]
-        load[every, j] += dense.demand[c, j]
+        load[every, j] += dense.demand[dense.class_block[c], j]
         used[every, j] = True
         cost += dense.cost[c, j]
     fits = np.all(load <= dense.capacity + 1e-9, axis=(1, 2))

@@ -92,11 +92,15 @@ def test_epoch_tensors_bit_identical_to_cold_rebuild():
                      ObjectiveKind.LATENCY, ObjectiveKind.INTENSITY):
             dc, df = cc.dense(kind), cf.dense(kind)
             assert dc.keys == df.keys
-            # The class tables, read through each arm's row classes.
-            for attr in ("demand", "mask", "cost", "raw_assign", "energy"):
+            # The class tables, read through each arm's row classes, and the
+            # demand blocks through each arm's class blocks.
+            for attr in ("mask", "cost", "raw_assign", "energy"):
                 a = getattr(dc, attr)[dc.row_class]
                 b = getattr(df, attr)[df.row_class]
                 assert a.dtype == b.dtype and np.array_equal(a, b), (kind, attr)
+            a = dc.demand[dc.class_block[dc.row_class]]
+            b = df.demand[df.class_block[df.row_class]]
+            assert a.dtype == b.dtype and np.array_equal(a, b), (kind, "demand")
             for attr in ("capacity", "activation", "initially_on"):
                 a, b = getattr(dc, attr), getattr(df, attr)
                 assert a.dtype == b.dtype and np.array_equal(a, b), (kind, attr)

@@ -11,9 +11,10 @@ conservation) on randomized dense instances and on randomized
 :class:`~repro.core.problem.PlacementProblem`\\ s. The replay's conflict tail
 runs one cursor per class; it is held to a per-application replay of
 :func:`_replay_step` (:func:`_replay_per_app`, the reference kept here) on
-instances whose applications share a few class rows, and its premise (a
-class row reads like each of its applications' rows) is checked on every
-producer of class tables.
+instances whose applications share a few class rows and whose classes share
+a few demand blocks, and its premise (a class row, and a class's block row,
+reads like each of its applications' rows) is checked on every producer of
+class tables.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from hypothesis.extra import numpy as hnp
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.traces import TraceSet
 from repro.cluster.fleet import build_regional_fleet
+from repro.core.filters import capacity_fits
 from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.validation import validate_solution
@@ -102,14 +104,15 @@ def dense_instances(draw):
     dense = DenseCosts(keys=[f"r{k}" for k in range(n_keys)], demand=demand,
                        capacity=capacity.astype(float), mask=mask, cost=cost,
                        raw_assign=cost, energy=energy, activation=activation,
-                       initially_on=initially_on, row_class=np.arange(n_apps))
+                       initially_on=initially_on, row_class=np.arange(n_apps),
+                       class_block=np.arange(n_apps))
     state = GreedyState(dense)
     warm = draw(st.lists(
         st.tuples(st.integers(0, n_apps - 1), st.integers(0, n_servers - 1)),
         max_size=n_apps))
     for i, j in warm:
         if mask[i, j] and state.assignment[i] < 0 and \
-                bool(np.all(demand[i, j] <= state.capacity_left[j] + 1e-9)):
+                capacity_fits(demand[i, j], state.capacity_left[j]):
             state.place(i, j)
     return state
 
@@ -128,12 +131,13 @@ def _replay_per_app(state: GreedyState, order: np.ndarray,
 
 
 def _per_app(dense: DenseCosts) -> DenseCosts:
-    """The same instance with its class tables expanded to one row per
-    application (one class per application)."""
+    """The same instance with its class and block tables expanded to one row
+    per application (one class and one block per application)."""
     rc = dense.row_class
-    return replace(dense, demand=dense.demand[rc], mask=dense.mask[rc],
-                   cost=dense.cost[rc], raw_assign=dense.raw_assign[rc],
-                   energy=dense.energy[rc], row_class=np.arange(len(rc)))
+    return replace(dense, demand=dense.demand[dense.class_block[rc]],
+                   mask=dense.mask[rc], cost=dense.cost[rc],
+                   raw_assign=dense.raw_assign[rc], energy=dense.energy[rc],
+                   row_class=np.arange(len(rc)), class_block=np.arange(len(rc)))
 
 
 def _assert_same_state(reference: GreedyState, arm: GreedyState) -> None:
@@ -319,23 +323,28 @@ def test_place_batch_replays_sequential_place_exactly(instance, rnd):
 @st.composite
 def class_instances(draw):
     """A random cold-channel DenseCosts whose applications share a few
-    class rows.
+    class rows, and whose classes share a few demand blocks.
 
-    Each application draws one of a few class rows (cost, mask, demand,
-    energy) and ``row_class`` records the draw. Otherwise as adversarial as
+    Each application draws one of a few class rows (cost, mask, energy) and
+    ``row_class`` records the draw; each class draws one of a few block
+    demand rows and ``class_block`` records that draw, so several classes
+    read one demand row. Otherwise as adversarial as
     :func:`dense_instances`: contended capacity, ``inf`` costs inside the
     mask, zero-width resource axes and warm starts.
     """
     n_classes = draw(st.integers(1, 4))
+    n_blocks = draw(st.integers(1, n_classes))
     n_apps = draw(st.integers(1, 14))
     n_servers = draw(st.integers(1, 6))
     n_keys = draw(st.integers(0, 2))
     class_mask = draw(hnp.arrays(bool, (n_classes, n_servers)))
-    # Decimal fractions leave float residue after subtraction (0.3 - 0.1 -
-    # 0.2 > 0), which is what the fit test's 1e-9 tolerance absorbs.
+    class_block = draw(hnp.arrays(np.int64, (n_classes,),
+                                  elements=st.integers(0, n_blocks - 1)))
+    # Decimal fractions leave float residue after subtraction (0.3 - 0.1 is
+    # just under 0.2), which is what the fit test's FIT_SLACK absorbs.
     decimals = st.sampled_from([0.1, 0.2, 0.3, 0.7])
-    class_demand = draw(hnp.arrays(
-        float, (n_classes, n_servers, n_keys),
+    block_demand = draw(hnp.arrays(
+        float, (n_blocks, n_servers, n_keys),
         elements=st.floats(0.0, 5.0, allow_nan=False, width=32) | decimals))
     finite_cost = draw(hnp.arrays(
         float, (n_classes, n_servers),
@@ -353,11 +362,11 @@ def class_instances(draw):
     row_class = draw(hnp.arrays(np.int64, (n_apps,),
                                 elements=st.integers(0, n_classes - 1)))
     dense = DenseCosts(keys=[f"r{k}" for k in range(n_keys)],
-                       demand=class_demand, capacity=capacity,
+                       demand=block_demand, capacity=capacity,
                        mask=class_mask, cost=class_cost, raw_assign=class_cost,
                        energy=class_energy, activation=np.zeros(n_servers),
                        initially_on=np.ones(n_servers, dtype=bool),
-                       row_class=row_class)
+                       row_class=row_class, class_block=class_block)
     state = GreedyState(dense)
     warm = draw(st.lists(
         st.tuples(st.integers(0, n_apps - 1), st.integers(0, n_servers - 1)),
@@ -365,7 +374,7 @@ def class_instances(draw):
     for i, j in warm:
         c = row_class[i]
         if class_mask[c, j] and state.assignment[i] < 0 and \
-                bool(np.all(class_demand[c, j] <= state.capacity_left[j] + 1e-9)):
+                capacity_fits(block_demand[class_block[c], j], state.capacity_left[j]):
             state.place(i, j)
     return state
 
@@ -436,7 +445,8 @@ def test_class_tail_is_reached_through_greedy_fill():
                        raw_assign=np.array([[1.0, 2.0]]),
                        energy=np.zeros((1, 2)), activation=np.zeros(2),
                        initially_on=np.ones(2, dtype=bool),
-                       row_class=np.zeros(n_apps, dtype=np.int64))
+                       row_class=np.zeros(n_apps, dtype=np.int64),
+                       class_block=np.zeros(1, dtype=np.int64))
     state = GreedyState(dense)
     naive = deepcopy(state)
     _greedy_fill_live(naive, _pending_order(naive))
@@ -453,23 +463,58 @@ def test_class_tail_is_reached_through_greedy_fill():
     _assert_same_state(naive, state)
 
 
+def test_class_tail_shares_full_server_marks_within_a_block_only():
+    """Server 0 holds two of block 0's demand 2 and then stops fitting it.
+    Class 1 reads block 0 too, so its application skips server 0 untested
+    and still counts the invalidation its winner's failed fit costs; class
+    2 reads block 1, whose demand 1 still fits server 0, and lands there."""
+    dense = DenseCosts(keys=["cpu"], demand=np.array([[[2.0], [2.0]], [[1.0], [1.0]]]),
+                       capacity=np.array([[5.0], [10.0]]),
+                       mask=np.ones((3, 2), dtype=bool),
+                       cost=np.array([[1.0, 2.0], [1.5, 3.0], [1.0, 2.0]]),
+                       raw_assign=np.array([[1.0, 2.0], [1.5, 3.0], [1.0, 2.0]]),
+                       energy=np.zeros((3, 2)), activation=np.zeros(2),
+                       initially_on=np.ones(2, dtype=bool),
+                       row_class=np.array([0, 0, 0, 1, 2]),
+                       class_block=np.array([0, 0, 1]))
+    order = np.arange(5)
+    choices = _argmin_chunk(dense, order)
+    assert choices.tolist() == [0] * 5
+    per_app = GreedyState(dense)
+    _replay_per_app(per_app, order, choices)
+    tail = GreedyState(dense)
+    _replay_classes(tail, order, choices)
+    assert tail.assignment.tolist() == [0, 0, 1, 1, 0]
+    assert tail.capacity_left.tolist() == [[0.0], [6.0]]
+    assert tail.served.tolist() == [3, 2]
+    assert tail.stats.invalidations == 2 and tail.stats.serial_steps == 5
+    _assert_same_state(per_app, tail)
+    assert tail.stats.invalidations == per_app.stats.invalidations
+    filled = GreedyState(dense)
+    greedy_fill(filled)
+    _assert_same_state(per_app, filled)
+
+
 def _assert_class_tables(dense: DenseCosts) -> None:
     """Every table holds one row per class, each class has an application,
-    and some class repeats."""
+    some class repeats, and every class has a row of the demand table."""
     n_classes = len(dense.cost)
     assert np.array_equal(np.unique(dense.row_class), np.arange(n_classes))
     assert n_classes < len(dense.row_class), "no class repeats: the check is vacuous"
-    for name in ("demand", "mask", "raw_assign", "energy"):
+    for name in ("mask", "raw_assign", "energy", "class_block"):
         assert len(getattr(dense, name)) == n_classes, name
+    assert 0 <= dense.class_block.min() and dense.class_block.max() < len(dense.demand)
 
 
 def _assert_rows_share_class(dense: DenseCosts, problem: PlacementProblem) -> None:
-    """The class tables of a compiled problem, read through ``row_class``,
-    are its per-application demand, energy and candidate rows."""
+    """The class tables of a compiled problem, read through ``row_class``
+    (and the demand blocks through ``class_block``), are its per-application
+    demand, energy and candidate rows; the epoch's classes share blocks."""
     _assert_class_tables(dense)
     assert len(dense.cost) == len(np.unique(compile_placement(problem).dense().row_class))
     rc = dense.row_class
-    assert np.array_equal(dense.demand[rc], problem.demand_dense())
+    assert len(dense.demand) < len(dense.cost), "no block repeats: the check is vacuous"
+    assert np.array_equal(dense.demand[dense.class_block[rc]], problem.demand_dense())
     assert np.array_equal(dense.energy[rc], problem.energy_j)
     assert np.array_equal(dense.mask[rc], compile_placement(problem).report.mask)
 
@@ -517,9 +562,12 @@ def _assert_class_rows_cost_like_apps(problem, objective, manage_power) -> None:
     reference = EpochCompilation(problem=problem).dense(
         objective, alpha=alpha, manage_power=manage_power)
     assert np.array_equal(reference.row_class, np.arange(problem.n_applications))
-    for name in ("cost", "raw_assign", "mask", "demand", "energy"):
+    assert np.array_equal(reference.class_block, np.arange(problem.n_applications))
+    for name in ("cost", "raw_assign", "mask", "energy"):
         assert np.array_equal(getattr(dense, name)[dense.row_class],
                               getattr(reference, name)), name
+    assert np.array_equal(dense.demand[dense.class_block[dense.row_class]],
+                          reference.demand)
     for name in ("activation", "initially_on"):
         assert np.array_equal(getattr(dense, name), getattr(reference, name)), name
 

@@ -397,6 +397,24 @@ def test_multi_normalisation_pools_only_feasible_entries():
     assert outcome.refined_objective == pytest.approx(flat, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_refined_objective_sums_parts_like_the_per_part_loop(seed):
+    """The refined objective's bulk sum is the float of summing each class's
+    part on its own and adding the part sums left to right from 0.0, for
+    part lengths on both sides of numpy's 8-wide unroll and 128-wide
+    pairwise block."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.choice([1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 200, 257], size=60)
+    n = int(lengths.sum())
+    values = rng.random(n) * rng.choice([1e-3, 1.0, 1e3], size=n)
+    cuts = np.cumsum(lengths)[:-1]
+    expected = 0.0
+    for part in np.split(values, cuts):
+        expected += float(part.sum())
+    assert hierarchy._sum_by_part(values, cuts).hex() == expected.hex()
+    assert hierarchy._sum_by_part(np.empty(0), np.empty(0, dtype=np.intp)) == 0.0
+
+
 def test_recorded_gap_is_refined_minus_coarse():
     fleet, compilation, apps = _substrate(20, 60)
     plan = build_region_plan(fleet.sites(), fleet.site_coordinates(), 4, seed=0)
@@ -448,7 +466,8 @@ def _assert_refinement_is_the_region_solve(compilation, apps, plan, objective,
         for name in ("activation", "initially_on"):
             assert _same_bits(getattr(dense, name), getattr(reference, name)), (r, name)
         on_keys = [dense.keys.index(key) for key in reference.keys]
-        assert _same_bits(dense.demand[rows][..., on_keys], reference.demand[ref_rows])
+        assert _same_bits(dense.demand[dense.class_block[rows]][..., on_keys],
+                          reference.demand[reference.class_block[ref_rows]])
         assert _same_bits(dense.capacity[:, on_keys], reference.capacity)
         expected = np.full(len(idx_r), -1)
         expected[problem.app_indices(list(solution.placements))] = \
