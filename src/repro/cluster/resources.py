@@ -16,6 +16,11 @@ from typing import Iterator, Mapping
 #: Resource dimensions used by the default hardware catalogue.
 STANDARD_RESOURCES: tuple[str, ...] = ("cpu_cores", "memory_mb", "gpu_memory_mb")
 
+#: Per-dimension slack of every capacity fit test: it absorbs the float
+#: residue subtraction leaves (0.3 - 0.1 is just under 0.2), so a demand
+#: that fills what is left still fits.
+FIT_SLACK: float = 1e-9
+
 
 @dataclass
 class ResourceVector:
@@ -80,8 +85,8 @@ class ResourceVector:
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
         keys = self._merge_keys(other)
         result = {k: self.get(k) - other.get(k) for k in keys}
-        if any(v < -1e-9 for v in result.values()):
-            negative = {k: v for k, v in result.items() if v < -1e-9}
+        if any(v < -FIT_SLACK for v in result.values()):
+            negative = {k: v for k, v in result.items() if v < -FIT_SLACK}
             raise ValueError(f"resource subtraction would go negative: {negative}")
         return ResourceVector({k: max(v, 0.0) for k, v in result.items()})
 
@@ -95,9 +100,10 @@ class ResourceVector:
 
     # -- comparisons -----------------------------------------------------------
 
-    def fits_within(self, capacity: "ResourceVector", slack: float = 1e-9) -> bool:
-        """True if every demand dimension fits within ``capacity`` (missing = 0)."""
-        return all(self.get(k) <= capacity.get(k) + slack for k in self.amounts)
+    def fits_within(self, capacity: "ResourceVector") -> bool:
+        """True if every demand dimension fits within ``capacity`` (missing =
+        0), each within :data:`FIT_SLACK`."""
+        return all(self.get(k) <= capacity.get(k) + FIT_SLACK for k in self.amounts)
 
     def dominates(self, other: "ResourceVector") -> bool:
         """True if this vector is >= ``other`` in every dimension of either vector."""

@@ -14,7 +14,7 @@ from enum import Enum
 
 from repro.cluster.hardware import DeviceSpec, NVIDIA_A2, XEON_E5_2660V3
 from repro.cluster.power import LinearPowerModel, PowerModel
-from repro.cluster.resources import ResourceVector
+from repro.cluster.resources import FIT_SLACK, ResourceVector
 
 
 class PowerState(Enum):
@@ -114,7 +114,7 @@ class EdgeServer:
         # constructing intermediate vectors per check.
         total = self._total_ref().amounts
         used = self._used_ref().amounts
-        return all(v <= total.get(k, 0.0) - used.get(k, 0.0) + 1e-9
+        return all(v <= total.get(k, 0.0) - used.get(k, 0.0) + FIT_SLACK
                    for k, v in demand.amounts.items())
 
     # -- power ----------------------------------------------------------------

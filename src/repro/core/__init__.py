@@ -18,7 +18,6 @@ This package is the paper's primary contribution (Section 4):
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution, Assignment
 from repro.core.objective import ObjectiveKind
-from repro.core.filters import filter_feasible_servers, FeasibilityReport
 from repro.core.validation import validate_solution, ValidationError
 from repro.core.incremental import IncrementalPlacer, PlacementRound
 from repro.core.policies import (
@@ -36,8 +35,6 @@ __all__ = [
     "PlacementSolution",
     "Assignment",
     "ObjectiveKind",
-    "filter_feasible_servers",
-    "FeasibilityReport",
     "validate_solution",
     "ValidationError",
     "IncrementalPlacer",

@@ -195,9 +195,11 @@ class IncrementalPlacer:
         for j, server in enumerate(problem.servers):
             if solution.power_on[j] > 0.5 and not server.is_on:
                 server.power_on()
+        keys = problem.resource_keys
         for app_id, j in solution.placements.items():
             i = problem.app_index(app_id)
-            problem.servers[j].allocate(app_id, problem.demands[i][j])
+            demand = ResourceVector(dict(zip(keys, problem.demand[i, j].tolist())))
+            problem.servers[j].allocate(app_id, demand)
             self.active_apps[app_id] = problem.applications[i]
 
     def release_all(self) -> None:

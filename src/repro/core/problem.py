@@ -4,28 +4,32 @@ A :class:`PlacementProblem` bundles everything Table 2 of the paper lists as
 inputs: the applications to place, the candidate servers with their available
 capacities C^k_j, base powers B_j and current power states y^curr_j, the
 per-pair latencies L_ij, the per-pair resource demands R^k_ij and energies
-E_ij, and the (forecast-averaged) carbon intensities Ī_j. All pairwise
-quantities are pre-computed into dense NumPy arrays so the policies and the
-MILP builder never re-derive them.
+E_ij, and the (forecast-averaged) carbon intensities Ī_j. Every quantity is a
+dense NumPy array: resources are one (S, K) capacity table and one (A, S, K)
+demand table over the problem's ``resource_keys``, so the policies, the
+solver backends and validation never re-derive them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.carbon.service import CarbonIntensityService
-from repro.cluster.resources import ResourceVector
 from repro.cluster.server import EdgeServer
+from repro.core.filters import within_slo
 from repro.core.objective import activation_rows
 from repro.network.latency import LatencyMatrix
 from repro.utils.units import joules_to_kwh
 from repro.workloads.application import Application
 from repro.workloads.generator import ApplicationBatch, LazyApplications
 from repro.workloads.profiles import get_profile
+
+if TYPE_CHECKING:  # typing only: a problem holds resources as dense tables
+    from repro.cluster.resources import ResourceVector
 
 #: Large latency assigned to (application, server) pairs with no usable profile.
 INFEASIBLE_LATENCY_MS: float = 1e9
@@ -84,9 +88,6 @@ def ensure_dense_cell_budget(n_applications: int, n_servers: int,
             f"{cells} dense cells exceeds the CARBON_EDGE_MAX_DENSE_CELLS budget "
             f"of {budget}. {remedy}")
 
-#: Shared empty demand for (application, server) pairs without a profile.
-_EMPTY_DEMAND = ResourceVector()
-
 
 def _resolve_profile(workload: str, accelerator_name: str | None, cpu_name: str):
     """Profile for a workload on a device class (accelerator first, CPU fallback)."""
@@ -119,12 +120,14 @@ class PlacementProblem:
     latency_ms: np.ndarray
     #: (A, S) dynamic energy E_ij in joules over the placement horizon.
     energy_j: np.ndarray
-    #: (A, S) list-of-lists of per-pair resource demands R^k_ij.
-    demands: list[list[ResourceVector]]
     #: (S,) forecast-average carbon intensity Ī_j, g CO2eq/kWh.
     intensity: np.ndarray
-    #: (S,) available capacity C^k_j per server.
-    capacities: list[ResourceVector] = field(default_factory=list)
+    #: The K resource dimensions (sorted names) of ``capacity`` and ``demand``.
+    resource_keys: tuple[str, ...]
+    #: (S, K) available capacity C^k_j per server.
+    capacity: np.ndarray
+    #: (A, S, K) per-pair resource demands R^k_ij, zero outside ``supported``.
+    demand: np.ndarray
     #: (S,) base power B_j in watts.
     base_power_w: np.ndarray = field(default_factory=lambda: np.array([]))
     #: (S,) current power state y^curr_j (1 = on).
@@ -144,9 +147,6 @@ class PlacementProblem:
                                               repr=False, compare=False)
     _nearest_feasible: np.ndarray | None = field(default=None, init=False,
                                                  repr=False, compare=False)
-    #: (keys, capacity (S,K), demand (A,S,K)) dense resource tensors.
-    _dense_resources: tuple | None = field(default=None, init=False,
-                                           repr=False, compare=False)
     #: Per-problem :class:`repro.solver.compile.EpochCompilation` memo.
     _compilation: object | None = field(default=None, init=False,
                                         repr=False, compare=False)
@@ -156,25 +156,23 @@ class PlacementProblem:
         self.latency_ms = np.asarray(self.latency_ms, dtype=float)
         self.energy_j = np.asarray(self.energy_j, dtype=float)
         self.intensity = np.asarray(self.intensity, dtype=float)
+        self.resource_keys = tuple(self.resource_keys)
+        self.capacity = np.asarray(self.capacity, dtype=float)
+        self.demand = np.asarray(self.demand, dtype=float)
         self.base_power_w = np.asarray(self.base_power_w, dtype=float)
         self.current_power = np.asarray(self.current_power, dtype=float)
         if self.supported is None:
             self.supported = np.ones((a, s), dtype=bool)
         else:
             self.supported = np.asarray(self.supported, dtype=bool)
-        expected_2d = {(a, s)}
-        for name, arr in (("latency_ms", self.latency_ms), ("energy_j", self.energy_j),
-                          ("supported", self.supported)):
-            if arr.shape not in expected_2d:
-                raise ValueError(f"{name} must have shape ({a}, {s}), got {arr.shape}")
-        for name, arr in (("intensity", self.intensity), ("base_power_w", self.base_power_w),
-                          ("current_power", self.current_power)):
-            if arr.shape != (s,):
-                raise ValueError(f"{name} must have shape ({s},), got {arr.shape}")
-        if len(self.demands) != a or any(len(row) != s for row in self.demands):
-            raise ValueError(f"demands must be an {a}x{s} nested list")
-        if len(self.capacities) != s:
-            raise ValueError(f"capacities must have {s} entries, got {len(self.capacities)}")
+        k = len(self.resource_keys)
+        expected = {"latency_ms": (a, s), "energy_j": (a, s), "supported": (a, s),
+                    "intensity": (s,), "base_power_w": (s,), "current_power": (s,),
+                    "capacity": (s, k), "demand": (a, s, k)}
+        for name, shape in expected.items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
         if self.horizon_hours <= 0:
             raise ValueError("horizon_hours must be positive")
         if np.any(self.intensity < 0):
@@ -201,12 +199,11 @@ class PlacementProblem:
         (2 × one-way) against each application's SLO, matching the paper's use
         of round-trip limits in the evaluation. The mask is computed once and
         cached (problems are immutable once built); callers that want to edit
-        it must copy first, as :func:`repro.core.filters.filter_feasible_servers`
-        does.
+        it must copy first.
         """
         if self._feasible_mask is None:
             slos = np.array([app.latency_slo_ms for app in self.applications])[:, None]
-            self._feasible_mask = (2.0 * self.latency_ms <= slos + 1e-9) & self.supported
+            self._feasible_mask = within_slo(self.latency_ms, slos) & self.supported
         return self._feasible_mask
 
     def nearest_feasible_ms(self) -> np.ndarray:
@@ -280,63 +277,6 @@ class PlacementProblem:
             return self._server_index_map[server_id]
         except KeyError:
             raise KeyError(f"unknown server {server_id!r}") from None
-
-    # -- dense resource tensors ----------------------------------------------------
-
-    def resource_keys(self) -> tuple[str, ...]:
-        """Sorted resource dimensions spanning capacities and supported demands."""
-        return self._dense()[0]
-
-    def capacity_dense(self) -> np.ndarray:
-        """(S, K) available capacity per server over :meth:`resource_keys`."""
-        return self._dense()[1]
-
-    def demand_dense(self) -> np.ndarray:
-        """(A, S, K) per-pair resource demands over :meth:`resource_keys`.
-
-        Zero outside the support mask. Built once (vectorised construction
-        pre-fills it; problems assembled through the raw constructor fall back
-        to a loop deduplicated by demand-vector identity) and shared read-only
-        by the feasibility filter, the solver backends, and validation.
-        """
-        return self._dense()[2]
-
-    def _dense_frame(self, demand_key_sets) -> tuple[tuple[str, ...], np.ndarray]:
-        """(keys, (S, K) capacity array) spanning capacities + the given demand keys.
-
-        Shared by the lazy builder below and the per-object reference build
-        the tests check the scenario tier against, so both agree on the K
-        axis.
-        """
-        key_set: set[str] = set()
-        for cap in self.capacities:
-            key_set.update(cap.keys())
-        for keys in demand_key_sets:
-            key_set.update(keys)
-        keys = tuple(sorted(key_set))
-        capacity = np.array([[cap.get(key) for key in keys] for cap in self.capacities],
-                            dtype=float).reshape(self.n_servers, len(keys))
-        return keys, capacity
-
-    def _dense(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        if self._dense_resources is None:
-            a, s = self.n_applications, self.n_servers
-            unique: dict[int, ResourceVector] = {}
-            for row in self.demands:
-                for vec in row:
-                    unique.setdefault(id(vec), vec)
-            keys, capacity = self._dense_frame(
-                vec.keys() for vec in unique.values())
-            as_array = {vid: np.array([vec.get(key) for key in keys], dtype=float)
-                        for vid, vec in unique.items()}
-            demand = np.zeros((a, s, len(keys)))
-            for i, row in enumerate(self.demands):
-                for j, vec in enumerate(row):
-                    arr = as_array[id(vec)]
-                    if arr.any():
-                        demand[i, j] = arr
-            self._dense_resources = (keys, capacity, demand)
-        return self._dense_resources
 
     # -- construction ---------------------------------------------------------------
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.resources import ResourceVector
 from repro.core.filters import capacity_fits
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
@@ -16,6 +15,11 @@ from repro.core.solution import PlacementSolution
 
 class ValidationError(AssertionError):
     """Raised when a placement solution violates a constraint."""
+
+
+def _amounts(keys: tuple[str, ...], row: np.ndarray) -> str:
+    """``(key=amount, ...)`` of one resource row, for violation messages."""
+    return "(" + ", ".join(f"{k}={v:g}" for k, v in zip(keys, row.tolist())) + ")"
 
 
 def validate_solution(solution: PlacementSolution, strict: bool = True) -> list[str]:
@@ -71,18 +75,14 @@ def validate_solution(solution: PlacementSolution, strict: bool = True) -> list[
     # Equation 1: per-server capacity across every resource dimension, summed
     # over the dense (A, S, K) demand tensor.
     if known:
-        demand_dense = problem.demand_dense()
-        capacity_dense = problem.capacity_dense()
-        totals = np.zeros_like(capacity_dense)
-        np.add.at(totals, j_arr, demand_dense[i_arr, j_arr])
-        over = np.flatnonzero(~capacity_fits(totals, capacity_dense))
-        for j in over:
-            j = int(j)
-            demand_total = ResourceVector(
-                dict(zip(problem.resource_keys(), totals[j].tolist())))
+        capacity = problem.capacity
+        totals = np.zeros_like(capacity)
+        np.add.at(totals, j_arr, problem.demand[i_arr, j_arr])
+        keys = problem.resource_keys
+        for j in np.flatnonzero(~capacity_fits(totals, capacity)).tolist():
             violations.append(
-                f"server {problem.servers[j].server_id} over capacity: demand {demand_total} "
-                f"> available {problem.capacities[j]}")
+                f"server {problem.servers[j].server_id} over capacity: demand "
+                f"{_amounts(keys, totals[j])} > available {_amounts(keys, capacity[j])}")
 
     # Equation 5: assignments require powered-on servers.
     used_servers = set(solution.placements.values())

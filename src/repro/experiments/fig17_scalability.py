@@ -132,7 +132,7 @@ def compare_backends(seed: int = EXPERIMENT_SEED,
         for backend in backends:
             # A freshly built problem per backend (outside the timer, cheap
             # through the memoised scenario tier), as production builds one
-            # per epoch: each backend pays for its own feasibility report and
+            # per epoch: each backend pays for its own class tables and
             # dense tensors, so timings stay self-contained. No tracemalloc
             # either — its allocation-tracking overhead would distort exactly
             # the timings the comparison reports.

@@ -7,10 +7,10 @@ This package solves the same Equations 1–7 model with scipy's HiGHS
 * :mod:`repro.solver.compile` — the two-tier scenario compilation layer:
   :class:`ScenarioCompilation` hoists everything epoch-invariant (latency
   geometry, device-class blocks, feasibility rows, capacity tensors) to
-  scenario scope, and :class:`EpochCompilation` precomputes the feasibility
-  report, per-objective coefficient matrices, dense cost/demand tensors, and
-  nearest-feasible latencies once per problem, shared by every policy and
-  backend; it also hosts the single dense greedy kernel.
+  scenario scope, and :class:`EpochCompilation` precomputes the class
+  tables (candidate mask, energy and demand rows) and the per-objective
+  dense cost tensors once per problem, shared by every policy and backend;
+  it also hosts the single dense greedy kernel.
 * :mod:`repro.solver.backend` — the :class:`PlacementSolver` protocol and
   :class:`SolveRequest` (a thin view over the compilation).
 * :mod:`repro.solver.registry` — backend registration and

@@ -9,14 +9,12 @@ themselves with :func:`repro.solver.registry.register_backend`; callers go
 through :func:`repro.solver.registry.solve` and never instantiate backends
 directly.
 
-The shared numeric substrate (dense cost/demand tensors and the feasibility
-report) lives in the scenario compilation layer
+The shared numeric substrate (the dense cost/demand tensors and their
+candidate mask) lives in the scenario compilation layer
 (:mod:`repro.solver.compile`): a :class:`SolveRequest` is a thin view over
 the problem's memoised :class:`~repro.solver.compile.EpochCompilation`, so
 every backend — and every *policy* solving the same problem in the same
 epoch — reads one set of precomputed tensors instead of rebuilding its own.
-:class:`DenseCosts` and the assignment decoding helpers are re-exported here
-for backward compatibility.
 """
 
 from __future__ import annotations
@@ -27,11 +25,10 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.filters import FeasibilityReport
 from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
-from repro.solver.compile import (  # noqa: F401  (re-exported for compatibility)
+from repro.solver.compile import (
     DenseCosts,
     EpochCompilation,
     assignment_to_solution,
@@ -137,11 +134,6 @@ class SolveRequest:
     def compilation(self) -> EpochCompilation:
         """The problem's memoised epoch compilation (shared by every backend)."""
         return compile_placement(self.problem)
-
-    @property
-    def report(self) -> FeasibilityReport:
-        """Feasible-server report (computed once per problem, shared by all)."""
-        return self.compilation.report
 
     def dense(self) -> DenseCosts:
         """Dense cost/demand tensors (built once per problem, shared by every

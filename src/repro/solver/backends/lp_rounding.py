@@ -21,8 +21,9 @@ import numpy as np
 
 from repro.core.filters import capacity_fits
 from repro.core.solution import PlacementSolution
-from repro.solver.backend import DenseCosts, SolveRequest, solution_from_assignment
+from repro.solver.backend import SolveRequest, solution_from_assignment
 from repro.solver.backends.highs import PlacementModel
+from repro.solver.compile import DenseCosts
 from repro.solver.registry import register_backend
 
 #: Rounding trials when the time budget does not cut them short.

@@ -17,7 +17,7 @@ The compilation layer is split along the epoch-invariance boundary:
 
 At CDN scale the same :class:`~repro.core.problem.PlacementProblem` is solved
 by four policies per epoch, and before this layer existed each of them
-independently re-derived the feasibility report, the objective coefficient
+independently re-derived the candidate mask, the objective coefficient
 matrices, and the dense cost/demand tensors. An :class:`EpochCompilation`
 computes each of those at most once per problem and hands the read-only
 results to every consumer — the solver backends (through
@@ -27,11 +27,10 @@ CDN simulator's metrics loop:
 * :class:`DenseCosts` tensors, cached by ``(objective, alpha, manage_power)``
   and priced by :func:`class_costs`, the one cost builder, which the
   hierarchy's region refinement calls too;
-* the feasibility report (latency SLO + profile support + standalone
-  capacity), built on first use;
-* the epoch-mean carbon intensities Ī_j (the problem's ``intensity`` vector);
-* each application's nearest-feasible-server latency (the baseline for the
-  paper's "increased latency" metric).
+* the class tables every dense view shares, the candidate mask (latency SLO
+  + profile support + standalone capacity, Algorithm 1 line 7) among them:
+  one row per application class, whose row counts times the class sizes are
+  the candidate pairs the ``auto`` backend rule counts.
 
 **Cache keys and invalidation.** The compilation is memoised on the problem
 instance (``compile_placement`` returns the same object for the same
@@ -88,12 +87,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.filters import (
-    FIT_SLACK,
-    FeasibilityReport,
-    capacity_fits,
-    filter_feasible_servers,
-)
+from repro.core.filters import FIT_SLACK, capacity_fits, within_slo
 from repro.core.objective import (
     ObjectiveKind,
     activation_values,
@@ -103,14 +97,12 @@ from repro.core.objective import (
     tie_values,
 )
 from repro.core.problem import (
-    _EMPTY_DEMAND,
     INFEASIBLE_LATENCY_MS,
     PlacementProblem,
     _demand_for,
     _resolve_profile,
     ensure_dense_cell_budget,
 )
-from repro.cluster.resources import ResourceVector
 from repro.core.solution import PlacementSolution
 from repro.workloads.generator import ApplicationBatch, LazyApplications
 
@@ -182,20 +174,20 @@ class DenseCosts:
     class_block: np.ndarray
 
     @classmethod
-    def from_matrices(cls, problem: PlacementProblem, report: FeasibilityReport,
+    def from_matrices(cls, problem: PlacementProblem, mask: np.ndarray,
                       assign: np.ndarray) -> "DenseCosts":
-        """Dense tensors for caller-supplied (A, S) assignment costs, one
-        class and one block per application: the tables are the
-        per-application matrices themselves, masked by ``report``, with no
+        """Dense tensors for caller-supplied (A, S) assignment costs over the
+        (A, S) candidate ``mask``, one class and one block per application:
+        the tables are the per-application matrices themselves, with no
         tie-break perturbation (exact ties resolve to the lowest server
         index) and a zero activation channel.
 
         The demand, energy and capacity tensors are shared read-only with
         the problem; only the cost matrix is built fresh.
         """
-        return cls(keys=list(problem.resource_keys()), demand=problem.demand_dense(),
-                   capacity=problem.capacity_dense(), mask=report.mask,
-                   cost=cls._tie_broken(assign, report.mask, None),
+        return cls(keys=list(problem.resource_keys), demand=problem.demand,
+                   capacity=problem.capacity, mask=mask,
+                   cost=cls._tie_broken(assign, mask, None),
                    raw_assign=assign, energy=problem.energy_j,
                    activation=np.zeros(problem.n_servers),
                    initially_on=problem.current_power > 0.5,
@@ -784,12 +776,12 @@ def dense_greedy_solution(problem: PlacementProblem,
     """One-shot greedy placement for an arbitrary (A, S) cost matrix.
 
     Used by policies whose objective is not an :class:`ObjectiveKind` (the
-    Random baseline's sampled costs). Shares the compiled feasibility report
-    and resource tensors; only the cost matrix is built fresh
-    (:meth:`DenseCosts.from_matrices`).
+    Random baseline's sampled costs). Reads the compiled class candidate
+    mask, gathered per application, and the problem's resource tensors;
+    only the cost matrix is built fresh (:meth:`DenseCosts.from_matrices`).
     """
-    compilation = compile_placement(problem)
-    dense = DenseCosts.from_matrices(problem, compilation.report, assign)
+    _, row_class, mask, *_ = compile_placement(problem)._class_tables()
+    dense = DenseCosts.from_matrices(problem, mask[row_class], assign)
     state = GreedyState(dense)
     greedy_fill(state)
     return assignment_to_solution(problem, state.assignment)
@@ -808,37 +800,14 @@ class EpochCompilation:
     #: tables the dense views read; ``None`` (a raw-constructed or cleared
     #: problem) is one class per application, on the problem's own tensors.
     delta: EpochDelta | None = None
-    _report: FeasibilityReport | None = field(default=None, repr=False)
     _tables: tuple | None = field(default=None, repr=False)
     _dense: dict = field(default_factory=dict, repr=False)
 
     @property
-    def report(self) -> FeasibilityReport:
-        """Feasibility report (latency SLO + profile support + capacity filter)."""
-        if self._report is None:
-            self._report = filter_feasible_servers(self.problem)
-        return self._report
-
-    @property
-    def epoch_mean_intensity(self) -> np.ndarray:
-        """(S,) epoch-mean (forecast-average) carbon intensities Ī_j."""
-        return self.problem.intensity
-
-    @property
-    def nearest_feasible_ms(self) -> np.ndarray:
-        """(A,) one-way latency to each application's nearest feasible server.
-
-        Delegates to :meth:`PlacementProblem.nearest_feasible_ms` — the single
-        cached vector that also backs
-        :meth:`PlacementSolution.latency_increase_ms`, so the simulator's
-        metrics and per-solution accounting always agree.
-        """
-        return self.problem.nearest_feasible_ms()
-
-    @property
     def n_nearest_unreachable(self) -> int:
-        """Applications with no feasible server at all (``nearest`` is +inf)."""
-        return int(np.isinf(self.nearest_feasible_ms).sum())
+        """Applications with no feasible server at all (their
+        :meth:`PlacementProblem.nearest_feasible_ms` is +inf)."""
+        return int(np.isinf(self.problem.nearest_feasible_ms()).sum())
 
     def _class_tables(self) -> tuple:
         """``(rows, row_class, mask, energy, demand, class_block)``, built
@@ -846,17 +815,19 @@ class EpochCompilation:
         the classes, each application's class, the classes' candidate-mask
         and energy rows, the blocks' demand rows and each class's block.
 
-        A scenario epoch reads its delta: the candidate fit runs on the
-        (blocks, S, K) demand rows, which is the report's mask row for row,
-        and the dense views keep those rows unexpanded. A raw or cleared
-        problem's classes and blocks are its applications, masked by its
-        feasibility report."""
+        The candidate mask is the SLO + support mask and-ed with the
+        standalone capacity fit. A scenario epoch reads its delta: the fit
+        runs on the (blocks, S, K) demand rows, and the dense views keep
+        those rows unexpanded. A raw or cleared problem's classes and blocks
+        are its applications, fitted on its own (A, S, K) demand."""
         if self._tables is None:
             problem, delta = self.problem, self.delta
             if delta is None:
                 apps = np.arange(problem.n_applications)
-                self._tables = (slice(None), apps, self.report.mask,
-                                problem.energy_j, problem.demand_dense(), apps)
+                mask = problem.feasible_mask() & capacity_fits(problem.demand,
+                                                               problem.capacity)
+                self._tables = (slice(None), apps, mask, problem.energy_j,
+                                problem.demand, apps)
             else:
                 blocks = delta.class_block
                 fits = capacity_fits(delta.demand, delta.capacity)[blocks]
@@ -877,8 +848,8 @@ class EpochCompilation:
             rows, row_class, mask, energy, demand, class_block = self._class_tables()
             self._dense[key] = class_costs(
                 problem.latency_ms[rows], problem.feasible_mask()[rows], mask,
-                energy, demand, problem.capacity_dense(),
-                keys=problem.resource_keys(), intensity=problem.intensity,
+                energy, demand, problem.capacity,
+                keys=problem.resource_keys, intensity=problem.intensity,
                 act_carbon=problem.activation_carbon_g(),
                 act_energy=problem.activation_energy_j(),
                 current_power=problem.current_power, objective=objective,
@@ -908,13 +879,12 @@ def clear_compilation(problem: PlacementProblem) -> None:
     tensors. Clears the memoised :class:`EpochCompilation` — and with it the
     epoch's class tables, which a mutated row may no longer honour, so the
     next compilation is one class per application — *and* the problem-level
-    caches it builds on (feasibility mask, dense resource tensors, id index
-    maps).
+    caches it builds on (feasibility mask, nearest-feasible latencies, id
+    index maps).
     """
     problem._compilation = None
     problem._feasible_mask = None
     problem._nearest_feasible = None
-    problem._dense_resources = None
     problem._app_ids = None
     problem._app_index_map = None
     problem._server_index_map = None
@@ -955,13 +925,13 @@ def clear_compilation(problem: PlacementProblem) -> None:
 # by identity), so there is one assembly path.
 #
 # **Bit-identity contract.** For every delta, the assembled
-# :class:`PlacementProblem` tensors, the :class:`EpochCompilation` report and
-# dense tensors, and therefore every placement and experiment artifact are
-# byte-identical to a per-object build of the same epoch, one (workload, rate)
-# x device-class block at a time: each cached row is produced by the same
-# float expressions, in the same association order, as that build's block
-# fills (see the row builders below, each annotated with the expression it
-# mirrors). The golden artifact digests pin the assembled output, and the
+# :class:`PlacementProblem` tensors, the :class:`EpochCompilation` candidate
+# mask and dense tensors, and therefore every placement and experiment
+# artifact are byte-identical to a per-object build of the same epoch, one
+# (workload, rate) x device-class block at a time: each cached row is
+# produced by the same float expressions, in the same association order, as
+# that build's block fills (see the row builders below, each annotated with
+# the expression it mirrors). The golden artifact digests pin the assembled output, and the
 # test suite compares the tier epoch by epoch against the per-object
 # reference build (``tests/conftest.py::cold_build``).
 #
@@ -1020,10 +990,8 @@ class EpochDelta:
     intensity:
         (S,) epoch-mean carbon intensities Ī_j (the forecast integral,
         computed once per zone and gathered per server).
-    capacities / current_power:
-        Warm-start allocation state: per-server available capacity and power
-        at the epoch's start. For a pristine fleet these are the scenario
-        baselines (all capacity free, every server on).
+    current_power:
+        Warm-start power state: each server's power at the epoch's start.
     classes / first_app / app_class:
         The epoch's class tables' rows: (C,) the batch's scenario classes in
         ascending order, (C,) the first application of each, and (A,) each
@@ -1033,8 +1001,9 @@ class EpochDelta:
         (C,) each class's block.
     keys / energy / demand / capacity:
         The epoch's resource keys, the blocks' (B, S) dynamic energy and
-        (B, S, K) demand rows, and the (S, K) capacity table (live, or the
-        cached baseline).
+        (B, S, K) demand rows, and the (S, K) available-capacity table: live
+        when any server holds allocations, else the cached baseline of each
+        server's total capacity.
     """
 
     hour: int
@@ -1043,7 +1012,6 @@ class EpochDelta:
     applications: ApplicationBatch
     class_indices: np.ndarray
     intensity: np.ndarray
-    capacities: tuple
     current_power: np.ndarray
     classes: np.ndarray
     first_app: np.ndarray
@@ -1066,8 +1034,6 @@ class _WorkloadBlock:
 
     #: (S,) bool — servers with a usable profile for the workload.
     supported: np.ndarray
-    #: (S,) shared demand vectors (``_EMPTY_DEMAND`` where unsupported).
-    demand_row: list
     #: Union of the demand vectors' resource keys.
     demand_keys: frozenset
     #: (cols, profile, demand vec) per supported device-class group.
@@ -1104,8 +1070,10 @@ class ScenarioCompilation:
             classes.setdefault((accel, srv.cpu.name), []).append(j)
         self._server_classes = {key: np.asarray(cols, dtype=np.intp)
                                 for key, cols in classes.items()}
-        # Lazily captured pristine-fleet baselines.
-        self._baseline_capacities: list | None = None
+        #: Resource keys of the servers' total capacities (static hardware).
+        self._capacity_keys = frozenset(
+            key for srv in self.servers for key in srv.total_capacity.keys())
+        #: Pristine-fleet capacity tables, keyed by an epoch's resource keys.
         self._baseline_capacity_dense: dict[tuple, np.ndarray] = {}
         # Class tables (see _register_classes) and derived row caches. The
         # keyed row caches are individually LRU-bounded at CLASS_CACHE_LIMIT;
@@ -1163,7 +1131,6 @@ class ScenarioCompilation:
         if block is None:
             s = len(self.servers)
             supported = np.zeros(s, dtype=bool)
-            demand_row: list = [None] * s
             demand_keys: set[str] = set()
             groups: list = []
             for (accel, cpu), cols in self._server_classes.items():
@@ -1174,13 +1141,8 @@ class ScenarioCompilation:
                 vec = _demand_for(rate, profile)
                 demand_keys.update(vec.keys())
                 groups.append((cols, profile, vec))
-                for j in cols:
-                    demand_row[j] = vec
-            block = _WorkloadBlock(
-                supported=supported,
-                demand_row=[v if v is not None else _EMPTY_DEMAND for v in demand_row],
-                demand_keys=frozenset(demand_keys),
-                groups=groups)
+            block = _WorkloadBlock(supported=supported,
+                                   demand_keys=frozenset(demand_keys), groups=groups)
             self._lru_put(self._blocks, key, block)
         return block
 
@@ -1215,40 +1177,21 @@ class ScenarioCompilation:
         return row
 
     def _capacity_dense(self, keys: tuple, capacities: list | None = None) -> np.ndarray:
-        """(S, K) capacity tensor over ``keys`` (baseline cached, live computed).
+        """(S, K) capacity table over ``keys`` of the ``capacities`` vectors,
+        by default the pristine fleet's: each server's ``total_capacity``,
+        cached per ``keys`` (what ``available_capacity`` reads on a server
+        with no allocations, since subtracting nothing changes no amount).
 
-        Mirrors ``PlacementProblem._dense_frame`` including the reshape that
-        keeps a zero-width resource axis well-formed.
+        The reshape keeps a zero-width resource axis well-formed.
         """
         if capacities is None:
             cached = self._baseline_capacity_dense.get(keys)
-            if cached is not None:
-                return cached
-            capacities = self._baseline()
-            dense = np.array([[cap.get(key) for key in keys] for cap in capacities],
-                             dtype=float).reshape(len(self.servers), len(keys))
-            self._baseline_capacity_dense[keys] = dense
-            return dense
+            if cached is None:
+                cached = self._baseline_capacity_dense[keys] = self._capacity_dense(
+                    keys, [srv.total_capacity for srv in self.servers])
+            return cached
         return np.array([[cap.get(key) for key in keys] for cap in capacities],
                         dtype=float).reshape(len(self.servers), len(keys))
-
-    def _baseline(self) -> list:
-        """Pristine-fleet available capacities.
-
-        Derived from ``total_capacity`` (not a live ``available_capacity``
-        snapshot) so the baseline is correct no matter what allocation state
-        the fleet is in when first consulted. The expression mirrors what
-        ``EdgeServer.available_capacity`` evaluates to on an unallocated
-        server — ``total - zeros(total.keys())`` — so the values are
-        bit-identical to reading ``available_capacity`` off a pristine fleet.
-        """
-        if self._baseline_capacities is None:
-            baseline = []
-            for srv in self.servers:
-                total = srv.total_capacity
-                baseline.append(total - ResourceVector.zeros(tuple(total.keys())))
-            self._baseline_capacities = baseline
-        return self._baseline_capacities
 
     # -- class tables ------------------------------------------------------------
     #
@@ -1333,7 +1276,7 @@ class ScenarioCompilation:
             np.take(self.latency.matrix_ms[sites[rows]], self.server_cols, axis=1, out=lat)
             supported = block_supported[local[rows]]
             lat[~supported] = INFEASIBLE_LATENCY_MS
-            np.less_equal(2.0 * lat, slo[rows, None] + 1e-9, out=feas)
+            within_slo(lat, slo[rows, None], out=feas)
             feas &= supported
             self._near[table] = np.min(lat, axis=1, where=feas, initial=np.inf)
         self._n_classes = hi
@@ -1426,11 +1369,10 @@ class ScenarioCompilation:
         keys = self._epoch_keys([self._block(w, r) for w, r in blocks])
         horizon_hours = float(horizon_hours)
         if all(not srv.allocations for srv in self.servers):
-            capacities = tuple(self._baseline())
             capacity = self._capacity_dense(keys)
         else:
-            capacities = tuple(srv.available_capacity for srv in self.servers)
-            capacity = self._capacity_dense(keys, list(capacities))
+            capacity = self._capacity_dense(
+                keys, [srv.available_capacity for srv in self.servers])
         current_power = np.array([1.0 if srv.is_on else 0.0 for srv in self.servers])
         if use_forecast:
             horizon = int(np.ceil(horizon_hours))
@@ -1443,7 +1385,7 @@ class ScenarioCompilation:
         return EpochDelta(
             hour=int(hour), horizon_hours=horizon_hours, use_forecast=use_forecast,
             applications=batch, class_indices=class_indices, intensity=intensity,
-            capacities=capacities, current_power=current_power, classes=classes,
+            current_power=current_power, classes=classes,
             first_app=first_app, app_class=app_class, blocks=blocks,
             class_block=class_block, keys=keys,
             energy=np.stack([self._energy_row(w, r, horizon_hours) for w, r in blocks]),
@@ -1485,44 +1427,40 @@ class ScenarioCompilation:
         """Gather one epoch's problem tensors from the class tables.
 
         Class rows come from the class tables, block rows from the delta
-        (energy, dense demand) and the row caches (support, demand vectors;
-        one lookup per block); each tensor is then expanded to
-        per-application rows with a single fancy-index gather, which
-        materialises fresh copies.
+        (energy, demand) and the row caches (support; one lookup per block);
+        each tensor is then expanded to per-application rows with a single
+        fancy-index gather, which materialises fresh copies. The keys and
+        the capacity table are the delta's.
         """
         ensure_dense_cell_budget(len(delta.applications), len(self.servers),
                                  context="ScenarioCompilation epoch assembly")
         idx = delta.class_indices
         app_block = delta.class_block[delta.app_class]
-        workload_blocks = [self._block(w, r) for w, r in delta.blocks]
-        demand_rows = [block.demand_row for block in workload_blocks]
+        supported = np.stack([self._block(w, r).supported for w, r in delta.blocks])
         problem = PlacementProblem(
             applications=LazyApplications(delta.applications),
             servers=list(self.servers),
             latency_ms=self._lat[idx],
             energy_j=delta.energy[app_block],
-            demands=[demand_rows[b] for b in app_block.tolist()],
             intensity=delta.intensity,
-            capacities=list(delta.capacities),
+            resource_keys=delta.keys,
+            capacity=delta.capacity,
+            demand=delta.demand[app_block],
             base_power_w=self.base_power_w.copy(),
             current_power=delta.current_power,
             horizon_hours=delta.horizon_hours,
-            supported=np.stack([block.supported for block in workload_blocks])[app_block],
+            supported=supported[app_block],
         )
-        # Seed every lazy problem cache the problem would derive from the
-        # same rows: the SLO+support mask, the nearest-feasible latencies, and
-        # the dense resource tensors.
+        # Seed the lazy problem caches the problem would derive from the same
+        # rows: the SLO+support mask and the nearest-feasible latencies.
         problem._feasible_mask = self._feas[idx]
         problem._nearest_feasible = self._near[idx]
-        problem._dense_resources = (delta.keys, delta.capacity, delta.demand[app_block])
         return problem
 
     def _epoch_keys(self, blocks: Sequence[_WorkloadBlock]) -> tuple:
-        """Sorted resource keys spanning the baseline capacities and the
-        epoch's demand blocks (mirrors ``PlacementProblem._dense_frame``)."""
-        key_set: set[str] = set()
-        for cap in self._baseline():
-            key_set.update(cap.keys())
+        """Sorted resource keys spanning the servers' capacities and the
+        epoch's demand blocks."""
+        key_set = set(self._capacity_keys)
         for block in blocks:
             key_set.update(block.demand_keys)
         return tuple(sorted(key_set))

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
-from repro.cluster.resources import ResourceVector
+from repro.core.filters import FIT_SLACK, capacity_fits
 from repro.core.objective import ObjectiveKind
 from repro.core.problem import PlacementProblem
 from repro.core.solution import PlacementSolution
@@ -125,9 +125,17 @@ def resolve_backend_name(backend: str, request: SolveRequest) -> str:
         return canonical
     if request.time_budget_s is not None and request.time_budget_s < AUTO_MIN_EXACT_BUDGET_S:
         return "heuristic"
-    if request.report.n_candidate_pairs <= AUTO_EXACT_PAIR_LIMIT:
+    if _candidate_pairs(request) <= AUTO_EXACT_PAIR_LIMIT:
         return "highs"
     return "heuristic"
+
+
+def _candidate_pairs(request: SolveRequest) -> int:
+    """(application, server) pairs left by the candidate filter: each class's
+    mask row count times the applications in that class."""
+    dense = request.dense()
+    sizes = np.bincount(dense.row_class, minlength=len(dense.mask))
+    return int(np.count_nonzero(dense.mask, axis=1) @ sizes)
 
 
 def solve(
@@ -221,27 +229,28 @@ def _fill_missing(request: SolveRequest, primary: PlacementSolution,
     the complete baseline solution).
     """
     problem = request.problem
-    missing = [app for app in problem.applications
-               if app.app_id not in primary.placements and app.app_id not in primary.unplaced]
+    placed, unplaced = primary.placements, set(primary.unplaced)
+    missing = [app_id for app_id in problem.app_ids()
+               if app_id not in placed and app_id not in unplaced]
     if not missing:
         return
-    remaining = [cap.copy() for cap in problem.capacities]
-    for app_id, j in primary.placements.items():
-        try:
-            remaining[j] = remaining[j] - problem.demands[problem.app_index(app_id)][j]
-        except ValueError:  # incumbent overloads j; be conservative, never add there
-            remaining[j] = ResourceVector()
-    for app in missing:
-        j = baseline.placements.get(app.app_id)
-        if j is None:
-            primary.unplaced.append(app.app_id)
+    demand, remaining = problem.demand, problem.capacity.copy()
+
+    def take(i: int, j: int) -> None:
+        left = remaining[j] - demand[i, j]
+        # An incumbent that overloads j closes it: never add there.
+        remaining[j] = 0.0 if np.any(left < -FIT_SLACK) else np.maximum(left, 0.0)
+
+    for app_id, j in placed.items():
+        take(problem.app_index(app_id), j)
+    for app_id in missing:
+        j = baseline.placements.get(app_id)
+        i = problem.app_index(app_id)
+        if j is None or not capacity_fits(demand[i, j], remaining[j]):
+            primary.unplaced.append(app_id)
             continue
-        i = problem.app_index(app.app_id)
-        if not problem.demands[i][j].fits_within(remaining[j]):
-            primary.unplaced.append(app.app_id)
-            continue
-        remaining[j] = remaining[j] - problem.demands[i][j]
-        primary.placements[app.app_id] = j
+        take(i, j)
+        placed[app_id] = j
         if request.manage_power:
             primary.power_on = np.asarray(primary.power_on, dtype=float)
             primary.power_on[j] = 1.0

@@ -17,7 +17,6 @@ from repro.carbon.synthetic import SyntheticTraceGenerator
 from repro.cluster.fleet import build_regional_fleet
 from repro.cluster.resources import ResourceVector
 from repro.core.problem import (
-    _EMPTY_DEMAND,
     INFEASIBLE_LATENCY_MS,
     PlacementProblem,
     _demand_for,
@@ -156,7 +155,6 @@ def cold_build(applications, servers, latency, carbon, hour=0,
 
     energy_j = np.zeros((a, s))
     supported = np.zeros((a, s), dtype=bool)
-    demand_rows: list[list[ResourceVector | None]] = [[None] * s for _ in range(a)]
     blocks: list[tuple[list[int], list[int], ResourceVector]] = []
     for (workload, rate), rows in app_groups.items():
         rows_arr = np.asarray(rows, dtype=np.intp)
@@ -172,16 +170,19 @@ def cold_build(applications, servers, latency, carbon, hour=0,
             # are bit-identical.
             per_app = profile.energy_per_request_j * rates * 3600.0 * horizon_hours
             energy_j[np.ix_(rows_arr, cols_arr)] = per_app[:, None]
-            vec = _demand_for(rate, profile)
-            blocks.append((rows, cols, vec))
-            for i in rows:
-                row = demand_rows[i]
-                for j in cols:
-                    row[j] = vec
-    demands: list[list[ResourceVector]] = [
-        [vec if vec is not None else _EMPTY_DEMAND for vec in row]
-        for row in demand_rows]
+            blocks.append((rows, cols, _demand_for(rate, profile)))
     latency_ms[~supported] = INFEASIBLE_LATENCY_MS
+
+    # Resource keys span the live capacities and the demand vectors; the
+    # demand tensor is zero outside the blocks (unsupported pairs).
+    capacities = [srv.available_capacity for srv in servers]
+    keys = tuple(sorted({key for cap in capacities for key in cap.keys()}
+                        | {key for _, _, vec in blocks for key in vec.keys()}))
+    capacity = np.array([[cap.get(key) for key in keys] for cap in capacities],
+                        dtype=float).reshape(s, len(keys))
+    demand = np.zeros((a, s, len(keys)))
+    for rows, cols, vec in blocks:
+        demand[np.ix_(rows, cols)] = np.array([vec.get(key) for key in keys])
 
     if use_forecast:
         intensity = np.array([
@@ -191,27 +192,20 @@ def cold_build(applications, servers, latency, carbon, hour=0,
         intensity = np.array([carbon.current_intensity(srv.zone_id, hour)
                               for srv in servers])
 
-    problem = PlacementProblem(
+    return PlacementProblem(
         applications=applications,
         servers=servers,
         latency_ms=latency_ms,
         energy_j=energy_j,
-        demands=demands,
         intensity=intensity,
-        capacities=[srv.available_capacity for srv in servers],
+        resource_keys=keys,
+        capacity=capacity,
+        demand=demand,
         base_power_w=np.array([srv.base_power_w for srv in servers]),
         current_power=np.array([1.0 if srv.is_on else 0.0 for srv in servers]),
         horizon_hours=horizon_hours,
         supported=supported,
     )
-    # Fill the dense demand tensor from the same blocks that populated
-    # ``demands``, so the tensor and the nested list can never diverge.
-    keys, capacity = problem._dense_frame(vec.keys() for _, _, vec in blocks)
-    demand = np.zeros((a, s, len(keys)))
-    for rows, cols, vec in blocks:
-        demand[np.ix_(rows, cols)] = np.array([vec.get(key) for key in keys])
-    problem._dense_resources = (keys, capacity, demand)
-    return problem
 
 
 def cold_builds():

@@ -27,7 +27,7 @@ def test_solve_requests_share_the_problem_compilation(central_eu_problem):
     r1 = SolveRequest(problem=central_eu_problem)
     r2 = SolveRequest(problem=central_eu_problem, objective=ObjectiveKind.ENERGY)
     assert r1.compilation is compilation
-    assert r1.report is r2.report  # one feasibility report per epoch
+    assert r1.dense().mask is r2.dense().mask  # one candidate mask per epoch
     assert r1.dense() is compilation.dense(ObjectiveKind.CARBON)
     # Different objectives get different (cached) cost tensors.
     assert r1.dense() is not r2.dense()
@@ -49,12 +49,11 @@ def test_dense_tensors_cached_per_objective_and_power_mode(central_eu_problem):
 
 def test_nearest_feasible_latencies(central_eu_problem):
     compilation = compile_placement(central_eu_problem)
-    nearest = compilation.nearest_feasible_ms
     problem = central_eu_problem
+    nearest = problem.nearest_feasible_ms()
     expected = np.where(problem.feasible_mask(), problem.latency_ms, np.inf).min(axis=1)
     assert np.array_equal(nearest, expected)
     assert compilation.n_nearest_unreachable == int(np.isinf(expected).sum())
-    assert np.array_equal(compilation.epoch_mean_intensity, problem.intensity)
 
 
 def test_policies_reuse_one_compilation(central_eu_problem):
@@ -78,13 +77,13 @@ def test_unreachable_apps_are_counted(central_eu_fleet, central_eu_latency,
                                      central_eu_latency, central_eu_carbon, hour=0)
     compilation = compile_placement(problem)
     assert compilation.n_nearest_unreachable == 1
-    assert np.isinf(compilation.nearest_feasible_ms[0])
-    assert np.isfinite(compilation.nearest_feasible_ms[1])
+    assert np.isinf(problem.nearest_feasible_ms()[0])
+    assert np.isfinite(problem.nearest_feasible_ms()[1])
 
 
 def test_clear_compilation_invalidates_problem_caches(central_eu_problem):
     problem = central_eu_problem
-    compile_placement(problem).report  # populate every cache
+    compile_placement(problem).dense()  # populate every cache
     stale_mask = problem.feasible_mask()
     # Mutate in place (tests only; production builds a fresh problem per
     # epoch) and invalidate per the documented contract.
@@ -120,20 +119,24 @@ def test_clear_compilation_resets_row_classes(central_eu_problem):
 
 
 def test_problem_dense_resource_tensors(central_eu_problem):
+    """The problem's capacity and demand tables hold, key by key, each
+    server's available capacity and each application's demand on it (zero
+    where its workload has no profile)."""
     problem = central_eu_problem
-    keys = problem.resource_keys()
-    demand = problem.demand_dense()
-    capacity = problem.capacity_dense()
+    keys = problem.resource_keys
+    assert keys == tuple(sorted(keys))
+    demand, capacity = problem.demand, problem.capacity
     assert demand.shape == (problem.n_applications, problem.n_servers, len(keys))
     assert capacity.shape == (problem.n_servers, len(keys))
-    for j, cap in enumerate(problem.capacities):
+    for j, server in enumerate(problem.servers):
+        cap = server.available_capacity
         for ki, key in enumerate(keys):
             assert capacity[j, ki] == cap.get(key)
-    for i in range(problem.n_applications):
-        for j in range(problem.n_servers):
-            vec = problem.demands[i][j]
+    for i, app in enumerate(problem.applications):
+        for j, server in enumerate(problem.servers):
+            vec = app.resource_demand_on(server) if problem.supported[i, j] else None
             for ki, key in enumerate(keys):
-                assert demand[i, j, ki] == vec.get(key)
+                assert demand[i, j, ki] == (vec.get(key) if vec is not None else 0.0)
 
 
 def test_app_indices_vectorised_lookup(central_eu_problem):

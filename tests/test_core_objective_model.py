@@ -67,14 +67,15 @@ def _model(problem, manage_power=True):
 
 def test_model_structure(central_eu_problem):
     model = _model(central_eu_problem)
-    report = SolveRequest(problem=central_eu_problem).report
+    dense = SolveRequest(problem=central_eu_problem).dense()
+    n_pairs = int(dense.mask[dense.row_class].sum())
     # One y per server plus one x per feasible pair.
-    assert len(model.cost) == central_eu_problem.n_servers + report.n_candidate_pairs
+    assert len(model.cost) == central_eu_problem.n_servers + n_pairs
     assign_rows = model.constraints.lb == model.constraints.ub
     assert assign_rows.sum() == central_eu_problem.n_applications
     assert np.all(model.constraints.lb[assign_rows] == 1.0)
     # Servers already on have their y lower bound pinned to 1 (Equation 4).
-    assert np.all(model.bounds.lb[report.n_candidate_pairs:] == 1.0)
+    assert np.all(model.bounds.lb[n_pairs:] == 1.0)
 
 
 def test_model_solution_decoding(central_eu_problem):

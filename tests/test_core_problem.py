@@ -14,7 +14,8 @@ def test_problem_shapes(florida_problem):
     assert p.latency_ms.shape == (5, 5)
     assert p.energy_j.shape == (5, 5)
     assert p.intensity.shape == (5,)
-    assert len(p.demands) == 5 and len(p.demands[0]) == 5
+    assert p.capacity.shape == (5, len(p.resource_keys))
+    assert p.demand.shape == (5, 5, len(p.resource_keys))
     assert np.all(p.current_power == 1.0)
 
 
@@ -87,15 +88,16 @@ def test_empty_batches_rejected(florida_fleet, florida_latency, florida_carbon):
 
 def test_shape_validation_on_raw_constructor(florida_problem):
     p = florida_problem
+    fields = dict(applications=p.applications, servers=p.servers,
+                  latency_ms=p.latency_ms, energy_j=p.energy_j, intensity=p.intensity,
+                  resource_keys=p.resource_keys, capacity=p.capacity, demand=p.demand,
+                  base_power_w=p.base_power_w, current_power=p.current_power)
+    PlacementProblem(**fields)
+    for name, bad in (("latency_ms", np.zeros((2, 2))),
+                      ("capacity", p.capacity[:, :-1]),
+                      ("demand", p.demand[:-1]),
+                      ("resource_keys", p.resource_keys[:-1])):
+        with pytest.raises(ValueError, match="must have shape"):
+            PlacementProblem(**{**fields, name: bad})
     with pytest.raises(ValueError):
-        PlacementProblem(applications=p.applications, servers=p.servers,
-                         latency_ms=np.zeros((2, 2)), energy_j=p.energy_j,
-                         demands=p.demands, intensity=p.intensity,
-                         capacities=p.capacities, base_power_w=p.base_power_w,
-                         current_power=p.current_power)
-    with pytest.raises(ValueError):
-        PlacementProblem(applications=p.applications, servers=p.servers,
-                         latency_ms=p.latency_ms, energy_j=p.energy_j,
-                         demands=p.demands, intensity=p.intensity,
-                         capacities=p.capacities, base_power_w=p.base_power_w,
-                         current_power=p.current_power, horizon_hours=0.0)
+        PlacementProblem(**fields, horizon_hours=0.0)

@@ -105,16 +105,23 @@ def test_fig17_small_scale():
 
 def test_backend_comparisons_time_the_scenario_tier_path():
     """Each timed arm solves a problem the scenario tier assembled, as
-    production does: nothing rebuilds the dense demand per object, which
-    only the per-object builder's key frame leads to."""
+    production does: every dense view reads the class tables of an epoch
+    delta, never a one-class-per-application compilation."""
     from unittest import mock
 
-    from repro.core.problem import PlacementProblem
     from repro.experiments import backend_tournament
+    from repro.solver.compile import EpochCompilation
 
-    with mock.patch.object(PlacementProblem, "_dense_frame",
-                           side_effect=AssertionError("per-object rebuild")):
+    tiered: list[bool] = []
+    class_tables = EpochCompilation._class_tables
+
+    def spy(compilation):
+        tiered.append(compilation.delta is not None)
+        return class_tables(compilation)
+
+    with mock.patch.object(EpochCompilation, "_class_tables", spy):
         rows = fig17_scalability.compare_backends(sizes=((20, 8),))
         result = backend_tournament.run(sizes=((20, 8),), time_budget_s=2.0)
+    assert tiered and all(tiered)
     assert {row["backend"] for row in rows} == {"highs", "heuristic"}
     assert len(result["arms"]) == 2

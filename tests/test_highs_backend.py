@@ -81,7 +81,6 @@ def _brute_force(dense: DenseCosts) -> float:
 
 def _unit_problem(n_apps: int, n_servers: int, latency_ms: float = 0.0) -> PlacementProblem:
     """Unit-demand apps on capacity-2 servers of rising intensity, all off."""
-    from repro.cluster.resources import ResourceVector
     from repro.workloads.application import Application
 
     apps = [Application(app_id=f"a{i}", workload="ResNet50", source_site="s0",
@@ -91,10 +90,10 @@ def _unit_problem(n_apps: int, n_servers: int, latency_ms: float = 0.0) -> Place
         applications=apps, servers=[_FakeServer(f"srv{j}") for j in range(n_servers)],
         latency_ms=np.full((n_apps, n_servers), latency_ms),
         energy_j=np.full((n_apps, n_servers), 3.6e6),
-        demands=[[ResourceVector.of(cpu_cores=1.0) for _ in range(n_servers)]
-                 for _ in range(n_apps)],
         intensity=np.linspace(100.0, 300.0, n_servers),
-        capacities=[ResourceVector.of(cpu_cores=2.0) for _ in range(n_servers)],
+        resource_keys=("cpu_cores",),
+        capacity=np.full((n_servers, 1), 2.0),
+        demand=np.ones((n_apps, n_servers, 1)),
         base_power_w=np.full(n_servers, 100.0),
         current_power=np.zeros(n_servers),
         horizon_hours=1.0)

@@ -255,6 +255,5 @@ def test_resolve_epoch_delta_path_bit_identical_to_cold_rebuild(
                      "current_power"):
             assert np.array_equal(getattr(cold.problem, name),
                                   getattr(fast.problem, name)), name
-        assert np.array_equal(cold.problem.capacity_dense(),
-                              fast.problem.capacity_dense())
+        assert np.array_equal(cold.problem.capacity, fast.problem.capacity)
     assert cold_alloc == fast_alloc

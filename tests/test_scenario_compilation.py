@@ -54,22 +54,19 @@ def _compiled_epochs(**scenario_kwargs):
 
 def _assert_problems_identical(cold: PlacementProblem, fast: PlacementProblem):
     for name in ("latency_ms", "energy_j", "supported", "intensity",
-                 "base_power_w", "current_power"):
+                 "base_power_w", "current_power", "capacity", "demand"):
         a, b = getattr(cold, name), getattr(fast, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert cold.horizon_hours == fast.horizon_hours
-    assert cold.resource_keys() == fast.resource_keys()
-    assert np.array_equal(cold.capacity_dense(), fast.capacity_dense())
-    assert np.array_equal(cold.demand_dense(), fast.demand_dense())
+    assert cold.resource_keys == fast.resource_keys
     assert np.array_equal(cold.feasible_mask(), fast.feasible_mask())
     assert np.array_equal(cold.nearest_feasible_ms(), fast.nearest_feasible_ms())
-    for ca, fa in zip(cold.capacities, fast.capacities):
-        assert set(ca.keys()) == set(fa.keys())
-        assert all(ca.get(k) == fa.get(k) for k in ca.keys())
-    for ci, fi in zip(cold.demands, fast.demands):
-        for cv, fv in zip(ci, fi):
-            assert set(cv.keys()) == set(fv.keys())
-            assert all(cv.get(k) == fv.get(k) for k in cv.keys())
+
+
+def _candidate_mask(problem: PlacementProblem) -> np.ndarray:
+    """The compiled (A, S) candidate mask: the class rows, per application."""
+    dense = compile_placement(problem).dense()
+    return dense.mask[dense.row_class]
 
 
 def test_epoch_tensors_bit_identical_to_cold_rebuild():
@@ -81,11 +78,9 @@ def test_epoch_tensors_bit_identical_to_cold_rebuild():
         assert np.array_equal(cc.dense().row_class, np.arange(pc.n_applications))
         assert len(np.unique(cf.dense().row_class)) < pf.n_applications
         _assert_problems_identical(pc, pf)
-        # The feasibility report, on the tier's tensors and the cold arm's.
-        assert np.array_equal(cc.report.mask, cf.report.mask)
-        assert cc.report.unplaceable == cf.report.unplaceable
-        assert cc.report.useful_servers == cf.report.useful_servers
-        assert np.array_equal(cc.nearest_feasible_ms, cf.nearest_feasible_ms)
+        # The candidate mask, on the tier's class tables and the cold arm's
+        # per-application ones.
+        assert np.array_equal(_candidate_mask(pc), _candidate_mask(pf))
         assert cc.n_nearest_unreachable == cf.n_nearest_unreachable
         # Dense cost tensors per objective (what every backend solves over).
         for kind in (ObjectiveKind.CARBON, ObjectiveKind.ENERGY,
@@ -222,12 +217,11 @@ def test_non_pristine_delta_reads_live_fleet_state(use_forecast):
     sim = CDNSimulator(scenario=scenario)
     problem0 = sim.epoch_problem(0)  # registers classes, resets the fleet
     # Dirty the fleet: allocate one placed pair and power another server off.
-    report = compile_placement(problem0).report
-    i = next(i for i in range(problem0.n_applications)
-             if len(report.candidates_for(i)) > 0)
-    j = int(report.candidates_for(i)[0])
-    app = problem0.applications[i]
-    sim.fleet.servers()[j].allocate(app.app_id, problem0.demands[i][j])
+    mask = _candidate_mask(problem0)
+    i = next(i for i in range(problem0.n_applications) if mask[i].any())
+    j = int(np.flatnonzero(mask[i])[0])
+    app, server = problem0.applications[i], sim.fleet.servers()[j]
+    server.allocate(app.app_id, app.resource_demand_on(server))
     off = (j + 1) % problem0.n_servers
     sim.fleet.servers()[off].power_off()
 
@@ -240,11 +234,8 @@ def test_non_pristine_delta_reads_live_fleet_state(use_forecast):
         carbon=sim.carbon, hour=7, horizon_hours=2.0, use_forecast=use_forecast)
     _assert_problems_identical(cold, fast)
     assert fast.current_power[off] == 0.0
-    # The capacity-dependent report is not served from the pristine rows.
-    rc = compile_placement(cold).report
-    rf = compile_placement(fast).report
-    assert np.array_equal(rc.mask, rf.mask)
-    assert rc.unplaceable == rf.unplaceable
+    # The capacity-dependent candidate mask is not served from the pristine rows.
+    assert np.array_equal(_candidate_mask(cold), _candidate_mask(fast))
     # Epochs are assembled afresh: a second build re-reads the live state.
     again = PlacementProblem.build(
         applications=apps, servers=sim.fleet.servers(), latency=sim.latency,

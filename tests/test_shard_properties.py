@@ -514,9 +514,15 @@ def _assert_rows_share_class(dense: DenseCosts, problem: PlacementProblem) -> No
     assert len(dense.cost) == len(np.unique(compile_placement(problem).dense().row_class))
     rc = dense.row_class
     assert len(dense.demand) < len(dense.cost), "no block repeats: the check is vacuous"
-    assert np.array_equal(dense.demand[dense.class_block[rc]], problem.demand_dense())
+    assert np.array_equal(dense.demand[dense.class_block[rc]], problem.demand)
     assert np.array_equal(dense.energy[rc], problem.energy_j)
-    assert np.array_equal(dense.mask[rc], compile_placement(problem).report.mask)
+    assert np.array_equal(dense.mask[rc], _candidate_mask(problem))
+
+
+def _candidate_mask(problem: PlacementProblem) -> np.ndarray:
+    """The per-application candidate mask: SLO + support and the standalone
+    capacity fit of the problem's own (A, S, K) demand."""
+    return problem.feasible_mask() & capacity_fits(problem.demand, problem.capacity)
 
 
 @pytest.fixture(scope="module")
@@ -530,12 +536,13 @@ def cdn_epoch_problem():
 @pytest.fixture(scope="module")
 def cdn_live_epoch_problem():
     """The same epoch's applications over an allocated fleet with one server
-    off: the report reads live capacities, not the pristine fit rows."""
+    off: the candidate mask reads live capacities, not the pristine fit rows."""
     simulator = CDNSimulator(scenario=CDNScenario(
         continent="EU", n_epochs=1, max_sites=8, seed=0))
     problem = simulator.epoch_problem(0)
     servers = simulator.fleet.servers()
-    demand = problem.demands[0][int(np.flatnonzero(problem.supported[0])[0])]
+    first = servers[int(np.flatnonzero(problem.supported[0])[0])]
+    demand = problem.applications[0].resource_demand_on(first)
     for srv in servers[:3]:
         while srv.can_host(demand):
             srv.allocate(f"filler-{srv.server_id}-{len(srv.allocations)}", demand)
@@ -543,8 +550,7 @@ def cdn_live_epoch_problem():
     live = simulator.scenario_compilation().build_problem(
         list(problem.applications), hour=7)
     assert len(np.unique(compile_placement(live).dense().row_class)) < live.n_applications
-    assert not np.array_equal(compile_placement(live).report.mask,
-                              compile_placement(problem).report.mask)
+    assert not np.array_equal(_candidate_mask(live), _candidate_mask(problem))
     return live
 
 

@@ -1,20 +1,22 @@
 """Tests for the pluggable solver-backend registry (repro.solver.registry)."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.cluster.resources import ResourceVector
 from repro.core.objective import ObjectiveKind
 from repro.core.policies.carbon_edge import CarbonEdgePolicy
 from repro.core.problem import PlacementProblem
+from repro.core.solution import PlacementSolution
 from repro.core.validation import validate_solution
 from repro.solver import registry
 from repro.solver.backend import SolveRequest, raw_objective_value
 from repro.solver.backends.heuristic import GreedyLocalSearchBackend
 from repro.solver.compile import GreedyState, greedy_fill
 
+from tests.conftest import make_apps
 from tests.test_backend_metamorphic import _random_problem
 
 
@@ -90,6 +92,76 @@ def test_custom_backend_registration_and_cleanup(central_eu_problem):
         del registry._ALIASES["void"]
 
 
+@pytest.fixture
+def partial_backend():
+    """Register ``partial``, a backend returning the incumbent set on it, and
+    unregister it afterwards."""
+    @registry.register_backend("partial")
+    class PartialBackend:
+        name = "partial"
+        incumbent: dict = {}
+
+        def solve(self, request):
+            return PlacementSolution(problem=request.problem,
+                                     placements=dict(self.incumbent),
+                                     power_on=np.ones(request.problem.n_servers))
+
+    try:
+        yield PartialBackend
+    finally:
+        del registry._BACKENDS["partial"]
+
+
+def test_registry_fills_an_exhausted_incumbent_within_its_capacity(
+        partial_backend, central_eu_fleet, central_eu_latency, central_eu_carbon):
+    """An incumbent that leaves applications out takes the heuristic
+    baseline's server for each of them, in application order, only where
+    what the incumbent left on that server fits; a server the incumbent
+    overloads takes nothing more."""
+    # 30 Sci apps of 4 cores each, every server within the SLO: the baseline
+    # fills three servers of 40 cores with ten apps each.
+    apps = make_apps(central_eu_fleet.sites(), workload="Sci", n_per_site=6,
+                     slo_ms=1000.0)
+    problem = PlacementProblem.build(apps, central_eu_fleet.servers(),
+                                     central_eu_latency, central_eu_carbon, hour=0)
+    baseline = registry.solve(problem, backend="heuristic").placements
+    ids = list(problem.app_ids())
+    over, tight, free = (baseline[ids[k]] for k in (0, 10, 20))
+    groups = {j: [a for a in ids if baseline[a] == j] for j in (over, tight, free)}
+    assert len({over, tight, free}) == 3
+    assert all(len(group) == 10 for group in groups.values())
+    other = next(j for j in range(problem.n_servers) if j not in groups)
+
+    # Left out: 2 apps the baseline puts on `over`, 4 on `tight`, 3 on `free`.
+    omitted = groups[over][-2:] + groups[tight][-4:] + groups[free][-3:]
+    kept = [a for a in ids if a not in omitted]
+    # The incumbent puts 11 apps on `over` (44 cores of 40), 8 on `tight`
+    # (8 cores left: room for two more) and the last 2 on `other`.
+    partial_backend.incumbent = {a: j for a, j in zip(
+        kept, [over] * 11 + [tight] * 8 + [other] * 2)}
+
+    with mock.patch.object(registry, "_fill_missing",
+                           wraps=registry._fill_missing) as spy:
+        result = registry.solve(problem, backend="partial")
+    (_, completed, passed_baseline), _ = spy.call_args
+    assert passed_baseline.placements == baseline
+
+    filled = {a: j for a, j in completed.placements.items()
+              if a not in partial_backend.incumbent}
+    assert filled == {a: baseline[a] for a in groups[tight][-4:-2] + groups[free][-3:]}
+    assert sorted(completed.unplaced) == sorted(groups[over][-2:] + groups[tight][-2:])
+    # Nothing was added to the overloaded server: the incumbent's own
+    # overload is the completed solution's only violation.
+    assert sum(j == over for j in completed.placements.values()) == 11
+    violations = validate_solution(completed, strict=False)
+    assert len(violations) == 1
+    assert f"server {problem.servers[over].server_id} over capacity" in violations[0]
+    # The complete baseline places more, so it is what the registry returns.
+    assert result is passed_baseline and result.backend_name == "heuristic"
+    validate_solution(result)
+    assert result.all_placed
+
+
 # -- cross-backend agreement -----------------------------------------------------
 
 def test_all_backends_feasible_and_within_tolerance(central_eu_problem):
@@ -139,13 +211,11 @@ def _tight_problem(n_apps: int = 6, n_servers: int = 3) -> PlacementProblem:
     intensity = np.linspace(100.0, 300.0, n_servers)
     latency = np.zeros((n_apps, n_servers))
     energy = np.full((n_apps, n_servers), 3.6e6)  # 1 kWh per assignment
-    demands = [[ResourceVector.of(cpu_cores=1.0) for _ in range(n_servers)]
-               for _ in range(n_apps)]
-    capacities = [ResourceVector.of(cpu_cores=2.0) for _ in range(n_servers)]
     servers = [_FakeServer(f"srv{j}") for j in range(n_servers)]
     return PlacementProblem(
         applications=apps, servers=servers, latency_ms=latency, energy_j=energy,
-        demands=demands, intensity=intensity, capacities=capacities,
+        intensity=intensity, resource_keys=("cpu_cores",),
+        capacity=np.full((n_servers, 1), 2.0), demand=np.ones((n_apps, n_servers, 1)),
         base_power_w=np.full(n_servers, 100.0), current_power=np.zeros(n_servers),
         horizon_hours=1.0)
 

@@ -211,13 +211,12 @@ def _assert_problems_identical(cold, fast):
                  "base_power_w", "current_power"):
         a, b = getattr(cold, name), getattr(fast, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert np.array_equal(cold.demand_dense(), fast.demand_dense())
+    assert cold.resource_keys == fast.resource_keys
+    for name in ("capacity", "demand"):
+        a, b = getattr(cold, name), getattr(fast, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert np.array_equal(cold.feasible_mask(), fast.feasible_mask())
     assert np.array_equal(cold.nearest_feasible_ms(), fast.nearest_feasible_ms())
-    for ci, fi in zip(cold.demands, fast.demands):
-        for cv, fv in zip(ci, fi):
-            assert set(cv.keys()) == set(fv.keys())
-            assert all(cv.get(k) == fv.get(k) for k in cv.keys())
 
 
 def test_columnar_epoch_tensors_match_cold_build():
