@@ -104,8 +104,7 @@ def test_bench_columnar_vs_object(bench_once):
           f"{n_classes} classes): cold build {cold_build_s:.3f} s, "
           f"columnar {columnar_s:.3f} s, speedup {speedup:.2f}x")
     print(f"class compression {N_APPS / max(n_classes, 1):.0f}x, "
-          f"cache {stats['row_bytes'] / 1e6:.1f} MB "
-          f"({stats['row_evictions']} evictions), peak RSS {rss_mb:.0f} MB")
+          f"cache {stats['row_bytes'] / 1e6:.1f} MB, peak RSS {rss_mb:.0f} MB")
     append_bench_record(ARTIFACT, "workload_substrate", {
         "scale": "smoke" if _SMOKE else "full",
         "size": [N_SITES, N_APPS],
@@ -114,7 +113,6 @@ def test_bench_columnar_vs_object(bench_once):
         "columnar_s": round(columnar_s, 4),
         "speedup": round(speedup, 2),
         "cache_row_bytes": stats["row_bytes"],
-        "cache_row_evictions": stats["row_evictions"],
         "peak_rss_mb": round(rss_mb, 1),
     })
 

@@ -168,11 +168,6 @@ def build_carbon_edge_parser() -> argparse.ArgumentParser:
                               "every experiment that takes a backend/backends "
                               "parameter; a recorded experiment parameter "
                               "(default: each spec's own choice)")
-    run_cmd.add_argument("--merge", default="memory", choices=("memory", "stream"),
-                         help="artifact merge strategy: 'memory' holds every "
-                              "unit fragment, 'stream' spools fragments to a "
-                              "spill directory and folds them one at a time; "
-                              "artifacts are byte-identical (default: memory)")
     run_cmd.add_argument("--seed", type=int, default=None,
                          help="override the seed of every experiment that takes one")
     run_cmd.add_argument("--output-dir", default="artifacts", metavar="DIR",
@@ -289,7 +284,7 @@ def _experiments_run(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         overrides["backends"] = (args.backend,)
     overrides = overrides or None
     runner = ScenarioRunner(workers=args.workers, smoke=args.smoke, seed=args.seed,
-                            overrides=overrides, merge=args.merge)
+                            overrides=overrides)
     start = time.perf_counter()
     results = runner.run(names)
     elapsed = time.perf_counter() - start
@@ -362,6 +357,7 @@ def _run_serve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     print(f"feed: samples {metrics.feed_samples or {'live': 0}}, "
           f"events {metrics.feed_events or 'none'}, "
           f"stale={metrics.feed_stale}")
+    print(f"decision digest: {metrics.decision_digest()}")
     if args.metrics_out:
         path = metrics.write(args.metrics_out)
         print(f"metrics artifact -> {path}")

@@ -23,7 +23,6 @@ from repro.cluster.server import EdgeServer
 from repro.core.filters import within_slo
 from repro.core.objective import activation_rows
 from repro.network.latency import LatencyMatrix
-from repro.utils.units import joules_to_kwh
 from repro.workloads.application import Application
 from repro.workloads.generator import ApplicationBatch, LazyApplications
 from repro.workloads.profiles import get_profile
@@ -220,10 +219,6 @@ class PlacementProblem:
             self._nearest_feasible = np.where(self.feasible_mask(),
                                               self.latency_ms, np.inf).min(axis=1)
         return self._nearest_feasible
-
-    def operational_carbon_g(self) -> np.ndarray:
-        """(A, S) operational emissions x_ij would incur: E_ij (kWh) × Ī_j, grams."""
-        return joules_to_kwh(self.energy_j) * self.intensity[None, :]
 
     def activation_carbon_g(self) -> np.ndarray:
         """(S,) emissions of newly activating each server: B_j × horizon × Ī_j, grams."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.objective import ObjectiveKind, raw_values
 from repro.core.problem import PlacementProblem
 
 
@@ -109,9 +110,10 @@ class PlacementSolution:
     def assignments(self) -> list[Assignment]:
         """Per-application assignment records."""
         out: list[Assignment] = []
-        op_carbon = self.problem.operational_carbon_g()
-        for app_id, j in self.placements.items():
-            i = self.problem.app_index(app_id)
+        i_arr, j_arr = self._placement_arrays()
+        op_carbon = self._operational_carbon(i_arr, j_arr).tolist()
+        for app_id, i, j, carbon in zip(self.placements, i_arr.tolist(),
+                                        j_arr.tolist(), op_carbon):
             server = self.problem.servers[j]
             out.append(Assignment(
                 app_id=app_id,
@@ -119,7 +121,7 @@ class PlacementSolution:
                 site=server.site,
                 zone_id=server.zone_id,
                 one_way_latency_ms=float(self.problem.latency_ms[i, j]),
-                operational_carbon_g=float(op_carbon[i, j]),
+                operational_carbon_g=carbon,
                 energy_j=float(self.problem.energy_j[i, j]),
             ))
         return out
@@ -155,15 +157,20 @@ class PlacementSolution:
                             count=len(self.placements))
         return i_arr, j_arr
 
+    def _operational_carbon(self, i_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
+        """(P,) operational emissions of the (application, server) pairs,
+        grams: the carbon objective's coefficients, gathered pair by pair."""
+        problem = self.problem
+        return raw_values(ObjectiveKind.CARBON, problem.energy_j[i_arr, j_arr],
+                          problem.latency_ms[i_arr, j_arr], problem.intensity[j_arr])
+
     def newly_activated(self) -> np.ndarray:
         """(S,) indicator of servers switched on by this placement (y_j - y^curr_j)."""
         return np.clip(self.power_on - self.problem.current_power, 0.0, 1.0)
 
     def operational_carbon_g(self) -> float:
         """Total operational emissions of the placed applications, grams."""
-        op = self.problem.operational_carbon_g()
-        i_arr, j_arr = self._placement_arrays()
-        return float(sum(op[i_arr, j_arr].tolist()))
+        return float(sum(self._operational_carbon(*self._placement_arrays()).tolist()))
 
     def activation_carbon_g(self) -> float:
         """Emissions from newly activated servers' base power, grams."""

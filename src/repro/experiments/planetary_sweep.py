@@ -18,7 +18,7 @@ jittered builder is minutes of Python at 5·10^7 pairs.
 The artifact is deterministic: placements, objectives, and region statistics
 only. Wall-clock and memory measurements live in the benchmarks
 (``benchmarks/test_bench_hierarchy.py``), never in artifact bytes, so
-``--workers {1,2,4}`` and ``--merge {memory,stream}`` byte-diff clean.
+``--workers {1,2,4}`` byte-diff clean.
 """
 
 from __future__ import annotations
@@ -174,8 +174,7 @@ SPEC = register(ExperimentSpec(
     params=dict(seed=EXPERIMENT_SEED, n_sites=10_000, n_apps=100_000,
                 hour=4700, latency_slo_ms=40.0, hierarchy_regions=(32, 64)),
     # Two sweep units even at smoke scale so the CI hierarchy-determinism job
-    # (--workers {1,2} x --merge {memory,stream}, byte-diffed) exercises a
-    # real multi-unit merge.
+    # (--workers {1,2}, byte-diffed) exercises a real multi-unit merge.
     smoke_params=dict(n_sites=48, n_apps=160, hierarchy_regions=(2, 3)),
     sweep=(SweepAxis("hierarchy_regions"),),
     schema=("scale", "sweep"),

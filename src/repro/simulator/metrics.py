@@ -119,22 +119,6 @@ class SimulationResult:
         """Applications without any feasible server, summed over epochs."""
         return int(sum(r.n_nearest_unreachable for r in self._of(policy)))
 
-    def mean_revalidation_rate(self, policy: str) -> float | None:
-        """Mean per-epoch reconciliation revalidation rate of one policy.
-
-        ``None`` when no epoch reported replay telemetry; values near 1.0
-        mean the epochs replayed per application (the naive loop under a
-        live activation channel, or conflict-dense instances past the wave
-        budget), values near 0.0 mean
-        the wave replay settled almost everything in batched commits (see
-        ``EpochRecord.revalidation_rate``).
-        """
-        values = [r.revalidation_rate for r in self._of(policy)
-                  if r.revalidation_rate is not None]
-        if not values:
-            return None
-        return float(np.mean(values))
-
     def _of(self, policy: str) -> list[EpochRecord]:
         if policy not in self.records:
             raise KeyError(f"no records for policy {policy!r}; have {list(self.records)}")

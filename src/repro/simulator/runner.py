@@ -33,13 +33,9 @@ properties the rest of the tree relies on:
 from __future__ import annotations
 
 import itertools
-import json
-import shutil
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.experiments import common
@@ -52,16 +48,8 @@ __all__ = [
     "ScenarioRunner",
     "expand_units",
     "merge_artifacts",
-    "merge_artifact_parts",
     "run_experiments",
 ]
-
-#: Recognised artifact-merge modes: ``memory`` holds every unit fragment and
-#: folds them in one pass; ``stream`` spools each fragment to a part file as
-#: it is produced and folds parts one at a time, so peak memory is one
-#: fragment plus the accumulator. Byte-identical by construction
-#: (:func:`jsonable` output round-trips JSON losslessly).
-MERGE_MODES: tuple[str, ...] = ("memory", "stream")
 
 
 @dataclass(frozen=True)
@@ -141,23 +129,6 @@ def merge_artifacts(parts: Sequence[Mapping[str, object]]) -> dict[str, object]:
     return dict(merged)
 
 
-def merge_artifact_parts(paths: Sequence[Path]) -> dict[str, object]:
-    """Merge spooled part files in unit order, loading one part at a time.
-
-    The streaming counterpart of :func:`merge_artifacts`: the same left fold
-    over the same fragments, so the result is identical; only the peak
-    residency differs (accumulator + one fragment instead of all fragments).
-    """
-    if not paths:
-        raise ValueError("no unit artifacts to merge")
-    merged: object = None
-    for i, path in enumerate(paths):
-        with open(path, encoding="utf-8") as fh:
-            part = json.load(fh)
-        merged = part if i == 0 else _merge(merged, part)
-    return dict(merged)
-
-
 #: Name of the experiment the *current process* last executed a unit for.
 #: Crossing experiments drops the substrate caches (see module docstring).
 _LAST_SPEC: str | None = None
@@ -181,21 +152,6 @@ def _execute_unit(unit: WorkUnit) -> dict[str, object]:
     return jsonable(projected)
 
 
-def _execute_unit_to_path(unit: WorkUnit, path: str) -> str:
-    """Run one unit and spool its fragment to a part file (streaming merge).
-
-    Only the path crosses the process boundary, so the parent never holds
-    more than one fragment at a time during the merge.
-    """
-    fragment = _execute_unit(unit)
-    target = Path(path)
-    tmp = target.with_suffix(".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(fragment, fh)
-    tmp.replace(target)
-    return str(target)
-
-
 @dataclass
 class ScenarioRunner:
     """Executes registered experiments, optionally sharded across processes.
@@ -212,27 +168,19 @@ class ScenarioRunner:
     overrides:
         Extra parameter overrides broadcast the same way (unknown keys are
         ignored per spec).
-    merge:
-        ``"memory"`` keeps every unit fragment resident and merges at the
-        end; ``"stream"`` spools each fragment to a part file in a temporary
-        spill directory as it is produced and folds the parts in grid order,
-        one at a time — byte-identical artifacts (the fold and the fragments
-        are the same), peak memory bounded by one fragment plus the
-        accumulator. An execution-only knob.
+
+    Every unit fragment stays resident until its spec's fragments are folded
+    in grid order (:func:`merge_artifacts`).
     """
 
     workers: int = 1
     smoke: bool = False
     seed: int | None = None
     overrides: Mapping[str, object] | None = None
-    merge: str = "memory"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.merge not in MERGE_MODES:
-            raise ValueError(
-                f"merge must be one of {MERGE_MODES}, got {self.merge!r}")
 
     def _overrides(self) -> dict[str, object]:
         overrides = dict(self.overrides or {})
@@ -255,56 +203,32 @@ class ScenarioRunner:
             units.extend(expanded)
 
         start = time.perf_counter()
-        spill_dir: Path | None = None
-        try:
-            if self.merge == "stream":
-                spill_dir = Path(tempfile.mkdtemp(prefix="carbon-edge-parts-"))
-                paths = [str(spill_dir / f"part-{i:05d}.json")
-                         for i in range(len(units))]
-                if self.workers == 1 or len(units) == 1:
-                    part_paths = [_execute_unit_to_path(unit, path)
-                                  for unit, path in zip(units, paths)]
-                else:
-                    with ProcessPoolExecutor(
-                            max_workers=min(self.workers, len(units))) as pool:
-                        part_paths = list(pool.map(_execute_unit_to_path,
-                                                   units, paths))
-                fragments = None
-            elif self.workers == 1 or len(units) == 1:
-                fragments = [_execute_unit(unit) for unit in units]
-            else:
-                # Keep units in submission order (grid order, grouped by
-                # spec): Executor.map preserves result order regardless of
-                # completion order, and grouping gives workers runs of
-                # same-substrate units.
-                with ProcessPoolExecutor(
-                        max_workers=min(self.workers, len(units))) as pool:
-                    fragments = list(pool.map(_execute_unit, units))
-            elapsed = time.perf_counter() - start
+        if self.workers == 1 or len(units) == 1:
+            fragments = [_execute_unit(unit) for unit in units]
+        else:
+            # Keep units in submission order (grid order, grouped by spec):
+            # Executor.map preserves result order regardless of completion
+            # order, and grouping gives workers runs of same-substrate units.
+            with ProcessPoolExecutor(
+                    max_workers=min(self.workers, len(units))) as pool:
+                fragments = list(pool.map(_execute_unit, units))
+        elapsed = time.perf_counter() - start
 
-            results: dict[str, ExperimentResult] = {}
-            for spec, lo, hi in spans:
-                if fragments is None:
-                    artifact = merge_artifact_parts(
-                        [Path(p) for p in part_paths[lo:hi]])
-                else:
-                    artifact = merge_artifacts(fragments[lo:hi])
-                result = ExperimentResult(
-                    name=spec.name,
-                    kind=spec.kind,
-                    params=jsonable(spec.resolved_params(smoke=self.smoke,
-                                                         overrides=overrides)),
-                    artifact=artifact,
-                    smoke=self.smoke,
-                    n_units=hi - lo,
-                    elapsed_s=elapsed if len(specs) == 1 else None,
-                )
-                result.validate(spec.schema)
-                results[spec.name] = result
-            return results
-        finally:
-            if spill_dir is not None:
-                shutil.rmtree(spill_dir, ignore_errors=True)
+        results: dict[str, ExperimentResult] = {}
+        for spec, lo, hi in spans:
+            result = ExperimentResult(
+                name=spec.name,
+                kind=spec.kind,
+                params=jsonable(spec.resolved_params(smoke=self.smoke,
+                                                     overrides=overrides)),
+                artifact=merge_artifacts(fragments[lo:hi]),
+                smoke=self.smoke,
+                n_units=hi - lo,
+                elapsed_s=elapsed if len(specs) == 1 else None,
+            )
+            result.validate(spec.schema)
+            results[spec.name] = result
+        return results
 
     def run_one(self, name: str) -> ExperimentResult:
         """Run a single experiment and return its result."""
@@ -312,8 +236,7 @@ class ScenarioRunner:
 
 
 def run_experiments(names: Iterable[str], workers: int = 1, smoke: bool = False,
-                    seed: int | None = None,
-                    merge: str = "memory") -> dict[str, ExperimentResult]:
+                    seed: int | None = None) -> dict[str, ExperimentResult]:
     """Convenience wrapper: build a :class:`ScenarioRunner` and run it."""
-    runner = ScenarioRunner(workers=workers, smoke=smoke, seed=seed, merge=merge)
+    runner = ScenarioRunner(workers=workers, smoke=smoke, seed=seed)
     return runner.run(names)

@@ -900,16 +900,20 @@ def clear_compilation(problem: PlacementProblem) -> None:
 #
 # A :class:`ScenarioCompilation` hoists everything epoch-invariant to scenario
 # scope, keyed by **application class** — the (source site, workload, request
-# rate, latency SLO, duration) tuple that determines every per-pair quantity of
-# an application. Arrivals are drawn from a small class population (sites x
-# workloads for the CDN scenarios), so each class's latency row, support row,
-# energy row, demand row, SLO-feasibility row, nearest-feasible latency, dense
-# demand row, and baseline capacity-fit row are computed exactly once per
-# scenario and every epoch's tensors are assembled by row *gather* instead of
-# rebuild. The class-specific rows sit in contiguous class tables indexed by
-# scenario class id, filled in bulk for a batch's unseen classes; the rows a
-# class shares with its (workload, rate) block sit in keyed LRU caches, read
-# once per block per epoch. The per-epoch remainder is the
+# rate, latency SLO) tuple, the only fields any class or block row reads (an
+# application's duration reads none, so live arrivals that each draw their own
+# lifetime share their class). Arrivals are drawn from a small class
+# population (sites x workloads for the CDN scenarios), so each class's
+# latency row, support row, energy row, demand row, SLO-feasibility row,
+# nearest-feasible latency, dense demand row, and baseline capacity-fit row are
+# computed exactly once per scenario and every epoch's tensors are assembled by
+# row *gather* instead of rebuild. The class-specific rows sit in contiguous
+# class tables indexed by scenario class id, filled in bulk for a batch's
+# unseen classes; the rows a class shares with its (workload, rate) block sit
+# in keyed dicts, read once per block per epoch. Both live as long as the
+# compilation: their size is the fleet's sites times the (workload, rate, SLO)
+# combinations the traffic uses, and no caller draws per-app rates or SLOs.
+# The per-epoch remainder is the
 # :class:`EpochDelta`: the epoch-mean intensity vector (one memoised forecast
 # integral per zone), the arrival batch with its class indices, the
 # warm-start allocation state (live capacities and power when the fleet is
@@ -950,14 +954,6 @@ def clear_compilation(problem: PlacementProblem) -> None:
 # its candidate fit runs against them.
 
 
-#: Per-scenario class caches are dropped wholesale beyond this many distinct
-#: application classes (unbounded only for adversarial streams of distinct
-#: request rates; catalogue workloads stay tiny). The same limit caps each of
-#: the keyed row caches (blocks / energy / dense rows) individually, as an
-#: LRU instead of a wholesale drop.
-CLASS_CACHE_LIMIT: int = 4096
-
-
 #: Cells (classes x servers) of class-table rows filled at once, bounding the
 #: temporaries of a batch that brings many new classes.
 CLASS_FILL_CELLS: int = 1 << 20
@@ -980,13 +976,13 @@ class EpochDelta:
 
     Attributes
     ----------
-    hour / horizon_hours / use_forecast:
-        The epoch's position and horizon (inputs of the intensity integral).
+    horizon_hours:
+        The epoch's placement horizon.
     applications:
         The epoch's arrivals as a columnar batch.
     class_indices:
         (A,) index of each application's class in the scenario's class table
-        (valid for the table generation stamped in ``class_generation``).
+        (append-only, so the indices never go stale).
     intensity:
         (S,) epoch-mean carbon intensities Ī_j (the forecast integral,
         computed once per zone and gathered per server).
@@ -1006,9 +1002,7 @@ class EpochDelta:
         server's total capacity.
     """
 
-    hour: int
     horizon_hours: float
-    use_forecast: bool
     applications: ApplicationBatch
     class_indices: np.ndarray
     intensity: np.ndarray
@@ -1022,10 +1016,6 @@ class EpochDelta:
     energy: np.ndarray
     demand: np.ndarray
     capacity: np.ndarray
-    #: Generation of the scenario's class table these indices point into
-    #: (the table is dropped wholesale past its cache limit; a delta held
-    #: across such a trim must have its indices re-derived, not trusted).
-    class_generation: int = 0
 
 
 @dataclass
@@ -1075,25 +1065,23 @@ class ScenarioCompilation:
             key for srv in self.servers for key in srv.total_capacity.keys())
         #: Pristine-fleet capacity tables, keyed by an epoch's resource keys.
         self._baseline_capacity_dense: dict[tuple, np.ndarray] = {}
-        # Class tables (see _register_classes) and derived row caches. The
-        # keyed row caches are individually LRU-bounded at CLASS_CACHE_LIMIT;
-        # the class tables are append-only (row k belongs to scenario class k,
-        # the first _n_classes rows are live, the rest is growth room) and
-        # dropped wholesale by _trim_class_caches instead.
+        # Class tables (see _register_classes) and the keyed block row
+        # caches. The class tables are append-only: row k belongs to
+        # scenario class k, the first _n_classes rows are live and the rest
+        # is growth room.
         self._class_index: dict[tuple, int] = {}
         self._block_index: dict[tuple, int] = {}
         #: (workload, rate) of each block id in ``_class_block``.
         self._block_keys: list[tuple] = []
         self._n_classes: int = 0
-        self._reset_class_tables()
-        self._blocks: OrderedDict[tuple, _WorkloadBlock] = OrderedDict()
-        self._energy_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self._dense_rows: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        #: Keyed rows evicted by the LRU caps (telemetry; see cache_stats).
-        self._row_evictions: int = 0
-        #: Bumped whenever the class table is dropped wholesale, so deltas
-        #: built against an older table are detected and re-derived.
-        self._class_generation: int = 0
+        s = len(self.servers)
+        self._lat = np.empty((0, s))
+        self._feas = np.empty((0, s), dtype=bool)
+        self._near = np.empty(0)
+        self._class_block = np.empty(0, dtype=np.intp)
+        self._blocks: dict[tuple, _WorkloadBlock] = {}
+        self._energy_rows: dict[tuple, np.ndarray] = {}
+        self._dense_rows: dict[tuple, np.ndarray] = {}
 
     # -- substrate identity ------------------------------------------------------
 
@@ -1109,25 +1097,10 @@ class ScenarioCompilation:
 
     # -- static row builders (each mirrors one per-object build expression) -----
 
-    def _lru_get(self, cache: OrderedDict, key: tuple):
-        """Fetch from a keyed row cache, refreshing the entry's recency."""
-        value = cache.get(key)
-        if value is not None:
-            cache.move_to_end(key)
-        return value
-
-    def _lru_put(self, cache: OrderedDict, key: tuple, value) -> None:
-        """Insert into a keyed row cache, evicting the oldest rows past the
-        class-cache limit (a memo, not state — recomputation is bit-identical)."""
-        cache[key] = value
-        while len(cache) > CLASS_CACHE_LIMIT:
-            cache.popitem(last=False)
-            self._row_evictions += 1
-
     def _block(self, workload: str, rate: float) -> _WorkloadBlock:
         """Support/demand rows for one (workload, request rate) pair."""
         key = (workload, rate)
-        block = self._lru_get(self._blocks, key)
+        block = self._blocks.get(key)
         if block is None:
             s = len(self.servers)
             supported = np.zeros(s, dtype=bool)
@@ -1143,7 +1116,7 @@ class ScenarioCompilation:
                 groups.append((cols, profile, vec))
             block = _WorkloadBlock(supported=supported,
                                    demand_keys=frozenset(demand_keys), groups=groups)
-            self._lru_put(self._blocks, key, block)
+            self._blocks[key] = block
         return block
 
     def _energy_row(self, workload: str, rate: float, horizon_hours: float) -> np.ndarray:
@@ -1155,25 +1128,25 @@ class ScenarioCompilation:
         bit-identical.
         """
         key = (workload, rate, float(horizon_hours))
-        row = self._lru_get(self._energy_rows, key)
+        row = self._energy_rows.get(key)
         if row is None:
             row = np.zeros(len(self.servers))
             for cols, profile, _ in self._block(workload, rate).groups:
                 per_app = profile.energy_per_request_j * np.full(1, rate) \
                     * 3600.0 * horizon_hours
                 row[cols] = per_app[0]
-            self._lru_put(self._energy_rows, key, row)
+            self._energy_rows[key] = row
         return row
 
     def _dense_row(self, workload: str, rate: float, keys: tuple) -> np.ndarray:
         """(S, K) dense demand row of one class over an epoch's resource keys."""
         cache_key = (workload, rate, keys)
-        row = self._lru_get(self._dense_rows, cache_key)
+        row = self._dense_rows.get(cache_key)
         if row is None:
             row = np.zeros((len(self.servers), len(keys)))
             for cols, _, vec in self._block(workload, rate).groups:
                 row[cols] = np.array([vec.get(key) for key in keys])
-            self._lru_put(self._dense_rows, cache_key, row)
+            self._dense_rows[cache_key] = row
         return row
 
     def _capacity_dense(self, keys: tuple, capacities: list | None = None) -> np.ndarray:
@@ -1199,16 +1172,9 @@ class ScenarioCompilation:
     # static rows of scenario class k: its (S,) one-way latencies (with the
     # INFEASIBLE fill on unsupported servers), its SLO + support feasibility,
     # its nearest-feasible latency, and the id of its (workload, rate) block,
-    # whose rows (support, demand, energy, dense demand) live in the keyed LRU
-    # caches. An epoch's tensors are one fancy-index gather from these tables
-    # plus one row per block.
-
-    def _reset_class_tables(self) -> None:
-        s = len(self.servers)
-        self._lat = np.empty((0, s))
-        self._feas = np.empty((0, s), dtype=bool)
-        self._near = np.empty(0)
-        self._class_block = np.empty(0, dtype=np.intp)
+    # whose rows (support, demand, energy, dense demand) live in the keyed
+    # block caches. An epoch's tensors are one fancy-index gather from these
+    # tables plus one row per block.
 
     def _block_id(self, workload: str, rate: float) -> int:
         """Id of a (workload, rate) block, numbered on first sight."""
@@ -1220,7 +1186,7 @@ class ScenarioCompilation:
         return b
 
     def _register_classes(self, keys: Sequence[tuple]) -> np.ndarray:
-        """Scenario class ids of (site, workload, rate, slo, duration) keys.
+        """Scenario class ids of (site, workload, rate, slo) keys.
 
         Unseen classes are numbered in the order given and their rows are
         filled in bulk (:meth:`_fill_class_rows`), so a batch pays one
@@ -1250,7 +1216,7 @@ class ScenarioCompilation:
         temporaries stay small however many classes a batch brings.
         """
         n = len(fresh)
-        blocks = np.fromiter((self._block_id(w, r) for _, w, r, _, _ in fresh),
+        blocks = np.fromiter((self._block_id(w, r) for _, w, r, _ in fresh),
                              dtype=np.intp, count=n)
         sites = np.fromiter((self.latency.index_of(site) for site, *_ in fresh),
                             dtype=np.intp, count=n)
@@ -1287,35 +1253,20 @@ class ScenarioCompilation:
         Registers the batch's unique classes in **first-arrival order** — the
         order a per-application loop over the batch would first encounter
         them — so the class table (and every downstream float accumulation
-        keyed on it) does not depend on the batch's class-table sort.
+        keyed on it) does not depend on the batch's class-table sort. Batch
+        classes that differ only in duration share one scenario class.
         """
         order = np.argsort(batch.class_first_occurrence(), kind="stable")
         sites, workloads = batch.site_names, batch.workload_names
-        keys = [(sites[s], workloads[w], rate, slo, duration)
-                for s, w, rate, slo, duration in zip(
+        keys = [(sites[s], workloads[w], rate, slo)
+                for s, w, rate, slo in zip(
                     batch.class_site_idx[order].tolist(),
                     batch.class_workload_idx[order].tolist(),
                     batch.class_rate_rps[order].tolist(),
-                    batch.class_slo_ms[order].tolist(),
-                    batch.class_duration_h[order].tolist())]
+                    batch.class_slo_ms[order].tolist())]
         scen = np.empty(batch.n_classes, dtype=np.intp)
         scen[order] = self._register_classes(keys)
         return scen[batch.class_idx]
-
-    def _trim_class_caches(self) -> None:
-        """Wholesale drop of the class tables past the cache limit (a memo,
-        not state — recomputation is cheap and bit-identical)."""
-        if self._n_classes < CLASS_CACHE_LIMIT:
-            return
-        self._class_generation += 1
-        self._class_index.clear()
-        self._block_index.clear()
-        self._block_keys.clear()
-        self._n_classes = 0
-        self._reset_class_tables()
-        self._dense_rows.clear()
-        self._energy_rows.clear()
-        self._blocks.clear()
 
     def cache_stats(self) -> dict:
         """Size telemetry for the per-class caches (diagnostics, benches).
@@ -1334,9 +1285,6 @@ class ScenarioCompilation:
             "n_energy_rows": len(self._energy_rows),
             "n_dense_rows": len(self._dense_rows),
             "row_bytes": int(row_bytes),
-            "row_evictions": int(self._row_evictions),
-            "class_generation": int(self._class_generation),
-            "cache_limit": CLASS_CACHE_LIMIT,
         }
 
     # -- the per-epoch delta -----------------------------------------------------
@@ -1359,7 +1307,6 @@ class ScenarioCompilation:
             batch = ApplicationBatch.from_applications(applications)
         if len(batch) == 0:
             raise ValueError("cannot build a placement problem with no applications")
-        self._trim_class_caches()
         class_indices = self._batch_class_indices(batch)
         classes, first_app, app_class = np.unique(
             class_indices, return_index=True, return_inverse=True)
@@ -1383,14 +1330,14 @@ class ScenarioCompilation:
                        for zone in dict.fromkeys(self._zones)}
         intensity = np.array([by_zone[zone] for zone in self._zones])
         return EpochDelta(
-            hour=int(hour), horizon_hours=horizon_hours, use_forecast=use_forecast,
-            applications=batch, class_indices=class_indices, intensity=intensity,
+            horizon_hours=horizon_hours, applications=batch,
+            class_indices=class_indices, intensity=intensity,
             current_power=current_power, classes=classes,
             first_app=first_app, app_class=app_class, blocks=blocks,
             class_block=class_block, keys=keys,
             energy=np.stack([self._energy_row(w, r, horizon_hours) for w, r in blocks]),
             demand=np.stack([self._dense_row(w, r, keys) for w, r in blocks]),
-            capacity=capacity, class_generation=self._class_generation)
+            capacity=capacity)
 
     # -- assembly ----------------------------------------------------------------
 
@@ -1400,13 +1347,6 @@ class ScenarioCompilation:
         Every call gathers a fresh problem from the class tables, and the
         compilation keeps the delta, whose class tables its dense views read.
         """
-        if delta.class_generation != self._class_generation:
-            # The class table was dropped (cache-limit trim) after this delta
-            # was captured: its indices point into a table that no longer
-            # exists. Re-derive them against the current table rather than
-            # gathering silently wrong rows.
-            delta = self.epoch_delta(delta.applications, delta.hour,
-                                     delta.horizon_hours, delta.use_forecast)
         problem = self._assemble_problem(delta)
         compilation = EpochCompilation(problem=problem, delta=delta)
         problem._compilation = compilation
@@ -1501,5 +1441,6 @@ def compile_scenario(servers: Sequence["EdgeServer"], latency: "LatencyMatrix",
 
 
 def clear_scenario_compilations() -> None:
-    """Drop every cached scenario compilation (and their epoch memos)."""
+    """Drop every cached scenario compilation, with its class tables and row
+    caches."""
     _SCENARIO_CACHE.clear()

@@ -93,6 +93,15 @@ def test_hierarchy_merge_and_serve_flag_validation(argv, capsys):
     assert excinfo.value.code != 0
 
 
+def test_merge_flag_is_refused(capsys):
+    """Unit artifacts fold in memory, the only merge: ``--merge`` is an
+    unknown argument."""
+    with pytest.raises(SystemExit) as excinfo:
+        carbon_edge_main(["experiments", "run", "fig07", "--merge", "stream"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --merge stream" in capsys.readouterr().err
+
+
 def test_max_sites_error_names_the_flag(capsys):
     with pytest.raises(SystemExit):
         carbon_edge_main(["serve", "--max-sites", "1"])
@@ -120,16 +129,3 @@ def test_hierarchy_regions_needs_a_spec_that_takes_it(tmp_path, capsys):
                           "--output-dir", str(tmp_path)])
     assert excinfo.value.code != 0
     assert "planetary_sweep" in capsys.readouterr().err
-
-
-def test_stream_merge_cli_writes_identical_artifacts(tmp_path):
-    rc = carbon_edge_main(["experiments", "run", "fig07", "--smoke",
-                           "--merge", "stream",
-                           "--output-dir", str(tmp_path / "stream")])
-    assert rc == 0
-    rc = carbon_edge_main(["experiments", "run", "fig07", "--smoke",
-                           "--output-dir", str(tmp_path / "memory")])
-    assert rc == 0
-    streamed = (tmp_path / "stream" / "fig07.json").read_bytes()
-    in_memory = (tmp_path / "memory" / "fig07.json").read_bytes()
-    assert streamed == in_memory

@@ -8,6 +8,7 @@ from repro.core.objective import ObjectiveKind
 from repro.solver.backend import SolveRequest, solution_from_assignment
 from repro.solver.backends.highs import PlacementModel
 from repro.solver.compile import compile_placement
+from repro.utils.units import joules_to_kwh
 
 
 def _coefficients(problem, kind, alpha=0.0):
@@ -18,7 +19,8 @@ def _coefficients(problem, kind, alpha=0.0):
 
 def test_carbon_coefficients_match_problem(central_eu_problem):
     assign, activation = _coefficients(central_eu_problem, ObjectiveKind.CARBON)
-    assert np.allclose(assign, central_eu_problem.operational_carbon_g())
+    p = central_eu_problem
+    assert np.allclose(assign, joules_to_kwh(p.energy_j) * p.intensity)
     assert np.allclose(activation, central_eu_problem.activation_carbon_g())
 
 
@@ -37,7 +39,8 @@ def test_multi_objective_endpoints(central_eu_problem):
     feasible = central_eu_problem.feasible_mask()
     # alpha=0 ranks pairs by carbon; alpha=1 by energy (after normalisation the
     # ordering over feasible entries must match the raw coefficients).
-    raw_carbon = central_eu_problem.operational_carbon_g()[feasible]
+    raw_carbon = (joules_to_kwh(central_eu_problem.energy_j)
+                  * central_eu_problem.intensity)[feasible]
     raw_energy = central_eu_problem.energy_j[feasible]
     assert np.allclose(np.argsort(carbon0[feasible]), np.argsort(raw_carbon))
     assert np.allclose(np.argsort(energy1[feasible]), np.argsort(raw_energy))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import INFEASIBLE_LATENCY_MS, PlacementProblem
+from repro.core.solution import PlacementSolution
 from repro.utils.units import joules_to_kwh
 from tests.conftest import make_apps
 
@@ -44,9 +45,33 @@ def test_unsupported_workload_marked(florida_fleet, florida_latency, florida_car
 
 
 def test_operational_carbon_matches_energy_times_intensity(florida_problem):
+    """Solution accounting prices each placed pair as the (A, S) formula
+    does, bit for bit, over every (application, server) pair."""
     p = florida_problem
     expected = joules_to_kwh(p.energy_j) * p.intensity[None, :]
-    assert np.allclose(p.operational_carbon_g(), expected)
+    for j in range(p.n_servers):
+        solution = PlacementSolution(problem=p,
+                                     placements={a: j for a in p.app_ids()})
+        carbon = [r.operational_carbon_g for r in solution.assignments()]
+        assert carbon == expected[:, j].tolist()
+        assert solution.operational_carbon_g() == sum(expected[:, j].tolist())
+
+
+def test_solution_carbon_prices_only_placed_pairs(florida_problem):
+    """Assignments list the placed applications in placement order, each
+    priced as energy times intensity; unplaced applications add nothing."""
+    p = florida_problem
+    expected = joules_to_kwh(p.energy_j) * p.intensity[None, :]
+    ids = p.app_ids()
+    solution = PlacementSolution(problem=p, placements={ids[3]: 1, ids[0]: 4},
+                                 unplaced=[ids[1], ids[2], ids[4]])
+    records = solution.assignments()
+    assert [r.app_id for r in records] == [ids[3], ids[0]]
+    assert [r.operational_carbon_g for r in records] == [expected[3, 1],
+                                                         expected[0, 4]]
+    assert solution.operational_carbon_g() == expected[3, 1] + expected[0, 4]
+    empty = PlacementSolution(problem=p, unplaced=list(ids))
+    assert empty.assignments() == [] and empty.operational_carbon_g() == 0.0
 
 
 def test_activation_carbon_and_energy(florida_problem):

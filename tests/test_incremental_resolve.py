@@ -9,6 +9,7 @@ from repro.core.validation import validate_solution
 from repro.network.latency import LatencyMatrix  # noqa: F401  (fixture types)
 from repro.orchestrator.orchestrator import EdgeOrchestrator
 from repro.orchestrator.deployment import DeploymentState
+from repro.utils.units import joules_to_kwh
 
 from tests.conftest import make_apps
 
@@ -51,7 +52,7 @@ def test_resolve_epoch_warm_start_never_worse_than_staying(placer, central_eu_fl
     resolved = placer.resolve_epoch(hour=12)
     # Evaluate "keep the old placement" on the hour-12 problem: the re-solve
     # was warm-started from it, so it can only be equal or better.
-    stay = resolved.problem.operational_carbon_g()
+    stay = joules_to_kwh(resolved.problem.energy_j) * resolved.problem.intensity
     stay_carbon = sum(stay[resolved.problem.app_index(a), j]
                       for a, j in first.placements.items())
     assert resolved.operational_carbon_g() <= stay_carbon + 1e-9

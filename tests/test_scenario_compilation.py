@@ -146,6 +146,25 @@ def test_class_tables_fill_in_bounded_blocks(rows_per_block):
             _assert_problems_identical(cold, fast)
 
 
+def test_delta_held_across_new_classes_stays_valid():
+    """The class tables only grow: a delta captured before a later batch
+    registers more classes still assembles its own epoch's cold build."""
+    sim = CDNSimulator(scenario=CDNScenario(**SCENARIO_KWARGS))
+    servers = sim.fleet.servers()
+    compilation = ScenarioCompilation(servers, sim.latency, sim.carbon)
+    first = list(sim.generator.generate_batch(0, 0).applications)
+    delta = compilation.epoch_delta(first, hour=0)
+    before = compilation.cache_stats()["n_classes"]
+    later = list(sim.generator.generate_batch(1, 1).applications)
+    compilation.build_problem(later, hour=1)
+    assert compilation.cache_stats()["n_classes"] > before
+    fast = compilation.compile_epoch(delta).problem
+    cold = cold_build(
+        applications=first, servers=servers, latency=sim.latency,
+        carbon=sim.carbon, hour=0, horizon_hours=1.0)
+    _assert_problems_identical(cold, fast)
+
+
 def test_unknown_site_registers_no_class():
     """A batch with a site the latency matrix does not know fails without
     registering any of its classes, and the tables stay usable."""

@@ -179,7 +179,7 @@ def test_fresh_simulator_sees_pristine_fleet_despite_shared_substrate():
     clear_substrate_cache()
 
 
-# -- merge error paths and the streaming merge --------------------------------
+# -- merge error paths ---------------------------------------------------------
 
 
 def test_merge_type_mismatch_reports_the_json_path():
@@ -194,40 +194,3 @@ def test_merge_conflict_reports_nested_paths():
     with pytest.raises(ValueError, match=r"\$\.a\.b\.c"):
         merge_artifacts([{"a": {"b": {"c": "x"}}},
                          {"a": {"b": {"c": "y"}}}])
-
-
-def test_merge_artifact_parts_equals_in_memory_merge(tmp_path):
-    import json
-
-    from repro.simulator.runner import merge_artifact_parts
-
-    fragments = [
-        {"summary": {"US": {"v": 1}}, "rows": [[0, 1]], "shared": "x"},
-        {"summary": {"EU": {"v": 2}}, "rows": [[2, 3]], "shared": "x"},
-        {"summary": {"AS": {"v": 3}}, "rows": [[4, 5]], "shared": "x"},
-    ]
-    paths = []
-    for i, fragment in enumerate(fragments):
-        path = tmp_path / f"part-{i:05d}.json"
-        path.write_text(json.dumps(fragment))
-        paths.append(path)
-    assert merge_artifact_parts(paths) == merge_artifacts(fragments)
-    with pytest.raises(ValueError, match="no unit artifacts"):
-        merge_artifact_parts([])
-
-
-def test_runner_rejects_bad_merge_mode():
-    with pytest.raises(ValueError, match="merge"):
-        ScenarioRunner(merge="mmap")
-
-
-def test_stream_merge_is_byte_identical_to_memory_merge():
-    """The spill-directory streaming merge must not change artifact bytes —
-    planetary_sweep has two sweep units even at smoke scale, so this folds a
-    real multi-part artifact."""
-    memory = ScenarioRunner(smoke=True, merge="memory").run_one("planetary_sweep")
-    stream = ScenarioRunner(smoke=True, merge="stream").run_one("planetary_sweep")
-    assert stream.to_json() == memory.to_json()
-    streamed_workers = ScenarioRunner(smoke=True, merge="stream",
-                                      workers=2).run_one("planetary_sweep")
-    assert streamed_workers.to_json() == memory.to_json()

@@ -17,6 +17,7 @@ from repro.cli import carbon_edge_main
 from repro.serving.loadgen import LoadGenerator
 from repro.serving.metrics import SERVING_METRICS_VERSION, ServingMetrics
 from repro.serving.service import PlacementService, ServingConfig
+from repro.simulator.cdn import clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
 
 
@@ -121,6 +122,21 @@ def test_metrics_artifact_round_trips(tmp_path, scenario):
     assert artifact["throughput"]["placements_per_s"] > 0
     assert artifact["feed"]["samples"] == {"live": m.feed_samples["live"]}
     assert artifact["decisions"] == json.loads(m.canonical_decision_log())
+
+
+def test_live_arrivals_share_scenario_classes(scenario):
+    """Each live arrival draws its own lifetime, yet the scenario tier
+    registers one class per (site, workload, rate, SLO) of the stream."""
+    clear_substrate_cache()
+    service, load, _report = _run(scenario)
+    arrivals = [e.payload for e in load.events(3 * 3600.0)
+                if e.kind == "arrival"]
+    keys = {(a.source_site, a.workload, a.request_rate_rps, a.latency_slo_ms)
+            for a in arrivals}
+    assert len({a.duration_hours for a in arrivals}) > len(keys)
+    stats = service.simulator.scenario_compilation().cache_stats()
+    assert stats["n_classes"] == len(keys)
+    clear_substrate_cache()
 
 
 def test_empty_metrics_are_well_defined():
@@ -231,6 +247,7 @@ def test_cli_serve_soak_writes_the_metrics_artifact(tmp_path, capsys):
     assert artifact["version"] == SERVING_METRICS_VERSION
     printed = capsys.readouterr().out
     assert "decision latency" in printed and "placements/s" in printed
+    assert f"decision digest: {artifact['decision_digest']}\n" in printed
 
 
 def test_cli_serve_replay_parity_smoke(capsys):

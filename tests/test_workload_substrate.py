@@ -1,4 +1,4 @@
-"""The columnar workload substrate: equivalence, bit-identity, cache caps.
+"""The columnar workload substrate: equivalence, bit-identity, scenario classes.
 
 The contract under test (see the columnar section of
 :mod:`repro.workloads.generator`): the struct-of-arrays batch is a pure
@@ -26,7 +26,6 @@ from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.serving.loadgen import LoadGenerator
 from repro.simulator.cdn import CDNSimulator, clear_substrate_cache
 from repro.simulator.scenario import CDNScenario
-from repro.solver import compile as compile_module
 from repro.solver.compile import ScenarioCompilation, compile_placement
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import build_region_plan, solve_hierarchical
@@ -37,7 +36,7 @@ from repro.workloads.generator import (
     app_id_pad_width,
 )
 
-from tests.conftest import cold_builds
+from tests.conftest import cold_build, cold_builds
 
 SCENARIO_KWARGS = dict(continent="EU", n_epochs=2, max_sites=8, seed=0)
 
@@ -352,14 +351,49 @@ def test_loadgen_arrival_batch_matches_event_stream():
         assert got.duration_hours == app.duration_hours
 
 
-# -- class-row cache caps ------------------------------------------------------
+# -- scenario classes and their row caches ------------------------------------
 
 
-def test_row_caches_evict_past_the_limit():
+def _assert_dense_identical(cold, fast):
+    """The candidate mask and carbon costs, read per application through
+    each arm's class rows."""
+    dc, df = compile_placement(cold).dense(), compile_placement(fast).dense()
+    for attr in ("mask", "cost", "raw_assign", "energy"):
+        a, b = getattr(dc, attr)[dc.row_class], getattr(df, attr)[df.row_class]
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+def test_durations_share_a_scenario_class():
+    """Live arrivals each draw their own lifetime, and no class row reads
+    it: a batch whose applications differ only in duration registers one
+    scenario class per (site, workload, rate, SLO)."""
+    fleet, latency, carbon = build_planetary_substrate(10, seed=0)
+    sites = fleet.sites()
+    count = 40
+    site_idx = np.arange(count, dtype=np.int64) % len(sites)
+    workload_idx = np.arange(count, dtype=np.int64) // len(sites) % 2
+    batch = ApplicationBatch.from_columns(
+        interval_index=0, hour_of_year=4700,
+        site_names=tuple(sites), workload_names=("ResNet50", "BERT"),
+        site_idx=site_idx, workload_idx=workload_idx,
+        latency_slo_ms=40.0, request_rate_rps=10.0,
+        duration_hours=np.linspace(0.25, 20.0, count))
+    assert batch.n_classes == count
+
+    compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
+    fast = compilation.build_problem(batch, hour=4700)
+    n_keys = len(set(zip(site_idx.tolist(), workload_idx.tolist())))
+    assert compilation.cache_stats()["n_classes"] == n_keys < count
+    cold = cold_build(batch, fleet.servers(), latency, carbon, hour=4700)
+    _assert_problems_identical(cold, fast)
+    _assert_dense_identical(cold, fast)
+
+
+def test_row_caches_hold_one_row_per_block():
     fleet, latency, carbon = build_planetary_substrate(10, seed=0)
     sites = fleet.sites()
     # The row caches key on (workload, rate): distinct per-app request rates
-    # force one cached row per application class.
+    # make every application its own block.
     count = 12
     batch = ApplicationBatch.from_columns(
         interval_index=0, hour_of_year=4700,
@@ -371,16 +405,68 @@ def test_row_caches_evict_past_the_limit():
         duration_hours=1.0)
     assert batch.n_classes == count
 
-    with mock.patch.object(compile_module, "CLASS_CACHE_LIMIT", 2):
-        compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
-        compilation.build_problem(batch, hour=4700)
-        stats = compilation.cache_stats()
-    assert stats["cache_limit"] == 2
-    assert stats["row_evictions"] > 0
-    assert stats["n_energy_rows"] <= 2
-    assert stats["n_dense_rows"] <= 2
-
-    # Unbounded by default: the same batch evicts nothing.
     compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
-    compilation.build_problem(batch, hour=4700)
-    assert compilation.cache_stats()["row_evictions"] == 0
+    fast = compilation.build_problem(batch, hour=4700)
+    stats = compilation.cache_stats()
+    assert stats["n_blocks"] == stats["n_energy_rows"] == stats["n_dense_rows"] == count
+    cold = cold_build(batch, fleet.servers(), latency, carbon, hour=4700)
+    _assert_problems_identical(cold, fast)
+    _assert_dense_identical(cold, fast)
+
+
+def test_rate_and_slo_split_scenario_classes():
+    """Rate and SLO stay in the class key: applications of one site and
+    workload that differ only in SLO, or only in rate, each get their own
+    class, and the problem equals ``cold_build``."""
+    fleet, latency, carbon = build_planetary_substrate(10, seed=0)
+    count = 8
+    batch = ApplicationBatch.from_columns(
+        interval_index=0, hour_of_year=4700,
+        site_names=tuple(fleet.sites()), workload_names=("ResNet50",),
+        site_idx=np.zeros(count, dtype=np.int64),
+        workload_idx=np.zeros(count, dtype=np.int64),
+        latency_slo_ms=np.tile([5.0, 20.0, 60.0, 200.0], 2),
+        request_rate_rps=np.repeat([10.0, 20.0], 4),
+        duration_hours=1.0)
+
+    compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
+    fast = compilation.build_problem(batch, hour=4700)
+    stats = compilation.cache_stats()
+    assert stats["n_classes"] == count and stats["n_blocks"] == 2
+    # The SLOs cut different candidate sets, so a key without them would
+    # hand some applications another class's feasibility row.
+    assert len(set(fast.feasible_mask().sum(axis=1)[:4].tolist())) > 1
+    cold = cold_build(batch, fleet.servers(), latency, carbon, hour=4700)
+    _assert_problems_identical(cold, fast)
+    _assert_dense_identical(cold, fast)
+
+
+def test_second_epoch_delta_registers_no_class():
+    """The class tables keep every class for the compilation's lifetime: a
+    second delta of a 4200-class batch fills no class row and points at the
+    first delta's rows."""
+    fleet, latency, carbon = build_planetary_substrate(10, seed=7)
+    sites = fleet.sites()
+    count = 4200
+    batch = ApplicationBatch.from_columns(
+        interval_index=0, hour_of_year=4700,
+        site_names=tuple(sites), workload_names=("ResNet50",),
+        site_idx=np.arange(count, dtype=np.int64) % len(sites),
+        workload_idx=np.zeros(count, dtype=np.int64),
+        latency_slo_ms=40.0,
+        request_rate_rps=1.0 + 0.25 * (np.arange(count) // len(sites)),
+        duration_hours=1.0)
+    assert batch.n_classes == count
+
+    compilation = ScenarioCompilation(fleet.servers(), latency, carbon)
+    first = compilation.epoch_delta(batch, 4700)
+    stats = compilation.cache_stats()
+    assert stats["n_classes"] == count
+    with mock.patch.object(compilation, "_fill_class_rows",
+                           wraps=compilation._fill_class_rows) as fill:
+        second = compilation.epoch_delta(batch, 4700)
+    fill.assert_not_called()
+    assert compilation.cache_stats() == stats
+    assert np.array_equal(first.class_indices, second.class_indices)
+    for name in ("energy", "demand", "intensity"):
+        assert np.array_equal(getattr(first, name), getattr(second, name)), name
