@@ -32,7 +32,7 @@ from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.solver.compile import ScenarioCompilation
 from repro.workloads.generator import ApplicationGenerator
 
-from tests.conftest import cold_build
+from tests.conftest import cold_build, per_app
 
 #: Where the timing trajectory is appended (repo root), shared with the
 #: pipeline benchmarks.
@@ -89,13 +89,14 @@ def test_bench_columnar_vs_object(bench_once):
 
     bench_once(run_both)
 
-    # The determinism contract: identical ids, bit-identical tensors.
+    # The determinism contract: identical ids, and the columnar problem's
+    # class tables, read per application, bit-identical to the cold tensors.
     assert [a.app_id for a in columnar_problem.applications] == \
         [a.app_id for a in cold_problem.applications]
-    np.testing.assert_array_equal(columnar_problem.latency_ms,
-                                  cold_problem.latency_ms)
-    np.testing.assert_array_equal(columnar_problem.energy_j,
-                                  cold_problem.energy_j)
+    columnar_views = per_app(columnar_problem)
+    for name, view in per_app(cold_problem).items():
+        assert columnar_views[name].dtype == view.dtype, name
+        np.testing.assert_array_equal(columnar_views[name], view, err_msg=name)
 
     speedup = cold_build_s / max(columnar_s, 1e-9)
     stats = columnar_comp.cache_stats()

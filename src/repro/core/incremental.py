@@ -195,10 +195,10 @@ class IncrementalPlacer:
         for j, server in enumerate(problem.servers):
             if solution.power_on[j] > 0.5 and not server.is_on:
                 server.power_on()
-        keys = problem.resource_keys
+        keys, block = problem.resource_keys, problem.class_block[problem.row_class]
         for app_id, j in solution.placements.items():
             i = problem.app_index(app_id)
-            demand = ResourceVector(dict(zip(keys, problem.demand[i, j].tolist())))
+            demand = ResourceVector(dict(zip(keys, problem.demand[block[i], j].tolist())))
             problem.servers[j].allocate(app_id, demand)
             self.active_apps[app_id] = problem.applications[i]
 

@@ -5,9 +5,10 @@ inputs: the applications to place, the candidate servers with their available
 capacities C^k_j, base powers B_j and current power states y^curr_j, the
 per-pair latencies L_ij, the per-pair resource demands R^k_ij and energies
 E_ij, and the (forecast-averaged) carbon intensities Ī_j. Every quantity is a
-dense NumPy array: resources are one (S, K) capacity table and one (A, S, K)
-demand table over the problem's ``resource_keys``, so the policies, the
-solver backends and validation never re-derive them.
+dense NumPy array with one row per application class: latency, energy and
+support are (C, S) tables read through the (A,) ``row_class``, and demand is
+one (B, S, K) table of (workload, rate) block rows read through the (C,)
+``class_block``: application ``i`` reads ``demand[class_block[row_class[i]]]``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ if TYPE_CHECKING:  # typing only: a problem holds resources as dense tables
 #: Large latency assigned to (application, server) pairs with no usable profile.
 INFEASIBLE_LATENCY_MS: float = 1e9
 
-#: Default budget on flat ``n_applications × n_servers`` dense cells. Every
-#: flat build materialises several float64 tensors of that shape (latency,
-#: energy, demand×K, …), so 1.5e8 cells ≈ a few GiB resident — beyond it the
-#: flat path is refused and the hierarchical tier is the supported route.
-#: Override with ``CARBON_EDGE_MAX_DENSE_CELLS``.
+#: Default budget on flat ``n_applications × n_servers`` dense cells. A flat
+#: build's tables hold one row per class, but the ``highs`` pair enumeration
+#: (``mask[row_class]``), the Random baseline's (A, S) sampled costs and the
+#: greedy kernel's per-application order still scale with that product.
+#: Beyond it the flat path is refused and the hierarchical tier is the
+#: supported route. Override with ``CARBON_EDGE_MAX_DENSE_CELLS``.
 DEFAULT_MAX_DENSE_CELLS: int = 150_000_000
 
 
@@ -57,14 +59,14 @@ def max_dense_cells() -> int:
 
 
 #: What a refused flat build should do instead: the hierarchical solver tier,
-#: which keeps peak tensors bounded by the largest region, or a larger budget.
+#: whose pair arrays are bounded by the largest region, or a larger budget.
 _FLAT_BUILD_REMEDY: str = (
     "Use the hierarchical solver tier instead — "
     "repro.solver.hierarchy.solve_hierarchical over an N-region plan, "
     "as planetary_sweep runs it for each of its hierarchy_regions "
     "values (carbon-edge experiments run planetary_sweep "
     "--hierarchy-regions N) — or raise CARBON_EDGE_MAX_DENSE_CELLS if "
-    "the machine really has the memory for flat tensors at this scale.")
+    "the machine really has the memory for per-pair arrays at this scale.")
 
 
 def ensure_dense_cell_budget(n_applications: int, n_servers: int,
@@ -115,9 +117,9 @@ class PlacementProblem:
 
     applications: list[Application]
     servers: list[EdgeServer]
-    #: (A, S) one-way latency between each application's source and each server.
+    #: (C, S) one-way latency between each class's source and each server.
     latency_ms: np.ndarray
-    #: (A, S) dynamic energy E_ij in joules over the placement horizon.
+    #: (C, S) dynamic energy E_ij in joules over the placement horizon.
     energy_j: np.ndarray
     #: (S,) forecast-average carbon intensity Ī_j, g CO2eq/kWh.
     intensity: np.ndarray
@@ -125,7 +127,7 @@ class PlacementProblem:
     resource_keys: tuple[str, ...]
     #: (S, K) available capacity C^k_j per server.
     capacity: np.ndarray
-    #: (A, S, K) per-pair resource demands R^k_ij, zero outside ``supported``.
+    #: (B, S, K) resource demands R^k_ij of each block, zero outside ``supported``.
     demand: np.ndarray
     #: (S,) base power B_j in watts.
     base_power_w: np.ndarray = field(default_factory=lambda: np.array([]))
@@ -133,8 +135,12 @@ class PlacementProblem:
     current_power: np.ndarray = field(default_factory=lambda: np.array([]))
     #: Placement horizon in hours (used for activation energy).
     horizon_hours: float = 1.0
-    #: (A, S) support mask: True where the workload has a profile on the server.
+    #: (C, S) support mask: True where the workload has a profile on the server.
     supported: np.ndarray | None = None
+    #: (A,) each application's class row; one class per application by default.
+    row_class: np.ndarray | None = None
+    #: (C,) each class's block row in ``demand``; one block per class by default.
+    class_block: np.ndarray | None = None
     # -- lazily built caches (the problem is immutable once constructed) --------
     _app_ids: tuple[str, ...] | None = field(default=None, init=False,
                                              repr=False, compare=False)
@@ -160,18 +166,24 @@ class PlacementProblem:
         self.demand = np.asarray(self.demand, dtype=float)
         self.base_power_w = np.asarray(self.base_power_w, dtype=float)
         self.current_power = np.asarray(self.current_power, dtype=float)
-        if self.supported is None:
-            self.supported = np.ones((a, s), dtype=bool)
-        else:
-            self.supported = np.asarray(self.supported, dtype=bool)
-        k = len(self.resource_keys)
-        expected = {"latency_ms": (a, s), "energy_j": (a, s), "supported": (a, s),
+        self.row_class = np.arange(a) if self.row_class is None \
+            else np.asarray(self.row_class, dtype=np.intp)
+        self.class_block = np.arange(len(self.latency_ms)) if self.class_block is None \
+            else np.asarray(self.class_block, dtype=np.intp)
+        c, n_blocks, k = len(self.class_block), len(self.demand), len(self.resource_keys)
+        self.supported = np.ones((c, s), dtype=bool) if self.supported is None \
+            else np.asarray(self.supported, dtype=bool)
+        expected = {"latency_ms": (c, s), "energy_j": (c, s), "supported": (c, s),
                     "intensity": (s,), "base_power_w": (s,), "current_power": (s,),
-                    "capacity": (s, k), "demand": (a, s, k)}
+                    "capacity": (s, k), "demand": (n_blocks, s, k),
+                    "row_class": (a,), "class_block": (c,)}
         for name, shape in expected.items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+        for name, rows in (("row_class", c), ("class_block", n_blocks)):
+            if np.any((getattr(self, name) < 0) | (getattr(self, name) >= rows)):
+                raise ValueError(f"{name} entries must lie in [0, {rows})")
         if self.horizon_hours <= 0:
             raise ValueError("horizon_hours must be positive")
         if np.any(self.intensity < 0):
@@ -192,17 +204,19 @@ class PlacementProblem:
     # -- derived matrices ---------------------------------------------------------
 
     def feasible_mask(self) -> np.ndarray:
-        """(A, S) mask of pairs satisfying the latency constraint and profile support.
+        """(C, S) mask of class rows satisfying the latency constraint and profile support.
 
         The latency constraint compares the *round-trip* network latency
-        (2 × one-way) against each application's SLO, matching the paper's use
-        of round-trip limits in the evaluation. The mask is computed once and
-        cached (problems are immutable once built); callers that want to edit
-        it must copy first.
+        (2 × one-way) against the SLO of each class's first application (none:
+        an empty row), matching the paper's use of round-trip limits in the
+        evaluation. The mask is computed once and cached (problems are
+        immutable once built); callers that want to edit it must copy first.
         """
         if self._feasible_mask is None:
-            slos = np.array([app.latency_slo_ms for app in self.applications])[:, None]
-            self._feasible_mask = within_slo(self.latency_ms, slos) & self.supported
+            slos = np.full(len(self.class_block), np.nan)
+            present, first = np.unique(self.row_class, return_index=True)
+            slos[present] = [self.applications[i].latency_slo_ms for i in first.tolist()]
+            self._feasible_mask = within_slo(self.latency_ms, slos[:, None]) & self.supported
         return self._feasible_mask
 
     def nearest_feasible_ms(self) -> np.ndarray:
@@ -216,8 +230,8 @@ class PlacementProblem:
         Computed once and cached.
         """
         if self._nearest_feasible is None:
-            self._nearest_feasible = np.where(self.feasible_mask(),
-                                              self.latency_ms, np.inf).min(axis=1)
+            self._nearest_feasible = np.where(self.feasible_mask(), self.latency_ms,
+                                              np.inf).min(axis=1)[self.row_class]
         return self._nearest_feasible
 
     def activation_carbon_g(self) -> np.ndarray:

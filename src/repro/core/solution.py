@@ -110,9 +110,9 @@ class PlacementSolution:
     def assignments(self) -> list[Assignment]:
         """Per-application assignment records."""
         out: list[Assignment] = []
-        i_arr, j_arr = self._placement_arrays()
-        op_carbon = self._operational_carbon(i_arr, j_arr).tolist()
-        for app_id, i, j, carbon in zip(self.placements, i_arr.tolist(),
+        _, c_arr, j_arr = self._placement_arrays()
+        op_carbon = self._operational_carbon(c_arr, j_arr).tolist()
+        for app_id, c, j, carbon in zip(self.placements, c_arr.tolist(),
                                         j_arr.tolist(), op_carbon):
             server = self.problem.servers[j]
             out.append(Assignment(
@@ -120,9 +120,9 @@ class PlacementSolution:
                 server_id=server.server_id,
                 site=server.site,
                 zone_id=server.zone_id,
-                one_way_latency_ms=float(self.problem.latency_ms[i, j]),
+                one_way_latency_ms=float(self.problem.latency_ms[c, j]),
                 operational_carbon_g=carbon,
-                energy_j=float(self.problem.energy_j[i, j]),
+                energy_j=float(self.problem.energy_j[c, j]),
             ))
         return out
 
@@ -143,26 +143,27 @@ class PlacementSolution:
 
     # -- metrics -------------------------------------------------------------------
 
-    def _placement_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P,) application and server index arrays over the placed applications.
+    def _placement_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P,) application, class and server index arrays over the placed
+        applications; the class tables are read at ``[class, server]``.
 
         Recomputed per call (the registry may extend ``placements`` after
         construction); each lookup is O(1) through the problem's index map.
         """
         if not self.placements:
             empty = np.zeros(0, dtype=np.intp)
-            return empty, empty
+            return empty, empty, empty
         i_arr = self.problem.app_indices(list(self.placements))
         j_arr = np.fromiter(self.placements.values(), dtype=np.intp,
                             count=len(self.placements))
-        return i_arr, j_arr
+        return i_arr, self.problem.row_class[i_arr], j_arr
 
-    def _operational_carbon(self, i_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
-        """(P,) operational emissions of the (application, server) pairs,
-        grams: the carbon objective's coefficients, gathered pair by pair."""
+    def _operational_carbon(self, c_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
+        """(P,) operational emissions of the (class, server) pairs, grams: the
+        carbon objective's coefficients, gathered pair by pair."""
         problem = self.problem
-        return raw_values(ObjectiveKind.CARBON, problem.energy_j[i_arr, j_arr],
-                          problem.latency_ms[i_arr, j_arr], problem.intensity[j_arr])
+        return raw_values(ObjectiveKind.CARBON, problem.energy_j[c_arr, j_arr],
+                          problem.latency_ms[c_arr, j_arr], problem.intensity[j_arr])
 
     def newly_activated(self) -> np.ndarray:
         """(S,) indicator of servers switched on by this placement (y_j - y^curr_j)."""
@@ -170,7 +171,7 @@ class PlacementSolution:
 
     def operational_carbon_g(self) -> float:
         """Total operational emissions of the placed applications, grams."""
-        return float(sum(self._operational_carbon(*self._placement_arrays()).tolist()))
+        return float(sum(self._operational_carbon(*self._placement_arrays()[1:]).tolist()))
 
     def activation_carbon_g(self) -> float:
         """Emissions from newly activated servers' base power, grams."""
@@ -182,8 +183,8 @@ class PlacementSolution:
 
     def dynamic_energy_j(self) -> float:
         """Dynamic energy of the placed applications, joules."""
-        i_arr, j_arr = self._placement_arrays()
-        return float(sum(self.problem.energy_j[i_arr, j_arr].tolist()))
+        _, c_arr, j_arr = self._placement_arrays()
+        return float(sum(self.problem.energy_j[c_arr, j_arr].tolist()))
 
     def activation_energy_j(self) -> float:
         """Base-power energy of newly activated servers over the horizon, joules."""
@@ -197,15 +198,15 @@ class PlacementSolution:
         """Mean one-way latency of the placed applications."""
         if not self.placements:
             return 0.0
-        i_arr, j_arr = self._placement_arrays()
-        return float(np.mean(self.problem.latency_ms[i_arr, j_arr]))
+        _, c_arr, j_arr = self._placement_arrays()
+        return float(np.mean(self.problem.latency_ms[c_arr, j_arr]))
 
     def max_latency_ms(self) -> float:
         """Worst-case one-way latency of the placed applications."""
         if not self.placements:
             return 0.0
-        i_arr, j_arr = self._placement_arrays()
-        return float(np.max(self.problem.latency_ms[i_arr, j_arr]))
+        _, c_arr, j_arr = self._placement_arrays()
+        return float(np.max(self.problem.latency_ms[c_arr, j_arr]))
 
     def latency_increase_ms(self) -> float:
         """Mean one-way latency increase vs. each application's nearest feasible server.
@@ -223,9 +224,9 @@ class PlacementSolution:
             return 0.0
         problem = self.problem
         nearest = problem.nearest_feasible_ms()
-        i_arr, j_arr = self._placement_arrays()
+        i_arr, c_arr, j_arr = self._placement_arrays()
         reachable = np.isfinite(nearest[i_arr])
-        increases = (problem.latency_ms[i_arr, j_arr] - nearest[i_arr])[reachable]
+        increases = (problem.latency_ms[c_arr, j_arr] - nearest[i_arr])[reachable]
         return float(np.mean(increases)) if increases.size else 0.0
 
     def summary(self) -> dict[str, float]:

@@ -63,21 +63,22 @@ def validate_solution(solution: PlacementSolution, strict: bool = True) -> list[
         j_arr = np.fromiter((j for _, j in known), dtype=np.intp, count=len(known))
     else:
         i_arr = j_arr = np.zeros(0, dtype=np.intp)
+    c_arr = problem.row_class[i_arr]
 
     # Equation 2 (latency / support feasibility of every chosen pair).
-    for pos in np.flatnonzero(~feasible[i_arr, j_arr]):
+    for pos in np.flatnonzero(~feasible[c_arr, j_arr]):
         app_id, j = known[int(pos)]
-        i = int(i_arr[pos])
+        i, c = int(i_arr[pos]), int(c_arr[pos])
         violations.append(
             f"{app_id} placed on {problem.servers[j].server_id} violating its latency SLO "
-            f"({2 * problem.latency_ms[i, j]:.2f} ms RTT > {problem.applications[i].latency_slo_ms} ms)")
+            f"({2 * problem.latency_ms[c, j]:.2f} ms RTT > {problem.applications[i].latency_slo_ms} ms)")
 
     # Equation 1: per-server capacity across every resource dimension, summed
-    # over the dense (A, S, K) demand tensor.
+    # over the placed pairs' block demand rows.
     if known:
         capacity = problem.capacity
         totals = np.zeros_like(capacity)
-        np.add.at(totals, j_arr, problem.demand[i_arr, j_arr])
+        np.add.at(totals, j_arr, problem.demand[problem.class_block[c_arr], j_arr])
         keys = problem.resource_keys
         for j in np.flatnonzero(~capacity_fits(totals, capacity)).tolist():
             violations.append(

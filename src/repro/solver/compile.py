@@ -8,9 +8,10 @@ The compilation layer is split along the epoch-invariance boundary:
   energy and demand blocks, capacity tensors, and nearest-feasible latencies,
   all keyed by application class. Each epoch then contributes only an
   :class:`EpochDelta` (epoch-mean intensities, the arrival batch, warm-start
-  allocation state) that is assembled into an :class:`EpochCompilation` by
-  row gathers — bit-identical to filling every application's rows one by
-  one (see the scenario-lifetime section below). It is the only way
+  allocation state) whose class tables become the problem of an
+  :class:`EpochCompilation` as they are — read per application, they are
+  bit-identical to filling every application's rows one by one (see the
+  scenario-lifetime section below). It is the only way
   :meth:`PlacementProblem.build` assembles a problem.
 * :class:`EpochCompilation` (**one epoch**) — everything the epoch's policies
   share, computed once per problem.
@@ -27,10 +28,10 @@ CDN simulator's metrics loop:
 * :class:`DenseCosts` tensors, cached by ``(objective, alpha, manage_power)``
   and priced by :func:`class_costs`, the one cost builder, which the
   hierarchy's region refinement calls too;
-* the class tables every dense view shares, the candidate mask (latency SLO
-  + profile support + standalone capacity, Algorithm 1 line 7) among them:
-  one row per application class, whose row counts times the class sizes are
-  the candidate pairs the ``auto`` backend rule counts.
+* the candidate mask every dense view shares (latency SLO + profile
+  support + standalone capacity, Algorithm 1 line 7): one row per
+  application class, whose row counts times the class sizes are the
+  candidate pairs the ``auto`` backend rule counts.
 
 **Cache keys and invalidation.** The compilation is memoised on the problem
 instance (``compile_placement`` returns the same object for the same
@@ -71,10 +72,12 @@ and the pinned conflict-tail placements hold the contract.
 only through its (workload, request rate) *block*, so it is one (B, S, K)
 table of block rows and the (C,) ``class_block`` gives each class its row:
 application ``i`` reads ``demand[class_block[row_class[i]]]``. A
-scenario-tier epoch's classes and blocks are its :class:`EpochDelta`'s and
-a hierarchy region's are the delta's over the region's servers; the
-hierarchy's coarse pass, a raw-constructed problem and a cleared one are
-one block per class, and the last two one class per application.
+:class:`~repro.core.problem.PlacementProblem` has the same layout, and its
+dense views keep its ``row_class`` and ``class_block``: a scenario-tier
+epoch's classes and blocks are its :class:`EpochDelta`'s, a hierarchy
+region's are the delta's over the region's servers, the hierarchy's coarse
+pass is one block per class, and a raw-constructed problem is by default
+one class per application and one block per class.
 """
 
 from __future__ import annotations
@@ -177,22 +180,22 @@ class DenseCosts:
     def from_matrices(cls, problem: PlacementProblem, mask: np.ndarray,
                       assign: np.ndarray) -> "DenseCosts":
         """Dense tensors for caller-supplied (A, S) assignment costs over the
-        (A, S) candidate ``mask``, one class and one block per application:
-        the tables are the per-application matrices themselves, with no
+        (A, S) candidate ``mask``, one class per application: the cost and
+        mask tables are the per-application matrices themselves, with no
         tie-break perturbation (exact ties resolve to the lowest server
         index) and a zero activation channel.
 
-        The demand, energy and capacity tensors are shared read-only with
-        the problem; only the cost matrix is built fresh.
+        The demand and capacity tables are shared read-only with the
+        problem; the energy rows are gathered per application.
         """
         return cls(keys=list(problem.resource_keys), demand=problem.demand,
                    capacity=problem.capacity, mask=mask,
                    cost=cls._tie_broken(assign, mask, None),
-                   raw_assign=assign, energy=problem.energy_j,
+                   raw_assign=assign, energy=problem.energy_j[problem.row_class],
                    activation=np.zeros(problem.n_servers),
                    initially_on=problem.current_power > 0.5,
                    row_class=np.arange(problem.n_applications),
-                   class_block=np.arange(problem.n_applications))
+                   class_block=problem.class_block[problem.row_class])
 
     @staticmethod
     def _tie_broken(assign: np.ndarray, mask: np.ndarray,
@@ -777,11 +780,11 @@ def dense_greedy_solution(problem: PlacementProblem,
 
     Used by policies whose objective is not an :class:`ObjectiveKind` (the
     Random baseline's sampled costs). Reads the compiled class candidate
-    mask, gathered per application, and the problem's resource tensors;
+    mask, gathered per application, and the problem's resource tables;
     only the cost matrix is built fresh (:meth:`DenseCosts.from_matrices`).
     """
-    _, row_class, mask, *_ = compile_placement(problem)._class_tables()
-    dense = DenseCosts.from_matrices(problem, mask[row_class], assign)
+    mask = compile_placement(problem).candidate_mask()
+    dense = DenseCosts.from_matrices(problem, mask[problem.row_class], assign)
     state = GreedyState(dense)
     greedy_fill(state)
     return assignment_to_solution(problem, state.assignment)
@@ -796,11 +799,7 @@ class EpochCompilation:
     """
 
     problem: PlacementProblem
-    #: The scenario tier's delta the problem was assembled from, whose class
-    #: tables the dense views read; ``None`` (a raw-constructed or cleared
-    #: problem) is one class per application, on the problem's own tensors.
-    delta: EpochDelta | None = None
-    _tables: tuple | None = field(default=None, repr=False)
+    _mask: np.ndarray | None = field(default=None, repr=False)
     _dense: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -809,52 +808,33 @@ class EpochCompilation:
         :meth:`PlacementProblem.nearest_feasible_ms` is +inf)."""
         return int(np.isinf(self.problem.nearest_feasible_ms()).sum())
 
-    def _class_tables(self) -> tuple:
-        """``(rows, row_class, mask, energy, demand, class_block)``, built
-        once and shared by every dense view: the problem rows that stand for
-        the classes, each application's class, the classes' candidate-mask
-        and energy rows, the blocks' demand rows and each class's block.
-
-        The candidate mask is the SLO + support mask and-ed with the
-        standalone capacity fit. A scenario epoch reads its delta: the fit
-        runs on the (blocks, S, K) demand rows, and the dense views keep
-        those rows unexpanded. A raw or cleared problem's classes and blocks
-        are its applications, fitted on its own (A, S, K) demand."""
-        if self._tables is None:
-            problem, delta = self.problem, self.delta
-            if delta is None:
-                apps = np.arange(problem.n_applications)
-                mask = problem.feasible_mask() & capacity_fits(problem.demand,
-                                                               problem.capacity)
-                self._tables = (slice(None), apps, mask, problem.energy_j,
-                                problem.demand, apps)
-            else:
-                blocks = delta.class_block
-                fits = capacity_fits(delta.demand, delta.capacity)[blocks]
-                self._tables = (delta.first_app, delta.app_class,
-                                problem.feasible_mask()[delta.first_app] & fits,
-                                delta.energy[blocks], delta.demand, blocks)
-        return self._tables
+    def candidate_mask(self) -> np.ndarray:
+        """(C, S) candidate mask, built once and shared by every dense view:
+        the problem's SLO + support mask and-ed with the standalone capacity
+        fit, which runs on the (B, S, K) block demand rows."""
+        if self._mask is None:
+            problem = self.problem
+            self._mask = problem.feasible_mask() & capacity_fits(
+                problem.demand, problem.capacity)[problem.class_block]
+        return self._mask
 
     def dense(self, objective: ObjectiveKind = ObjectiveKind.CARBON,
               alpha: float = 0.0, manage_power: bool = True) -> DenseCosts:
-        """Dense cost tensors for an objective, cached per (kind, alpha, power).
-
-        The classes' latency and SLO + support rows are gathered per view
-        from the problem, so the compilation keeps no copy of them."""
+        """Dense cost tensors for an objective, cached per (kind, alpha, power),
+        on the problem's class tables as they are (the compilation keeps no
+        copy of them)."""
         key = (objective, float(alpha), bool(manage_power))
         if key not in self._dense:
             problem = self.problem
-            rows, row_class, mask, energy, demand, class_block = self._class_tables()
             self._dense[key] = class_costs(
-                problem.latency_ms[rows], problem.feasible_mask()[rows], mask,
-                energy, demand, problem.capacity,
+                problem.latency_ms, problem.feasible_mask(), self.candidate_mask(),
+                problem.energy_j, problem.demand, problem.capacity,
                 keys=problem.resource_keys, intensity=problem.intensity,
                 act_carbon=problem.activation_carbon_g(),
                 act_energy=problem.activation_energy_j(),
                 current_power=problem.current_power, objective=objective,
-                alpha=alpha, manage_power=manage_power, row_class=row_class,
-                class_block=class_block)
+                alpha=alpha, manage_power=manage_power,
+                row_class=problem.row_class, class_block=problem.class_block)
         return self._dense[key]
 
 
@@ -876,11 +856,11 @@ def clear_compilation(problem: PlacementProblem) -> None:
     """Drop every cache derived from a problem's arrays.
 
     Call after mutating a problem in place, so nothing solves against stale
-    tensors. Clears the memoised :class:`EpochCompilation` — and with it the
-    epoch's class tables, which a mutated row may no longer honour, so the
-    next compilation is one class per application — *and* the problem-level
-    caches it builds on (feasibility mask, nearest-feasible latencies, id
-    index maps).
+    tables. Clears the memoised :class:`EpochCompilation` (its candidate
+    mask and dense views) *and* the problem-level caches it builds on
+    (feasibility mask, nearest-feasible latencies, id index maps); the next
+    compilation derives them again from the problem's class tables, keeping
+    its ``row_class`` and ``class_block``.
     """
     problem._compilation = None
     problem._feasible_mask = None
@@ -920,17 +900,19 @@ def clear_compilation(problem: PlacementProblem) -> None:
 # not pristine), and the epoch's class tables — its classes, their blocks,
 # the blocks' energy and demand rows and the capacity table — which both the
 # flat epoch (:meth:`compile_epoch`) and the hierarchy
-# (:func:`repro.solver.hierarchy.solve_hierarchical`) start from. Each
-# per-application problem tensor is one fancy-index gather, and the epoch
-# tier costs one row per class (:meth:`EpochCompilation.dense`). Every delta carries a
+# (:func:`repro.solver.hierarchy.solve_hierarchical`) start from. The flat
+# epoch's problem holds those tables as they are, so nothing is gathered per
+# application but the nearest-feasible latencies, and the epoch tier costs
+# one row per class (:meth:`EpochCompilation.dense`). Every delta carries a
 # columnar :class:`~repro.workloads.generator.ApplicationBatch`; a plain
 # application sequence is wrapped once on the way in
 # (:meth:`ApplicationBatch.from_applications`, which keeps the caller's objects
 # by identity), so there is one assembly path.
 #
 # **Bit-identity contract.** For every delta, the assembled
-# :class:`PlacementProblem` tensors, the :class:`EpochCompilation` candidate
-# mask and dense tensors, and therefore every placement and experiment
+# :class:`PlacementProblem` tables and the :class:`EpochCompilation` candidate
+# mask and dense tables, each read per application through ``row_class`` (and
+# ``class_block`` for demand), and therefore every placement and experiment
 # artifact are byte-identical to a per-object build of the same epoch, one
 # (workload, rate) x device-class block at a time: each cached row is
 # produced by the same float expressions, in the same association order, as
@@ -988,10 +970,10 @@ class EpochDelta:
         computed once per zone and gathered per server).
     current_power:
         Warm-start power state: each server's power at the epoch's start.
-    classes / first_app / app_class:
+    classes / app_class:
         The epoch's class tables' rows: (C,) the batch's scenario classes in
-        ascending order, (C,) the first application of each, and (A,) each
-        application's class (its ``row_class``).
+        ascending order and (A,) each application's class (the problem's
+        ``row_class``).
     blocks / class_block:
         The classes' (workload, rate) blocks, ascending by block id, and
         (C,) each class's block.
@@ -1008,7 +990,6 @@ class EpochDelta:
     intensity: np.ndarray
     current_power: np.ndarray
     classes: np.ndarray
-    first_app: np.ndarray
     app_class: np.ndarray
     blocks: tuple
     class_block: np.ndarray
@@ -1173,8 +1154,8 @@ class ScenarioCompilation:
     # INFEASIBLE fill on unsupported servers), its SLO + support feasibility,
     # its nearest-feasible latency, and the id of its (workload, rate) block,
     # whose rows (support, demand, energy, dense demand) live in the keyed
-    # block caches. An epoch's tensors are one fancy-index gather from these
-    # tables plus one row per block.
+    # block caches. An epoch's class tables are one fancy-index gather of
+    # its classes' rows from these tables plus one row per block.
 
     def _block_id(self, workload: str, rate: float) -> int:
         """Id of a (workload, rate) block, numbered on first sight."""
@@ -1308,8 +1289,7 @@ class ScenarioCompilation:
         if len(batch) == 0:
             raise ValueError("cannot build a placement problem with no applications")
         class_indices = self._batch_class_indices(batch)
-        classes, first_app, app_class = np.unique(
-            class_indices, return_index=True, return_inverse=True)
+        classes, app_class = np.unique(class_indices, return_inverse=True)
         block_ids, class_block = np.unique(self._class_block[classes],
                                            return_inverse=True)
         blocks = tuple(self._block_keys[b] for b in block_ids.tolist())
@@ -1333,7 +1313,7 @@ class ScenarioCompilation:
             horizon_hours=horizon_hours, applications=batch,
             class_indices=class_indices, intensity=intensity,
             current_power=current_power, classes=classes,
-            first_app=first_app, app_class=app_class, blocks=blocks,
+            app_class=app_class, blocks=blocks,
             class_block=class_block, keys=keys,
             energy=np.stack([self._energy_row(w, r, horizon_hours) for w, r in blocks]),
             demand=np.stack([self._dense_row(w, r, keys) for w, r in blocks]),
@@ -1344,11 +1324,11 @@ class ScenarioCompilation:
     def compile_epoch(self, delta: EpochDelta) -> EpochCompilation:
         """Assemble the epoch compilation for one delta.
 
-        Every call gathers a fresh problem from the class tables, and the
-        compilation keeps the delta, whose class tables its dense views read.
+        Every call gathers a fresh problem from the class tables; its dense
+        views read the problem's class and block rows.
         """
         problem = self._assemble_problem(delta)
-        compilation = EpochCompilation(problem=problem, delta=delta)
+        compilation = EpochCompilation(problem=problem)
         problem._compilation = compilation
         return compilation
 
@@ -1364,37 +1344,38 @@ class ScenarioCompilation:
         return self.compile_epoch(delta).problem
 
     def _assemble_problem(self, delta: EpochDelta) -> PlacementProblem:
-        """Gather one epoch's problem tensors from the class tables.
+        """One epoch's problem on the delta's class tables, gathering nothing
+        per application but the nearest-feasible latencies.
 
-        Class rows come from the class tables, block rows from the delta
-        (energy, demand) and the row caches (support; one lookup per block);
-        each tensor is then expanded to per-application rows with a single
-        fancy-index gather, which materialises fresh copies. The keys and
-        the capacity table are the delta's.
+        Class rows come from the class tables, energy and support rows from
+        each class's block (support is one row-cache lookup per block); the
+        demand, keys, capacity table, ``row_class`` (the delta's
+        ``app_class``) and ``class_block`` are the delta's.
         """
         ensure_dense_cell_budget(len(delta.applications), len(self.servers),
                                  context="ScenarioCompilation epoch assembly")
-        idx = delta.class_indices
-        app_block = delta.class_block[delta.app_class]
-        supported = np.stack([self._block(w, r).supported for w, r in delta.blocks])
+        classes, class_block = delta.classes, delta.class_block
         problem = PlacementProblem(
             applications=LazyApplications(delta.applications),
             servers=list(self.servers),
-            latency_ms=self._lat[idx],
-            energy_j=delta.energy[app_block],
+            latency_ms=self._lat[classes],
+            energy_j=delta.energy[class_block],
             intensity=delta.intensity,
             resource_keys=delta.keys,
             capacity=delta.capacity,
-            demand=delta.demand[app_block],
+            demand=delta.demand,
             base_power_w=self.base_power_w.copy(),
             current_power=delta.current_power,
             horizon_hours=delta.horizon_hours,
-            supported=supported[app_block],
+            supported=np.stack([self._block(w, r).supported
+                                for w, r in delta.blocks])[class_block],
+            row_class=delta.app_class,
+            class_block=class_block,
         )
         # Seed the lazy problem caches the problem would derive from the same
         # rows: the SLO+support mask and the nearest-feasible latencies.
-        problem._feasible_mask = self._feas[idx]
-        problem._nearest_feasible = self._near[idx]
+        problem._feasible_mask = self._feas[classes]
+        problem._nearest_feasible = self._near[delta.class_indices]
         return problem
 
     def _epoch_keys(self, blocks: Sequence[_WorkloadBlock]) -> tuple:

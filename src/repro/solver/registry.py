@@ -235,9 +235,10 @@ def _fill_missing(request: SolveRequest, primary: PlacementSolution,
     if not missing:
         return
     demand, remaining = problem.demand, problem.capacity.copy()
+    block = problem.class_block[problem.row_class]  # each application's block
 
     def take(i: int, j: int) -> None:
-        left = remaining[j] - demand[i, j]
+        left = remaining[j] - demand[block[i], j]
         # An incumbent that overloads j closes it: never add there.
         remaining[j] = 0.0 if np.any(left < -FIT_SLACK) else np.maximum(left, 0.0)
 
@@ -246,7 +247,7 @@ def _fill_missing(request: SolveRequest, primary: PlacementSolution,
     for app_id in missing:
         j = baseline.placements.get(app_id)
         i = problem.app_index(app_id)
-        if j is None or not capacity_fits(demand[i, j], remaining[j]):
+        if j is None or not capacity_fits(demand[block[i], j], remaining[j]):
             primary.unplaced.append(app_id)
             continue
         take(i, j)

@@ -208,6 +208,19 @@ def cold_build(applications, servers, latency, carbon, hour=0,
     )
 
 
+def per_app(problem: PlacementProblem) -> dict[str, np.ndarray]:
+    """A problem's per-application views of its class tables: row ``i`` of
+    each is application ``i``'s, read through ``row_class`` (and
+    ``class_block`` for demand). A :func:`cold_build` problem is one class
+    and one block per application, so its views are its own tables."""
+    rows = problem.row_class
+    return {"latency_ms": problem.latency_ms[rows],
+            "energy_j": problem.energy_j[rows],
+            "supported": problem.supported[rows],
+            "feasible_mask": problem.feasible_mask()[rows],
+            "demand": problem.demand[problem.class_block[rows]]}
+
+
 def cold_builds():
     """Route every :meth:`PlacementProblem.build` — the simulator's epochs,
     the incremental placer's batches and re-solves — through

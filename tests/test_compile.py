@@ -11,6 +11,7 @@ from repro.core.policies import (
 )
 from repro.solver.backend import SolveRequest
 from repro.solver.compile import clear_compilation, compile_placement
+from tests.conftest import per_app
 
 
 def test_compilation_is_memoised_per_problem(central_eu_problem):
@@ -51,7 +52,8 @@ def test_nearest_feasible_latencies(central_eu_problem):
     compilation = compile_placement(central_eu_problem)
     problem = central_eu_problem
     nearest = problem.nearest_feasible_ms()
-    expected = np.where(problem.feasible_mask(), problem.latency_ms, np.inf).min(axis=1)
+    views = per_app(problem)
+    expected = np.where(views["feasible_mask"], views["latency_ms"], np.inf).min(axis=1)
     assert np.array_equal(nearest, expected)
     assert compilation.n_nearest_unreachable == int(np.isinf(expected).sum())
 
@@ -108,14 +110,23 @@ def test_raw_problem_is_one_class_per_application():
     assert dense.demand.shape[:2] == (4, 3)
 
 
-def test_clear_compilation_resets_row_classes(central_eu_problem):
+def test_clear_compilation_keeps_row_classes(central_eu_problem):
+    """Clearing drops the cached views, not the problem's classes: the
+    recompiled dense views hold the same class and block rows and equal the
+    first compilation's bit for bit."""
     problem = central_eu_problem
-    assert len(np.unique(compile_placement(problem).dense().row_class)) \
-        < problem.n_applications
+    kinds = (ObjectiveKind.CARBON, ObjectiveKind.LATENCY, ObjectiveKind.MULTI)
+    first = [compile_placement(problem).dense(kind, alpha=0.5) for kind in kinds]
+    assert len(np.unique(first[0].row_class)) < problem.n_applications
     clear_compilation(problem)
-    dense = compile_placement(problem).dense()
-    assert np.array_equal(dense.row_class, np.arange(problem.n_applications))
-    assert len(dense.cost) == problem.n_applications
+    for kind, before in zip(kinds, first):
+        after = compile_placement(problem).dense(kind, alpha=0.5)
+        assert after is not before
+        assert np.array_equal(after.row_class, problem.row_class)
+        for name in ("row_class", "class_block", "mask", "cost", "raw_assign",
+                     "energy", "demand", "capacity", "activation", "initially_on"):
+            a, b = getattr(before, name), getattr(after, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (kind, name)
 
 
 def test_problem_dense_resource_tensors(central_eu_problem):
@@ -125,7 +136,9 @@ def test_problem_dense_resource_tensors(central_eu_problem):
     problem = central_eu_problem
     keys = problem.resource_keys
     assert keys == tuple(sorted(keys))
-    demand, capacity = problem.demand, problem.capacity
+    assert problem.demand.shape == (len(problem.demand), problem.n_servers, len(keys))
+    views = per_app(problem)
+    demand, supported, capacity = views["demand"], views["supported"], problem.capacity
     assert demand.shape == (problem.n_applications, problem.n_servers, len(keys))
     assert capacity.shape == (problem.n_servers, len(keys))
     for j, server in enumerate(problem.servers):
@@ -134,7 +147,7 @@ def test_problem_dense_resource_tensors(central_eu_problem):
             assert capacity[j, ki] == cap.get(key)
     for i, app in enumerate(problem.applications):
         for j, server in enumerate(problem.servers):
-            vec = app.resource_demand_on(server) if problem.supported[i, j] else None
+            vec = app.resource_demand_on(server) if supported[i, j] else None
             for ki, key in enumerate(keys):
                 assert demand[i, j, ki] == (vec.get(key) if vec is not None else 0.0)
 

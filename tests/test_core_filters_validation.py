@@ -13,7 +13,7 @@ from repro.solver import registry
 from repro.solver.backend import SolveRequest
 from repro.solver.compile import compile_placement
 from repro.workloads.application import Application
-from tests.conftest import cold_build, make_apps
+from tests.conftest import cold_build, make_apps, per_app
 from tests.test_solver_backends import _FakeServer
 
 
@@ -26,10 +26,11 @@ def _candidates(problem: PlacementProblem) -> np.ndarray:
 def test_filter_matches_feasible_mask(central_eu_problem):
     # Every demand here fits every server, so only the SLO and support prune.
     mask = _candidates(central_eu_problem)
-    assert np.array_equal(mask, central_eu_problem.feasible_mask())
+    feasible = per_app(central_eu_problem)["feasible_mask"]
+    assert np.array_equal(mask, feasible)
     assert mask.any(axis=1).all()  # no application without a candidate
     assert registry._candidate_pairs(SolveRequest(problem=central_eu_problem)) \
-        == int(central_eu_problem.feasible_mask().sum())
+        == int(feasible.sum())
 
 
 def test_filter_capacity_prunes_oversized_demands(florida_fleet, florida_latency, florida_carbon):
@@ -103,14 +104,14 @@ def test_slo_boundary_on_a_tier_build(central_eu_fleet, central_eu_latency,
     munich = [srv.site for srv in servers].index("Munich")
     probe = PlacementProblem.build(make_apps(["Bern"]), servers, central_eu_latency,
                                    central_eu_carbon, hour=0)
-    round_trip = 2.0 * probe.latency_ms[0, munich]
+    round_trip = 2.0 * per_app(probe)["latency_ms"][0, munich]
     assert round_trip - 2 * SLO_SLACK_MS < round_trip
     for slo_ms, feasible in ((round_trip, True), (round_trip - 2 * SLO_SLACK_MS, False)):
         apps = make_apps(["Bern"], slo_ms=slo_ms)
         tier = PlacementProblem.build(apps, servers, central_eu_latency,
                                       central_eu_carbon, hour=0)
         cold = cold_build(apps, servers, central_eu_latency, central_eu_carbon, hour=0)
-        assert tier.feasible_mask()[0, munich] == feasible
+        assert per_app(tier)["feasible_mask"][0, munich] == feasible
         assert np.array_equal(tier.feasible_mask(), cold.feasible_mask())
         assert _candidates(tier)[0, munich] == feasible
 
@@ -123,8 +124,9 @@ def test_filter_useful_servers(central_eu_problem):
 
 def test_validate_accepts_trivial_local_placement(central_eu_problem):
     placements = {}
+    latency = per_app(central_eu_problem)["latency_ms"]
     for i, app in enumerate(central_eu_problem.applications):
-        j = int(np.argmin(central_eu_problem.latency_ms[i]))
+        j = int(np.argmin(latency[i]))
         placements[app.app_id] = j
     solution = PlacementSolution(problem=central_eu_problem, placements=placements)
     assert validate_solution(solution) == []
@@ -136,7 +138,7 @@ def test_validate_detects_latency_violation(central_eu_fleet, central_eu_latency
     apps = make_apps(["Bern"], slo_ms=1.0)
     problem = PlacementProblem.build(apps, central_eu_fleet.servers(), central_eu_latency,
                                      central_eu_carbon, hour=0)
-    far = int(np.argmax(problem.latency_ms[0]))
+    far = int(np.argmax(per_app(problem)["latency_ms"][0]))
     solution = PlacementSolution(problem=problem, placements={apps[0].app_id: far})
     with pytest.raises(ValidationError, match="latency"):
         validate_solution(solution)

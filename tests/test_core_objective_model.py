@@ -9,6 +9,7 @@ from repro.solver.backend import SolveRequest, solution_from_assignment
 from repro.solver.backends.highs import PlacementModel
 from repro.solver.compile import compile_placement
 from repro.utils.units import joules_to_kwh
+from tests.conftest import per_app
 
 
 def _coefficients(problem, kind, alpha=0.0):
@@ -20,28 +21,29 @@ def _coefficients(problem, kind, alpha=0.0):
 def test_carbon_coefficients_match_problem(central_eu_problem):
     assign, activation = _coefficients(central_eu_problem, ObjectiveKind.CARBON)
     p = central_eu_problem
-    assert np.allclose(assign, joules_to_kwh(p.energy_j) * p.intensity)
+    assert np.allclose(assign, joules_to_kwh(per_app(p)["energy_j"]) * p.intensity)
     assert np.allclose(activation, central_eu_problem.activation_carbon_g())
 
 
 def test_energy_and_latency_coefficients(central_eu_problem):
+    views = per_app(central_eu_problem)
     assign, activation = _coefficients(central_eu_problem, ObjectiveKind.ENERGY)
-    assert np.allclose(assign, central_eu_problem.energy_j)
+    assert np.allclose(assign, views["energy_j"])
     assert np.allclose(activation, central_eu_problem.activation_energy_j())
     lat_assign, lat_activation = _coefficients(central_eu_problem, ObjectiveKind.LATENCY)
-    assert np.allclose(lat_assign, central_eu_problem.latency_ms)
+    assert np.allclose(lat_assign, views["latency_ms"])
     assert np.all(lat_activation == 0.0)
 
 
 def test_multi_objective_endpoints(central_eu_problem):
     carbon0, _ = _coefficients(central_eu_problem, ObjectiveKind.MULTI, alpha=0.0)
     energy1, _ = _coefficients(central_eu_problem, ObjectiveKind.MULTI, alpha=1.0)
-    feasible = central_eu_problem.feasible_mask()
+    views = per_app(central_eu_problem)
+    feasible = views["feasible_mask"]
     # alpha=0 ranks pairs by carbon; alpha=1 by energy (after normalisation the
     # ordering over feasible entries must match the raw coefficients).
-    raw_carbon = (joules_to_kwh(central_eu_problem.energy_j)
-                  * central_eu_problem.intensity)[feasible]
-    raw_energy = central_eu_problem.energy_j[feasible]
+    raw_carbon = (joules_to_kwh(views["energy_j"]) * central_eu_problem.intensity)[feasible]
+    raw_energy = views["energy_j"][feasible]
     assert np.allclose(np.argsort(carbon0[feasible]), np.argsort(raw_carbon))
     assert np.allclose(np.argsort(energy1[feasible]), np.argsort(raw_energy))
 

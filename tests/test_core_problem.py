@@ -6,25 +6,53 @@ import pytest
 from repro.core.problem import INFEASIBLE_LATENCY_MS, PlacementProblem
 from repro.core.solution import PlacementSolution
 from repro.utils.units import joules_to_kwh
-from tests.conftest import make_apps
+from tests.conftest import cold_build, make_apps, per_app
 
 
 def test_problem_shapes(florida_problem):
+    """One application per site: five classes, all in one (workload, rate)
+    block."""
     p = florida_problem
     assert p.n_applications == 5 and p.n_servers == 5
-    assert p.latency_ms.shape == (5, 5)
-    assert p.energy_j.shape == (5, 5)
+    for table in (p.latency_ms, p.energy_j, p.supported, p.feasible_mask()):
+        assert table.shape == (5, 5)
     assert p.intensity.shape == (5,)
     assert p.capacity.shape == (5, len(p.resource_keys))
-    assert p.demand.shape == (5, 5, len(p.resource_keys))
+    assert p.demand.shape == (1, 5, len(p.resource_keys))
+    assert p.row_class.shape == (5,) and p.class_block.shape == (5,)
     assert np.all(p.current_power == 1.0)
+
+
+def test_problem_holds_one_row_per_class(central_eu_problem, central_eu_fleet,
+                                         central_eu_latency, central_eu_carbon):
+    """Two applications per site share a class: the problem holds (C, S)
+    class rows with C < A and one (B, S, K) demand block, and its
+    per-application views are the per-object reference build's bit for bit."""
+    p = central_eu_problem
+    a, s, k = p.n_applications, p.n_servers, len(p.resource_keys)
+    c = len(np.unique(p.row_class))
+    assert c < a
+    for table in (p.latency_ms, p.energy_j, p.supported, p.feasible_mask()):
+        assert table.shape == (c, s)
+    assert p.demand.shape == (1, s, k)
+    assert p.row_class.shape == (a,) and p.class_block.shape == (c,)
+    assert p.nearest_feasible_ms().shape == (a,)
+    cold = cold_build(list(p.applications), central_eu_fleet.servers(),
+                      central_eu_latency, central_eu_carbon, hour=12,
+                      horizon_hours=24.0)
+    reference = per_app(cold)
+    for name, view in per_app(p).items():
+        assert view.dtype == reference[name].dtype, name
+        assert np.array_equal(view, reference[name]), name
+    assert np.array_equal(p.nearest_feasible_ms(), cold.nearest_feasible_ms())
 
 
 def test_source_site_has_zero_latency(florida_problem):
     p = florida_problem
+    latency = per_app(p)["latency_ms"]
     for i, app in enumerate(p.applications):
         j = p.server_index(f"{app.source_site.replace(' ', '_')}-srv00")
-        assert p.latency_ms[i, j] == 0.0
+        assert latency[i, j] == 0.0
 
 
 def test_feasible_mask_respects_slo(florida_fleet, florida_latency, florida_carbon):
@@ -48,7 +76,7 @@ def test_operational_carbon_matches_energy_times_intensity(florida_problem):
     """Solution accounting prices each placed pair as the (A, S) formula
     does, bit for bit, over every (application, server) pair."""
     p = florida_problem
-    expected = joules_to_kwh(p.energy_j) * p.intensity[None, :]
+    expected = joules_to_kwh(per_app(p)["energy_j"]) * p.intensity[None, :]
     for j in range(p.n_servers):
         solution = PlacementSolution(problem=p,
                                      placements={a: j for a in p.app_ids()})
@@ -61,7 +89,7 @@ def test_solution_carbon_prices_only_placed_pairs(florida_problem):
     """Assignments list the placed applications in placement order, each
     priced as energy times intensity; unplaced applications add nothing."""
     p = florida_problem
-    expected = joules_to_kwh(p.energy_j) * p.intensity[None, :]
+    expected = joules_to_kwh(per_app(p)["energy_j"]) * p.intensity[None, :]
     ids = p.app_ids()
     solution = PlacementSolution(problem=p, placements={ids[3]: 1, ids[0]: 4},
                                  unplaced=[ids[1], ids[2], ids[4]])
@@ -116,13 +144,24 @@ def test_shape_validation_on_raw_constructor(florida_problem):
     fields = dict(applications=p.applications, servers=p.servers,
                   latency_ms=p.latency_ms, energy_j=p.energy_j, intensity=p.intensity,
                   resource_keys=p.resource_keys, capacity=p.capacity, demand=p.demand,
-                  base_power_w=p.base_power_w, current_power=p.current_power)
+                  base_power_w=p.base_power_w, current_power=p.current_power,
+                  row_class=p.row_class, class_block=p.class_block)
     PlacementProblem(**fields)
     for name, bad in (("latency_ms", np.zeros((2, 2))),
                       ("capacity", p.capacity[:, :-1]),
-                      ("demand", p.demand[:-1]),
-                      ("resource_keys", p.resource_keys[:-1])):
+                      ("demand", p.demand[:, :-1]),
+                      ("resource_keys", p.resource_keys[:-1]),
+                      ("row_class", p.row_class[:-1]),
+                      ("row_class", p.row_class[:, None]),
+                      ("class_block", p.class_block[:-1]),
+                      ("class_block", p.class_block[:, None])):
         with pytest.raises(ValueError, match="must have shape"):
             PlacementProblem(**{**fields, name: bad})
+    for name, bad in (("row_class", -1), ("row_class", len(p.latency_ms)),
+                      ("class_block", -1), ("class_block", len(p.demand))):
+        index = getattr(p, name).copy()
+        index[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} entries"):
+            PlacementProblem(**{**fields, name: index})
     with pytest.raises(ValueError):
         PlacementProblem(**fields, horizon_hours=0.0)

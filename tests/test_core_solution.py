@@ -6,6 +6,7 @@ import pytest
 from repro.core.policies import CarbonEdgePolicy, LatencyAwarePolicy
 from repro.core.solution import PlacementSolution
 from repro.utils.units import joules_to_kwh
+from tests.conftest import per_app
 
 
 def test_summary_keys(central_eu_problem):
@@ -29,9 +30,10 @@ def test_carbon_decomposition(central_eu_problem):
 def test_operational_carbon_matches_manual_sum(central_eu_problem):
     solution = LatencyAwarePolicy().place(central_eu_problem)
     manual = 0.0
+    energy = per_app(central_eu_problem)["energy_j"]
     for app_id, j in solution.placements.items():
         i = central_eu_problem.app_index(app_id)
-        manual += joules_to_kwh(central_eu_problem.energy_j[i, j]) * central_eu_problem.intensity[j]
+        manual += joules_to_kwh(energy[i, j]) * central_eu_problem.intensity[j]
     assert solution.operational_carbon_g() == pytest.approx(manual)
 
 

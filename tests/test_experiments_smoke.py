@@ -105,23 +105,30 @@ def test_fig17_small_scale():
 
 def test_backend_comparisons_time_the_scenario_tier_path():
     """Each timed arm solves a problem the scenario tier assembled, as
-    production does: every dense view reads the class tables of an epoch
-    delta, never a one-class-per-application compilation."""
+    production does: every dense view is of a problem an epoch compilation
+    gathered from the class tables, never of one built another way."""
     from unittest import mock
 
     from repro.experiments import backend_tournament
-    from repro.solver.compile import EpochCompilation
+    from repro.solver.compile import EpochCompilation, ScenarioCompilation
 
-    tiered: list[bool] = []
-    class_tables = EpochCompilation._class_tables
+    assembled: list = []
+    viewed: list = []
+    compile_epoch, dense = ScenarioCompilation.compile_epoch, EpochCompilation.dense
 
-    def spy(compilation):
-        tiered.append(compilation.delta is not None)
-        return class_tables(compilation)
+    def spy_compile_epoch(scenario, delta):
+        compilation = compile_epoch(scenario, delta)
+        assembled.append(compilation.problem)
+        return compilation
 
-    with mock.patch.object(EpochCompilation, "_class_tables", spy):
+    def spy_dense(compilation, *args, **kwargs):
+        viewed.append(compilation.problem)
+        return dense(compilation, *args, **kwargs)
+
+    with mock.patch.object(ScenarioCompilation, "compile_epoch", spy_compile_epoch), \
+            mock.patch.object(EpochCompilation, "dense", spy_dense):
         rows = fig17_scalability.compare_backends(sizes=((20, 8),))
         result = backend_tournament.run(sizes=((20, 8),), time_budget_s=2.0)
-    assert tiered and all(tiered)
+    assert viewed and all(any(p is q for q in assembled) for p in viewed)
     assert {row["backend"] for row in rows} == {"highs", "heuristic"}
     assert len(result["arms"]) == 2

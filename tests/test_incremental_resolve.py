@@ -11,7 +11,7 @@ from repro.orchestrator.orchestrator import EdgeOrchestrator
 from repro.orchestrator.deployment import DeploymentState
 from repro.utils.units import joules_to_kwh
 
-from tests.conftest import make_apps
+from tests.conftest import make_apps, per_app
 
 
 @pytest.fixture
@@ -52,7 +52,7 @@ def test_resolve_epoch_warm_start_never_worse_than_staying(placer, central_eu_fl
     resolved = placer.resolve_epoch(hour=12)
     # Evaluate "keep the old placement" on the hour-12 problem: the re-solve
     # was warm-started from it, so it can only be equal or better.
-    stay = joules_to_kwh(resolved.problem.energy_j) * resolved.problem.intensity
+    stay = joules_to_kwh(per_app(resolved.problem)["energy_j"]) * resolved.problem.intensity
     stay_carbon = sum(stay[resolved.problem.app_index(a), j]
                       for a, j in first.placements.items())
     assert resolved.operational_carbon_g() <= stay_carbon + 1e-9
@@ -250,11 +250,14 @@ def test_resolve_epoch_delta_path_bit_identical_to_cold_rebuild(
         assert np.array_equal(cold.power_on, fast.power_on)
         assert cold.total_carbon_g() == fast.total_carbon_g()
         assert cold.total_energy_j() == fast.total_energy_j()
-        # The problems themselves carry identical tensors (the re-solve's
-        # problem reads live, non-pristine fleet state through the delta).
-        for name in ("latency_ms", "energy_j", "supported", "intensity",
-                     "current_power"):
-            assert np.array_equal(getattr(cold.problem, name),
-                                  getattr(fast.problem, name)), name
-        assert np.array_equal(cold.problem.capacity, fast.problem.capacity)
+        # The problems themselves carry identical per-application views and
+        # server arrays, dtype included (the re-solve's problem reads live,
+        # non-pristine fleet state through the delta).
+        cold_views, fast_views = per_app(cold.problem), per_app(fast.problem)
+        for name, a in cold_views.items():
+            b = fast_views[name]
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        for name in ("intensity", "current_power", "capacity"):
+            a, b = getattr(cold.problem, name), getattr(fast.problem, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert cold_alloc == fast_alloc

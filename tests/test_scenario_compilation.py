@@ -1,8 +1,9 @@
 """The scenario-lifetime compilation tier: bit-identity vs the cold rebuild.
 
 The contract under test (see the scenario-lifetime section of
-:mod:`repro.solver.compile`): for every epoch, the problem tensors, the epoch
-compilation's report and dense cost tensors, and every simulation artifact
+:mod:`repro.solver.compile`): for every epoch, the problem's per-application
+views (:func:`tests.conftest.per_app`), the epoch compilation's candidate
+mask and dense cost tensors, and every simulation artifact
 must be byte-identical whether assembled through the scenario tier's delta
 path — the only path :meth:`PlacementProblem.build` takes — or rebuilt cold
 per epoch: the tier is a pure performance layer. The cold arm is the
@@ -30,7 +31,7 @@ from repro.solver.compile import (
     compile_scenario,
 )
 
-from tests.conftest import cold_build, cold_builds, make_apps
+from tests.conftest import cold_build, cold_builds, make_apps, per_app
 
 SCENARIO_KWARGS = dict(continent="EU", n_epochs=2, max_sites=8, seed=0)
 
@@ -53,13 +54,17 @@ def _compiled_epochs(**scenario_kwargs):
 
 
 def _assert_problems_identical(cold: PlacementProblem, fast: PlacementProblem):
-    for name in ("latency_ms", "energy_j", "supported", "intensity",
-                 "base_power_w", "current_power", "capacity", "demand"):
+    """The tier's class tables, read per application, are the cold build's
+    tensors bit for bit, dtype included; so are the server-axis arrays."""
+    cold_views, fast_views = per_app(cold), per_app(fast)
+    for name, a in cold_views.items():
+        b = fast_views[name]
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("intensity", "base_power_w", "current_power", "capacity"):
         a, b = getattr(cold, name), getattr(fast, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert cold.horizon_hours == fast.horizon_hours
     assert cold.resource_keys == fast.resource_keys
-    assert np.array_equal(cold.feasible_mask(), fast.feasible_mask())
     assert np.array_equal(cold.nearest_feasible_ms(), fast.nearest_feasible_ms())
 
 

@@ -46,7 +46,6 @@ from repro.solver import hierarchy
 from repro.solver.backend import SolveRequest
 from repro.solver.compile import (
     DenseCosts,
-    EpochCompilation,
     GreedyState,
     ScenarioCompilation,
     _argmin_chunk,
@@ -63,7 +62,7 @@ from repro.solver.registry import get_backend
 from repro.workloads.application import Application
 from repro.workloads.generator import ApplicationGenerator
 
-from tests.conftest import cold_builds
+from tests.conftest import cold_build, cold_builds
 
 # -- randomized dense instances ------------------------------------------------
 
@@ -506,42 +505,60 @@ def _assert_class_tables(dense: DenseCosts) -> None:
     assert 0 <= dense.class_block.min() and dense.class_block.max() < len(dense.demand)
 
 
-def _assert_rows_share_class(dense: DenseCosts, problem: PlacementProblem) -> None:
+def _assert_rows_share_class(dense: DenseCosts, problem: PlacementProblem,
+                             cold: PlacementProblem) -> None:
     """The class tables of a compiled problem, read through ``row_class``
-    (and the demand blocks through ``class_block``), are its per-application
-    demand, energy and candidate rows; the epoch's classes share blocks."""
+    (and the demand blocks through ``class_block``), are the per-object
+    reference build's per-application demand, energy and candidate rows;
+    the epoch's classes share blocks."""
     _assert_class_tables(dense)
-    assert len(dense.cost) == len(np.unique(compile_placement(problem).dense().row_class))
+    assert np.array_equal(dense.row_class, problem.row_class)
+    assert len(dense.cost) == len(problem.latency_ms)
     rc = dense.row_class
     assert len(dense.demand) < len(dense.cost), "no block repeats: the check is vacuous"
-    assert np.array_equal(dense.demand[dense.class_block[rc]], problem.demand)
-    assert np.array_equal(dense.energy[rc], problem.energy_j)
-    assert np.array_equal(dense.mask[rc], _candidate_mask(problem))
+    assert np.array_equal(dense.demand[dense.class_block[rc]], cold.demand)
+    assert np.array_equal(dense.energy[rc], cold.energy_j)
+    assert np.array_equal(dense.mask[rc], _candidate_mask(cold))
 
 
-def _candidate_mask(problem: PlacementProblem) -> np.ndarray:
-    """The per-application candidate mask: SLO + support and the standalone
-    capacity fit of the problem's own (A, S, K) demand."""
-    return problem.feasible_mask() & capacity_fits(problem.demand, problem.capacity)
+def _candidate_mask(cold: PlacementProblem) -> np.ndarray:
+    """The per-application candidate mask of a cold build (one class and one
+    block per application): SLO + support and the standalone capacity fit
+    of its (A, S, K) demand."""
+    return cold.feasible_mask() & capacity_fits(cold.demand, cold.capacity)
+
+
+def _cold_twin(problem: PlacementProblem, simulator: CDNSimulator, hour: int,
+               horizon_hours: float = 1.0) -> PlacementProblem:
+    """The per-object reference build of a tier problem's epoch, over the
+    simulator's fleet as it stands."""
+    return cold_build(list(problem.applications), simulator.fleet.servers(),
+                      simulator.latency, simulator.carbon, hour=hour,
+                      horizon_hours=horizon_hours)
 
 
 @pytest.fixture(scope="module")
 def cdn_epoch_problem():
-    """A scenario-tier CDN epoch (columnar batch, class-gather assembly)."""
-    simulator = CDNSimulator(scenario=CDNScenario(
-        continent="EU", n_epochs=1, max_sites=8, seed=0))
-    return simulator.epoch_problem(0)
+    """A scenario-tier CDN epoch (columnar batch, class-table assembly) and
+    its per-object reference build."""
+    scenario = CDNScenario(continent="EU", n_epochs=1, max_sites=8, seed=0)
+    simulator = CDNSimulator(scenario=scenario)
+    problem = simulator.epoch_problem(0)
+    return problem, _cold_twin(problem, simulator, scenario.epoch_start_hour(0),
+                               float(scenario.hours_per_epoch))
 
 
 @pytest.fixture(scope="module")
 def cdn_live_epoch_problem():
     """The same epoch's applications over an allocated fleet with one server
-    off: the candidate mask reads live capacities, not the pristine fit rows."""
+    off, and its reference build: the candidate mask reads live capacities,
+    not the pristine fit rows."""
     simulator = CDNSimulator(scenario=CDNScenario(
         continent="EU", n_epochs=1, max_sites=8, seed=0))
     problem = simulator.epoch_problem(0)
+    pristine = _cold_twin(problem, simulator, hour=7)
     servers = simulator.fleet.servers()
-    first = servers[int(np.flatnonzero(problem.supported[0])[0])]
+    first = servers[int(np.flatnonzero(problem.supported[problem.row_class[0]])[0])]
     demand = problem.applications[0].resource_demand_on(first)
     for srv in servers[:3]:
         while srv.can_host(demand):
@@ -549,23 +566,24 @@ def cdn_live_epoch_problem():
     servers[3].power_off()
     live = simulator.scenario_compilation().build_problem(
         list(problem.applications), hour=7)
-    assert len(np.unique(compile_placement(live).dense().row_class)) < live.n_applications
-    assert not np.array_equal(_candidate_mask(live), _candidate_mask(problem))
-    return live
+    cold = _cold_twin(live, simulator, hour=7)
+    assert len(np.unique(live.row_class)) < live.n_applications
+    assert not np.array_equal(_candidate_mask(cold), _candidate_mask(pristine))
+    return live, cold
 
 
-def _assert_class_rows_cost_like_apps(problem, objective, manage_power) -> None:
+def _assert_class_rows_cost_like_apps(problems, objective, manage_power) -> None:
     """Costing one row per class builds exactly the per-application tensors
     read through ``row_class``, and the processing order and speculative
-    winners match the per-application ones. The reference is a fresh
-    compilation of the problem without the scenario tier's class tables: the
-    problem's own tensors, one class per application."""
+    winners match the per-application ones. The reference is the compiled
+    per-object build of the same epoch: one class per application."""
+    problem, cold = problems
     alpha = 0.5 if objective is ObjectiveKind.MULTI else 0.0
     dense = compile_placement(problem).dense(objective, alpha=alpha,
                                              manage_power=manage_power)
-    _assert_rows_share_class(dense, problem)
+    _assert_rows_share_class(dense, problem, cold)
 
-    reference = EpochCompilation(problem=problem).dense(
+    reference = compile_placement(cold).dense(
         objective, alpha=alpha, manage_power=manage_power)
     assert np.array_equal(reference.row_class, np.arange(problem.n_applications))
     assert np.array_equal(reference.class_block, np.arange(problem.n_applications))
@@ -600,7 +618,8 @@ def test_cdn_live_epoch_rows_share_their_class(cdn_live_epoch_problem, objective
 def test_cdn_epoch_fills_in_one_wave(cdn_epoch_problem):
     """A CDN epoch's speculative winners all fit: the first wave commits
     every placement and the class tail never runs."""
-    state = GreedyState(compile_placement(cdn_epoch_problem).dense())
+    problem, _ = cdn_epoch_problem
+    state = GreedyState(compile_placement(problem).dense())
     with mock.patch.object(compile_module, "_replay_classes",
                            side_effect=AssertionError("class tail")):
         greedy_fill(state)

@@ -40,6 +40,7 @@ from repro.solver.hierarchy import (
 from repro.solver.registry import solve as registry_solve
 from repro.workloads.generator import ApplicationGenerator
 
+from tests.conftest import per_app
 from tests.test_refine_pins import N_APPS as PERFBENCH_APPS
 from tests.test_refine_pins import build_instance as perfbench_instance
 
@@ -388,7 +389,7 @@ def test_multi_normalisation_pools_only_feasible_entries():
         alpha=0.5, config=SolverConfig(hierarchy_regions=1), seed=0)
 
     problem = compilation.build_problem(apps, HOUR)
-    assert (~problem.feasible_mask().any(axis=1)).sum() == 1
+    assert (~per_app(problem)["feasible_mask"].any(axis=1)).sum() == 1
     dense = compile_placement(problem).dense(ObjectiveKind.MULTI, 0.5)
     assign = dense.raw_assign[dense.row_class]
     placed = np.flatnonzero(outcome.assignment >= 0)

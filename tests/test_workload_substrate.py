@@ -36,7 +36,7 @@ from repro.workloads.generator import (
     app_id_pad_width,
 )
 
-from tests.conftest import cold_build, cold_builds
+from tests.conftest import cold_build, cold_builds, per_app
 
 SCENARIO_KWARGS = dict(continent="EU", n_epochs=2, max_sites=8, seed=0)
 
@@ -204,17 +204,18 @@ def _epoch_problems(**scenario_kwargs):
 
 
 def _assert_problems_identical(cold, fast):
+    """The tier's class tables, read per application, are the cold build's
+    tensors bit for bit, dtype included; so are the server-axis arrays."""
     assert [a.app_id for a in cold.applications] == \
         [a.app_id for a in fast.applications]
-    for name in ("latency_ms", "energy_j", "supported", "intensity",
-                 "base_power_w", "current_power"):
+    cold_views, fast_views = per_app(cold), per_app(fast)
+    for name, a in cold_views.items():
+        b = fast_views[name]
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("intensity", "base_power_w", "current_power", "capacity"):
         a, b = getattr(cold, name), getattr(fast, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert cold.resource_keys == fast.resource_keys
-    for name in ("capacity", "demand"):
-        a, b = getattr(cold, name), getattr(fast, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert np.array_equal(cold.feasible_mask(), fast.feasible_mask())
     assert np.array_equal(cold.nearest_feasible_ms(), fast.nearest_feasible_ms())
 
 
@@ -435,7 +436,7 @@ def test_rate_and_slo_split_scenario_classes():
     assert stats["n_classes"] == count and stats["n_blocks"] == 2
     # The SLOs cut different candidate sets, so a key without them would
     # hand some applications another class's feasibility row.
-    assert len(set(fast.feasible_mask().sum(axis=1)[:4].tolist())) > 1
+    assert len(set(per_app(fast)["feasible_mask"].sum(axis=1)[:4].tolist())) > 1
     cold = cold_build(batch, fleet.servers(), latency, carbon, hour=4700)
     _assert_problems_identical(cold, fast)
     _assert_dense_identical(cold, fast)
