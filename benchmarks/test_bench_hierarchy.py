@@ -34,7 +34,7 @@ from repro.experiments.planetary_sweep import build_planetary_substrate
 from repro.solver.compile import ScenarioCompilation
 from repro.solver.config import SolverConfig
 from repro.solver.hierarchy import build_region_plan, solve_hierarchical
-from repro.solver.registry import solve as registry_solve
+from repro.solver.registry import available_backends, solve as registry_solve
 from repro.workloads.generator import ApplicationGenerator
 
 #: Where the timing trajectory is appended (repo root), shared with the
@@ -64,6 +64,9 @@ def test_bench_hierarchy_vs_flat(bench_once):
     applications = list(
         generator.generate_batch(0, HOUR, n_arrivals=N_APPS).applications)
 
+    # Load the backend registry (and with it scipy) before either timer
+    # starts, so the flat arm does not time the process's one-off import.
+    available_backends()
     # Fresh compilations per side: the class-row caches warm up during either
     # solve, and sharing one instance would hand the second runner a head
     # start.

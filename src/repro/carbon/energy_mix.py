@@ -13,7 +13,17 @@ a zone's generation mix changes over the year:
   fossil sources in merit order), which is what produces the carbon-intensity
   "duck curve" shape visible in the paper's Figure 1b and Figure 4a.
 
-Everything is vectorised over the hour axis.
+Everything is vectorised over the hour axis except the wind AR(1) recursion,
+the one sequential step: each hour depends on the one before. It steps over a
+Python float list, whose per-step arithmetic is the same IEEE multiply then
+add, in the same order, as a loop over numpy scalars, so the output is the
+same byte for byte at about a third of the cost. It needs no import beyond
+numpy: ``scipy.signal.lfilter`` would be exact too, but its import alone costs
+more than a hundred zones' worth of steps.
+
+The zone-independent arrays of a trace window (the wrapped hours, demand,
+hydro and solar's two hour-only terms) live in :class:`HourProfiles`, so a
+trace set builds them once and every zone reuses them.
 """
 
 from __future__ import annotations
@@ -39,13 +49,24 @@ def solar_capacity_factor(hours: np.ndarray, seasonality: float) -> np.ndarray:
     (summer solstice).
     """
     hours = np.asarray(hours)
+    return _solar_output(_solar_diurnal(hours), _solar_season(hours), seasonality)
+
+
+def _solar_diurnal(hours: np.ndarray) -> np.ndarray:
+    """Raised cosine centred at 13:00, zero at night."""
     hod = hour_of_day(hours).astype(float)
+    return np.clip(np.cos((hod - 13.0) / 7.0 * (np.pi / 2.0)), 0.0, None)
+
+
+def _solar_season(hours: np.ndarray) -> np.ndarray:
+    """``1 - cos`` of the day's angle from the summer solstice (day 172): 0 there, 2 at midwinter."""
     doy = day_of_year(hours).astype(float)
-    diurnal = np.clip(np.cos((hod - 13.0) / 7.0 * (np.pi / 2.0)), 0.0, None)
-    # Seasonal envelope peaks at the summer solstice (day 172) and drops to
-    # (1 - seasonality) at the winter solstice.
-    seasonal = 1.0 - float(seasonality) * 0.5 * (1.0 - np.cos(2.0 * np.pi * (doy - 172.0) / 365.0))
-    return diurnal * seasonal
+    return 1.0 - np.cos(2.0 * np.pi * (doy - 172.0) / 365.0)
+
+
+def _solar_output(diurnal: np.ndarray, season: np.ndarray, seasonality: float) -> np.ndarray:
+    """Diurnal curve under the seasonal envelope, which drops to (1 - seasonality) at midwinter."""
+    return diurnal * (1.0 - float(seasonality) * 0.5 * season)
 
 
 def wind_capacity_factor(n_hours: int, volatility: float, rng: np.random.Generator) -> np.ndarray:
@@ -54,11 +75,13 @@ def wind_capacity_factor(n_hours: int, volatility: float, rng: np.random.Generat
         raise ValueError(f"n_hours must be positive, got {n_hours}")
     phi = 0.985  # ~3-day decorrelation time
     noise = rng.normal(0.0, float(volatility) * np.sqrt(1 - phi**2), size=n_hours)
-    x = np.empty(n_hours)
-    x[0] = rng.normal(0.0, float(volatility))
+    # x[t] = phi * x[t-1] + noise[t], stepped on Python floats (see the module
+    # docstring); x[0] is drawn after the noise and replaces noise[0].
+    x = noise.tolist()
+    x[0] = prev = rng.normal(0.0, float(volatility))
     for t in range(1, n_hours):
-        x[t] = phi * x[t - 1] + noise[t]
-    return np.clip(0.55 + x, 0.1, 1.0)
+        x[t] = prev = phi * prev + x[t]
+    return np.clip(0.55 + np.array(x, dtype=float), 0.1, 1.0)
 
 
 def hydro_capacity_factor(hours: np.ndarray) -> np.ndarray:
@@ -76,6 +99,50 @@ def demand_profile(hours: np.ndarray) -> np.ndarray:
         + 0.07 * np.sin(4.0 * np.pi * (hod - 19.0) / 24.0)
     weekend = np.where(dow >= 5, 0.93, 1.0)
     return diurnal * weekend
+
+
+@dataclass(frozen=True, eq=False)
+class HourProfiles:
+    """The zone-independent hourly arrays of one trace window.
+
+    Every array depends on the hour of year alone, so one instance serves every
+    zone of a trace set. The arrays are read-only: a zone's expansion builds
+    new arrays from them and never writes into them.
+    """
+
+    start_hour: int
+    hours: np.ndarray
+    demand: np.ndarray
+    demand_mean: float
+    hydro: np.ndarray
+    solar_diurnal: np.ndarray
+    solar_season: np.ndarray
+
+    @classmethod
+    def build(cls, n_hours: int, start_hour: int = 0) -> HourProfiles:
+        """Profiles of the ``n_hours`` hours from ``start_hour``, wrapping at year end."""
+        if n_hours <= 0:
+            raise ValueError(f"n_hours must be positive, got {n_hours}")
+        hours = (int(start_hour) + np.arange(int(n_hours))) % HOURS_PER_YEAR
+        demand = demand_profile(hours)
+        profiles = cls(start_hour=int(start_hour), hours=hours, demand=demand,
+                       demand_mean=float(demand.mean()),
+                       hydro=hydro_capacity_factor(hours),
+                       solar_diurnal=_solar_diurnal(hours),
+                       solar_season=_solar_season(hours))
+        for array in (profiles.hours, profiles.demand, profiles.hydro,
+                      profiles.solar_diurnal, profiles.solar_season):
+            array.flags.writeable = False
+        return profiles
+
+    @property
+    def n_hours(self) -> int:
+        """Number of hours covered."""
+        return len(self.hours)
+
+    def solar(self, seasonality: float) -> np.ndarray:
+        """:func:`solar_capacity_factor` over these hours."""
+        return _solar_output(self.solar_diurnal, self.solar_season, seasonality)
 
 
 @dataclass
@@ -131,26 +198,34 @@ def hourly_mix_profile(
     The resulting annual-average shares stay close to the spec's shares while
     exhibiting realistic diurnal/seasonal structure.
     """
-    if n_hours <= 0:
-        raise ValueError(f"n_hours must be positive, got {n_hours}")
-    hours = (int(start_hour) + np.arange(int(n_hours))) % HOURS_PER_YEAR
-    rng = substream(seed, "mix", spec.zone_id)
-    mix = spec.normalized_mix
+    return expand_mix(spec, HourProfiles.build(n_hours, start_hour), seed=seed)
 
-    demand = demand_profile(hours)
+
+def expand_mix(spec: ZoneSpec, profiles: HourProfiles, seed: int = 0) -> MixTimeSeries:
+    """:func:`hourly_mix_profile` over the hours of prebuilt ``profiles``."""
+    n_hours = profiles.n_hours
+    mix = spec.normalized_mix
+    demand = profiles.demand
+    demand_mean = profiles.demand_mean
 
     # Variable generation in demand units. Capacities are scaled so the annual
-    # mean production of each variable source matches its target share.
+    # mean production of each variable source matches its target share. A
+    # source the zone lacks is never computed: the zone's "mix" substream
+    # feeds wind alone, so skipping its draws moves nothing else.
+    factors = {
+        "solar": lambda: profiles.solar(spec.solar_seasonality),
+        "wind": lambda: wind_capacity_factor(n_hours, spec.wind_volatility,
+                                             substream(seed, "mix", spec.zone_id)),
+        "hydro": lambda: profiles.hydro,
+    }
     production: dict[str, np.ndarray] = {}
-    solar_cf = solar_capacity_factor(hours, spec.solar_seasonality)
-    wind_cf = wind_capacity_factor(n_hours, spec.wind_volatility, rng)
-    hydro_cf = hydro_capacity_factor(hours)
-    for source, cf in (("solar", solar_cf), ("wind", wind_cf), ("hydro", hydro_cf)):
+    for source, factor in factors.items():
         target = mix.get(source, 0.0)
         if target <= 0.0:
             continue
+        cf = factor()
         mean_cf = float(cf.mean())
-        scale = target * float(demand.mean()) / mean_cf if mean_cf > 0 else 0.0
+        scale = target * demand_mean / mean_cf if mean_cf > 0 else 0.0
         production[source] = cf * scale
 
     variable_total = sum(production.values()) if production else np.zeros(n_hours)
@@ -182,7 +257,7 @@ def hourly_mix_profile(
             capacity = np.zeros(n_hours)
         # Baseload sources (nuclear, geothermal) run flat at their target output.
         if source in ("nuclear", "geothermal"):
-            flat = np.full(n_hours, target * float(demand.mean()))
+            flat = np.full(n_hours, target * demand_mean)
             produced = np.minimum(flat, remaining)
         else:
             produced = np.minimum(capacity * 1.25, remaining)
