@@ -9,7 +9,7 @@ command demonstrated in the README.
 
 from pathlib import Path
 
-from setuptools import find_packages, setup
+from setuptools import find_namespace_packages, setup
 
 _README = Path(__file__).parent / "README.md"
 
@@ -26,7 +26,9 @@ setup(
     author="paper-repo-growth",
     license="MIT",
     package_dir={"": "src"},
-    packages=find_packages(where="src"),
+    # ``src/repro`` has no ``__init__.py`` (a namespace package), which
+    # ``find_packages`` skips together with everything below it.
+    packages=find_namespace_packages(where="src", include=["repro", "repro.*"]),
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.22",

@@ -1,4 +1,4 @@
-"""Edge cluster substrate: resources, hardware, power models, servers, fleets.
+"""Edge cluster substrate: resources, hardware, servers, fleets.
 
 This package models the physical side of the paper's edge deployments — the
 heterogeneous accelerators of Section 6.1.2 (NVIDIA A2, Jetson Orin Nano,
@@ -17,7 +17,6 @@ from repro.cluster.hardware import (
     ORIN_NANO,
     GTX_1080,
 )
-from repro.cluster.power import PowerModel, LinearPowerModel, IdleProportionalPowerModel
 from repro.cluster.server import EdgeServer, PowerState
 from repro.cluster.datacenter import EdgeDataCenter
 from repro.cluster.fleet import EdgeFleet, build_regional_fleet, build_cdn_fleet
@@ -31,9 +30,6 @@ __all__ = [
     "NVIDIA_A2",
     "ORIN_NANO",
     "GTX_1080",
-    "PowerModel",
-    "LinearPowerModel",
-    "IdleProportionalPowerModel",
     "EdgeServer",
     "PowerState",
     "EdgeDataCenter",

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.cluster.hardware import DeviceSpec, NVIDIA_A2, XEON_E5_2660V3
-from repro.cluster.power import LinearPowerModel, PowerModel
 from repro.cluster.resources import FIT_SLACK, ResourceVector
 
 
@@ -139,10 +138,6 @@ class EdgeServer:
         if self.accelerator is not None:
             power += self.accelerator.max_power_w
         return power
-
-    def power_model(self) -> PowerModel:
-        """Linear power model spanning the server's base-to-max envelope."""
-        return LinearPowerModel(idle_w=self.base_power_w, max_w=self.max_power_w)
 
     def power_on(self) -> None:
         """Power the server on (idempotent)."""

@@ -26,7 +26,6 @@ from repro.core.policies import (
     LatencyAwarePolicy,
     EnergyAwarePolicy,
     IntensityAwarePolicy,
-    GreedyCarbonPolicy,
     RandomPolicy,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "LatencyAwarePolicy",
     "EnergyAwarePolicy",
     "IntensityAwarePolicy",
-    "GreedyCarbonPolicy",
     "RandomPolicy",
 ]

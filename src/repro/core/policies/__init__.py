@@ -1,7 +1,6 @@
 """Placement policies: CarbonEdge and the paper's baselines (Section 6.1.3)."""
 
 from repro.core.policies.base import PlacementPolicy
-from repro.core.policies.greedy import GreedyCarbonPolicy
 from repro.core.policies.carbon_edge import CarbonEdgePolicy
 from repro.core.policies.latency_aware import LatencyAwarePolicy
 from repro.core.policies.energy_aware import EnergyAwarePolicy
@@ -10,7 +9,6 @@ from repro.core.policies.random_policy import RandomPolicy
 
 __all__ = [
     "PlacementPolicy",
-    "GreedyCarbonPolicy",
     "CarbonEdgePolicy",
     "LatencyAwarePolicy",
     "EnergyAwarePolicy",

@@ -53,16 +53,6 @@ class PlacementSolution:
     #: Canonical name of the solver backend that produced the solution
     #: (empty when the solution did not come through the backend registry).
     backend_name: str = ""
-    #: Number of batched wave commits the reconciliation replay executed
-    #: (:class:`repro.solver.compile.FillStats`). Execution diagnostics only:
-    #: the value describes how the replay ran, not which placements it made.
-    #: ``None`` when the backend does not run the greedy kernel.
-    wave_count: int | None = None
-    #: Fraction of replayed applications that took the exact per-application
-    #: step instead of a batched wave commit (1.0 when the naive loop ran,
-    #: near 0.0 when the wave replay settles almost everything). ``None``
-    #: when the backend does not run the greedy kernel.
-    revalidation_rate: float | None = None
     #: Best proven lower bound reported by the solver (the exact tier's
     #: certificate; NaN when the backend proves none). It bounds the
     #: tie-broken objective every backend minimises — ``DenseCosts.cost`` of

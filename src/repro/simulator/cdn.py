@@ -182,8 +182,6 @@ def build_epoch_record(problem: PlacementProblem, compilation, solution,
         hosting_intensities=hosting_intensities,
         solve_time_s=solution.solve_time_s,
         n_nearest_unreachable=compilation.n_nearest_unreachable,
-        wave_count=solution.wave_count,
-        revalidation_rate=solution.revalidation_rate,
         assignments=assignments,
     )
 

@@ -31,13 +31,6 @@ class EpochRecord:
     #: ``n_unplaced``). The count is a property of the epoch's problem, so it
     #: is identical across the policies of one epoch.
     n_nearest_unreachable: int = 0
-    #: Batched wave commits the reconciliation replay executed for this
-    #: epoch's construction (``FillStats.waves``); ``None`` when the backend
-    #: does not run the greedy kernel. Execution diagnostics, not science.
-    wave_count: int | None = None
-    #: Fraction of replayed applications that took the exact per-application
-    #: step instead of a batched wave commit (1.0 when the naive loop ran).
-    revalidation_rate: float | None = None
     #: Full placement decision (app id -> hosting server id), populated only
     #: when the caller asks for it (``record_assignments``): the replay-parity
     #: harness byte-diffs these against the online serving loop's decisions.

@@ -27,14 +27,14 @@ import numpy as np
 from repro.core.filters import capacity_fits
 from repro.core.solution import PlacementSolution
 from repro.solver.backend import SolveRequest, solution_from_assignment
-from repro.solver.compile import DenseCosts, GreedyState, greedy_fill
+from repro.solver.compile import _DEADLINE_STRIDE, DenseCosts, GreedyState, greedy_fill
 from repro.solver.registry import register_backend
 
 #: Local-search wall-clock budget when the request carries none.
 DEFAULT_LOCAL_SEARCH_BUDGET_S: float = 5.0
 
-#: Deadline is polled every this many applications inside a pass.
-_DEADLINE_STRIDE: int = 64
+#: Maximum number of full local-search sweeps over the applications.
+MAX_PASSES: int = 8
 
 
 @register_backend("heuristic", aliases=("local-search",))
@@ -44,13 +44,10 @@ class GreedyLocalSearchBackend:
 
     Parameters
     ----------
-    max_passes:
-        Maximum number of full local-search sweeps over the applications.
     local_search:
         Disable to get the pure greedy construction (the ``greedy`` backend).
     """
 
-    max_passes: int = 8
     local_search: bool = True
     name: str = "heuristic"
     #: These backends always return a feasible solution on their own; the
@@ -70,9 +67,6 @@ class GreedyLocalSearchBackend:
         if self.local_search and not state.stats.truncated:
             self._improve(request, state)
         solution = solution_from_assignment(request, state.assignment)
-        # Replay-execution telemetry (diagnostics only — see FillStats).
-        solution.wave_count = state.stats.waves
-        solution.revalidation_rate = state.stats.revalidation_rate
         solution.construction_truncated = state.stats.truncated
         return solution
 
@@ -108,7 +102,7 @@ class GreedyLocalSearchBackend:
             return
         dense = state.dense
         n_apps = len(state.assignment)
-        for _ in range(self.max_passes):
+        for _ in range(MAX_PASSES):
             improved = False
             for i in range(n_apps):
                 if i % _DEADLINE_STRIDE == 0 and time.monotonic() >= deadline:

@@ -27,7 +27,7 @@ from repro.solver.compile import DenseCosts
 from repro.solver.registry import register_backend
 
 #: Rounding trials when the time budget does not cut them short.
-DEFAULT_TRIALS: int = 16
+ROUNDING_TRIALS: int = 16
 
 #: Rounding budget when the request carries none.
 DEFAULT_ROUNDING_BUDGET_S: float = 5.0
@@ -38,7 +38,6 @@ DEFAULT_ROUNDING_BUDGET_S: float = 5.0
 class LPRandomizedRoundingBackend:
     """One LP relaxation followed by randomized rounding with repair."""
 
-    n_trials: int = DEFAULT_TRIALS
     name: str = "lp-round"
 
     def solve(self, request: SolveRequest) -> PlacementSolution | None:
@@ -62,7 +61,7 @@ class LPRandomizedRoundingBackend:
 
         best: np.ndarray | None = None
         best_key: tuple[float, float] | None = None
-        for trial in range(self.n_trials):
+        for trial in range(ROUNDING_TRIALS):
             if best is not None and time.monotonic() >= deadline:
                 break
             # Trial 0 is deterministic (argmax fraction), the rest sample.

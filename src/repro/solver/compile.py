@@ -257,9 +257,10 @@ def class_costs(lat: np.ndarray, feas: np.ndarray, mask: np.ndarray,
         initially_on=initially_on, row_class=row_class, class_block=class_block)
 
 
-#: The construction deadline is polled every this many applications inside
-#: the per-application loops (matching the local-search stride), so the
-#: budget check costs one clock read per stride instead of per placement.
+#: Deadlines are polled every this many applications inside the
+#: per-application loops (the construction's here, the heuristic backend's
+#: local-search sweeps), so a budget check costs one clock read per stride
+#: instead of per placement.
 _DEADLINE_STRIDE: int = 64
 
 
@@ -274,9 +275,8 @@ class FillStats:
 
     Pure diagnostics, never inputs: the numbers describe *how* the replay
     executed (how much of it committed in waves) while the placements stay
-    bit-identical to the naive loop. Accumulated on :attr:`GreedyState.stats`
-    and surfaced as ``wave_count`` / ``revalidation_rate`` on
-    :class:`~repro.core.solution.PlacementSolution` and ``EpochRecord``.
+    bit-identical to the naive loop. Accumulated on :attr:`GreedyState.stats`,
+    its one home: only ``truncated`` is copied onto the solution.
     """
 
     waves: int = 0

@@ -6,7 +6,6 @@ every other subpackage:
 * :mod:`repro.utils.units` — unit conversions (energy, power, carbon, distance, time).
 * :mod:`repro.utils.rng` — deterministic, named random substreams.
 * :mod:`repro.utils.timeutils` — the simulation calendar (hour-of-year arithmetic).
-* :mod:`repro.utils.validation` — small argument-validation helpers.
 """
 
 from repro.utils.units import (
@@ -32,13 +31,6 @@ from repro.utils.timeutils import (
     month_slice,
     MONTH_NAMES,
 )
-from repro.utils.validation import (
-    require,
-    require_positive,
-    require_non_negative,
-    require_in_range,
-    require_probability,
-)
 
 __all__ = [
     "JOULES_PER_KWH",
@@ -61,9 +53,4 @@ __all__ = [
     "hours_in_month",
     "month_slice",
     "MONTH_NAMES",
-    "require",
-    "require_positive",
-    "require_non_negative",
-    "require_in_range",
-    "require_probability",
 ]

@@ -22,7 +22,6 @@ from repro.workloads.application import Application, make_application
 from repro.workloads.generator import (
     ApplicationBatch,
     ApplicationGenerator,
-    ArrivalBatch,
     LazyApplications,
 )
 from repro.workloads.requests import RequestLoad, generate_request_load
@@ -45,7 +44,6 @@ __all__ = [
     "make_application",
     "ApplicationBatch",
     "ApplicationGenerator",
-    "ArrivalBatch",
     "LazyApplications",
     "RequestLoad",
     "generate_request_load",

@@ -262,12 +262,6 @@ class ApplicationBatch:
         )
 
 
-#: Historical name for the arrival-batch type; ``generate_batch`` has returned
-#: the columnar :class:`ApplicationBatch` since the substrate went
-#: struct-of-arrays, and the old per-object dataclass is gone.
-ArrivalBatch = ApplicationBatch
-
-
 class LazyApplications(Sequence):
     """Sequence view over a batch's applications that defers materialisation.
 

@@ -1,7 +1,8 @@
-"""Hardware-catalogue and power-model tests."""
+"""Hardware-catalogue tests."""
+
+import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.cluster.hardware import (
     DEVICE_CATALOG,
@@ -12,7 +13,6 @@ from repro.cluster.hardware import (
     DeviceSpec,
     device_by_name,
 )
-from repro.cluster.power import IdleProportionalPowerModel, LinearPowerModel
 from repro.cluster.resources import ResourceVector
 
 
@@ -44,39 +44,28 @@ def test_dynamic_power_range():
     assert NVIDIA_A2.dynamic_power_range_w == pytest.approx(52.0)
 
 
-def test_linear_power_model_endpoints():
-    model = LinearPowerModel(idle_w=100.0, max_w=300.0)
-    assert model.power_w(0.0) == 100.0
-    assert model.power_w(1.0) == 300.0
-    assert model.power_w(0.5) == 200.0
+def test_catalog_power_envelopes():
+    for name, spec in DEVICE_CATALOG.items():
+        assert spec.name == name
+        assert 0.0 <= spec.idle_power_w <= spec.max_power_w
+        assert spec.dynamic_power_range_w == pytest.approx(spec.max_power_w - spec.idle_power_w)
+        assert (spec.cuda_cores > 0) == (spec.kind == "gpu")
 
 
-def test_linear_power_model_energy():
-    model = LinearPowerModel(idle_w=100.0, max_w=300.0)
-    assert model.energy_j(0.5, 10.0) == pytest.approx(2000.0)
-    assert model.dynamic_energy_j(0.5, 10.0) == pytest.approx(1000.0)
+def test_power_envelope_bounds():
+    def spec(idle, peak):
+        return DeviceSpec(name="x", kind="gpu", capacity=ResourceVector(),
+                          idle_power_w=idle, max_power_w=peak)
 
-
-def test_power_model_validation():
+    # A device may idle at zero or draw its maximum when idle.
+    assert spec(0.0, 10.0).dynamic_power_range_w == 10.0
+    assert spec(10.0, 10.0).dynamic_power_range_w == 0.0
     with pytest.raises(ValueError):
-        LinearPowerModel(idle_w=10.0, max_w=5.0)
+        spec(-1.0, 10.0)
     with pytest.raises(ValueError):
-        LinearPowerModel(idle_w=10.0, max_w=20.0).power_w(1.5)
-    with pytest.raises(ValueError):
-        LinearPowerModel(idle_w=10.0, max_w=20.0).energy_j(0.5, -1.0)
+        spec(0.0, 0.0)
 
 
-def test_idle_proportional_model_sublinear():
-    model = IdleProportionalPowerModel(idle_w=100.0, max_w=300.0, exponent=0.5)
-    linear = LinearPowerModel(idle_w=100.0, max_w=300.0)
-    assert model.power_w(0.25) > linear.power_w(0.25)
-    assert model.power_w(0.0) == 100.0 and model.power_w(1.0) == 300.0
-    with pytest.raises(ValueError):
-        IdleProportionalPowerModel(idle_w=1.0, max_w=2.0, exponent=0.0)
-
-
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_linear_power_monotone_property(u1, u2):
-    model = LinearPowerModel(idle_w=50.0, max_w=250.0)
-    if u1 <= u2:
-        assert model.power_w(u1) <= model.power_w(u2)
+def test_device_specs_are_immutable():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        NVIDIA_A2.idle_power_w = 0.0

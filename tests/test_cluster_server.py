@@ -1,10 +1,13 @@
 """Edge-server tests."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.hardware import GTX_1080, NVIDIA_A2, ORIN_NANO, XEON_E5_2660V3
 from repro.cluster.resources import ResourceVector
 from repro.cluster.server import EdgeServer, PowerState
+from repro.core.problem import PlacementProblem
+from tests.conftest import make_apps
 
 
 @pytest.fixture
@@ -30,8 +33,28 @@ def test_cpu_only_server_capacity():
 def test_base_and_max_power(server):
     assert server.base_power_w == pytest.approx(XEON_E5_2660V3.idle_power_w + NVIDIA_A2.idle_power_w)
     assert server.max_power_w == pytest.approx(XEON_E5_2660V3.max_power_w + NVIDIA_A2.max_power_w)
-    model = server.power_model()
-    assert model.idle_power_w == server.base_power_w
+
+
+@pytest.mark.parametrize("accelerator", [None, NVIDIA_A2, ORIN_NANO, GTX_1080],
+                         ids=lambda a: "cpu-only" if a is None else a.name)
+def test_power_envelope_per_accelerator(accelerator):
+    s = EdgeServer(server_id="s", site="x", zone_id="z", accelerator=accelerator)
+    idle = accelerator.idle_power_w if accelerator is not None else 0.0
+    peak = accelerator.max_power_w if accelerator is not None else 0.0
+    assert s.base_power_w == pytest.approx(XEON_E5_2660V3.idle_power_w + idle)
+    assert s.max_power_w == pytest.approx(XEON_E5_2660V3.max_power_w + peak)
+    assert 0.0 < s.base_power_w < s.max_power_w
+
+
+def test_problem_reads_base_power_and_power_state(florida_fleet, florida_latency,
+                                                  florida_carbon):
+    servers = florida_fleet.servers()
+    servers[1].power_off()
+    servers[3].power_off()
+    problem = PlacementProblem.build(make_apps(florida_fleet.sites()), servers,
+                                     florida_latency, florida_carbon, hour=5)
+    np.testing.assert_array_equal(problem.base_power_w, [s.base_power_w for s in servers])
+    np.testing.assert_array_equal(problem.current_power, [1.0, 0.0, 1.0, 0.0, 1.0])
 
 
 def test_allocate_and_release(server):

@@ -4,7 +4,12 @@ LP relaxation."""
 import numpy as np
 import pytest
 
-from repro.core.objective import ObjectiveKind
+from repro.core.objective import (
+    ObjectiveKind,
+    activation_rows,
+    activation_values,
+    raw_values,
+)
 from repro.solver.backend import SolveRequest, solution_from_assignment
 from repro.solver.backends.highs import PlacementModel
 from repro.solver.compile import compile_placement
@@ -63,6 +68,39 @@ def test_objective_dispatch(central_eu_problem):
         assign, activation = _coefficients(central_eu_problem, kind, alpha=0.5)
         assert assign.shape == (central_eu_problem.n_applications, central_eu_problem.n_servers)
         assert activation.shape == (central_eu_problem.n_servers,)
+
+
+def test_activation_rows_by_hand():
+    # B_j x horizon: 100 W, 50 W and 200 W for 2 h are 0.2, 0.1 and 0.4 kWh.
+    carbon, energy = activation_rows(np.array([100.0, 50.0, 200.0]), 2.0,
+                                     np.array([300.0, 100.0, 500.0]))
+    np.testing.assert_allclose(carbon, [60.0, 10.0, 200.0])
+    np.testing.assert_allclose(energy, [720_000.0, 360_000.0, 1_440_000.0])
+
+
+def test_raw_values_by_hand():
+    energy = np.array([3.6e6, 1.8e6])
+    latency = np.array([4.0, 7.0])
+    intensity = np.array([250.0, 400.0])
+    # Carbon is E_ij in kWh times the server's intensity.
+    np.testing.assert_allclose(raw_values(ObjectiveKind.CARBON, energy, latency, intensity),
+                               [250.0, 200.0])
+    assert raw_values(ObjectiveKind.ENERGY, energy, latency, intensity) is energy
+    assert raw_values(ObjectiveKind.LATENCY, energy, latency, intensity) is latency
+    assert raw_values(ObjectiveKind.INTENSITY, energy, latency, intensity) is intensity
+
+
+def test_activation_values_per_objective():
+    act_carbon, act_energy = np.array([60.0, 10.0]), np.array([720_000.0, 360_000.0])
+    assert activation_values(ObjectiveKind.CARBON, act_carbon, act_energy, True) is act_carbon
+    assert activation_values(ObjectiveKind.ENERGY, act_carbon, act_energy, True) is act_energy
+    for kind in (ObjectiveKind.LATENCY, ObjectiveKind.INTENSITY):
+        np.testing.assert_array_equal(
+            activation_values(kind, act_carbon, act_energy, True), [0.0, 0.0])
+    # Unmanaged power charges no activation under any objective.
+    for kind in ObjectiveKind:
+        np.testing.assert_array_equal(
+            activation_values(kind, act_carbon, act_energy, False), [0.0, 0.0])
 
 
 def _model(problem, manage_power=True):

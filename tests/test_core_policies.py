@@ -6,7 +6,6 @@ import pytest
 from repro.core.policies import (
     CarbonEdgePolicy,
     EnergyAwarePolicy,
-    GreedyCarbonPolicy,
     IntensityAwarePolicy,
     LatencyAwarePolicy,
     RandomPolicy,
@@ -16,10 +15,15 @@ from repro.core.validation import validate_solution
 from tests.conftest import make_apps
 
 ALL_POLICIES = (LatencyAwarePolicy(), EnergyAwarePolicy(), IntensityAwarePolicy(),
-                CarbonEdgePolicy(), GreedyCarbonPolicy(), RandomPolicy())
+                CarbonEdgePolicy(), CarbonEdgePolicy(solver="greedy"), RandomPolicy())
 
 
-@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+def _policy_id(policy) -> str:
+    solver = getattr(policy, "solver", "auto")
+    return policy.name if solver == "auto" else f"{policy.name}-{solver}"
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=_policy_id)
 def test_every_policy_produces_valid_full_placements(central_eu_problem, policy):
     solution = policy.timed_place(central_eu_problem)
     assert validate_solution(solution) == []

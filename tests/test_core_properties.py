@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.carbon.service import CarbonIntensityService
 from repro.carbon.traces import TraceSet
 from repro.cluster.fleet import build_regional_fleet
-from repro.core.policies import CarbonEdgePolicy, GreedyCarbonPolicy, LatencyAwarePolicy
+from repro.core.policies import CarbonEdgePolicy, LatencyAwarePolicy
 from repro.core.problem import PlacementProblem
 from repro.core.validation import validate_solution
 from repro.datasets.regions import CENTRAL_EU
@@ -60,7 +60,7 @@ def _build_problem(app_specs, intensities):
 @given(st.lists(app_strategy, min_size=1, max_size=8), intensity_strategy)
 def test_policies_always_produce_valid_solutions(app_specs, intensities):
     problem = _build_problem(app_specs, intensities)
-    for policy in (LatencyAwarePolicy(), GreedyCarbonPolicy(), CarbonEdgePolicy(solver="greedy")):
+    for policy in (LatencyAwarePolicy(), CarbonEdgePolicy(solver="greedy")):
         solution = policy.place(problem)
         assert validate_solution(solution) == []
         # Every application is accounted for exactly once.
@@ -72,7 +72,7 @@ def test_policies_always_produce_valid_solutions(app_specs, intensities):
 def test_exact_solver_never_worse_than_greedy(app_specs, intensities):
     problem = _build_problem(app_specs, intensities)
     exact = CarbonEdgePolicy(solver="exact").place(problem)
-    greedy = GreedyCarbonPolicy().place(problem)
+    greedy = CarbonEdgePolicy(solver="greedy").place(problem)
     validate_solution(exact)
     if exact.n_placed == greedy.n_placed:
         assert exact.total_carbon_g() <= greedy.total_carbon_g() + 1e-6
@@ -103,13 +103,13 @@ def test_latency_slo_always_respected(app_specs, intensities):
 @given(st.lists(app_strategy, min_size=1, max_size=8), intensity_strategy)
 def test_carbon_accounting_is_consistent(app_specs, intensities):
     problem = _build_problem(app_specs, intensities)
-    solution = GreedyCarbonPolicy().place(problem)
+    solution = CarbonEdgePolicy(solver="greedy").place(problem)
     total = solution.total_carbon_g()
     assert total >= 0.0
     assert total == (solution.operational_carbon_g() + solution.activation_carbon_g())
     # Scaling every intensity scales operational carbon linearly.
     scaled_problem = _build_problem(app_specs, [2.0 * v for v in intensities])
-    scaled_solution = GreedyCarbonPolicy().place(scaled_problem)
+    scaled_solution = CarbonEdgePolicy(solver="greedy").place(scaled_problem)
     if solution.placements == scaled_solution.placements:
         np.testing.assert_allclose(scaled_solution.operational_carbon_g(),
                                    2.0 * solution.operational_carbon_g(), rtol=1e-9)

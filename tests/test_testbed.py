@@ -48,6 +48,50 @@ def test_energy_meter_off_server_no_base_energy():
     assert meter.base_energy_j == 0.0
 
 
+def test_energy_meter_per_app_energy_sums_to_dynamic():
+    server = EdgeServer(server_id="s", site="Miami", zone_id="US-FL-MIA")
+    meter = EmulatedEnergyMeter(server=server)
+    for app_id, energy in (("a", 2.5), ("b", 4.0), ("a", 1.5), ("c", 0.0)):
+        meter.record_request(app_id, energy)
+    assert meter.app_energy_j("a") == pytest.approx(4.0)
+    assert meter.app_energy_j("never-seen") == 0.0
+    assert sum(meter.app_energy_j(a) for a in "abc") == pytest.approx(meter.dynamic_energy_j)
+    assert meter.total_energy_j == pytest.approx(meter.dynamic_energy_j)
+    meter.reset()
+    assert meter.app_energy_j("a") == 0.0 and meter.request_count == 0
+
+
+def test_energy_meter_meters_base_power_only_while_on():
+    server = EdgeServer(server_id="s", site="Miami", zone_id="US-FL-MIA")
+    meter = EmulatedEnergyMeter(server=server)
+    server.power_on()
+    meter.record_idle_interval(10.0)
+    server.power_off()
+    meter.record_idle_interval(5.0)
+    server.power_on()
+    meter.record_idle_interval(2.0)
+    assert meter.base_energy_j == pytest.approx(server.base_power_w * 12.0)
+
+
+def test_base_power_share_adds_the_hosts_base_carbon(florida_testbed):
+    dynamic = run_testbed_experiment(florida_testbed, CarbonEdgePolicy(), hours=6)
+    with_base = run_testbed_experiment(florida_testbed, CarbonEdgePolicy(), hours=6,
+                                       include_base_power=True)
+    placements = with_base.solution.placements
+    assert placements == dynamic.solution.placements
+    servers = with_base.solution.problem.servers
+    extra_by_host: dict[int, np.ndarray] = {}
+    for app_id, j in placements.items():
+        extra = with_base.hourly_emissions_g[app_id] - dynamic.hourly_emissions_g[app_id]
+        extra_by_host[j] = extra_by_host.get(j, 0.0) + extra
+    # The apps on one host share its base power: together they carry one
+    # server's B_j for each hour, at that hour's intensity of its zone.
+    for j, extra in extra_by_host.items():
+        intensities = florida_testbed.carbon.trace(servers[j].zone_id).window(0, 6)
+        np.testing.assert_allclose(
+            extra, servers[j].base_power_w / 1000.0 * intensities, rtol=1e-9)
+
+
 def test_latency_aware_run_keeps_apps_local(florida_testbed):
     result = run_testbed_experiment(florida_testbed, LatencyAwarePolicy(), hours=12)
     for app_id, site in result.hosting_site.items():
