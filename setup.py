@@ -35,7 +35,9 @@ setup(
         "scipy>=1.9",
     ],
     extras_require={
-        "test": ["pytest", "pytest-benchmark", "hypothesis"],
+        # setuptools: tests/test_packaging.py runs setup.py through
+        # distutils, which Python 3.12 no longer bundles.
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "setuptools"],
     },
     entry_points={
         "console_scripts": [

@@ -26,7 +26,6 @@ from repro.core.policies import (
     LatencyAwarePolicy,
     EnergyAwarePolicy,
     IntensityAwarePolicy,
-    RandomPolicy,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "LatencyAwarePolicy",
     "EnergyAwarePolicy",
     "IntensityAwarePolicy",
-    "RandomPolicy",
 ]

@@ -168,8 +168,7 @@ class IncrementalPlacer:
             # solver bug is never silently indistinguishable from a routine
             # validation failure. Either way the released allocations are
             # restored so a failed re-solve leaves the fleet exactly as it
-            # was (matching deployments and bindings), and the error always
-            # propagates to the caller.
+            # was, and the error always propagates to the caller.
             if not isinstance(exc, EXPECTED_RESOLVE_ERRORS):
                 logger.exception(
                     "unexpected %s during epoch re-solve at hour %d "
@@ -180,8 +179,8 @@ class IncrementalPlacer:
             raise
         self.commit(solution)
         # An app the re-solve could not keep placed no longer holds capacity;
-        # drop it from the active set (the orchestrator tears down its
-        # deployment and binding in reoptimize()).
+        # drop it from the active set so no later re-solve places it again
+        # (the serving loop rebuilds its ``hosting`` map from the solution).
         for app_id in solution.unplaced:
             self.active_apps.pop(app_id, None)
         self.history.append(PlacementRound(hour=hour, solution=solution,

@@ -5,7 +5,6 @@ from repro.core.policies.carbon_edge import CarbonEdgePolicy
 from repro.core.policies.latency_aware import LatencyAwarePolicy
 from repro.core.policies.energy_aware import EnergyAwarePolicy
 from repro.core.policies.intensity_aware import IntensityAwarePolicy
-from repro.core.policies.random_policy import RandomPolicy
 
 __all__ = [
     "PlacementPolicy",
@@ -13,5 +12,4 @@ __all__ = [
     "LatencyAwarePolicy",
     "EnergyAwarePolicy",
     "IntensityAwarePolicy",
-    "RandomPolicy",
 ]

@@ -36,8 +36,8 @@ INFEASIBLE_LATENCY_MS: float = 1e9
 
 #: Default budget on flat ``n_applications × n_servers`` dense cells. A flat
 #: build's tables hold one row per class, but the ``highs`` pair enumeration
-#: (``mask[row_class]``), the Random baseline's (A, S) sampled costs and the
-#: greedy kernel's per-application order still scale with that product.
+#: (``mask[row_class]``) and the greedy kernel's per-application order still
+#: scale with that product.
 #: Beyond it the flat path is refused and the hierarchical tier is the
 #: supported route. Override with ``CARBON_EDGE_MAX_DENSE_CELLS``.
 DEFAULT_MAX_DENSE_CELLS: int = 150_000_000

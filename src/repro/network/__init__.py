@@ -1,4 +1,4 @@
-"""Network substrate: geography, latency modelling, and site topology.
+"""Network substrate: geography, latency modelling and latency traces.
 
 The paper uses WonderNetwork ping traces for pairwise city latencies. We model
 one-way latency from geodesic distance (fibre propagation + routing inflation +
@@ -14,7 +14,6 @@ from repro.network.latency import (
     build_latency_matrix,
     latency_for_distance_km,
 )
-from repro.network.topology import SiteTopology, build_site_topology
 from repro.network.traces import LatencyTrace, generate_latency_trace
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "LatencyMatrix",
     "build_latency_matrix",
     "latency_for_distance_km",
-    "SiteTopology",
-    "build_site_topology",
     "LatencyTrace",
     "generate_latency_trace",
 ]

@@ -12,10 +12,8 @@ it runs. It separates two kinds of truth:
   placements/sec, warm re-solve vs full-solve counts, feed fallback events —
   which is measurement, never compared byte-for-byte.
 
-Latency telemetry is held in seeded :class:`LatencyReservoir` samples (one
-overall, one per decision kind) rather than an unbounded in-memory list, so a
-long soak's memory stays capped at the reservoir capacity while p50/p99 stay
-deterministic for a fixed seed and event stream.
+Decision latencies are read off the decision log, which keeps every
+decision, so p50/p99 are exact percentiles over all of them.
 
 :meth:`ServingMetrics.to_artifact` emits the versioned JSON artifact the
 ``carbon-edge serve`` soak mode writes (and CI uploads).
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,64 +30,7 @@ from pathlib import Path
 import numpy as np
 
 #: Version stamp of the serving-metrics artifact layout.
-SERVING_METRICS_VERSION: int = 1
-
-#: Default capacity of each latency reservoir. Streams shorter than this are
-#: kept in full (percentiles are then exact); longer soaks degrade to a
-#: uniform sample without growing memory.
-LATENCY_RESERVOIR_SIZE: int = 4096
-
-#: Fixed default seed of the latency reservoirs: the sample — and therefore
-#: reported p50/p99 — is reproducible for a given event stream. (Latency
-#: *values* are wall-clock measurement either way; only which ones survive
-#: subsampling is pinned.)
-LATENCY_RESERVOIR_SEED: int = 20250807
-
-
-class LatencyReservoir:
-    """Seeded Algorithm-R uniform reservoir over one latency stream.
-
-    Every arriving value is kept until ``capacity`` is reached; after that
-    each n-th value replaces a uniformly random slot with probability
-    ``capacity / n`` (Vitter's Algorithm R), so at any point the retained
-    values are a uniform sample of the stream seen so far — percentile
-    estimates stay unbiased while memory stays O(capacity). The replacement
-    randomness comes from a private seeded generator, making the sample a
-    pure function of (seed, stream).
-    """
-
-    __slots__ = ("capacity", "n_seen", "_values", "_rng")
-
-    def __init__(self, capacity: int = LATENCY_RESERVOIR_SIZE,
-                 seed: int = LATENCY_RESERVOIR_SEED) -> None:
-        if capacity < 1:
-            raise ValueError(f"reservoir capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.n_seen = 0
-        self._values: list[float] = []
-        self._rng = random.Random(seed)
-
-    def add(self, value: float) -> None:
-        """Offer one value to the reservoir."""
-        self.n_seen += 1
-        if len(self._values) < self.capacity:
-            self._values.append(float(value))
-            return
-        slot = self._rng.randrange(self.n_seen)
-        if slot < self.capacity:
-            self._values[slot] = float(value)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def saturated(self) -> bool:
-        """Whether the stream outgrew the reservoir (sample is now partial)."""
-        return self.n_seen > self.capacity
-
-    def values(self) -> np.ndarray:
-        """The retained sample, in retention order."""
-        return np.asarray(self._values, dtype=float)
+SERVING_METRICS_VERSION: int = 2
 
 
 @dataclass(frozen=True)
@@ -133,22 +73,6 @@ class ServingMetrics:
     feed_stale: bool = False
     started_at: float = field(default_factory=time.perf_counter, repr=False)
     wall_elapsed_s: float = 0.0
-    #: Capacity of each latency reservoir (one overall + one per decision
-    #: kind); long soaks hold at most this many latency floats per stream.
-    latency_reservoir_size: int = LATENCY_RESERVOIR_SIZE
-    #: Seed of the reservoirs' subsampling randomness (fixed by default so
-    #: reported percentiles are reproducible for a given event stream).
-    latency_reservoir_seed: int = LATENCY_RESERVOIR_SEED
-    #: Keyed by decision kind (``None`` = all decisions). Lazily created so
-    #: the dataclass stays trivially constructible in tests.
-    _latency_samples: dict = field(default_factory=dict, repr=False)
-
-    def _reservoir(self, kind: str | None) -> LatencyReservoir:
-        if kind not in self._latency_samples:
-            self._latency_samples[kind] = LatencyReservoir(
-                capacity=self.latency_reservoir_size,
-                seed=self.latency_reservoir_seed)
-        return self._latency_samples[kind]
 
     # -- recording ---------------------------------------------------------
 
@@ -170,8 +94,6 @@ class ServingMetrics:
             latency_s=float(latency_s),
         )
         self.decisions.append(record)
-        self._reservoir(None).add(float(latency_s))
-        self._reservoir(kind).add(float(latency_s))
         if kind == "resolve":
             self.n_warm_resolves += 1
         else:
@@ -196,16 +118,10 @@ class ServingMetrics:
     # -- derived telemetry -------------------------------------------------
 
     def decision_latencies_s(self, kind: str | None = None) -> np.ndarray:
-        """Wall-clock decision latencies, optionally filtered by kind.
-
-        Read from the kind's seeded reservoir: exact (every decision) until
-        the stream outgrows :attr:`latency_reservoir_size`, a deterministic
-        uniform sample after — so long soaks report stable percentiles at
-        bounded memory.
-        """
-        if kind not in self._latency_samples:
-            return np.asarray([], dtype=float)
-        return self._latency_samples[kind].values()
+        """Wall-clock decision latencies in decision order, optionally
+        filtered by kind."""
+        return np.asarray([d.latency_s for d in self.decisions
+                           if kind is None or d.kind == kind], dtype=float)
 
     def latency_percentile_ms(self, q: float, kind: str | None = None) -> float:
         """``q``-th percentile decision latency in milliseconds (0 when empty)."""
@@ -283,12 +199,6 @@ class ServingMetrics:
                 "p99": self.latency_percentile_ms(99.0),
                 "p50_resolve": self.latency_percentile_ms(50.0, kind="resolve"),
                 "p99_resolve": self.latency_percentile_ms(99.0, kind="resolve"),
-                "reservoir": {
-                    "capacity": self.latency_reservoir_size,
-                    "seed": self.latency_reservoir_seed,
-                    "seen": self._reservoir(None).n_seen,
-                    "sampled": len(self._reservoir(None)),
-                },
             },
             "throughput": {
                 "wall_elapsed_s": self.wall_elapsed_s,

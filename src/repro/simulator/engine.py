@@ -3,8 +3,8 @@
 The engine advances a :class:`~repro.utils.timeutils.SimClock` through an
 :class:`~repro.simulator.events.EventQueue`, dispatching each event to its
 handler (or to a handler registered for its kind). It is intentionally simple —
-the CDN simulation is epoch-driven and mostly vectorised, but request-level
-replays (and tests of orchestration behaviour) use the engine directly.
+the CDN simulation is epoch-driven and mostly vectorised, but the online
+serving loop (:mod:`repro.serving.service`) runs on the engine directly.
 """
 
 from __future__ import annotations

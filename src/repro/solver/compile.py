@@ -176,42 +176,6 @@ class DenseCosts:
     row_class: np.ndarray
     class_block: np.ndarray
 
-    @classmethod
-    def from_matrices(cls, problem: PlacementProblem, mask: np.ndarray,
-                      assign: np.ndarray) -> "DenseCosts":
-        """Dense tensors for caller-supplied (A, S) assignment costs over the
-        (A, S) candidate ``mask``, one class per application: the cost and
-        mask tables are the per-application matrices themselves, with no
-        tie-break perturbation (exact ties resolve to the lowest server
-        index) and a zero activation channel.
-
-        The demand and capacity tables are shared read-only with the
-        problem; the energy rows are gathered per application.
-        """
-        return cls(keys=list(problem.resource_keys), demand=problem.demand,
-                   capacity=problem.capacity, mask=mask,
-                   cost=cls._tie_broken(assign, mask, None),
-                   raw_assign=assign, energy=problem.energy_j[problem.row_class],
-                   activation=np.zeros(problem.n_servers),
-                   initially_on=problem.current_power > 0.5,
-                   row_class=np.arange(problem.n_applications),
-                   class_block=problem.class_block[problem.row_class])
-
-    @staticmethod
-    def _tie_broken(assign: np.ndarray, mask: np.ndarray,
-                    tie: np.ndarray | None) -> np.ndarray:
-        """Assignment cost with the epsilon tie-break perturbation.
-
-        The rule and epsilon live in :func:`repro.core.objective.apply_tie_break`
-        and are shared with the MILP builder, so every backend minimises the
-        same augmented objective and cross-backend comparisons are apples to
-        apples.
-        """
-        cost = assign.astype(float, copy=True)
-        if tie is not None:
-            cost = apply_tie_break(cost, mask, tie)
-        return np.where(mask, cost, np.inf)
-
     def fits(self, i: int, capacity_left: np.ndarray) -> np.ndarray:
         """(S,) bool: servers with room for application ``i`` given remaining capacity."""
         return capacity_fits(self.demand[self.class_block[self.row_class[i]]],
@@ -238,19 +202,22 @@ def class_costs(lat: np.ndarray, feas: np.ndarray, mask: np.ndarray,
     classes' feasible entries and these servers' activation rows, so a
     hierarchy region normalises over its own pairs as the flat epoch does
     over the fleet's. Power left unmanaged zeroes the activation channel and
-    treats every server as on. The caller holds the rows to its dense-cell
-    budget; the builder checks none.
+    treats every server as on. The cost carries the epsilon tie-break of
+    :func:`repro.core.objective.apply_tie_break`, which the MILP model
+    shares, so every backend minimises the same augmented objective. The
+    caller holds the rows to its dense-cell budget; this function checks none.
     """
     norm = None
     if objective is ObjectiveKind.MULTI:
         norm = minmax_pools([(feas, energy)], intensity, act_carbon, act_energy)
     inten = np.broadcast_to(intensity, lat.shape)
     raw = raw_values(objective, energy, lat, inten, norm, alpha)
+    tie = tie_values(objective, energy, lat, inten)
     initially_on = current_power > 0.5 if manage_power \
         else np.ones(len(current_power), dtype=bool)
     return DenseCosts(
         keys=list(keys), demand=demand, capacity=capacity, mask=mask,
-        cost=DenseCosts._tie_broken(raw, mask, tie_values(objective, energy, lat, inten)),
+        cost=np.where(mask, apply_tie_break(raw, mask, tie), np.inf),
         raw_assign=raw, energy=energy,
         activation=activation_values(objective, act_carbon, act_energy,
                                      manage_power, norm, alpha),
@@ -772,22 +739,6 @@ def assignment_to_solution(problem: PlacementProblem, assignment: np.ndarray,
         power_on = np.ones(problem.n_servers)
     return PlacementSolution(problem=problem, placements=placements,
                              power_on=power_on, unplaced=unplaced)
-
-
-def dense_greedy_solution(problem: PlacementProblem,
-                          assign: np.ndarray) -> PlacementSolution:
-    """One-shot greedy placement for an arbitrary (A, S) cost matrix.
-
-    Used by policies whose objective is not an :class:`ObjectiveKind` (the
-    Random baseline's sampled costs). Reads the compiled class candidate
-    mask, gathered per application, and the problem's resource tables;
-    only the cost matrix is built fresh (:meth:`DenseCosts.from_matrices`).
-    """
-    mask = compile_placement(problem).candidate_mask()
-    dense = DenseCosts.from_matrices(problem, mask[problem.row_class], assign)
-    state = GreedyState(dense)
-    greedy_fill(state)
-    return assignment_to_solution(problem, state.assignment)
 
 
 @dataclass

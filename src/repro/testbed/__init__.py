@@ -5,9 +5,10 @@ of a mesoscale region — each a Dell R630 with an NVIDIA A2, with Linux ``tc``
 emulating inter-site latency, Locust generating request load, and RAPL/DCGM
 measuring power. This package emulates that setup end-to-end in-process: the
 same fleet construction, a latency injector derived from the network model,
-request-driven energy/carbon accounting (per-request dynamic energy plus base
-power, metered by :class:`EmulatedEnergyMeter`), and per-request response
-times. The Figure 8–10 experiments run on top of it.
+request-driven carbon accounting (hourly emissions of each application's
+per-request dynamic energy, optionally with a share of its host's base
+power), and per-request response times. The Figure 8–10 experiments run on
+top of it.
 """
 
 from repro.testbed.emulation import (
@@ -16,12 +17,10 @@ from repro.testbed.emulation import (
     build_testbed,
     run_testbed_experiment,
 )
-from repro.testbed.measurement import EmulatedEnergyMeter
 
 __all__ = [
     "EmulatedTestbed",
     "TestbedRunResult",
     "build_testbed",
     "run_testbed_experiment",
-    "EmulatedEnergyMeter",
 ]

@@ -3,8 +3,9 @@
 :func:`run_testbed_experiment` reproduces the Section-6.2 methodology: one edge
 data center per region city, one application sourced at every city, a placement
 decision by the policy under test, then a 24-hour replay in which each
-application's request load is served at its hosting site — accumulating dynamic
-energy (per-request profile energy), base power, zone carbon intensity, and
+application's request load is served at its hosting site — hourly emissions
+from its dynamic energy (per-request profile energy) at the hosting zone's
+carbon intensity, optionally with a share of the host's base power, and
 per-request response times (network round trip + inference time + jitter).
 """
 
@@ -26,7 +27,6 @@ from repro.datasets.electricity_maps import ZoneCatalog, default_zone_catalog
 from repro.datasets.regions import MesoscaleRegion
 from repro.network.latency import LatencyMatrix, build_latency_matrix
 from repro.network.traces import generate_latency_trace
-from repro.testbed.measurement import EmulatedEnergyMeter
 from repro.utils.rng import substream
 from repro.utils.units import joules_to_kwh
 from repro.workloads.application import Application
@@ -62,7 +62,6 @@ class TestbedRunResult:
     response_times_ms: dict[str, np.ndarray]
     #: site hosting each application.
     hosting_site: dict[str, str]
-    total_energy_j: float
     hours: int
 
     @property
@@ -147,7 +146,6 @@ def run_testbed_experiment(
     solution = policy.timed_place(problem)
     validate_solution(solution, strict=True)
 
-    meters = {s.server_id: EmulatedEnergyMeter(server=s) for s in testbed.fleet.servers()}
     hosting_site: dict[str, str] = {}
     hourly_emissions: dict[str, np.ndarray] = {}
     response_times: dict[str, np.ndarray] = {}
@@ -177,11 +175,6 @@ def run_testbed_experiment(
             base_share_j = server.base_power_w * 3600.0 / apps_on_server
             emissions = emissions + joules_to_kwh(base_share_j) * intensities
         hourly_emissions[app.app_id] = emissions
-        meter = meters[server.server_id]
-        for _hour_index in range(hours):
-            meter.record_idle_interval(3600.0 / max(1, len(solution.placements)))
-        meter.dynamic_energy_j += float(dynamic_energy_per_hour.sum())
-        meter.request_count += int(hourly_requests.sum())
 
         # --- response times ---------------------------------------------------
         one_way = testbed.latency.one_way_ms(app.source_site, server.site)
@@ -192,7 +185,6 @@ def run_testbed_experiment(
         inference = profile.latency_ms * rng.uniform(0.9, 1.15, size=len(trace))
         response_times[app.source_site] = 2.0 * trace.samples_ms + inference
 
-    total_energy = sum(m.total_energy_j for m in meters.values())
     return TestbedRunResult(
         region=testbed.region.name,
         policy=policy.name,
@@ -201,6 +193,5 @@ def run_testbed_experiment(
         hourly_emissions_g=hourly_emissions,
         response_times_ms=response_times,
         hosting_site=hosting_site,
-        total_energy_j=float(total_energy),
         hours=hours,
     )

@@ -10,7 +10,7 @@ from repro.core.policies import (
     LatencyAwarePolicy,
 )
 from repro.solver.backend import SolveRequest
-from repro.solver.compile import clear_compilation, compile_placement
+from repro.solver.compile import class_costs, clear_compilation, compile_placement
 from tests.conftest import per_app
 
 
@@ -177,3 +177,58 @@ def test_forecast_mean_is_memoised(central_eu_carbon):
     service.forecaster = PersistenceForecaster()
     persisted = service.forecast_mean(zone, 0, 24)
     assert persisted == pytest.approx(service.current_intensity(zone, 0))
+
+
+@pytest.mark.parametrize("objective", list(ObjectiveKind), ids=lambda kind: kind.value)
+def test_dense_cost_is_the_objective_plus_a_bounded_tie_break(central_eu_problem,
+                                                              objective):
+    """On candidates the cost is the raw coefficient plus a non-negative
+    perturbation of at most 1e-5 of the largest candidate coefficient; off
+    them it is +inf. The tables keep the problem's class layout."""
+    problem = central_eu_problem
+    alpha = 0.5 if objective is ObjectiveKind.MULTI else 0.0
+    dense = compile_placement(problem).dense(objective, alpha=alpha)
+    mask = dense.mask
+    assert np.array_equal(mask, compile_placement(problem).candidate_mask())
+    assert np.isinf(dense.cost[~mask]).all() and np.isfinite(dense.cost[mask]).all()
+    raw = dense.raw_assign[mask]
+    bump = dense.cost[mask] - raw
+    assert bump.min() >= 0.0
+    assert bump.max() <= 1e-5 * np.abs(raw).max() * (1.0 + 1e-9)
+    assert dense.row_class is problem.row_class
+    assert dense.class_block is problem.class_block
+
+
+def _one_class_costs(objective, lat, intensity, mask):
+    """:func:`class_costs` of one class over len(lat) servers, each assignment
+    using 1 kWh, power unmanaged and no resource dimensions."""
+    s = len(lat)
+    mask = np.array([mask])
+    return class_costs(
+        np.array([lat], dtype=float), mask, mask, np.full((1, s), 3.6e6),
+        np.zeros((1, s, 0)), np.zeros((s, 0)), keys=[],
+        intensity=np.array(intensity, dtype=float), act_carbon=np.ones(s),
+        act_energy=np.ones(s), current_power=np.zeros(s), objective=objective,
+        alpha=0.0, manage_power=False, row_class=np.zeros(1, dtype=int),
+        class_block=np.zeros(1, dtype=int))
+
+
+def test_class_costs_break_carbon_ties_by_latency():
+    """Two candidates emitting the same 100 g: the nearer one costs less.
+    The greenest server is no candidate, so it costs +inf."""
+    dense = _one_class_costs(ObjectiveKind.CARBON, lat=[4.0, 2.0, 1.0],
+                             intensity=[100.0, 100.0, 50.0], mask=[True, True, False])
+    assert dense.raw_assign.tolist() == [[100.0, 100.0, 50.0]]
+    assert dense.cost[0, 1] < dense.cost[0, 0] <= 100.0 * (1.0 + 1e-5)
+    assert dense.cost[0, 2] == np.inf
+    # Power left unmanaged: no activation cost and every server counts as on.
+    assert not dense.activation.any() and dense.initially_on.all()
+
+
+def test_class_costs_break_latency_ties_by_carbon():
+    """Two candidates 2 ms away: the greener one costs less."""
+    dense = _one_class_costs(ObjectiveKind.LATENCY, lat=[2.0, 2.0, 1.0],
+                             intensity=[100.0, 50.0, 10.0], mask=[True, True, False])
+    assert dense.raw_assign.tolist() == [[2.0, 2.0, 1.0]]
+    assert dense.cost[0, 1] < dense.cost[0, 0] <= 2.0 * (1.0 + 1e-5)
+    assert dense.cost[0, 2] == np.inf

@@ -6,9 +6,10 @@ import pytest
 from repro.cluster.resources import FIT_SLACK, ResourceVector
 from repro.cluster.server import EdgeServer
 from repro.core.filters import SLO_SLACK_MS, capacity_fits
-from repro.core.problem import PlacementProblem
+from repro.core.problem import PlacementProblem, _demand_for
 from repro.core.solution import PlacementSolution
 from repro.core.validation import ValidationError, validate_solution
+from repro.network.latency import LatencyMatrix
 from repro.solver import registry
 from repro.solver.backend import SolveRequest
 from repro.solver.compile import compile_placement
@@ -42,6 +43,66 @@ def test_filter_capacity_prunes_oversized_demands(florida_fleet, florida_latency
     assert not _candidates(problem).any()  # the capacity fit prunes them all
     assert registry._candidate_pairs(SolveRequest(problem=problem)) == 0
     assert registry.solve(problem).unplaced == [apps[0].app_id]
+
+
+@pytest.mark.parametrize("workload, rate_rps, slo_ms", [
+    ("ResNet50", 10.0, 25.0),  # the SLO prunes the farthest pairs
+    ("ResNet50", 1500.0, 25.0),  # 12 replicas: 12 cores, more than Bern has left
+    ("YOLOv4", 10_000.0, 25.0),  # no server holds 185 replicas
+    ("EfficientNetB0", 500.0, 10.0),  # a tight SLO
+    ("UnknownNet", 10.0, 25.0),  # no profile on any device
+])
+def test_candidate_mask_matches_a_per_pair_reference(
+        central_eu_fleet, central_eu_latency, central_eu_carbon, workload, rate_rps, slo_ms):
+    """The compiled candidate mask is, pair by pair, Algorithm 1 line 7 read
+    off the library objects: the round trip within the SLO, a profile for
+    the server's device, and the demand within what the server has left."""
+    servers = central_eu_fleet.servers()
+    servers[0].allocate("resident", servers[0].available_capacity * 0.75)
+    apps = make_apps(central_eu_fleet.sites(), workload=workload, rate_rps=rate_rps,
+                     slo_ms=slo_ms)
+    problem = PlacementProblem.build(apps, servers, central_eu_latency,
+                                     central_eu_carbon, hour=0)
+
+    def candidate(app, server) -> bool:
+        try:
+            profile = app.profile_on(server)
+        except KeyError:
+            return False
+        return (2.0 * central_eu_latency.one_way_ms(app.source_site, server.site)
+                <= app.latency_slo_ms + SLO_SLACK_MS
+                and server.can_host(_demand_for(app.request_rate_rps, profile)))
+
+    expected = [[candidate(app, server) for server in servers] for app in apps]
+    assert _candidates(problem).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tier_latency_rows_on_random_matrices(central_eu_fleet, central_eu_carbon, seed):
+    """On any latency matrix over the sites, a build's latency rows are the
+    matrix's entries, its feasible mask keeps exactly the pairs whose round
+    trip is within the application's SLO, and the nearest feasible latency
+    is the row minimum over that mask."""
+    names = central_eu_fleet.sites()
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.uniform(1.0, 30.0, size=(len(names), len(names))), k=1)
+    latency = LatencyMatrix(names=names, matrix_ms=upper + upper.T)
+    apps = [Application(app_id=f"a{k}", workload="ResNet50", source_site=names[k % len(names)],
+                        latency_slo_ms=float(rng.uniform(2.0, 60.0)))
+            for k in range(15)]
+    servers = central_eu_fleet.servers()
+    problem = PlacementProblem.build(apps, servers, latency, central_eu_carbon, hour=0)
+    rows = [latency.index_of(app.source_site) for app in apps]
+    cols = [latency.index_of(server.site) for server in servers]
+    expected = latency.matrix_ms[np.ix_(rows, cols)]
+    slo = np.array([app.latency_slo_ms for app in apps])
+    feasible = 2.0 * expected <= slo[:, None] + SLO_SLACK_MS
+    views = per_app(problem)
+    assert np.array_equal(views["latency_ms"], expected)
+    assert np.array_equal(views["feasible_mask"], feasible)
+    assert 0 < feasible.sum() < feasible.size
+    assert np.array_equal(problem.nearest_feasible_ms(),
+                          np.where(feasible, expected, np.inf).min(axis=1))
 
 
 def test_capacity_fit_tolerates_residue_and_a_zero_width_key_axis():

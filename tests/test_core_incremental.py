@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.incremental import IncrementalPlacer
 from repro.core.policies import CarbonEdgePolicy, LatencyAwarePolicy
+from repro.core.problem import _demand_for
 from tests.conftest import make_apps
 
 
@@ -87,3 +88,32 @@ def test_latency_aware_policy_through_placer(central_eu_fleet, central_eu_latenc
                                carbon=central_eu_carbon, policy=LatencyAwarePolicy())
     solution = placer.place_batch(make_apps(central_eu_fleet.sites()), hour=0)
     assert solution.mean_latency_ms() == pytest.approx(0.0)
+
+
+def test_commit_allocates_each_app_its_demand_on_its_host(placer, central_eu_fleet):
+    """What a commit allocates is the application's own demand on its host,
+    replicas included (300 rps of ResNet50 takes three)."""
+    apps = make_apps(central_eu_fleet.sites(), rate_rps=300.0)
+    solution = placer.place_batch(apps, hour=12)
+    assert solution.all_placed
+    for app in apps:
+        host = solution.problem.servers[solution.placements[app.app_id]]
+        assert host.allocations[app.app_id] == _demand_for(app.request_rate_rps,
+                                                           app.profile_on(host))
+        assert placer.active_apps[app.app_id] is app
+    assert sum(solution.apps_per_site().values()) == len(apps)
+
+
+def test_release_restores_the_hosts_capacity(placer, central_eu_fleet):
+    before = {s.server_id: s.available_capacity for s in central_eu_fleet.servers()}
+    apps = make_apps(central_eu_fleet.sites()[:1], workload="Sci", slo_ms=40.0)
+    solution = placer.place_batch(apps, hour=12)
+    host = solution.problem.servers[solution.placements[apps[0].app_id]]
+    assert host.available_capacity != before[host.server_id]
+    released = host.release(apps[0].app_id)
+    assert released == _demand_for(apps[0].request_rate_rps, apps[0].profile_on(host))
+    assert {s.server_id: s.available_capacity
+            for s in central_eu_fleet.servers()} == before
+    with pytest.raises(KeyError):
+        host.release(apps[0].app_id)
+

@@ -8,14 +8,13 @@ from repro.core.policies import (
     EnergyAwarePolicy,
     IntensityAwarePolicy,
     LatencyAwarePolicy,
-    RandomPolicy,
 )
 from repro.core.problem import PlacementProblem
 from repro.core.validation import validate_solution
 from tests.conftest import make_apps
 
 ALL_POLICIES = (LatencyAwarePolicy(), EnergyAwarePolicy(), IntensityAwarePolicy(),
-                CarbonEdgePolicy(), CarbonEdgePolicy(solver="greedy"), RandomPolicy())
+                CarbonEdgePolicy(), CarbonEdgePolicy(solver="greedy"))
 
 
 def _policy_id(policy) -> str:
@@ -32,6 +31,24 @@ def test_every_policy_produces_valid_full_placements(central_eu_problem, policy)
     assert solution.solve_time_s >= 0.0
 
 
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=_policy_id)
+def test_every_policy_is_deterministic(central_eu_fleet, central_eu_latency,
+                                       central_eu_carbon, policy):
+    """The same policy on the same problem, or on an identically built one,
+    places and powers on exactly the same way."""
+    def build():
+        return PlacementProblem.build(
+            make_apps(central_eu_fleet.sites(), n_per_site=2), central_eu_fleet.servers(),
+            central_eu_latency, central_eu_carbon, hour=12, horizon_hours=24.0)
+
+    problem = build()
+    first = policy.place(problem)
+    for again in (policy.place(problem), policy.place(build())):
+        assert again.placements == first.placements
+        assert np.array_equal(again.power_on, first.power_on)
+        assert again.unplaced == first.unplaced
+
+
 def test_latency_aware_places_locally(central_eu_problem):
     solution = LatencyAwarePolicy().place(central_eu_problem)
     assert solution.mean_latency_ms() == pytest.approx(0.0)
@@ -40,8 +57,7 @@ def test_latency_aware_places_locally(central_eu_problem):
 
 def test_carbon_edge_never_worse_than_baselines(central_eu_problem):
     carbon_edge = CarbonEdgePolicy().place(central_eu_problem).total_carbon_g()
-    for baseline in (LatencyAwarePolicy(), EnergyAwarePolicy(), IntensityAwarePolicy(),
-                     RandomPolicy()):
+    for baseline in (LatencyAwarePolicy(), EnergyAwarePolicy(), IntensityAwarePolicy()):
         assert carbon_edge <= baseline.place(central_eu_problem).total_carbon_g() + 1e-6
 
 
@@ -104,14 +120,6 @@ def test_unplaceable_apps_are_reported(central_eu_fleet, central_eu_latency, cen
     validate_solution(solution)
     assert len(solution.unplaced) == 1
     assert solution.n_placed == 1
-
-
-def test_random_policy_deterministic_per_seed(central_eu_problem):
-    a = RandomPolicy(seed=1).place(central_eu_problem).placements
-    b = RandomPolicy(seed=1).place(central_eu_problem).placements
-    c = RandomPolicy(seed=2).place(central_eu_problem).placements
-    assert a == b
-    assert a != c or len(a) <= 1
 
 
 def test_intensity_aware_picks_lowest_intensity_zone(central_eu_problem):

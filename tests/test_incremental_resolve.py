@@ -1,14 +1,13 @@
-"""Tests for warm-started epoch re-solves (IncrementalPlacer.resolve_epoch and
-EdgeOrchestrator.reoptimize)."""
+"""Tests for warm-started epoch re-solves (IncrementalPlacer.resolve_epoch)."""
 
 import pytest
 
 from repro.core.incremental import IncrementalPlacer
+from repro.core.policies import LatencyAwarePolicy
 from repro.core.policies.carbon_edge import CarbonEdgePolicy
+from repro.core.problem import _demand_for
 from repro.core.validation import validate_solution
 from repro.network.latency import LatencyMatrix  # noqa: F401  (fixture types)
-from repro.orchestrator.orchestrator import EdgeOrchestrator
-from repro.orchestrator.deployment import DeploymentState
 from repro.utils.units import joules_to_kwh
 
 from tests.conftest import make_apps, per_app
@@ -58,41 +57,17 @@ def test_resolve_epoch_warm_start_never_worse_than_staying(placer, central_eu_fl
     assert resolved.operational_carbon_g() <= stay_carbon + 1e-9
 
 
-def test_orchestrator_reoptimize_migrates_and_rebinds(placer, central_eu_fleet):
-    orchestrator = EdgeOrchestrator(placer=placer)
-    apps = make_apps(central_eu_fleet.sites(), n_per_site=2)
-    orchestrator.deploy_batch(apps, hour=0)
-    before = {a: b.server_id for a, b in orchestrator.bindings.items()}
-    assert len(before) == len(apps)
-
-    moved = orchestrator.reoptimize(hour=12)
-    # Every app still has a RUNNING deployment and a binding that matches it.
-    for app in apps:
-        binding = orchestrator.binding_for(app.app_id)
-        deployment = orchestrator.deployments[f"dep-{app.app_id}"]
-        assert deployment.state is DeploymentState.RUNNING
-        assert deployment.server_id == binding.server_id
-    # The reported moves are exactly the bindings that changed.
-    after = {a: b.server_id for a, b in orchestrator.bindings.items()}
-    assert moved == {a: s for a, s in after.items() if before[a] != s}
-
-
-def test_reoptimize_with_nothing_deployed_returns_empty(placer):
-    orchestrator = EdgeOrchestrator(placer=placer)
-    assert orchestrator.reoptimize(hour=3) == {}
-
-
-def test_terminated_apps_are_not_resolved_again(placer, central_eu_fleet):
-    orchestrator = EdgeOrchestrator(placer=placer)
+def test_released_apps_are_not_resolved_again(placer, central_eu_fleet):
     apps = make_apps(central_eu_fleet.sites())
-    orchestrator.deploy_batch(apps, hour=0)
+    first = placer.place_batch(apps, hour=0)
     victim = apps[0].app_id
-    orchestrator.terminate(victim)
-    assert victim not in placer.active_apps
+    # Release the way the serving loop does on a departure.
+    first.problem.servers[first.placements[victim]].release(victim)
+    placer.active_apps.pop(victim)
 
     resolved = placer.resolve_epoch(hour=6)
     assert resolved is not None
-    assert victim not in resolved.placements
+    assert victim not in resolved.placements and victim not in resolved.unplaced
     assert set(resolved.placements) == {a.app_id for a in apps[1:]}
 
 
@@ -117,6 +92,39 @@ class _EvictingPolicy(CarbonEdgePolicy):
 def _allocation_map(fleet):
     return {app_id: server.server_id for server in fleet.servers()
             for app_id in server.allocations}
+
+
+def test_resolves_keep_each_app_on_one_host_with_its_demand(
+        central_eu_fleet, central_eu_latency, central_eu_carbon):
+    """Migrations move allocations rather than copy them: after every
+    re-solve each running application is held once, on the server its
+    latest solution names, at its demand there. Batches placed locally and
+    re-solved for carbon make the first re-solve migrate."""
+    placer = IncrementalPlacer(fleet=central_eu_fleet, latency=central_eu_latency,
+                               carbon=central_eu_carbon, policy=LatencyAwarePolicy(),
+                               horizon_hours=24.0)
+    sites = central_eu_fleet.sites()
+    placer.place_batch(make_apps(sites, rate_rps=300.0), hour=0)
+    placer.place_batch(make_apps(sites[:3], workload="Sci", slo_ms=40.0), hour=1)
+    placer.policy = CarbonEdgePolicy()
+    hosts = {app_id: server.server_id for server in central_eu_fleet.servers()
+             for app_id in server.allocations}
+    moved = 0
+    for hour in (12, 60, 120):
+        solution = placer.resolve_epoch(hour)
+        problem = solution.problem
+        assert set(solution.placements) == set(placer.active_apps)
+        held = [(app_id, server) for server in central_eu_fleet.servers()
+                for app_id in server.allocations]
+        assert sorted(app_id for app_id, _ in held) == sorted(placer.active_apps)
+        for app_id, server in held:
+            app = placer.active_apps[app_id]
+            assert server is problem.servers[solution.placements[app_id]]
+            assert server.allocations[app_id] == _demand_for(app.request_rate_rps,
+                                                             app.profile_on(server))
+            moved += hosts[app_id] != server.server_id
+            hosts[app_id] = server.server_id
+    assert moved > 0
 
 
 def test_resolve_epoch_failure_restores_allocations(placer, central_eu_fleet):
@@ -179,26 +187,25 @@ def test_resolve_epoch_expected_error_propagates_without_noise(
     assert not [r for r in caplog.records if "unexpected" in r.getMessage()]
 
 
-def test_reoptimize_tears_down_evicted_apps(placer, central_eu_fleet):
-    orchestrator = EdgeOrchestrator(placer=placer)
+def test_resolve_epoch_drops_evicted_apps(placer, central_eu_fleet):
     apps = make_apps(central_eu_fleet.sites(), n_per_site=2)
-    orchestrator.deploy_batch(apps, hour=0)
+    placer.place_batch(apps, hour=0)
 
     placer.policy = _EvictingPolicy()
-    orchestrator.reoptimize(hour=12)
-    resolved = placer.history[-1].solution
+    resolved = placer.resolve_epoch(hour=12)
     assert len(resolved.unplaced) == 1
     victim = resolved.unplaced[0]
-    # The evicted app holds no capacity, binding, running deployment, or
-    # active-apps entry any more.
-    assert victim not in _allocation_map(central_eu_fleet)
-    assert victim not in orchestrator.bindings
-    assert orchestrator.deployments[f"dep-{victim}"].state is DeploymentState.TERMINATED
+    # The evicted app holds no capacity and leaves the active set; everyone
+    # else is allocated where the re-solve put them.
     assert victim not in placer.active_apps
-    # Everyone else is still consistently deployed.
-    for app_id in resolved.placements:
-        assert orchestrator.binding_for(app_id).server_id == \
-            orchestrator.deployments[f"dep-{app_id}"].server_id
+    assert _allocation_map(central_eu_fleet) == {
+        app_id: resolved.problem.servers[j].server_id
+        for app_id, j in resolved.placements.items()}
+    # A later re-solve does not bring it back.
+    placer.policy = CarbonEdgePolicy()
+    again = placer.resolve_epoch(hour=13)
+    assert victim not in again.placements and victim not in again.unplaced
+    assert set(again.placements) == set(resolved.placements)
 
 
 # -- scenario-lifetime compilation: delta path vs cold rebuild -------------------

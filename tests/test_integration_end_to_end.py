@@ -1,4 +1,4 @@
-"""End-to-end integration tests: substrate -> placement -> orchestration -> accounting."""
+"""End-to-end integration tests: substrate -> placement -> commit -> accounting."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.datasets.cities import default_city_catalog
 from repro.datasets.electricity_maps import default_zone_catalog
 from repro.datasets.regions import CENTRAL_EU
 from repro.network.latency import build_latency_matrix
-from repro.orchestrator.orchestrator import EdgeOrchestrator
 from repro.workloads.generator import ApplicationGenerator
 
 
@@ -35,32 +34,31 @@ def stack():
     return {"latency": latency, "carbon": carbon, "fleet": fleet, "sites": names}
 
 
-def test_full_pipeline_orchestrates_arrivals(stack):
+def test_full_pipeline_commits_arrivals(stack):
     placer = IncrementalPlacer(fleet=stack["fleet"], latency=stack["latency"],
                                carbon=stack["carbon"], policy=CarbonEdgePolicy(),
                                horizon_hours=24.0)
-    orchestrator = EdgeOrchestrator(placer=placer)
     generator = ApplicationGenerator(sites=stack["sites"], seed=13,
                                      workload_mix={"ResNet50": 0.6, "Sci": 0.4},
                                      mean_arrivals_per_batch=8, latency_slo_ms=25.0)
-    total_deployed = 0
+    hosting: dict[str, str] = {}
     for interval in range(3):
         batch = generator.generate_batch(interval, hour_of_year=interval * 24)
         if not batch.applications:
             continue
-        deployments = orchestrator.deploy_batch(list(batch.applications), hour=interval * 24)
-        total_deployed += len(deployments)
-    assert total_deployed > 0
-    assert len(orchestrator.running_deployments()) == total_deployed
-    # Every deployment's allocation is present on the hosting server.
-    for deployment in orchestrator.running_deployments():
-        server = stack["fleet"].server(deployment.server_id)
-        assert deployment.app_id in server.allocations
+        solution = placer.place_batch(list(batch.applications), hour=interval * 24)
+        hosting.update({app_id: solution.problem.servers[j].server_id
+                        for app_id, j in solution.placements.items()})
+    assert hosting
+    assert placer.total_placed() == len(hosting)
+    assert set(placer.active_apps) == set(hosting)
+    # Every committed placement holds its allocation on the hosting server.
+    for app_id, server_id in hosting.items():
+        assert app_id in stack["fleet"].server(server_id).allocations
     # All placements across rounds were validated and carbon was accounted.
     assert placer.total_carbon_g() > 0.0
-    # Clean up: terminate everything and confirm the fleet drains.
-    for deployment in list(orchestrator.running_deployments()):
-        orchestrator.terminate(deployment.app_id)
+    # Clean up: release everything and confirm the fleet drains.
+    placer.release_all()
     assert all(not s.allocations for s in stack["fleet"].servers())
 
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.network.latency import LatencyMatrix, LatencyModel, build_latency_matrix
+from repro.network.latency import (
+    LatencyMatrix,
+    LatencyModel,
+    build_latency_matrix,
+    build_latency_matrix_fast,
+)
 
 
 def test_zero_distance_zero_latency():
@@ -104,3 +109,35 @@ def test_build_matrix_shape_mismatch(city_catalog):
 def test_mean_off_diagonal_single_site():
     matrix = LatencyMatrix(names=["only"], matrix_ms=np.zeros((1, 1)))
     assert matrix.mean_off_diagonal() == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_builder_is_the_midpoint_of_the_per_pair_envelope(seed):
+    """The planetary builder applies each pair class's midpoint inflation:
+    with a one-point inflation range it is the per-pair builder bit for bit,
+    and with the default ranges every per-pair latency lies in the envelope
+    whose midpoint the fast builder returns."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    names = [f"site-{i:02d}" for i in range(n)]
+    coords = np.column_stack([rng.uniform(35.0, 55.0, n), rng.uniform(-10.0, 20.0, n)])
+    countries = [str(c) for c in rng.choice(["A", "B", "C"], size=n)]
+    fixed = LatencyModel(intra_inflation=(1.5, 1.5), inter_inflation=(3.0, 3.0))
+    assert np.array_equal(
+        build_latency_matrix_fast(names, coords, countries, fixed).matrix_ms,
+        build_latency_matrix(names, coords, countries, fixed).matrix_ms)
+
+    model = LatencyModel()
+    fast = build_latency_matrix_fast(names, coords, countries, model).matrix_ms
+    per_pair = build_latency_matrix(names, coords, countries, model).matrix_ms
+    assert np.array_equal(fast, fast.T) and not np.diag(fast).any()
+    # Off the diagonal both are base + distance / speed * inflation, so the
+    # ratio of their distance terms is the per-pair draw over the midpoint.
+    off = ~np.eye(n, dtype=bool)
+    ratio = (per_pair - model.base_ms)[off] / (fast - model.base_ms)[off]
+    cross = (np.array(countries)[:, None] != np.array(countries)[None, :])[off]
+    low, high = (np.where(cross, model.inter_inflation[k], model.intra_inflation[k])
+                 for k in (0, 1))
+    mid = 0.5 * (low + high)
+    assert np.all(ratio >= low / mid * (1 - 1e-12))
+    assert np.all(ratio <= high / mid * (1 + 1e-12))

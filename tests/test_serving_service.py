@@ -149,48 +149,7 @@ def test_empty_metrics_are_well_defined():
     assert artifact["counters"]["decisions"] == 0
 
 
-# -- the latency reservoirs -----------------------------------------------------
-
-
-def test_latency_reservoir_is_exact_below_capacity():
-    from repro.serving.metrics import LatencyReservoir
-
-    r = LatencyReservoir(capacity=16)
-    stream = [float(k) for k in range(10)]
-    for v in stream:
-        r.add(v)
-    assert not r.saturated
-    assert len(r) == r.n_seen == 10
-    assert r.values().tolist() == stream
-
-
-def test_latency_reservoir_caps_memory_and_stays_deterministic():
-    from repro.serving.metrics import LatencyReservoir
-
-    stream = [float(k) % 37.0 for k in range(5000)]
-    a, b = LatencyReservoir(capacity=64), LatencyReservoir(capacity=64)
-    for v in stream:
-        a.add(v)
-        b.add(v)
-    assert a.saturated and a.n_seen == 5000
-    assert len(a) == 64  # bounded memory no matter the stream length
-    # Same seed, same stream -> the identical uniform sample (and therefore
-    # identical p50/p99 in any report built on it).
-    assert a.values().tolist() == b.values().tolist()
-    # A different seed subsamples differently (the sample is seed-pinned,
-    # not accidentally order-stable).
-    c = LatencyReservoir(capacity=64, seed=1)
-    for v in stream:
-        c.add(v)
-    assert c.values().tolist() != a.values().tolist()
-    assert set(c.values().tolist()) <= set(stream)
-
-
-def test_latency_reservoir_rejects_degenerate_capacity():
-    from repro.serving.metrics import LatencyReservoir
-
-    with pytest.raises(ValueError, match="capacity"):
-        LatencyReservoir(capacity=0)
+# -- decision latencies ---------------------------------------------------------
 
 
 class _StubProblem:
@@ -208,30 +167,63 @@ class _StubSolution:
         return 0.0
 
 
-def test_serving_metrics_percentiles_are_reservoir_backed():
-    """Long decision streams must not grow memory: percentiles read from a
-    seeded reservoir, identically across two metric sinks fed the same
-    stream, and the artifact reports the subsampling provenance."""
-    sinks = [ServingMetrics(latency_reservoir_size=32) for _ in range(2)]
-    for m in sinks:
-        for k in range(500):
-            m.record_decision("batch" if k % 3 else "resolve",
-                              time_s=float(k), hour=0,
-                              solution=_StubSolution(),
-                              latency_s=(k * 7) % 101 / 1000.0)
-        m.finish()
-    a, b = sinks
-    assert len(a.decision_latencies_s()) == 32  # capped, not 500
-    assert a.decision_latencies_s().tolist() == b.decision_latencies_s().tolist()
+def test_serving_metrics_percentiles_are_exact_per_kind():
+    """Percentiles read every decision's latency, overall and per kind."""
+    import numpy as np
+
+    m = ServingMetrics()
+    stream = [("batch" if k % 3 else "resolve", (k * 7) % 101 / 1000.0)
+              for k in range(500)]
+    for k, (kind, latency_s) in enumerate(stream):
+        m.record_decision(kind, time_s=float(k), hour=0,
+                          solution=_StubSolution(), latency_s=latency_s)
+    m.finish()
     for kind in (None, "batch", "resolve"):
-        assert a.latency_percentile_ms(50.0, kind) == \
-            b.latency_percentile_ms(50.0, kind)
-        assert a.latency_percentile_ms(99.0, kind) == \
-            b.latency_percentile_ms(99.0, kind)
-    reservoir = a.to_artifact()["latency_ms"]["reservoir"]
-    assert reservoir["capacity"] == 32
-    assert reservoir["seen"] == 500
-    assert reservoir["sampled"] == 32
+        values = [v for recorded, v in stream if kind in (None, recorded)]
+        assert m.decision_latencies_s(kind).tolist() == values
+        for q in (50.0, 99.0):
+            assert m.latency_percentile_ms(q, kind) == \
+                float(np.percentile(values, q) * 1000.0)
+    assert set(m.to_artifact()["latency_ms"]) == {
+        "p50", "p99", "p50_resolve", "p99_resolve"}
+
+
+def _metrics(stream) -> ServingMetrics:
+    m = ServingMetrics()
+    for k, (kind, latency_s) in enumerate(stream):
+        m.record_decision(kind, time_s=float(k), hour=k // 3,
+                          solution=_StubSolution(), latency_s=latency_s)
+    m.finish()
+    return m
+
+
+def test_decision_digest_ignores_wall_clock_latencies():
+    """Two runs deciding the same things at different speeds share their
+    canonical log and digest, while their latency telemetry differs."""
+    fast = _metrics([("batch", 0.001), ("resolve", 0.002), ("batch", 0.003)])
+    slow = _metrics([("batch", 0.5), ("resolve", 0.25), ("batch", 0.125)])
+    assert "latency" not in fast.canonical_decision_log()
+    assert fast.canonical_decision_log() == slow.canonical_decision_log()
+    assert fast.decision_digest() == slow.decision_digest()
+    assert fast.to_artifact()["decision_digest"] == fast.decision_digest()
+    assert fast.to_artifact()["latency_ms"] != slow.to_artifact()["latency_ms"]
+
+
+def test_latency_percentiles_of_a_kind_without_decisions_are_zero():
+    m = _metrics([("batch", 0.004), ("batch", 0.002)])
+    assert m.decision_latencies_s("resolve").size == 0
+    latency_ms = m.to_artifact()["latency_ms"]
+    assert latency_ms["p50_resolve"] == latency_ms["p99_resolve"] == 0.0
+    assert latency_ms["p50"] == pytest.approx(3.0)
+
+
+def test_decision_counters_split_batches_from_resolves():
+    m = _metrics([("batch", 0.0), ("resolve", 0.0), ("epoch", 0.0), ("resolve", 0.0)])
+    assert (m.n_batch_solves, m.n_warm_resolves) == (2, 2)
+    assert [d.index for d in m.decisions] == [0, 1, 2, 3]
+    counters = m.to_artifact()["counters"]
+    assert counters["decisions"] == 4
+    assert (counters["batch_solves"], counters["warm_resolves"]) == (2, 2)
 
 
 # -- the CLI --------------------------------------------------------------------

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cluster.server import EdgeServer
 from repro.core.policies import CarbonEdgePolicy, LatencyAwarePolicy
 from repro.datasets.regions import CENTRAL_EU, FLORIDA
 from repro.testbed.emulation import build_testbed, run_testbed_experiment
-from repro.testbed.measurement import EmulatedEnergyMeter
+from repro.workloads.requests import generate_request_load
 
 
 @pytest.fixture(scope="module")
@@ -19,58 +18,6 @@ def test_build_testbed_structure(florida_testbed):
     assert florida_testbed.sites() == list(FLORIDA.city_names)
     assert len(florida_testbed.fleet.servers()) == 5
     assert set(florida_testbed.carbon.zones()) == set(FLORIDA.zone_ids())
-
-
-def test_energy_meter_accounting():
-    server = EdgeServer(server_id="s", site="Miami", zone_id="US-FL-MIA")
-    server.power_on()
-    meter = EmulatedEnergyMeter(server=server)
-    meter.record_idle_interval(10.0)
-    meter.record_request("a", 5.0)
-    meter.record_request("a", 5.0)
-    meter.record_request("b", 1.0)
-    assert meter.base_energy_j == pytest.approx(server.base_power_w * 10.0)
-    assert meter.dynamic_energy_j == pytest.approx(11.0)
-    assert meter.app_energy_j("a") == pytest.approx(10.0)
-    assert meter.request_count == 3
-    meter.reset()
-    assert meter.total_energy_j == 0.0
-    with pytest.raises(ValueError):
-        meter.record_request("a", -1.0)
-    with pytest.raises(ValueError):
-        meter.record_idle_interval(-1.0)
-
-
-def test_energy_meter_off_server_no_base_energy():
-    server = EdgeServer(server_id="s", site="Miami", zone_id="US-FL-MIA")
-    meter = EmulatedEnergyMeter(server=server)
-    meter.record_idle_interval(100.0)
-    assert meter.base_energy_j == 0.0
-
-
-def test_energy_meter_per_app_energy_sums_to_dynamic():
-    server = EdgeServer(server_id="s", site="Miami", zone_id="US-FL-MIA")
-    meter = EmulatedEnergyMeter(server=server)
-    for app_id, energy in (("a", 2.5), ("b", 4.0), ("a", 1.5), ("c", 0.0)):
-        meter.record_request(app_id, energy)
-    assert meter.app_energy_j("a") == pytest.approx(4.0)
-    assert meter.app_energy_j("never-seen") == 0.0
-    assert sum(meter.app_energy_j(a) for a in "abc") == pytest.approx(meter.dynamic_energy_j)
-    assert meter.total_energy_j == pytest.approx(meter.dynamic_energy_j)
-    meter.reset()
-    assert meter.app_energy_j("a") == 0.0 and meter.request_count == 0
-
-
-def test_energy_meter_meters_base_power_only_while_on():
-    server = EdgeServer(server_id="s", site="Miami", zone_id="US-FL-MIA")
-    meter = EmulatedEnergyMeter(server=server)
-    server.power_on()
-    meter.record_idle_interval(10.0)
-    server.power_off()
-    meter.record_idle_interval(5.0)
-    server.power_on()
-    meter.record_idle_interval(2.0)
-    assert meter.base_energy_j == pytest.approx(server.base_power_w * 12.0)
 
 
 def test_base_power_share_adds_the_hosts_base_carbon(florida_testbed):
@@ -115,8 +62,43 @@ def test_emission_series_shape_and_positivity(florida_testbed):
     for series in result.hourly_emissions_g.values():
         assert series.shape == (12,)
         assert np.all(series >= 0)
-    assert result.total_energy_j > 0
     assert result.emissions_by_app().keys() == result.hourly_emissions_g.keys()
+
+
+def test_hosting_sites_follow_the_placements(florida_testbed):
+    result = run_testbed_experiment(florida_testbed, CarbonEdgePolicy(), hours=6)
+    servers = result.solution.problem.servers
+    assert result.hosting_site == {app_id: servers[j].site
+                                   for app_id, j in result.solution.placements.items()}
+    assert set(result.hosting_site) == set(result.hourly_emissions_g)
+
+
+def test_dynamic_emissions_are_request_energy_at_the_host_intensity(florida_testbed):
+    """Without a base-power share, an hour's emissions are that hour's
+    requests times the per-request energy, at the host zone's intensity."""
+    result = run_testbed_experiment(florida_testbed, LatencyAwarePolicy(), hours=6)
+    problem = result.solution.problem
+    for app in problem.applications:
+        host = problem.servers[result.solution.placements[app.app_id]]
+        requests = generate_request_load(app.app_id, app.request_rate_rps, 6 * 3600.0,
+                                         seed=florida_testbed.seed).hourly_counts()[:6]
+        intensities = florida_testbed.carbon.trace(host.zone_id).window(0, 6)
+        np.testing.assert_allclose(
+            result.hourly_emissions_g[app.app_id],
+            requests * app.profile_on(host).energy_per_request_j / 3.6e6 * intensities,
+            rtol=1e-12)
+    assert result.total_emissions_g == pytest.approx(sum(result.emissions_by_app().values()))
+
+
+def test_response_times_are_sampled_per_source_site(florida_testbed):
+    result = run_testbed_experiment(florida_testbed, LatencyAwarePolicy(), hours=6,
+                                    requests_sampled_per_site=50)
+    assert set(result.response_times_ms) == set(florida_testbed.sites())
+    for site, samples in result.response_times_ms.items():
+        assert samples.shape == (50,) and np.all(samples > 0)
+        assert result.mean_response_ms(site) == pytest.approx(samples.mean())
+    everything = np.concatenate(list(result.response_times_ms.values()))
+    assert result.mean_response_ms() == pytest.approx(everything.mean())
 
 
 def test_gpu_workload_emits_less_than_cpu(florida_testbed):

@@ -4,7 +4,9 @@ import pytest
 
 from repro.cluster.hardware import GTX_1080, ORIN_NANO
 from repro.cluster.server import EdgeServer
+from repro.core.problem import _demand_for
 from repro.workloads.application import Application, make_application
+from repro.workloads.profiles import get_profile
 
 
 @pytest.fixture
@@ -63,6 +65,20 @@ def test_resource_demand_replicas(a2_server):
     heavy = make_application("b", "ResNet50", "Miami", request_rate_rps=300)
     assert heavy.resource_demand_on(a2_server)["gpu_memory_mb"] == pytest.approx(
         3 * light.resource_demand_on(a2_server)["gpu_memory_mb"])
+
+
+@pytest.mark.parametrize("multiple, replicas", [
+    (0.5, 1), (1.0, 1), (1.5, 2), (2.0, 2), (2.5, 3), (4.0, 4)])
+def test_replica_formula_agrees_with_the_problem_builder(a2_server, multiple, replicas):
+    """One replica serves up to the profile's max request rate; the problem
+    builder's demand and the application's own agree at and between the
+    replica boundaries."""
+    profile = get_profile("ResNet50", "NVIDIA A2")
+    rate = multiple * profile.max_request_rate()
+    demand = make_application("a", "ResNet50", "Miami",
+                              request_rate_rps=rate).resource_demand_on(a2_server)
+    assert demand == _demand_for(rate, profile)
+    assert demand == profile.resource_demand * float(replicas)
 
 
 def test_processing_latency(a2_server):
